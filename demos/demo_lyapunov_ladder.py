@@ -8,7 +8,6 @@ scriptF_1 built from the weighted functional M and the tail U_1.
 import numpy as np
 
 import sswave as sw
-from sswave.core import FunctionalSeries
 from sswave.quadrature import RuleTable
 from sswave import functionals as fu, verify
 
@@ -25,13 +24,9 @@ def main():
     mon = verify.monitor_monotone(f0, require_nonneg=True)
     print(f"F0: monotone={mon['monotone']}  nonnegative={mon['nonnegative']}  "
           f"range [{f0.values[-1]:.3e}, {f0.values[0]:.3e}]")
-    for k in range(1, 7):
-        sel = f0.s >= max(f0.s[0], verify.ladder_start(e, k))
-        ser = FunctionalSeries(f"l{k}", f0.s[sel],
-                               f0.s[sel] ** (k / 18.0) * f0.values[sel])
-        mk = verify.monitor_monotone(ser)
-        print(f"  s^({k}/18) F0: monotone={mk['monotone']} "
-              f"(checked from s = {ser.s[0]:.2f})")
+    for k, rep in enumerate(verify.check_ladder(f0, e, 6), start=1):
+        print(f"  s^({k}/18) F0: monotone={rep['passed']} "
+              f"(checked from s = {max(f0.s[0], verify.ladder_start(e, k)):.2f})")
 
     fam = fu.f_family(snaps, rules, e, k=1, sigma=1.0)
     monF1 = verify.monitor_monotone(fam["F1"], require_nonneg=True)

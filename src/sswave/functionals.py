@@ -3,18 +3,22 @@
 Per-snapshot functionals (all integrals over the unit ball, g1 denoting
 (p+1)/(p-1)^2 and rho_eps = (1-|y|^2)^eps):
 
-    E0   = int 1/2 ws^2 + 1/2(|gw|^2 - (y.gw)^2) + g1 w^2 - |w|^(p+1)/(p+1)
+    E_eps = int (1/2 ws^2 + 1/2(|gw|^2 - (y.gw)^2) + g1 w^2 - |w|^(p+1)/(p+1)) rho_eps
+    E0   = E_eps at eps = 0
     E    = E0 + alpha int w ws - (alpha N/2) int w^2,      F0 = e^(2 alpha s) E
-    E_eps, J_eps, G_eps, N_eps                      (weight rho_eps)
+    J_eps, G_eps, N_eps                             (weight rho_eps)
     I_eps, L_eps = N_(1/2+eps) + (1/2+eps) I_eps    (weight rho_eps/sqrt(1-|y|^2))
     M    = E_e0 + N_e0 - c J_e0 + (6/5) c int w^2 |y|^2 rho/(1-|y|^2)
-           + c alpha int w^2 rho,   c = 2/(p-1) + 2/5,  e0 = 3/5
+           + c alpha int w^2 rho,   c = 2/(p-1) + 2/5,  e0 = EPS0 = 3/5
 
 Series-level objects: the ladder F_k = s^(k/18) F0 + (k/18) int_s^inf
 tau^((k-18)/18) F0 dtau, the weighted tails U_k, and the companions
 scriptF_k = s^((k-18)/18) e^(2 alpha s) M + sigma_k U_k.  Tails beyond the
 sampled horizon are estimated from the last sample's e^(2 alpha s) decay and
 recorded as metadata.
+
+Every per-snapshot integral goes through _int; every selectable name is a
+key of SNAPSHOT_FUNCTIONALS or a ladder family of LADDERS.
 """
 
 from __future__ import annotations
@@ -29,25 +33,44 @@ from .core import Exponents, FunctionalSeries
 from .quadrature import RuleTable, surface_area
 from .similarity import SimilaritySnapshot
 
+EPS0 = 0.6   # the weight exponent 3/5 that M and the U ladder pin
+
 
 def _g1(e: Exponents) -> float:
     return (e.p + 1.0) / (e.p - 1.0) ** 2
 
 
+def _int(snap: SimilaritySnapshot, rules: RuleTable, beta: float, weighted) -> float:
+    """Sum of weighted(node weights, node samples) over the beta rule's nodes.
+
+    The integrand applies the weights itself, so each product keeps the
+    association it is written with."""
+    rule = rules.rule(beta)
+    return float(np.sum(weighted(rule.weights, snap.on(rule))))
+
+
+def _lp1(n, e: Exponents) -> np.ndarray:
+    """|w|^(p+1) at the nodes."""
+    return np.abs(n.w) ** (e.p + 1.0)
+
+
+def _w2(wt, n) -> np.ndarray:
+    return wt * n.w ** 2
+
+
 def E0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents) -> float:
-    ns = snap.on(rules.plain)
-    wts = rules.plain.weights
-    vals = (0.5 * ns.ws ** 2 + 0.5 * (ns.g2 - ns.ydg ** 2)
-            + _g1(e) * ns.w ** 2 - np.abs(ns.w) ** (e.p + 1.0) / (e.p + 1.0))
-    return float(np.sum(wts * vals))
+    return E_eps(snap, rules, e, 0.0)
+
+
+def _j0_terms(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents):
+    """(alpha int w ws, (alpha N / 2) int w^2), plain measure."""
+    return (e.alpha * _int(snap, rules, 0.0, lambda wt, n: wt * n.w * n.ws),
+            0.5 * e.alpha * e.N * _int(snap, rules, 0.0, _w2))
 
 
 def E_and_F0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents):
-    ns = snap.on(rules.plain)
-    wts = rules.plain.weights
-    E = (E0(snap, rules, e)
-         + e.alpha * float(np.sum(wts * ns.w * ns.ws))
-         - 0.5 * e.alpha * e.N * float(np.sum(wts * ns.w ** 2)))
+    ww, w2 = _j0_terms(snap, rules, e)
+    E = E0(snap, rules, e) + ww - w2
     return E, math.exp(2.0 * e.alpha * snap.s) * E
 
 
@@ -57,46 +80,34 @@ def F0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents) -> float:
 
 def J0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents) -> float:
     """alpha int w ws - (alpha N / 2) int w^2 (plain measure)."""
-    ns = snap.on(rules.plain)
-    wts = rules.plain.weights
-    return (e.alpha * float(np.sum(wts * ns.w * ns.ws))
-            - 0.5 * e.alpha * e.N * float(np.sum(wts * ns.w ** 2)))
+    ww, w2 = _j0_terms(snap, rules, e)
+    return ww - w2
 
 
 def E_eps(snap, rules, e: Exponents, eps: float) -> float:
-    ns = snap.on(rules.rule(eps))
-    wts = rules.rule(eps).weights
-    vals = (0.5 * ns.ws ** 2 + 0.5 * (ns.g2 - ns.ydg ** 2)
-            + _g1(e) * ns.w ** 2 - np.abs(ns.w) ** (e.p + 1.0) / (e.p + 1.0))
-    return float(np.sum(wts * vals))
+    return _int(snap, rules, eps, lambda wt, n: wt * (
+        0.5 * n.ws ** 2 + 0.5 * (n.g2 - n.ydg ** 2)
+        + _g1(e) * n.w ** 2 - _lp1(n, e) / (e.p + 1.0)))
 
 
 def J_eps(snap, rules, e: Exponents, eps: float) -> float:
-    ns = snap.on(rules.rule(eps))
-    wts = rules.rule(eps).weights
-    return float(np.sum(wts * (-ns.w * ns.ws - (0.5 * e.N + e.alpha) * ns.w ** 2)))
+    return _int(snap, rules, eps, lambda wt, n: wt * (
+        -n.w * n.ws - (0.5 * e.N + e.alpha) * n.w ** 2))
 
 
 def G_eps(snap, rules, e: Exponents, eps: float) -> float:
-    ns = snap.on(rules.rule(eps))
-    wts = rules.rule(eps).weights
-    vals = (ns.g2 - np.abs(ns.w) ** (e.p + 1.0) - (ns.ws + ns.ydg) ** 2
-            + 2.0 * _g1(e) * ns.w ** 2)
-    return float(np.sum(wts * vals))
+    return _int(snap, rules, eps, lambda wt, n: wt * (
+        n.g2 - _lp1(n, e) - (n.ws + n.ydg) ** 2 + 2.0 * _g1(e) * n.w ** 2))
 
 
 def N_eps(snap, rules, e: Exponents, eps: float) -> float:
-    ns = snap.on(rules.rule(eps))
-    wts = rules.rule(eps).weights
-    return float(np.sum(wts * (ns.ydg * ns.ws + ns.ydg ** 2)))
+    return _int(snap, rules, eps, lambda wt, n: wt * (n.ydg * n.ws + n.ydg ** 2))
 
 
 def I_eps(snap, rules, e: Exponents, eps: float) -> float:
     """Singular-weight functional; the rule is built in rho_eps/sqrt(1-|y|^2)."""
-    mu = rules.rule(eps - 0.5)
-    ns = snap.on(mu)
-    return float(np.sum(mu.weights * (-ns.w * (ns.ws + 2.0 * ns.ydg)
-                                      - 0.5 * e.N * ns.w ** 2)))
+    return _int(snap, rules, eps - 0.5, lambda wt, n: wt * (
+        -n.w * (n.ws + 2.0 * n.ydg) - 0.5 * e.N * n.w ** 2))
 
 
 def L_eps(snap, rules, e: Exponents, eps: float) -> float:
@@ -104,89 +115,27 @@ def L_eps(snap, rules, e: Exponents, eps: float) -> float:
 
 
 def singular_Lp1(snap, rules, e: Exponents, eps: float) -> float:
-    mu = rules.rule(eps - 0.5)
-    ns = snap.on(mu)
-    return float(np.sum(mu.weights * np.abs(ns.w) ** (e.p + 1.0)))
+    return _int(snap, rules, eps - 0.5, lambda wt, n: wt * _lp1(n, e))
 
 
-def M_func(snap, rules, e: Exponents, eps0: float = 0.6) -> float:
+def M_func(snap, rules, e: Exponents) -> float:
     c = e.two_over_pm1 + 0.4
-    lo = rules.rule(eps0 - 1.0)
-    ns_lo = snap.on(lo)
-    ns = snap.on(rules.rule(eps0))
-    wts = rules.rule(eps0).weights
-    A = float(np.sum(lo.weights * ns_lo.w ** 2 * ns_lo.r2))
-    W3 = float(np.sum(wts * ns.w ** 2))
-    return (E_eps(snap, rules, e, eps0) + N_eps(snap, rules, e, eps0)
-            - c * J_eps(snap, rules, e, eps0) + 1.2 * c * A + c * e.alpha * W3)
+    A = _int(snap, rules, EPS0 - 1.0, lambda wt, n: wt * n.w ** 2 * n.r2)
+    W3 = _int(snap, rules, EPS0, _w2)
+    return (E_eps(snap, rules, e, EPS0) + N_eps(snap, rules, e, EPS0)
+            - c * J_eps(snap, rules, e, EPS0) + 1.2 * c * A + c * e.alpha * W3)
 
 
-def m_bound_denominator(snap, rules, e: Exponents, eps0: float = 0.6) -> float:
+def m_bound_denominator(snap, rules, e: Exponents) -> float:
     """int (ws^2 + |gw|^2 + w^2 + |w|^(p+1)) rho, the |M| bound's right side."""
-    ns = snap.on(rules.rule(eps0))
-    wts = rules.rule(eps0).weights
-    return float(np.sum(wts * (ns.ws ** 2 + ns.g2 + ns.w ** 2
-                               + np.abs(ns.w) ** (e.p + 1.0))))
+    return _int(snap, rules, EPS0, lambda wt, n: wt * (
+        n.ws ** 2 + n.g2 + n.w ** 2 + _lp1(n, e)))
 
 
 def h_norm(snap, rules) -> float:
     """Squared norm of the natural energy space on the ball."""
-    ns = snap.on(rules.plain)
-    wts = rules.plain.weights
-    return float(np.sum(wts * (ns.ws ** 2 + ns.g2 - ns.ydg ** 2 + ns.w ** 2)))
-
-
-FUNCTIONAL_NAMES = ("E0", "E", "F0", "E_eps", "J_eps", "G_eps", "N_eps",
-                    "I_eps", "L_eps", "M", "U1", "F1", "Uk", "Fk",
-                    "scriptF1", "scriptFk", "singularLp1")
-
-
-@dataclass(frozen=True)
-class FunctionalSpec:
-    """Named functional selector: which functional, at which eps and k.
-
-    The singular first component of L_eps always runs at exponent 1/2+eps,
-    and the M/U/F companions pin eps0 = 3/5 (overridable).
-    """
-
-    name: str
-    eps: float = 0.6
-    k: int = 1
-    sigma: float = 1.0
-    eps0_fixed: float = 0.6
-
-    def __post_init__(self):
-        if self.name not in FUNCTIONAL_NAMES:
-            raise ValueError(f"unknown functional '{self.name}', "
-                             f"expected one of {FUNCTIONAL_NAMES}")
-        if self.eps <= 0 or self.eps0_fixed <= 0:
-            raise ValueError("weight exponents must be positive")
-        if self.k < 0:
-            raise ValueError("ladder index must be >= 0")
-
-
-def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents,
-                    enforce_span: bool = False) -> FunctionalSeries:
-    """Evaluate one named functional over a snapshot series."""
-    per_snapshot = {
-        "E0": lambda sn: E0(sn, rules, e),
-        "E": lambda sn: E_and_F0(sn, rules, e)[0],
-        "F0": lambda sn: F0(sn, rules, e),
-        "E_eps": lambda sn: E_eps(sn, rules, e, spec.eps),
-        "J_eps": lambda sn: J_eps(sn, rules, e, spec.eps),
-        "G_eps": lambda sn: G_eps(sn, rules, e, spec.eps),
-        "N_eps": lambda sn: N_eps(sn, rules, e, spec.eps),
-        "I_eps": lambda sn: I_eps(sn, rules, e, spec.eps),
-        "L_eps": lambda sn: L_eps(sn, rules, e, spec.eps),
-        "M": lambda sn: M_func(sn, rules, e, spec.eps0_fixed),
-        "singularLp1": lambda sn: singular_Lp1(sn, rules, e, spec.eps),
-    }
-    if spec.name in per_snapshot:
-        return series_of(snaps, per_snapshot[spec.name], spec.name)
-    k = 1 if spec.name in ("F1", "U1", "scriptF1") else max(spec.k, 1)
-    fam = f_family(snaps, rules, e, k, spec.sigma, enforce_span=enforce_span)
-    prefix = spec.name.rstrip("1k")  # F | U | scriptF
-    return fam[f"{prefix}{k}"]
+    return _int(snap, rules, 0.0, lambda wt, n: wt * (
+        n.ws ** 2 + n.g2 - n.ydg ** 2 + n.w ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +155,27 @@ def m_series(snaps, rules, e: Exponents) -> FunctionalSeries:
     return series_of(snaps, lambda sn: M_func(sn, rules, e), "M")
 
 
+def u_integrand_series(snaps, rules, e: Exponents) -> FunctionalSeries:
+    """int |w|^(p+1) rho/(1-|y|^2) + int w^2 rho, the U-ladder integrand."""
+    return series_of(snaps, lambda sn: (
+        _int(sn, rules, EPS0 - 1.0, lambda wt, n: wt * _lp1(n, e))
+        + _int(sn, rules, EPS0, _w2)), "U_integrand")
+
+
+def tail_trapezoid(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """int_s^smax g dtau at every sample: the trapezoid rule accumulated
+    from the right, 0 at smax."""
+    out = np.zeros_like(s)
+    for i in range(s.size - 2, -1, -1):
+        out[i] = out[i + 1] + 0.5 * (g[i] + g[i + 1]) * (s[i + 1] - s[i])
+    return out
+
+
 def exp_tail_factor(gamma: float, alpha: float, s_max: float) -> float:
     """int_smax^inf tau^gamma e^(2 alpha (tau - smax)) dtau by quadrature."""
     val, _ = quad(lambda x: (s_max + x) ** gamma * math.exp(2.0 * alpha * x),
                   0.0, np.inf)
     return float(val)
-
-
-def _tail_series(s: np.ndarray, integrand: np.ndarray, gamma: float,
-                 alpha: float):
-    """int_s^smax tau^gamma f(tau) dtau (trapezoid, cumulative from the right)
-    plus the e^(2 alpha) tail estimate/bound beyond smax."""
-    g = s ** gamma * integrand
-    inner = np.zeros_like(s)
-    for i in range(s.size - 2, -1, -1):
-        inner[i] = inner[i + 1] + 0.5 * (g[i] + g[i + 1]) * (s[i + 1] - s[i])
-    fac = exp_tail_factor(gamma, alpha, s[-1])
-    tail_est = integrand[-1] * fac
-    tail_bound = abs(integrand[-1]) * fac
-    return inner, tail_est, tail_bound
 
 
 def required_span(e: Exponents) -> float:
@@ -248,26 +199,13 @@ def f_ladder(f0: FunctionalSeries, k: int, e: Exponents,
             f"series spans {span:.3f} in s but the tail needs s_max >= "
             f"{s[0] + required_span(e):.3f} (e^(2 alpha s) domination)")
     gamma = (k - 18.0) / 18.0
-    inner, tail_est, tail_bound = _tail_series(s, vals, gamma, e.alpha)
-    F = s ** (k / 18.0) * vals + (k / 18.0) * (inner + tail_est)
+    inner = tail_trapezoid(s, s ** gamma * vals)
+    fac = exp_tail_factor(gamma, e.alpha, s[-1])
+    F = s ** (k / 18.0) * vals + (k / 18.0) * (inner + vals[-1] * fac)
     return FunctionalSeries(
         name=f"F{k}", s=s, values=F,
-        tail_bound=np.full_like(s, (k / 18.0) * tail_bound),
+        tail_bound=np.full_like(s, (k / 18.0) * (abs(vals[-1]) * fac)),
         meta={"k": k, "s_max": float(s[-1])})
-
-
-def u_integrand_series(snaps, rules, e: Exponents, eps0: float = 0.6) -> FunctionalSeries:
-    """int |w|^(p+1) rho/(1-|y|^2) + int w^2 rho, the U-ladder integrand."""
-    lo = rules.rule(eps0 - 1.0)
-    r = rules.rule(eps0)
-
-    def fn(sn):
-        ns_lo = sn.on(lo)
-        ns = sn.on(r)
-        return (float(np.sum(lo.weights * np.abs(ns_lo.w) ** (e.p + 1.0)))
-                + float(np.sum(r.weights * ns.w ** 2)))
-
-    return series_of(snaps, fn, "U_integrand")
 
 
 def u_series(uint: FunctionalSeries, k: int, e: Exponents) -> FunctionalSeries:
@@ -278,17 +216,12 @@ def u_series(uint: FunctionalSeries, k: int, e: Exponents) -> FunctionalSeries:
     """
     gamma = (k - 18.0) / 18.0
     s = uint.s
-    g = s ** gamma * np.exp(2.0 * e.alpha * s) * uint.values
-    inner = np.zeros_like(s)
-    for i in range(s.size - 2, -1, -1):
-        inner[i] = inner[i + 1] + 0.5 * (g[i] + g[i + 1]) * (s[i + 1] - s[i])
+    inner = tail_trapezoid(s, s ** gamma * np.exp(2.0 * e.alpha * s) * uint.values)
     kern, _ = quad(lambda x: (s[-1] + x) ** gamma
                    * math.exp(2.0 * e.alpha * (s[-1] + x)), 0.0, np.inf)
-    tail_est = uint.values[-1] * kern
-    tail_bound = abs(uint.values[-1]) * kern
     return FunctionalSeries(
-        name=f"U{k}", s=s, values=inner + tail_est,
-        tail_bound=np.full_like(s, tail_bound),
+        name=f"U{k}", s=s, values=inner + uint.values[-1] * kern,
+        tail_bound=np.full_like(s, abs(uint.values[-1]) * kern),
         meta={"k": k, "s_max": float(s[-1])})
 
 
@@ -307,15 +240,82 @@ def script_f_series(mser: FunctionalSeries, user: FunctionalSeries, k: int,
 
 def f_family(snaps, rules, e: Exponents, k: int, sigma: float = 1.0,
              enforce_span: bool = True) -> dict:
-    """The spec's combined ladder builder: F_k plus scriptF_k and parts."""
-    f0 = f0_series(snaps, rules, e)
-    out = {"F0": f0, "M": m_series(snaps, rules, e)}
-    uint = u_integrand_series(snaps, rules, e)
+    """F0 and M, and for k >= 1 the ladder F_k with U_k and scriptF_k."""
+    out = {"F0": f0_series(snaps, rules, e), "M": m_series(snaps, rules, e)}
     if k >= 1:
-        out[f"F{k}"] = f_ladder(f0, k, e, enforce_span=enforce_span)
-        out[f"U{k}"] = u_series(uint, k, e)
+        out[f"F{k}"] = f_ladder(out["F0"], k, e, enforce_span=enforce_span)
+        out[f"U{k}"] = u_series(u_integrand_series(snaps, rules, e), k, e)
         out[f"scriptF{k}"] = script_f_series(out["M"], out[f"U{k}"], k, sigma, e)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the name registry
+
+# name -> value at one snapshot for the weight exponent eps (M pins EPS0)
+SNAPSHOT_FUNCTIONALS = {
+    "E0": lambda sn, rules, e, eps: E0(sn, rules, e),
+    "E": lambda sn, rules, e, eps: E_and_F0(sn, rules, e)[0],
+    "F0": lambda sn, rules, e, eps: F0(sn, rules, e),
+    "J0": lambda sn, rules, e, eps: J0(sn, rules, e),
+    "E_eps": lambda sn, rules, e, eps: E_eps(sn, rules, e, eps),
+    "J_eps": lambda sn, rules, e, eps: J_eps(sn, rules, e, eps),
+    "G_eps": lambda sn, rules, e, eps: G_eps(sn, rules, e, eps),
+    "N_eps": lambda sn, rules, e, eps: N_eps(sn, rules, e, eps),
+    "I_eps": lambda sn, rules, e, eps: I_eps(sn, rules, e, eps),
+    "L_eps": lambda sn, rules, e, eps: L_eps(sn, rules, e, eps),
+    "M": lambda sn, rules, e, eps: M_func(sn, rules, e),
+    "singularLp1": lambda sn, rules, e, eps: singular_Lp1(sn, rules, e, eps),
+}
+
+# ladder family -> its series at index k; each builds only what it needs
+LADDERS = {
+    "F": lambda snaps, rules, e, k, sigma, span: f_ladder(
+        f0_series(snaps, rules, e), k, e, enforce_span=span),
+    "U": lambda snaps, rules, e, k, sigma, span: u_series(
+        u_integrand_series(snaps, rules, e), k, e),
+    "scriptF": lambda snaps, rules, e, k, sigma, span: script_f_series(
+        m_series(snaps, rules, e), LADDERS["U"](snaps, rules, e, k, sigma, span),
+        k, sigma, e),
+}
+
+# a ladder name is its family plus "1" (k = 1) or "k" (the spec's k)
+FUNCTIONAL_NAMES = tuple(SNAPSHOT_FUNCTIONALS) + tuple(
+    family + index for family in LADDERS for index in "1k")
+
+
+@dataclass(frozen=True)
+class FunctionalSpec:
+    """Named functional selector: which functional, at which eps and k.
+
+    The singular first component of L_eps always runs at exponent 1/2+eps,
+    and M and the U/scriptF ladders pin EPS0 = 3/5.
+    """
+
+    name: str
+    eps: float = 0.6
+    k: int = 1
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        if self.name not in FUNCTIONAL_NAMES:
+            raise ValueError(f"unknown functional '{self.name}', "
+                             f"expected one of {FUNCTIONAL_NAMES}")
+        if self.eps <= 0:
+            raise ValueError("the weight exponent eps must be positive")
+        if self.k < 0:
+            raise ValueError("ladder index must be >= 0")
+
+
+def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents,
+                    enforce_span: bool = False) -> FunctionalSeries:
+    """Evaluate one named functional over a snapshot series."""
+    if spec.name in SNAPSHOT_FUNCTIONALS:
+        fn = SNAPSHOT_FUNCTIONALS[spec.name]
+        return series_of(snaps, lambda sn: fn(sn, rules, e, spec.eps), spec.name)
+    family, index = spec.name[:-1], spec.name[-1]
+    k = 1 if index == "1" else max(spec.k, 1)
+    return LADDERS[family](snaps, rules, e, k, spec.sigma, enforce_span)
 
 
 # ---------------------------------------------------------------------------

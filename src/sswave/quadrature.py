@@ -85,6 +85,7 @@ def _radial_rule(N: int, beta: float, n_radial: int):
 def build_rule(N: int, beta: float, n_radial: int = 48, n_angular: int = 1) -> BallQuadrature:
     """Build a ball rule for the weight (1-|y|^2)^beta.
 
+    The nodes are the radial rule tensored with sphere_rule(N, n_angular):
     n_angular = 1 collapses the angular directions (valid for radially
     symmetric integrands, any N >= 2); otherwise a tensor spherical grid
     is attached (N = 2 or 3 only).
@@ -99,34 +100,9 @@ def build_rule(N: int, beta: float, n_radial: int = 48, n_angular: int = 1) -> B
     if np.any(W <= 0) or np.any(r <= 0) or np.any(r >= 1):
         raise AssertionError("radial rule integrity violated")
 
-    if n_angular == 1:
-        points = np.zeros((n_radial, N))
-        points[:, 0] = r
-        weights = W * surface_area(N)
-    elif N == 2:
-        theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-        ct, st = np.cos(theta), np.sin(theta)
-        points = np.empty((n_radial * n_angular, 2))
-        points[:, 0] = np.outer(r, ct).ravel()
-        points[:, 1] = np.outer(r, st).ravel()
-        weights = np.outer(W, np.full(n_angular, 2.0 * math.pi / n_angular)).ravel()
-    elif N == 3:
-        mu, vmu = roots_legendre(n_angular)
-        n_az = 2 * n_angular
-        phi = 2.0 * math.pi * np.arange(n_az) / n_az
-        smu = np.sqrt(1.0 - mu ** 2)
-        # directions omega(mu, phi), tensor with the radial rule
-        dirs = np.empty((n_angular * n_az, 3))
-        dirs[:, 0] = np.outer(smu, np.cos(phi)).ravel()
-        dirs[:, 1] = np.outer(smu, np.sin(phi)).ravel()
-        dirs[:, 2] = np.outer(mu, np.ones(n_az)).ravel()
-        wang = np.outer(vmu, np.full(n_az, 2.0 * math.pi / n_az)).ravel()
-        points = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        weights = np.outer(W, wang).ravel()
-    else:
-        raise NotImplementedError(
-            f"tensor angular grids are implemented for N in (2, 3); got N={N} "
-            "with n_angular > 1 (radial collapse n_angular=1 supports any N)")
+    sph = sphere_rule(N, n_angular)
+    points = (r[:, None, None] * sph.points[None, :, :]).reshape(-1, N)
+    weights = np.outer(W, sph.weights).ravel()
     return BallQuadrature(N=N, beta=float(beta), n_radial=n_radial,
                           n_angular=n_angular, radial_nodes=r, radial_weights=W,
                           points=points, weights=weights)
@@ -162,7 +138,9 @@ def sphere_rule(N: int, n_angular: int = 1) -> SphereRule:
         pts[:, 2] = np.outer(mu, np.ones(n_az)).ravel()
         wts = np.outer(vmu, np.full(n_az, 2.0 * math.pi / n_az)).ravel()
         return SphereRule(N=3, points=pts, weights=wts)
-    raise NotImplementedError(f"sphere grids for N={N}")
+    raise NotImplementedError(
+        f"tensor angular grids are implemented for N in (2, 3); got N={N} "
+        "with n_angular > 1 (radial collapse n_angular=1 supports any N)")
 
 
 def integrate(rule: BallQuadrature, f) -> float:
@@ -187,7 +165,9 @@ def grad_decompose(y: np.ndarray, grad: np.ndarray):
 
     grad_r = (y.grad/|y|^2) y,  grad_theta = grad - grad_r; at y = 0 the
     convention is grad_r = 0 (both sides of (y.grad)^2 = |y|^2 |grad_r|^2
-    vanish there).  Accepts single points (N,) or stacks (K, N).
+    vanish there).  It also applies where |y|^2 underflows below the
+    smallest normal float, whose few significant bits would spoil the
+    quotient.  Accepts single points (N,) or stacks (K, N).
     """
     y = np.asarray(y, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -197,7 +177,8 @@ def grad_decompose(y: np.ndarray, grad: np.ndarray):
         grad = grad[None, :]
     r2 = np.sum(y * y, axis=1)
     yg = np.sum(y * grad, axis=1)
-    coef = np.divide(yg, r2, out=np.zeros_like(yg), where=r2 > 0)
+    coef = np.divide(yg, r2, out=np.zeros_like(yg),
+                     where=r2 >= np.finfo(float).tiny)
     grad_r = coef[:, None] * y
     grad_theta = grad - grad_r
     if single:
@@ -234,25 +215,3 @@ class RuleTable:
             self._sphere = sphere_rule(self.N, self.n_angular)
         return self._sphere
 
-
-def hardy_ratio(snap, eps: float, rules: RuleTable) -> float:
-    """LHS/RHS of the Hardy inequality with C = 1.
-
-    ratio = integral w^2 rho_eps/(1-|y|^2)
-            / (integral |grad w|^2 (1-|y|^2) rho_eps + integral w^2 rho_eps).
-
-    Two rules suffice: the beta = eps-1 rule carries both w^2 integrals
-    (the plain-rho one picks up a smooth (1-|y|^2) factor) and the
-    beta = eps+1 rule carries the gradient term.  Returns 0 for w == 0.
-    """
-    lo = snap.on(rules.rule(eps - 1.0))
-    hi = snap.on(rules.rule(eps + 1.0))
-    wlo = rules.rule(eps - 1.0).weights
-    whi = rules.rule(eps + 1.0).weights
-    num = float(np.sum(wlo * lo.w ** 2))
-    one_m_r2 = 1.0 - np.sum(lo.points ** 2, axis=1)
-    den = float(np.sum(whi * np.sum(hi.grad ** 2, axis=1)))
-    den += float(np.sum(wlo * lo.w ** 2 * one_m_r2))
-    if den == 0.0:
-        return 0.0
-    return num / den

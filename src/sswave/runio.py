@@ -52,7 +52,7 @@ DEFAULTS = {
     },
     "similarity": {
         "x0": "0.0", "T0": "auto", "s_lo": "auto", "s_hi": "auto",
-        "ds": "0.05", "delta0": "0.5", "n_radial": "48", "n_angular": "1",
+        "ds": "0.05", "n_radial": "48", "n_angular": "1",
     },
     "functionals": {
         "names": "E0,E,F0,E_eps,J_eps,G_eps,N_eps,I_eps,L_eps,M,U1,F1,singularLp1",
@@ -63,7 +63,7 @@ DEFAULTS = {
 
 _FLOAT_KEYS = {"p", "r_max_factor", "cfl", "amp_safety", "u_cap", "store_ds",
                "T", "core_frac", "taper_frac", "amplitude", "width",
-               "fit_amp_min", "x0", "ds", "delta0", "eps", "sigma", "q"}
+               "fit_amp_min", "x0", "ds", "eps", "sigma", "q"}
 _INT_KEYS = {"N", "nr", "max_steps", "n_radial", "n_angular", "k", "k_max", "seed"}
 
 
@@ -185,15 +185,11 @@ def update_manifest(run_dir: str, config_hash: str):
 
 
 def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict):
-    """CSV (s,value,tail_bound) + two-column plot file + JSON sidecar."""
+    """CSV (s,value,tail_bound) + JSON sidecar."""
     tail = (ser.tail_bound if ser.tail_bound is not None
             else np.zeros_like(ser.s))
     write_csv(os.path.join(run_dir, f"{ser.name}.csv"),
               ["s", "value", "tail_bound"], [ser.s, ser.values, tail])
-    plots = os.path.join(run_dir, "plots")
-    os.makedirs(plots, exist_ok=True)
-    write_csv(os.path.join(plots, f"{ser.name}.csv"), ["s", "value"],
-              [ser.s, ser.values])
     side = {"name": ser.name, "meta": ser.meta, "provenance": provenance}
     with open(os.path.join(run_dir, f"{ser.name}.json"), "w", encoding="utf-8") as fh:
         json.dump(side, fh, indent=1, sort_keys=True)
@@ -399,15 +395,7 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
             reports.append({"name": "F0_monotone", "passed": mon["monotone"]
                             and mon["nonnegative"], **{k: v for k, v in mon.items()
                                                        if k != "name"}})
-            kmax = ival(cfg, "functionals", "k_max")
-            for k in range(1, kmax + 1):
-                sel = f0.s >= max(f0.s[0], verify.ladder_start(e, k))
-                ser = FunctionalSeries(f"ladder_k{k}", f0.s[sel],
-                                       f0.s[sel] ** (k / 18.0) * f0.values[sel])
-                mk = verify.monitor_monotone(ser, slack=1e-6)
-                reports.append({"name": f"ladder_k{k}_monotone",
-                                "passed": mk["monotone"],
-                                "violations": mk["violations"]})
+            reports += verify.check_ladder(f0, e, ival(cfg, "functionals", "k_max"))
 
         if suite in ("decay", "all"):
             bundle = verify.build_decay_bundle(snaps, rules, e, k_max=2)
@@ -488,17 +476,9 @@ def _sweep_one(args):
         snaps = trajectory_to_w(traj, scfg.e, 0.0, traj.T_est, s_grid, rules.plain)
         f0 = fu.f0_series(snaps, rules, scfg.e)
         mon = verify.monitor_monotone(f0, slack=1e-6, require_nonneg=True)
-        ladder_ok = True
-        for k in range(1, 7):
-            sel = f0.s >= max(f0.s[0], verify.ladder_start(scfg.e, k))
-            if np.count_nonzero(sel) < 3:
-                ladder_ok = False
-                continue
-            ser = FunctionalSeries(f"l{k}", f0.s[sel],
-                                   f0.s[sel] ** (k / 18.0) * f0.values[sel])
-            ladder_ok &= verify.monitor_monotone(ser, slack=1e-6)["monotone"]
         row["F0_monotone"] = mon["monotone"] and mon["nonnegative"]
-        row["ladder_monotone"] = bool(ladder_ok)
+        row["ladder_monotone"] = all(
+            r["passed"] for r in verify.check_ladder(f0, scfg.e, 6))
     else:
         row["F0_monotone"] = False
         row["ladder_monotone"] = False

@@ -213,6 +213,8 @@ class SimilaritySnapshot:
     exponents; samples are cached per rule.
     """
 
+    evaluator = None
+
     def __init__(self, s: float, x0, T0: float, rule: BallQuadrature,
                  w: np.ndarray, ws: np.ndarray, grad: np.ndarray,
                  evaluator=None):
@@ -227,7 +229,8 @@ class SimilaritySnapshot:
         grad_r, grad_theta = grad_decompose(rule.points, grad)
         self._samples = {id(rule): NodeSample(rule.points, w, ws, grad,
                                               grad_r, grad_theta)}
-        self.evaluator = evaluator
+        if evaluator is not None:
+            self.evaluator = evaluator
 
     @property
     def base(self) -> NodeSample:
@@ -318,8 +321,15 @@ class StaticSnapshot(SimilaritySnapshot):
         w = self.w_part.value(pts)
         grad = self.w_part.grad(pts)
         ws = self.ws_part.value(pts) if self.ws_part else np.zeros_like(w)
-        super().__init__(s=s, x0=x0, T0=T0, rule=rule, w=w, ws=ws, grad=grad,
-                         evaluator=self)
+        super().__init__(s=s, x0=x0, T0=T0, rule=rule, w=w, ws=ws, grad=grad)
+
+    @property
+    def evaluator(self):
+        """The snapshot evaluates its own closed forms.  A property, because
+        an attribute holding self would make every test field a reference
+        cycle that keeps its node samples alive until the cyclic collector
+        runs."""
+        return self
 
     # evaluator protocol
     def fields(self, pts: np.ndarray):
@@ -485,9 +495,3 @@ def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
             raise ValueError(f"s={s} requires t={t}, outside coverage: {exc}") from exc
         out.append(to_similarity(state, traj.grid, e, x0, T0, rule))
     return out
-
-
-def inverse_map(snap: SimilaritySnapshot, e: Exponents):
-    """u values on the ball image reconstructed from the snapshot."""
-    tau = math.exp(-snap.s)
-    return tau ** (-e.two_over_pm1) * snap.w

@@ -64,8 +64,62 @@ def report(name, lhs, rhs, tol, context="", scale=None) -> IdentityReport:
 # ---------------------------------------------------------------------------
 # raw node integrals (the verifier's own quadrature path)
 
+EPS0 = 0.6   # the weight exponent 3/5 that M's d/ds law and Sigma pin
+
+# the raw path's integrands, as functions of the node samples n and exponents e
+_INTEGRANDS = {
+    "ws2": lambda n, e: n.ws ** 2,
+    "ws2_r2": lambda n, e: n.ws ** 2 * n.r2,
+    "ws_ydg": lambda n, e: n.ws * n.ydg,
+    "g2": lambda n, e: n.g2,
+    "g2_tangential": lambda n, e: n.g2 - n.ydg ** 2,
+    "gr2": lambda n, e: n.gr2,
+    "gth2": lambda n, e: n.gth2,
+    "gth2_r2": lambda n, e: n.gth2 * n.r2,
+    "ydg2": lambda n, e: n.ydg ** 2,
+    "w2": lambda n, e: n.w ** 2,
+    "w2_r2": lambda n, e: n.w ** 2 * n.r2,
+    "w2_1mr2": lambda n, e: n.w ** 2 * (1.0 - n.r2),
+    "w_ws": lambda n, e: n.w * n.ws,
+    "w_ws_r2": lambda n, e: n.w * n.ws * n.r2,
+    "w_ydg": lambda n, e: n.w * n.ydg,
+    "lp1": lambda n, e: np.abs(n.w) ** (e.p + 1.0),
+    "lp32": lambda n, e: np.abs(n.w) ** ((e.p + 3.0) / 2.0),
+}
+
+# raw integral name -> (integrand, weight exponent beta as an offset from
+# eps; None is the plain measure beta = 0)
+_RAW_TABLE = {
+    # rho_eps/(1-|y|^2), smooth |y|^2 integrands on the eps-1 rule
+    "P1": ("ws2_r2", -1.0), "Q1": ("gth2_r2", -1.0), "R1": ("lp1", -1.0),
+    "W4": ("w_ws_r2", -1.0), "A": ("w2_r2", -1.0),
+    # rho_eps
+    "P2": ("ws2", 0.0), "P3": ("ws_ydg", 0.0), "R2": ("lp1", 0.0),
+    "S1": ("g2_tangential", 0.0), "S2": ("g2", 0.0), "S3": ("ydg2", 0.0),
+    "W1": ("w_ydg", 0.0), "W2": ("w_ws", 0.0), "W3": ("w2", 0.0),
+    # rho_eps / sqrt(1-|y|^2) (the eps-1/2 rule)
+    "Ph": ("ws2", -0.5), "P3h": ("ws_ydg", -0.5), "Thh": ("gth2", -0.5),
+    "Rh": ("lp1", -0.5), "W1h": ("w_ydg", -0.5), "Bh": ("w2", -0.5),
+    "W2h": ("w_ws", -0.5),
+    # rho_eps sqrt(1-|y|^2)
+    "Hr": ("gr2", 0.5),
+    # plain measure
+    "P2p": ("ws2", None), "S1p": ("g2_tangential", None), "R2p": ("lp1", None),
+    "W2p": ("w_ws", None), "W3p": ("w2", None), "P3p": ("ws_ydg", None),
+}
+
+
+def _raw_int(snap, rules: RuleTable, e: Exponents, integrand: str,
+             beta: float) -> float:
+    rule = rules.rule(beta)
+    return float(np.sum(rule.weights * _INTEGRANDS[integrand](snap.on(rule), e)))
+
+
 class _Raw:
-    """Per-snapshot raw integrals for a given eps; memoised by name."""
+    """Per-snapshot raw integrals for a given eps; memoised by name.
+
+    Names in _RAW_TABLE are single integrals; the others are functionals
+    rebuilt on the raw path from them (the _<name> methods)."""
 
     def __init__(self, snap: SimilaritySnapshot, rules: RuleTable,
                  e: Exponents, eps: float):
@@ -75,87 +129,17 @@ class _Raw:
         self.eps = eps
         self._memo: dict = {}
 
-    def _int(self, beta: float, fn) -> float:
-        rule = self.rules.rule(beta)
-        ns = self.snap.on(rule)
-        return float(np.sum(rule.weights * fn(ns)))
-
     def get(self, name: str) -> float:
         if name not in self._memo:
-            self._memo[name] = getattr(self, "_" + name)()
+            if name in _RAW_TABLE:
+                integrand, shift = _RAW_TABLE[name]
+                beta = 0.0 if shift is None else self.eps + shift
+                self._memo[name] = _raw_int(self.snap, self.rules, self.e,
+                                            integrand, beta)
+            else:
+                self._memo[name] = getattr(self, "_" + name)()
         return self._memo[name]
 
-    # weight rho_eps/(1-|y|^2), smooth |y|^2 integrands on the eps-1 rule
-    def _P1(self):
-        return self._int(self.eps - 1.0, lambda n: n.ws ** 2 * n.r2)
-
-    def _Q1(self):
-        return self._int(self.eps - 1.0, lambda n: n.gth2 * n.r2)
-
-    def _R1(self):
-        return self._int(self.eps - 1.0,
-                         lambda n: np.abs(n.w) ** (self.e.p + 1.0))
-
-    def _W4(self):
-        return self._int(self.eps - 1.0, lambda n: n.w * n.ws * n.r2)
-
-    def _A(self):
-        return self._int(self.eps - 1.0, lambda n: n.w ** 2 * n.r2)
-
-    # weight rho_eps
-    def _P2(self):
-        return self._int(self.eps, lambda n: n.ws ** 2)
-
-    def _P3(self):
-        return self._int(self.eps, lambda n: n.ws * n.ydg)
-
-    def _R2(self):
-        return self._int(self.eps, lambda n: np.abs(n.w) ** (self.e.p + 1.0))
-
-    def _S1(self):
-        return self._int(self.eps, lambda n: n.g2 - n.ydg ** 2)
-
-    def _S2(self):
-        return self._int(self.eps, lambda n: n.g2)
-
-    def _S3(self):
-        return self._int(self.eps, lambda n: n.ydg ** 2)
-
-    def _W1(self):
-        return self._int(self.eps, lambda n: n.w * n.ydg)
-
-    def _W2(self):
-        return self._int(self.eps, lambda n: n.w * n.ws)
-
-    def _W3(self):
-        return self._int(self.eps, lambda n: n.w ** 2)
-
-    # weight rho_eps / sqrt(1-|y|^2) (the eps-1/2 rule)
-    def _Ph(self):
-        return self._int(self.eps - 0.5, lambda n: n.ws ** 2)
-
-    def _P3h(self):
-        return self._int(self.eps - 0.5, lambda n: n.ws * n.ydg)
-
-    def _Thh(self):
-        return self._int(self.eps - 0.5, lambda n: n.gth2)
-
-    def _Rh(self):
-        return self._int(self.eps - 0.5, lambda n: np.abs(n.w) ** (self.e.p + 1.0))
-
-    def _W1h(self):
-        return self._int(self.eps - 0.5, lambda n: n.w * n.ydg)
-
-    def _Bh(self):
-        return self._int(self.eps - 0.5, lambda n: n.w ** 2)
-
-    def _W2h(self):
-        return self._int(self.eps - 0.5, lambda n: n.w * n.ws)
-
-    def _Hr(self):
-        return self._int(self.eps + 0.5, lambda n: n.gr2)
-
-    # functionals rebuilt on the raw path where the RHS needs them
     def _Ifun(self):
         return -self.get("W2h") - 2.0 * self.get("W1h") - 0.5 * self.e.N * self.get("Bh")
 
@@ -164,25 +148,6 @@ class _Raw:
         return (self.get("S2") - self.get("R2")
                 - (self.get("P2") + 2.0 * self.get("P3") + self.get("S3"))
                 + 2.0 * g1 * self.get("W3"))
-
-    # plain measure
-    def _P2p(self):
-        return self._int(0.0, lambda n: n.ws ** 2)
-
-    def _S1p(self):
-        return self._int(0.0, lambda n: n.g2 - n.ydg ** 2)
-
-    def _R2p(self):
-        return self._int(0.0, lambda n: np.abs(n.w) ** (self.e.p + 1.0))
-
-    def _W2p(self):
-        return self._int(0.0, lambda n: n.w * n.ws)
-
-    def _W3p(self):
-        return self._int(0.0, lambda n: n.w ** 2)
-
-    def _P3p(self):
-        return self._int(0.0, lambda n: n.ws * n.ydg)
 
     def boundary(self):
         sph = self.rules.sphere()
@@ -229,13 +194,12 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
                 + (0.5 + eps) * lemma_rhs("dI_eps", snap, rules, e, eps))
 
     if name == "dM":
-        # composite route: M = E + N - c J + (6/5) c A + c alpha B at eps0=3/5
-        eps0 = 0.6
+        # composite route: M = E + N - c J + (6/5) c A + c alpha B at EPS0
         c = e.two_over_pm1 + 0.4
-        rw0 = _Raw(snap, rules, e, eps0)
-        return (lemma_rhs("dE_eps", snap, rules, e, eps0)
-                + lemma_rhs("dN_eps", snap, rules, e, eps0)
-                - c * lemma_rhs("dJ_eps", snap, rules, e, eps0)
+        rw0 = _Raw(snap, rules, e, EPS0)
+        return (lemma_rhs("dE_eps", snap, rules, e, EPS0)
+                + lemma_rhs("dN_eps", snap, rules, e, EPS0)
+                - c * lemma_rhs("dJ_eps", snap, rules, e, EPS0)
                 + 2.4 * c * rw0.get("W4") + 2.0 * c * al * rw0.get("W2"))
 
     if name == "dF0":
@@ -264,11 +228,10 @@ def dm_collected_rhs(snap, rules, e: Exponents) -> float:
     of the composite assembly in lemma_rhs:
 
     dM = -2 alpha M - (3/5) Q1 - (9/10) S2 + 6/(5(p+1)) R1
-         + (2p+1)/(5(p+1)) R2 + Sigma,  all at eps0 = 3/5.
+         + (2p+1)/(5(p+1)) R2 + Sigma,  all at EPS0 = 3/5.
     """
-    eps0 = 0.6
     al, p = e.alpha, e.p
-    rw = _Raw(snap, rules, e, eps0)
+    rw = _Raw(snap, rules, e, EPS0)
     M = fu.M_func(snap, rules, e)
     sig = sum(sigma_parts(snap, rules, e).values())
     return (-2.0 * al * M - 0.6 * rw.get("Q1") - 0.9 * rw.get("S2")
@@ -279,11 +242,10 @@ def dm_collected_rhs(snap, rules, e: Exponents) -> float:
 def sigma_parts(snap, rules, e: Exponents) -> dict:
     """The junk terms of dM's dissipation budget, grouped as in
     dm_collected_rhs; each piece is absorbable by the gradient/L2 terms."""
-    eps0 = 0.6
     al, N, p = e.alpha, e.N, e.p
     g1 = (p + 1.0) / (p - 1.0) ** 2
     c = e.two_over_pm1 + 0.4
-    rw = _Raw(snap, rules, e, eps0)
+    rw = _Raw(snap, rules, e, EPS0)
     return {
         "Sigma1": (-0.6 * rw.get("P1") + 0.6 * rw.get("S3") + 1.2 * rw.get("P3")),
         "Sigma2": (-0.1 * rw.get("P2") - 0.1 * rw.get("S3") - 0.2 * rw.get("P3")),
@@ -299,23 +261,10 @@ def sigma_parts(snap, rules, e: Exponents) -> dict:
 # lemma functional values (left sides)
 
 def lemma_lhs_value(name: str, snap, rules, e: Exponents, eps: float) -> float:
-    if name == "dE_eps":
-        return fu.E_eps(snap, rules, e, eps)
-    if name == "dJ_eps":
-        return fu.J_eps(snap, rules, e, eps)
-    if name == "dN_eps":
-        return fu.N_eps(snap, rules, e, eps)
-    if name == "dI_eps":
-        return fu.I_eps(snap, rules, e, eps)
-    if name == "dL_eps":
-        return fu.L_eps(snap, rules, e, eps)
-    if name == "dM":
-        return fu.M_func(snap, rules, e)
-    if name == "dF0":
-        return fu.F0(snap, rules, e)
-    if name == "dJ0":
-        return fu.J0(snap, rules, e)
-    raise ValueError(name)
+    """Value of the functional X whose d/ds law is named dX."""
+    if name[1:] not in fu.SNAPSHOT_FUNCTIONALS:
+        raise ValueError(name)
+    return fu.SNAPSHOT_FUNCTIONALS[name[1:]](snap, rules, e, eps)
 
 
 def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
@@ -388,8 +337,8 @@ def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable,
                           f"m={field.field_spec.m}")
 
 
-# raw integrals of the Pohozaev identities never touch the exponents; a
-# placeholder keeps _Raw's signature uniform
+# raw integrals of the Pohozaev identities and the Hardy ratio never touch
+# the exponents; a placeholder keeps the raw path's signatures uniform
 _DUMMY_E = Exponents(p=4.0, N=3, p_c=3.0, p_S=5.0, alpha=-1.0 / 3.0)
 
 
@@ -504,19 +453,18 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
                 + (0.5 + eps) * flow_derivative("dI_eps", field, rules, e, eps))
 
     if name == "dM":
-        eps0 = 0.6
         c = e.two_over_pm1 + 0.4
-        rlo = rules.rule(eps0 - 1.0)
+        rlo = rules.rule(EPS0 - 1.0)
         pts = rlo.points
         w, ws, _ = field.fields(pts)
         r2 = np.sum(pts ** 2, axis=1)
         dA = 2.0 * float(np.sum(rlo.weights * w * ws * r2))
-        r0 = rules.rule(eps0)
+        r0 = rules.rule(EPS0)
         w0, ws0, _ = field.fields(r0.points)
         dB = 2.0 * float(np.sum(r0.weights * w0 * ws0))
-        return (flow_derivative("dE_eps", field, rules, e, eps0)
-                + flow_derivative("dN_eps", field, rules, e, eps0)
-                - c * flow_derivative("dJ_eps", field, rules, e, eps0)
+        return (flow_derivative("dE_eps", field, rules, e, EPS0)
+                + flow_derivative("dN_eps", field, rules, e, EPS0)
+                - c * flow_derivative("dJ_eps", field, rules, e, EPS0)
                 + 1.2 * c * dA + c * al * dB)
 
     if name == "dJ0":
@@ -543,11 +491,9 @@ def check_sigma_bound(snaps, rules, e: Exponents, window=None,
         sel = (s >= lo - 1e-12) & (s <= hi + 1e-12)
         snaps = [sn for sn, keep in zip(snaps, sel) if keep]
         s = s[sel]
-    eps0 = 0.6
     sig = np.array([sum(sigma_parts(sn, rules, e).values()) for sn in snaps])
-    p2 = np.array([_Raw(sn, rules, e, eps0).get("P2") for sn in snaps])
-    s2 = np.array([_Raw(sn, rules, e, eps0).get("S2") for sn in snaps])
-    w3 = np.array([_Raw(sn, rules, e, eps0).get("W3") for sn in snaps])
+    rws = [_Raw(sn, rules, e, EPS0) for sn in snaps]
+    p2, s2, w3 = (np.array([rw.get(name) for rw in rws]) for name in ("P2", "S2", "W3"))
     lhs = float(np.trapezoid(sig, s)) + 0.05 * float(np.trapezoid(p2, s))
     grad_part = 0.8 * float(np.trapezoid(s2, s))
     iw3 = float(np.trapezoid(w3, s))
@@ -606,9 +552,24 @@ def calibrate_m_bound(snaps, rules, e: Exponents) -> float:
     return best
 
 
+def hardy_ratio(snap, eps: float, rules: RuleTable) -> float:
+    """LHS/RHS of the Hardy inequality with C = 1.
+
+    ratio = integral w^2 rho_eps/(1-|y|^2)
+            / (integral |grad w|^2 (1-|y|^2) rho_eps + integral w^2 rho_eps).
+
+    Two rules suffice: the beta = eps-1 rule carries both w^2 integrals
+    (the plain-rho one picks up a smooth (1-|y|^2) factor) and the
+    beta = eps+1 rule carries the gradient term.  Returns 0 for w == 0.
+    """
+    num = _raw_int(snap, rules, _DUMMY_E, "w2", eps - 1.0)
+    den = (_raw_int(snap, rules, _DUMMY_E, "g2", eps + 1.0)
+           + _raw_int(snap, rules, _DUMMY_E, "w2_1mr2", eps - 1.0))
+    return 0.0 if den == 0.0 else num / den
+
+
 def calibrate_hardy(snaps_or_fields, eps: float, rules: RuleTable) -> float:
     """Empirical Hardy constant: max ratio over the given profiles."""
-    from .quadrature import hardy_ratio
     return max(hardy_ratio(sn, eps, rules) for sn in snaps_or_fields)
 
 
@@ -638,6 +599,26 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
         gscale = max(float(np.max(np.abs(v))), FLOOR)
         out["min_value"] = float(np.min(v))
         out["nonnegative"] = bool(np.min(v) >= -nonneg_slack * gscale)
+    return out
+
+
+def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int,
+                 slack: float = 1e-6) -> list[dict]:
+    """Monotonicity of s^(k/18) F0 past ladder_start, for k = 1..k_max.
+
+    A window with fewer than 3 samples cannot show monotonicity and fails.
+    """
+    out = []
+    for k in range(1, k_max + 1):
+        sel = f0.s >= max(f0.s[0], ladder_start(e, k))
+        passed, violations = False, []
+        if np.count_nonzero(sel) >= 3:
+            mk = monitor_monotone(FunctionalSeries(
+                f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]),
+                slack=slack)
+            passed, violations = mk["monotone"], mk["violations"]
+        out.append({"name": f"ladder_k{k}_monotone", "passed": passed,
+                    "violations": violations})
     return out
 
 
@@ -675,12 +656,6 @@ def decay_report(series: FunctionalSeries, ratio_max: float = 0.1,
             "passed": bool(ratio <= ratio_max and slope < 0.0)}
 
 
-def bounded_report(series: FunctionalSeries) -> dict:
-    sup = float(np.max(np.abs(series.values)))
-    return {"name": series.name, "sup": sup,
-            "passed": bool(np.isfinite(sup))}
-
-
 def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
                        window_len: float = 1.0) -> dict:
     """Every quantity the decay suite monitors, from one snapshot series.
@@ -690,15 +665,9 @@ def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
     """
     p, al = e.p, e.alpha
     s = np.array([sn.s for sn in snaps])
-    plain = rules.plain
-    w2 = np.array([float(np.sum(plain.weights * sn.on(plain).w ** 2)) for sn in snaps])
-    wp1 = np.array([float(np.sum(plain.weights
-                                 * np.abs(sn.on(plain).w) ** (p + 1.0))) for sn in snaps])
-    wp32 = np.array([float(np.sum(plain.weights
-                                  * np.abs(sn.on(plain).w) ** ((p + 3.0) / 2.0)))
-                     for sn in snaps])
-    grad2 = np.array([float(np.sum(plain.weights * sn.on(plain).g2)) for sn in snaps])
-    ws2 = np.array([float(np.sum(plain.weights * sn.on(plain).ws ** 2)) for sn in snaps])
+    w2, wp1, wp32, grad2, ws2 = (
+        np.array([_raw_int(sn, rules, e, integrand, 0.0) for sn in snaps])
+        for integrand in ("w2", "lp1", "lp32", "g2", "ws2"))
     f0 = np.array([fu.F0(sn, rules, e) for sn in snaps])
 
     head = s <= s[-1] - window_len + 1e-9
@@ -732,10 +701,7 @@ def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
             "window_gradient", sh, sh ** (1.0 / 18.0) * e2h * win_int(grad2)),
     }
     # tail of the space-time L^(p+1) bound
-    g = e2 * wp1
-    tail = np.zeros_like(s)
-    for i in range(s.size - 2, -1, -1):
-        tail[i] = tail[i + 1] + 0.5 * (g[i] + g[i + 1]) * (s[i + 1] - s[i])
+    tail = fu.tail_trapezoid(s, e2 * wp1)
     bundle["lp1_spacetime_tail"] = FunctionalSeries(
         "lp1_spacetime_tail", s[:-1], tail[:-1])
     for k in range(1, k_max + 1):

@@ -12,10 +12,11 @@ import pytest
 
 import sswave as sw
 from sswave.core import FunctionalSeries
-from sswave.quadrature import RuleTable, ball_volume, ball_weight_volume, hardy_ratio
+from sswave.quadrature import RuleTable, ball_volume, ball_weight_volume
 from sswave.similarity import PolyField, TestField, constant_field, make_test_field
 from sswave import functionals as fu
 from sswave import verify
+from sswave.verify import hardy_ratio
 from sswave import runio
 
 from conftest import make_plateau_run, lemma_window_snaps

@@ -101,15 +101,12 @@ def test_functionals_outputs(small_cfg, tmp_path):
     assert run_cli("functionals", "--out", out, "--names", "F0,F1,M,singularLp1") == 0
     for name in ("F0", "F1", "M", "singularLp1"):
         assert os.path.exists(os.path.join(out, f"{name}.csv"))
-        assert os.path.exists(os.path.join(out, "plots", f"{name}.csv"))
         side = json.load(open(os.path.join(out, f"{name}.json")))
         assert "frames_sha256" in side["provenance"]
     header, cols = runio.read_csv(os.path.join(out, "F0.csv"))
     assert header == ["s", "value", "tail_bound"]
     assert np.all(np.diff(cols[0]) > 0)
-    # plot files are strictly two-column
-    header2, _ = runio.read_csv(os.path.join(out, "plots", "F0.csv"))
-    assert header2 == ["s", "value"]
+    assert not os.path.exists(os.path.join(out, "plots"))
 
 
 def test_functionals_missing_trajectory(tmp_path):
@@ -239,6 +236,22 @@ def test_verify_empty_suite_exits_ok(tmp_path, monkeypatch):
     assert cli_main(["verify", "--suite", "lemmas"]) == 0
     text = open(tmp_path / "verify_lemmas.txt").read()
     assert "0/0" in text
+
+
+def test_verify_monotone_short_ladder_window_fails(small_cfg, tmp_path):
+    """A ladder index whose window holds fewer than 3 snapshots is reported
+    as a failed check (exit 1), not raised."""
+    cfg = tmp_path / "deep.ini"
+    cfg.write_text(open(small_cfg).read() + "\n[functionals]\nk_max = 200\n")
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
+    assert run_cli("verify", "--suite", "monotone", "--out", out) == 1
+    reports = json.load(open(os.path.join(out, "verify_monotone.json")))
+    assert [r["name"] for r in reports][:2] == ["F0_monotone", "ladder_k1_monotone"]
+    assert len(reports) == 201
+    assert reports[1]["passed"] and not reports[-1]["passed"]
+    assert reports[-1] == {"name": "ladder_k200_monotone", "passed": False,
+                           "violations": []}
 
 
 def test_verify_missing_run_inputs(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sswave as sw
-from sswave.quadrature import RuleTable, hardy_ratio
+from sswave.quadrature import RuleTable
+from sswave.verify import hardy_ratio
 from sswave.similarity import PolyField, TestField, make_test_field
 
 
@@ -142,6 +143,14 @@ def test_grad_decompose_identities(N, data):
     assert (np.dot(y, y) * np.dot(g, g) - np.dot(y, g) ** 2
             ) == pytest.approx(np.dot(y, y) * np.dot(gt, gt),
                                abs=1e-11 * scale * max(1.0, np.dot(y, y)))
+
+
+def test_grad_decompose_subnormal_radius():
+    """|y|^2 below the smallest normal float falls under the y = 0
+    convention instead of dividing by a value with few significant bits."""
+    gr, gt = sw.grad_decompose(np.array([3.2080408827930806e-161, 0.0]),
+                               np.array([1.0, 0.0]))
+    assert np.all(gr == 0.0) and np.all(gt == [1.0, 0.0])
 
 
 def test_hardy_ratio_constant_field():

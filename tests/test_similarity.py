@@ -8,8 +8,7 @@ import sswave as sw
 from sswave.core import PhysicalState
 from sswave.quadrature import RuleTable
 from sswave.similarity import (PolyField, TestField, harmonic_poly,
-                               inverse_map, make_test_field, to_similarity,
-                               trajectory_to_w)
+                               make_test_field, to_similarity, trajectory_to_w)
 from sswave import functionals as fu
 
 
@@ -202,18 +201,6 @@ def test_chain_rule_ws_matches_fd_oracle_on_solver_data():
     order = math.log2(errs[0] / errs[1])
     assert order > 1.5, (errs, order)
     assert errs[1] < 1e-3 * max(1.0, float(np.max(np.abs(snaps[1].ws))))
-
-
-def test_round_trip_inverse_map(exp43):
-    grid = sw.RadialGrid(r_max=1.5, nr=2048)
-    rules = RuleTable(3, n_radial=32)
-    t = 0.4
-    state = analytic_state(grid, t)
-    snap = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
-    u_back = inverse_map(snap, exp43)
-    rr = np.sqrt(snap.base.r2) * (1.0 - t)
-    u_true = (1.0 + 0.3 * t) * np.exp(-rr ** 2)
-    assert np.max(np.abs(u_back - u_true)) < 1e-8 * np.max(np.abs(u_true))
 
 
 def test_trajectory_to_w_single_s_consistency(exp43, plateau_1024, radial_rules):

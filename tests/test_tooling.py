@@ -1,0 +1,46 @@
+"""The narrative demos and the benchmark tracer stay in step with the package.
+
+demo_identities is left out: everything it calls is covered by
+test_verify, and it takes longer than the other three together.
+"""
+
+import importlib
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["demo_blowup_rate", "demo_lyapunov_ladder",
+                                  "demo_similarity_profiles"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # the demos write their plot data into the working directory
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if demo == "demo_lyapunov_ladder":
+        assert "s^(6/18) F0: monotone=True" in proc.stdout
+    if demo == "demo_similarity_profiles":
+        assert (tmp_path / "profile_s6.csv").exists()
+
+
+def test_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps exists under its name."""
+    # run_path compiles without caching, so the benchmark's directory
+    # gains no bytecode files
+    wrapped = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["WRAPPED"]
+    assert wrapped
+    for modname, target, _span in wrapped:
+        owner = importlib.import_module(f"sswave.{modname}")
+        for part in target.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"sswave.{modname}.{target}"
+        assert callable(owner), f"sswave.{modname}.{target}"
