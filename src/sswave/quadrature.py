@@ -63,10 +63,6 @@ class BallQuadrature:
     weights: np.ndarray = field(repr=False)  # (K,)
 
     @property
-    def is_radial_mode(self) -> bool:
-        return self.n_angular == 1
-
-    @property
     def r2(self) -> np.ndarray:
         return np.sum(self.points ** 2, axis=1)
 

@@ -391,10 +391,7 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
 
         if suite in ("monotone", "all"):
             f0 = fu.f0_series(snaps, rules, e)
-            mon = verify.monitor_monotone(f0, slack=1e-6, require_nonneg=True)
-            reports.append({"name": "F0_monotone", "passed": mon["monotone"]
-                            and mon["nonnegative"], **{k: v for k, v in mon.items()
-                                                       if k != "name"}})
+            reports.append(verify.check_f0_monotone(f0))
             reports += verify.check_ladder(f0, e, ival(cfg, "functionals", "k_max"))
 
         if suite in ("decay", "all"):
@@ -408,6 +405,7 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
         f"{sum(bool(r.get('passed')) for r in reports)}/{len(reports)} checks passed\n"
     if out_path is None:
         out_path = os.path.join(run_dir or ".", f"verify_{suite}")
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path + ".json", "w", encoding="utf-8") as fh:
         json.dump(reports, fh, indent=1, sort_keys=True, default=float)
     with open(out_path + ".txt", "w", encoding="utf-8") as fh:
@@ -475,8 +473,7 @@ def _sweep_one(args):
         s_grid = np.arange(s0 + 0.75, min(traj.s_max_covered - 0.5, s0 + 6.0), 0.1)
         snaps = trajectory_to_w(traj, scfg.e, 0.0, traj.T_est, s_grid, rules.plain)
         f0 = fu.f0_series(snaps, rules, scfg.e)
-        mon = verify.monitor_monotone(f0, slack=1e-6, require_nonneg=True)
-        row["F0_monotone"] = mon["monotone"] and mon["nonnegative"]
+        row["F0_monotone"] = verify.check_f0_monotone(f0)["passed"]
         row["ladder_monotone"] = all(
             r["passed"] for r in verify.check_ladder(f0, scfg.e, 6))
     else:

@@ -16,6 +16,13 @@ Two sources of profiles on the unit ball:
         = rho_eps (Lap w - y^T H y - (N+1+2 eps) y.grad w)
   are evaluated in closed form, so identity checks carry no numerical
   differentiation noise.
+
+Both are SimilaritySnapshot subclasses with one fields(pts) -> (w, ds w,
+grad w).  That is the only sampling path: SimilaritySnapshot.on samples
+every rule through it, the snapshot's primary rule included, and caches
+the node samples per rule; the boundary trace is fields on a sphere rule.
+PolyField's value, gradient and Hessian are likewise one routine, which
+differentiates each monomial along an ordered list of coordinates.
 """
 
 from __future__ import annotations
@@ -48,53 +55,45 @@ class PolyField:
     def degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
+    def _partials(self, pts: np.ndarray, orders) -> np.ndarray:
+        """Column j: sum_k d/dy_o[0] ... d/dy_o[-1] (c_k y^k) at pts, for the
+        j-th ordered coordinate tuple o in orders.
+
+        Each y_d^e is taken from a power table built once for the call.
+        """
         pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        for k, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for d, kd in enumerate(k):
-                if kd:
-                    term = term * pts[:, d] ** kd
-            out += term
+        K = pts.shape[0]
+        top = [max((k[d] for k in self.coeffs), default=0) for d in range(self.N)]
+        powers = [[None] + [pts[:, d] ** e for e in range(1, top[d] + 1)]
+                  for d in range(self.N)]
+        out = np.zeros((K, len(orders)))
+        for j, order in enumerate(orders):
+            for k, c in self.coeffs.items():
+                kk = list(k)
+                fac = c
+                for d in order:
+                    if kk[d] == 0:
+                        break
+                    fac = fac * kk[d]
+                    kk[d] -= 1
+                else:
+                    term = np.full(K, fac)
+                    for d, e in enumerate(kk):
+                        if e:
+                            term = term * powers[d][e]
+                    out[:, j] += term
         return out
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self._partials(pts, [()])[:, 0]
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros_like(pts)
-        for k, c in self.coeffs.items():
-            for d, kd in enumerate(k):
-                if kd == 0:
-                    continue
-                term = np.full(pts.shape[0], c * kd)
-                for d2, kd2 in enumerate(k):
-                    e = kd2 - 1 if d2 == d else kd2
-                    if e:
-                        term = term * pts[:, d2] ** e
-                out[:, d] += term
-        return out
+        return self._partials(pts, [(d,) for d in range(self.N)])
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        K, N = pts.shape
-        out = np.zeros((K, N, N))
-        for k, c in self.coeffs.items():
-            for d1 in range(N):
-                if k[d1] == 0:
-                    continue
-                for d2 in range(N):
-                    kk = list(k)
-                    kk[d1] -= 1
-                    if kk[d2] == 0:
-                        continue
-                    fac = c * k[d1] * kk[d2]
-                    kk[d2] -= 1
-                    term = np.full(K, fac)
-                    for d3, e in enumerate(kk):
-                        if e:
-                            term = term * pts[:, d3] ** e
-                    out[:, d1, d2] += term
-        return out
+        N = self.N
+        orders = [(d1, d2) for d1 in range(N) for d2 in range(N)]
+        return self._partials(pts, orders).reshape(-1, N, N)
 
     def times(self, other: "PolyField") -> "PolyField":
         coeffs: dict = {}
@@ -136,26 +135,26 @@ class WeightedPoly:
         return P * self.poly(pts)
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
+        a = self.a
+        if a == 0.0:
+            return self.poly.grad(pts)
         pts = np.atleast_2d(pts)
         om = 1.0 - np.sum(pts ** 2, axis=1)
         q = self.poly(pts)
         gq = self.poly.grad(pts)
-        a = self.a
-        if a == 0.0:
-            return gq
         P = om ** a
         return P[:, None] * gq - (2.0 * a) * (om ** (a - 1.0) * q)[:, None] * pts
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
+        a = self.a
+        Hq = self.poly.hess(pts)
+        if a == 0.0:
+            return Hq
         pts = np.atleast_2d(pts)
-        K, N = pts.shape
+        N = pts.shape[1]
         om = 1.0 - np.sum(pts ** 2, axis=1)
         q = self.poly(pts)
         gq = self.poly.grad(pts)
-        Hq = self.poly.hess(pts)
-        a = self.a
-        if a == 0.0:
-            return Hq
         P = om ** a
         Pm1 = om ** (a - 1.0)
         eye = np.eye(N)
@@ -208,29 +207,17 @@ class NodeSample:
 class SimilaritySnapshot:
     """Profile (w, ds w, grad w) on the unit ball at similarity time s.
 
-    Carries samples on a primary rule plus (when available) an evaluator so
-    the same profile can be resampled on rules built for other weight
-    exponents; samples are cached per rule.
+    A subclass supplies fields(pts) -> (w, ds w, grad w) anywhere on the
+    closed ball.  Every rule's node samples, the primary rule's included,
+    come from it through on(), which caches them per rule; the boundary
+    trace is the same evaluation on a sphere rule.
     """
 
-    evaluator = None
-
-    def __init__(self, s: float, x0, T0: float, rule: BallQuadrature,
-                 w: np.ndarray, ws: np.ndarray, grad: np.ndarray,
-                 evaluator=None):
+    def __init__(self, s: float, rule: BallQuadrature):
         self.s = float(s)
-        self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if self.x0.size == 1 and rule.N > 1:
-            x0v = np.zeros(rule.N)
-            x0v[0] = self.x0[0]
-            self.x0 = x0v
-        self.T0 = float(T0)
         self.rule = rule
-        grad_r, grad_theta = grad_decompose(rule.points, grad)
-        self._samples = {id(rule): NodeSample(rule.points, w, ws, grad,
-                                              grad_r, grad_theta)}
-        if evaluator is not None:
-            self.evaluator = evaluator
+        self._samples: dict = {}
+        self.on(rule)
 
     @property
     def base(self) -> NodeSample:
@@ -259,10 +246,7 @@ class SimilaritySnapshot:
     def on(self, rule: BallQuadrature) -> NodeSample:
         key = id(rule)
         if key not in self._samples:
-            if self.evaluator is None:
-                raise ValueError(
-                    "snapshot has no evaluator; it can only be used on its own rule")
-            w, ws, grad = self.evaluator.fields(rule.points)
+            w, ws, grad = self.fields(rule.points)
             grad_r, grad_theta = grad_decompose(rule.points, grad)
             self._samples[key] = NodeSample(rule.points, w, ws, grad,
                                             grad_r, grad_theta)
@@ -270,9 +254,7 @@ class SimilaritySnapshot:
 
     def boundary(self, sph: SphereRule):
         """(w, ds w) traces on |y| = 1."""
-        if self.evaluator is None:
-            raise ValueError("snapshot has no evaluator; no boundary trace")
-        return self.evaluator.trace(sph.points)
+        return self.fields(sph.points)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +266,8 @@ class TestField:
 
     The angular mode folds the harmonic polynomial r^m cos(m theta) into q,
     keeping everything polynomial (hence smooth at the origin).  An optional
-    second component plays the role of ds w for static lemma checks.
+    second component plays the role of ds w for static lemma checks; without
+    one, ds w is the zero polynomial.
     """
 
     N: int
@@ -305,56 +288,26 @@ class TestField:
     def parts(self):
         q = self.poly.times(harmonic_poly(self.m)) if self.m else self.poly
         w_part = WeightedPoly(self.N, self.a, q)
-        ws_part = (WeightedPoly(self.N, self.ws_a, self.ws_poly)
-                   if self.ws_poly is not None else None)
-        return w_part, ws_part
+        if self.ws_poly is None:
+            return w_part, WeightedPoly(self.N, 0.0, PolyField(self.N, {}))
+        return w_part, WeightedPoly(self.N, self.ws_a, self.ws_poly)
 
 
 class StaticSnapshot(SimilaritySnapshot):
     """Snapshot backed by closed forms; also exposes Hessian-level data."""
 
-    def __init__(self, tf: TestField, rule: BallQuadrature, s: float = 0.0,
-                 x0=0.0, T0: float = 1.0):
+    def __init__(self, tf: TestField, rule: BallQuadrature, s: float = 0.0):
         self.field_spec = tf
         self.w_part, self.ws_part = tf.parts()
-        pts = rule.points
-        w = self.w_part.value(pts)
-        grad = self.w_part.grad(pts)
-        ws = self.ws_part.value(pts) if self.ws_part else np.zeros_like(w)
-        super().__init__(s=s, x0=x0, T0=T0, rule=rule, w=w, ws=ws, grad=grad)
+        super().__init__(s, rule)
 
-    @property
-    def evaluator(self):
-        """The snapshot evaluates its own closed forms.  A property, because
-        an attribute holding self would make every test field a reference
-        cycle that keeps its node samples alive until the cyclic collector
-        runs."""
-        return self
-
-    # evaluator protocol
     def fields(self, pts: np.ndarray):
-        w = self.w_part.value(pts)
-        grad = self.w_part.grad(pts)
-        ws = self.ws_part.value(pts) if self.ws_part else np.zeros_like(w)
-        return w, ws, grad
-
-    def trace(self, pts: np.ndarray):
-        w = self.w_part.value(pts)
-        ws = self.ws_part.value(pts) if self.ws_part else np.zeros_like(w)
-        return w, ws
-
-    def at_s(self, s: float) -> "StaticSnapshot":
-        other = StaticSnapshot.__new__(StaticSnapshot)
-        other.__dict__.update(self.__dict__)
-        other.s = float(s)
-        return other
+        return self.w_part.value(pts), self.ws_part.value(pts), self.w_part.grad(pts)
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
         return self.w_part.hess(pts)
 
     def ws_grad(self, pts: np.ndarray) -> np.ndarray:
-        if self.ws_part is None:
-            return np.zeros_like(np.atleast_2d(pts), dtype=float)
         return self.ws_part.grad(pts)
 
     def pohozaev_div_over_rho(self, pts: np.ndarray, eps: float) -> np.ndarray:
@@ -373,24 +326,19 @@ class StaticSnapshot(SimilaritySnapshot):
         return lap - yHy - (self.field_spec.N + 1.0 + 2.0 * eps) * ydg
 
     def eq_rhs(self, pts: np.ndarray, e: Exponents) -> np.ndarray:
-        """What d2s w would be if (w, ds w) evolved under the profile equation.
+        """What d2s w would be if (w, ds w) evolved under the profile equation,
+        the Pohozaev divergence at eps = alpha plus the lower-order terms.
 
         Used by the frozen-flow oracle that certifies every d/ds identity
         independently of any PDE solve.
         """
         pts = np.atleast_2d(pts)
         w = self.w_part.value(pts)
-        grad = self.w_part.grad(pts)
-        H = self.hess(pts)
-        ws = self.ws_part.value(pts) if self.ws_part else np.zeros_like(w)
-        ws_grad = self.ws_grad(pts)
-        lap = np.trace(H, axis1=1, axis2=2)
-        yHy = np.einsum("ki,kij,kj->k", pts, H, pts)
-        ydg = np.sum(pts * grad, axis=1)
-        ydgs = np.sum(pts * ws_grad, axis=1)
+        ws = self.ws_part.value(pts)
+        ydgs = np.sum(pts * self.ws_grad(pts), axis=1)
         p, N, al = e.p, e.N, e.alpha
         g1 = (p + 1.0) / (p - 1.0) ** 2
-        return (lap - yHy - (N + 1.0 + 2.0 * al) * ydg
+        return (self.pohozaev_div_over_rho(pts, al)
                 - 2.0 * g1 * w + np.abs(w) ** (p - 1.0) * w
                 - (N + 2.0 * al) * ws - 2.0 * ydgs)
 
@@ -409,26 +357,24 @@ def constant_field(N: int, value: float) -> TestField:
 # ---------------------------------------------------------------------------
 # transform of physical data
 
-class _TransformEvaluator:
-    """Evaluate (w, ds w, grad w) from radial (u, ut) splines at one time."""
+class TransformSnapshot(SimilaritySnapshot):
+    """Snapshot of one physical state: (w, ds w, grad w) from radial (u, ut)
+    splines, evaluated at x0 + tau y."""
 
     def __init__(self, e: Exponents, x0: np.ndarray, tau: float,
-                 u_spline, ut_spline):
+                 u_spline, ut_spline, rule: BallQuadrature):
         self.e = e
         self.x0 = x0
         self.tau = tau
         self.u_spline = u_spline
         self.ur_spline = u_spline.derivative()
         self.ut_spline = ut_spline
-
-    def _phys(self, pts: np.ndarray):
-        X = self.x0[None, :] + self.tau * np.atleast_2d(pts)
-        R = np.sqrt(np.sum(X ** 2, axis=1))
-        return X, R
+        super().__init__(-math.log(tau), rule)
 
     def fields(self, pts: np.ndarray):
         pts = np.atleast_2d(pts)
-        X, R = self._phys(pts)
+        X = self.x0[None, :] + self.tau * pts
+        R = np.sqrt(np.sum(X ** 2, axis=1))
         e = self.e
         lam = self.tau ** e.two_over_pm1
         uval = self.u_spline(R)
@@ -442,10 +388,6 @@ class _TransformEvaluator:
         ydgx = np.sum(pts * gradx, axis=1)
         ws = -e.two_over_pm1 * w + (lam * self.tau) * (utval - ydgx)
         return w, ws, grad
-
-    def trace(self, pts: np.ndarray):
-        w, ws, _ = self.fields(pts)
-        return w, ws
 
 
 def to_similarity(state, grid, e: Exponents, x0, T0: float,
@@ -473,10 +415,7 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float,
             f"exits the grid (r_max={grid.r_max})")
     u_spline = CubicSpline(grid.nodes, state.u, bc_type=((1, 0.0), "not-a-knot"))
     ut_spline = CubicSpline(grid.nodes, state.ut, bc_type=((1, 0.0), "not-a-knot"))
-    ev = _TransformEvaluator(e, x0v, tau, u_spline, ut_spline)
-    w, ws, grad = ev.fields(rule.points)
-    return SimilaritySnapshot(s=-math.log(tau), x0=x0v, T0=T0, rule=rule,
-                              w=w, ws=ws, grad=grad, evaluator=ev)
+    return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, rule)
 
 
 def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,

@@ -260,6 +260,17 @@ def sigma_parts(snap, rules, e: Exponents) -> dict:
 # ---------------------------------------------------------------------------
 # lemma functional values (left sides)
 
+def _in_window(snaps, window):
+    """The snapshots with s in [lo, hi] (all of them for window None), and
+    their s values."""
+    s = np.array([sn.s for sn in snaps])
+    if window is None:
+        return snaps, s
+    lo, hi = window
+    sel = (s >= lo - 1e-12) & (s <= hi + 1e-12)
+    return [sn for sn, keep in zip(snaps, sel) if keep], s[sel]
+
+
 def lemma_lhs_value(name: str, snap, rules, e: Exponents, eps: float) -> float:
     """Value of the functional X whose d/ds law is named dX."""
     if name[1:] not in fu.SNAPSHOT_FUNCTIONALS:
@@ -278,12 +289,7 @@ def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
     """
     if name not in LEMMA_NAMES:
         raise ValueError(f"unknown lemma '{name}'")
-    s = np.array([sn.s for sn in snaps])
-    if window is not None:
-        lo, hi = window
-        sel = (s >= lo - 1e-12) & (s <= hi + 1e-12)
-        snaps = [sn for sn, keep in zip(snaps, sel) if keep]
-        s = s[sel]
+    snaps, s = _in_window(snaps, window)
     if len(snaps) < 3:
         raise ValueError("window must contain at least 3 snapshots")
 
@@ -401,8 +407,8 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
     p, N, al = e.p, e.N, e.alpha
     g1 = (p + 1.0) / (p - 1.0) ** 2
 
-    def gateaux(beta_or_rule, weight_fn=None):
-        rule = rules.rule(beta_or_rule)
+    def gateaux(beta):
+        rule = rules.rule(beta)
         pts = rule.points
         w, ws, grad = field.fields(pts)
         v = field.eq_rhs(pts, e)
@@ -481,16 +487,20 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
 # ---------------------------------------------------------------------------
 # inequality checks with calibrated constants
 
+def one_sided_report(name, lhs, rhs, scale, tol, context="") -> IdentityReport:
+    """One-sided check lhs <= rhs up to tol * scale; the residuals record
+    only the excess of lhs over rhs."""
+    excess = max(lhs - rhs, 0.0)
+    return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_residual=excess,
+                          rel_residual=excess / scale, tolerance=tol,
+                          passed=bool(lhs <= rhs + tol * scale), context=context)
+
+
 def check_sigma_bound(snaps, rules, e: Exponents, window=None,
                       C1: float | None = None, tol: float = 1e-10):
     """int Sigma dtau + 1/20 int int ws^2 rho <= 4/5 int int |gw|^2 rho
     + C1 int int w^2 rho; returns (report, smallest admissible C1)."""
-    s = np.array([sn.s for sn in snaps])
-    if window is not None:
-        lo, hi = window
-        sel = (s >= lo - 1e-12) & (s <= hi + 1e-12)
-        snaps = [sn for sn, keep in zip(snaps, sel) if keep]
-        s = s[sel]
+    snaps, s = _in_window(snaps, window)
     sig = np.array([sum(sigma_parts(sn, rules, e).values()) for sn in snaps])
     rws = [_Raw(sn, rules, e, EPS0) for sn in snaps]
     p2, s2, w3 = (np.array([rw.get(name) for rw in rws]) for name in ("P2", "S2", "W3"))
@@ -501,12 +511,9 @@ def check_sigma_bound(snaps, rules, e: Exponents, window=None,
     if C1 is None:
         C1 = max(c1_min, 0.0) * 1.05 + 1.0
     rhs = grad_part + C1 * iw3
-    scale = max(abs(lhs), abs(rhs), iw3, FLOOR)
-    rep = IdentityReport(name="sigma_bound", lhs=lhs, rhs=rhs,
-                         abs_residual=max(lhs - rhs, 0.0),
-                         rel_residual=max(lhs - rhs, 0.0) / scale,
-                         tolerance=tol, passed=bool(lhs <= rhs + tol * scale),
-                         context=f"C1={C1:.6g} window=[{s[0]:.3f},{s[-1]:.3f}]")
+    rep = one_sided_report("sigma_bound", lhs, rhs,
+                           max(abs(lhs), abs(rhs), iw3, FLOOR), tol,
+                           context=f"C1={C1:.6g} window=[{s[0]:.3f},{s[-1]:.3f}]")
     return rep, float(c1_min)
 
 
@@ -533,12 +540,9 @@ def check_singular_average_bound(snaps, rules, e: Exponents, eps: float, s_lo: f
     if C is None:
         C = max(1.0, 2.0 * c_min)
     rhs = C * ref
-    scale = max(abs(lhs), abs(rhs), FLOOR)
-    rep = IdentityReport(name="singular_average_bound", lhs=lhs, rhs=rhs,
-                         abs_residual=max(lhs - rhs, 0.0),
-                         rel_residual=max(lhs - rhs, 0.0) / scale,
-                         tolerance=tol, passed=bool(lhs <= rhs + tol * scale),
-                         context=f"C={C:.6g} eps={eps} s_lo={s_lo}")
+    rep = one_sided_report("singular_average_bound", lhs, rhs,
+                           max(abs(lhs), abs(rhs), FLOOR), tol,
+                           context=f"C={C:.6g} eps={eps} s_lo={s_lo}")
     return rep, float(c_min)
 
 
@@ -600,6 +604,19 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
         out["min_value"] = float(np.min(v))
         out["nonnegative"] = bool(np.min(v) >= -nonneg_slack * gscale)
     return out
+
+
+def check_f0_monotone(f0: FunctionalSeries) -> dict:
+    """F0 nonincreasing and nonnegative over the snapshot window.
+
+    A window with fewer than 3 samples cannot show monotonicity and fails.
+    """
+    if f0.values.size < 3:
+        return {"name": "F0_monotone", "passed": False, "violations": [],
+                "n": int(f0.values.size)}
+    mon = monitor_monotone(f0, slack=1e-6, require_nonneg=True)
+    return {"name": "F0_monotone", "passed": mon["monotone"] and mon["nonnegative"],
+            **{k: v for k, v in mon.items() if k != "name"}}
 
 
 def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int,

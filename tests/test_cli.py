@@ -254,6 +254,29 @@ def test_verify_monotone_short_ladder_window_fails(small_cfg, tmp_path):
                            "violations": []}
 
 
+def test_verify_monotone_short_snapshot_window_fails(small_cfg, tmp_path):
+    """A snapshot window with fewer than 3 snapshots fails F0's own
+    monotonicity check (exit 1) instead of raising."""
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(open(small_cfg).read() + "s_lo = 1.0\ns_hi = 1.15\n")
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
+    assert run_cli("verify", "--suite", "monotone", "--out", out) == 1
+    reports = json.load(open(os.path.join(out, "verify_monotone.json")))
+    assert reports[0] == {"name": "F0_monotone", "passed": False,
+                          "violations": [], "n": 2}
+
+
+def test_verify_creates_missing_out_dir(tmp_path, monkeypatch):
+    from sswave import verify
+    rep = verify.report("pohozaev_A", 1.0, 1.0, 1e-8)
+    monkeypatch.setattr(verify, "run_identity_battery", lambda *a, **kw: [rep])
+    out = tmp_path / "missing" / "v"
+    assert cli_main(["verify", "--suite", "identities", "--out", str(out)]) == 0
+    reports = json.load(open(out / "verify_identities.json"))
+    assert len(reports) == 6 and all(r["passed"] for r in reports)
+
+
 def test_verify_missing_run_inputs(tmp_path):
     out = str(tmp_path / "not_a_run")
     os.makedirs(out)

@@ -15,15 +15,23 @@ from sswave import functionals as fu
 # ---------------------------------------------------------------------------
 # closed-form test fields
 
+def sympy_poly(ys, poly: PolyField):
+    return sum((c * sympy.prod([ys[d] ** k[d] for d in range(len(ys))])
+                for k, c in poly.coeffs.items()), sympy.Integer(0))
+
+
 def sympy_field(tf: TestField):
-    """Independent symbolic build of w = (1-|y|^2)^a q(y) (cos mode folded)."""
+    """Independent symbolic build of w = (1-|y|^2)^a q(y) (cos mode folded)
+    and of its ds w part (zero when the field has none)."""
     ys = sympy.symbols(f"y0:{tf.N}")
-    q = sum(c * sympy.prod([ys[d] ** k[d] for d in range(tf.N)])
-            for k, c in tf.poly.coeffs.items())
+    q = sympy_poly(ys, tf.poly)
     if tf.m:
         q = q * sympy.re(sympy.expand((ys[0] + sympy.I * ys[1]) ** tf.m))
     r2 = sum(y ** 2 for y in ys)
-    return ys, (1 - r2) ** sympy.nsimplify(tf.a) * q
+    ws = sympy.Integer(0)
+    if tf.ws_poly is not None:
+        ws = (1 - r2) ** sympy.nsimplify(tf.ws_a) * sympy_poly(ys, tf.ws_poly)
+    return ys, (1 - r2) ** sympy.nsimplify(tf.a) * q, ws
 
 
 def test_constant_field_is_flat():
@@ -35,33 +43,49 @@ def test_constant_field_is_flat():
     assert np.allclose(snap.pohozaev_div_over_rho(rules.rule(0.6).points, 0.6), 0.0)
 
 
-def test_field_derivatives_match_sympy_oracle():
-    tf = TestField(N=2, a=1.0, poly=PolyField(2, {(1, 0): 1.0}))
-    rules = RuleTable(2, n_radial=16, n_angular=16)
+@pytest.mark.parametrize("tf", [
+    TestField(N=2, a=1.0, poly=PolyField(2, {(1, 0): 1.0})),
+    # degree 4, mixed monomials; y0, y1 and y2 each appear with exponent 1
+    # in some monomial, whose diagonal second partial in it must vanish
+    TestField(N=3, a=2.0,
+              poly=PolyField(3, {(0, 0, 0): 0.5, (1, 2, 0): 0.7, (0, 1, 1): -1.3,
+                                 (2, 0, 1): 0.4, (1, 1, 1): 0.9, (0, 0, 3): -0.2,
+                                 (2, 2, 0): 0.3}),
+              ws_a=1.0, ws_poly=PolyField(3, {(1, 0, 1): 0.8, (0, 2, 0): -0.6,
+                                              (0, 0, 0): 0.25})),
+], ids=["N2", "N3"])
+def test_field_derivatives_match_sympy_oracle(tf):
+    N = tf.N
+    rules = RuleTable(N, n_radial=16, n_angular=16 if N == 2 else 4)
     snap = make_test_field(tf, rules.rule(0.6))
-    ys, w = sympy_field(tf)
-    grad_s = [sympy.diff(w, y) for y in ys]
-    hess_s = [[sympy.diff(g, y) for y in ys] for g in grad_s]
+    ys, w, ws = sympy_field(tf)
+    q = sympy_poly(ys, tf.poly)
     rng = np.random.default_rng(1)
-    pts = rng.uniform(-0.5, 0.5, size=(20, 2))
-    wv, _, gv = snap.fields(pts)
-    hv = snap.hess(pts)
+    pts = rng.uniform(-0.5, 0.5, size=(20, N))
+    wv, wsv, gv = snap.fields(pts)
     eps = 0.6
     dv = snap.pohozaev_div_over_rho(pts, eps)
-    for i, (y0, y1) in enumerate(pts):
-        sub = {ys[0]: y0, ys[1]: y1}
-        assert wv[i] == pytest.approx(float(w.subs(sub)), abs=1e-12)
-        for d in range(2):
-            assert gv[i, d] == pytest.approx(float(grad_s[d].subs(sub)), abs=1e-12)
-        H = np.array([[float(hess_s[a][b].subs(sub)) for b in range(2)]
-                      for a in range(2)])
-        assert np.allclose(hv[i], H, atol=1e-12)
-        # full divergence via the symbolic expansion
-        y = np.array([y0, y1])
-        div_sym = (np.trace(H) - y @ H @ y
-                   - (2 + 1 + 2 * eps) * float(sum(yy * g.subs(sub)
-                                                   for yy, g in zip(y, grad_s))))
-        assert dv[i] == pytest.approx(div_sym, abs=1e-12)
+    # (numeric value, gradient, Hessian or None) against the symbolic form:
+    # the field, its ds w part, and the polynomial factor q on its own
+    cases = [((wv, gv, snap.hess(pts)), w),
+             ((wsv, snap.ws_grad(pts), None), ws),
+             ((tf.poly(pts), tf.poly.grad(pts), tf.poly.hess(pts)), q)]
+    for (val, grad, hess), expr in cases:
+        grad_s = [sympy.diff(expr, y) for y in ys]
+        hess_s = [[sympy.diff(g, y) for y in ys] for g in grad_s]
+        for i, y in enumerate(pts):
+            sub = dict(zip(ys, y))
+            assert val[i] == pytest.approx(float(expr.subs(sub)), abs=1e-12)
+            G = np.array([float(g.subs(sub)) for g in grad_s])
+            assert np.allclose(grad[i], G, rtol=0, atol=1e-12)
+            if hess is None:
+                continue
+            H = np.array([[float(h.subs(sub)) for h in row] for row in hess_s])
+            assert np.allclose(hess[i], H, rtol=0, atol=1e-12)
+            if expr is w:
+                # full divergence via the symbolic expansion
+                div_sym = np.trace(H) - y @ H @ y - (N + 1 + 2 * eps) * (y @ G)
+                assert dv[i] == pytest.approx(div_sym, abs=1e-12)
 
 
 def test_angular_mode_gives_nonzero_angular_gradient():

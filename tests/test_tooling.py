@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from sswave.quadrature import RuleTable
+from sswave.similarity import constant_field, make_test_field
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -44,3 +47,11 @@ def test_tracer_targets_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, f"sswave.{modname}.{target}"
         assert callable(owner), f"sswave.{modname}.{target}"
+    # the tracer's SimilaritySnapshot.on wrapper counts cache hits by
+    # reading snap._samples, keyed by id(rule)
+    rules = RuleTable(2, n_radial=4, n_angular=4)
+    snap = make_test_field(constant_field(2, 1.0), rules.plain)
+    rule = rules.rule(0.6)
+    assert id(rules.plain) in snap._samples and id(rule) not in snap._samples
+    snap.on(rule)
+    assert id(rule) in snap._samples
