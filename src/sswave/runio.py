@@ -3,8 +3,8 @@
 A run directory is the unit of provenance: `simulate` writes the trajectory
 (frames as raw .npy arrays, center series as CSV), later commands read it
 back and add functional series, verification reports and rate diagnostics.
-Identical config + seed reproduces byte-identical CSV/np output; the
-manifest records a checksum for every file.
+Identical config reproduces byte-identical CSV/npy output; the manifest
+records the checksum and size of every file a stage wrote.
 
 Config files are sectioned key=value text (INI); every field has a default
 and the fully resolved config is echoed into the run directory.
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .core import FunctionalSeries, RadialGrid, make_exponents
 from .quadrature import RuleTable
-from .solver import SolverConfig, Trajectory, run_until_blowup
+from .solver import FAMILIES, SolverConfig, Trajectory, run_until_blowup
 from .similarity import trajectory_to_w
 from . import functionals as fu
 from . import verify
@@ -41,35 +41,57 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "exponents": {"p": "4.0", "N": "3"},
+class NoBlowupError(RuntimeError):
+    """The run directory holds no blow-up trajectory to analyse."""
+
+
+SUITES = ("identities", "lemmas", "monotone", "decay", "all")
+FRAMES = ("frames_t", "frames_u", "frames_ut")
+
+
+def _auto_or_float(val: str):
+    return val if val == "auto" else float(val)
+
+
+def _family(val: str) -> str:
+    if val not in FAMILIES:
+        raise ValueError(f"expected one of {FAMILIES}")
+    return val
+
+
+# section -> key -> (default text, parser of the text)
+SCHEMA = {
+    "exponents": {"p": ("4.0", float), "N": ("3", int)},
     "solver": {
-        "nr": "1024", "r_max_factor": "1.5", "cfl": "0.45",
-        "amp_safety": "0.02", "u_cap": "1e8", "max_steps": "2000000",
-        "store_ds": "0.02", "family": "ode_plateau", "T": "1.0",
-        "core_frac": "1.15", "taper_frac": "1.4", "amplitude": "5.0",
-        "width": "0.35", "fit_amp_min": "1e3",
+        "nr": ("1024", int), "r_max_factor": ("1.5", float), "cfl": ("0.45", float),
+        "amp_safety": ("0.02", float), "u_cap": ("1e8", float),
+        "max_steps": ("2000000", int), "store_ds": ("0.02", float),
+        "family": ("ode_plateau", _family), "T": ("1.0", float),
+        "core_frac": ("1.15", float), "taper_frac": ("1.4", float),
+        "amplitude": ("5.0", float), "width": ("0.35", float),
+        "fit_amp_min": ("1e3", float),
     },
     "similarity": {
-        "x0": "0.0", "T0": "auto", "s_lo": "auto", "s_hi": "auto",
-        "ds": "0.05", "n_radial": "48", "n_angular": "1",
+        "x0": ("0.0", float), "T0": ("auto", _auto_or_float),
+        "s_lo": ("auto", _auto_or_float), "s_hi": ("auto", _auto_or_float),
+        "ds": ("0.05", float), "n_radial": ("48", int), "n_angular": ("1", int),
     },
     "functionals": {
-        "names": "E0,E,F0,E_eps,J_eps,G_eps,N_eps,I_eps,L_eps,M,U1,F1,singularLp1",
-        "eps": "0.6", "k": "1", "k_max": "6", "sigma": "1.0", "q": "1.0",
+        "names": ("E0,E,F0,E_eps,J_eps,G_eps,N_eps,I_eps,L_eps,M,U1,F1,singularLp1", str),
+        "eps": ("0.6", float), "k": ("1", int), "k_max": ("6", int),
+        "sigma": ("1.0", float),
     },
-    "output": {"dir": "runs", "seed": "0"},
 }
-
-_FLOAT_KEYS = {"p", "r_max_factor", "cfl", "amp_safety", "u_cap", "store_ds",
-               "T", "core_frac", "taper_frac", "amplitude", "width",
-               "fit_amp_min", "x0", "ds", "eps", "sigma", "q"}
-_INT_KEYS = {"N", "nr", "max_steps", "n_radial", "n_angular", "k", "k_max", "seed"}
 
 
 def parse_config(path: str | None) -> dict:
-    """Resolve a config file over the defaults; None means pure defaults."""
-    cfg = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
+    """Resolve a config file over the defaults; None means pure defaults.
+
+    Returns the text of every value; a value its parser rejects is a
+    ConfigError here, before any stage runs.
+    """
+    cfg = {sec: {key: default for key, (default, _parse) in keys.items()}
+           for sec, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str
@@ -87,18 +109,23 @@ def parse_config(path: str | None) -> dict:
                     raise ConfigError(
                         f"unknown key '{key}' in section [{sec}] of {path}")
                 cfg[sec][key] = val
-    # type validation with diagnostics
-    for sec, vals in cfg.items():
-        for key, val in vals.items():
+    typed(cfg)
+    return cfg
+
+
+def typed(cfg: dict) -> dict:
+    """{section: {key: value}}, every value parsed from its text."""
+    out = {}
+    for sec, keys in SCHEMA.items():
+        out[sec] = {}
+        for key, (_default, parse) in keys.items():
+            val = cfg[sec][key]
             try:
-                if key in _FLOAT_KEYS:
-                    float(val)
-                elif key in _INT_KEYS:
-                    int(val)
+                out[sec][key] = parse(val)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{sec}] {key} = {val!r}: {exc}") from exc
-    return cfg
+    return out
 
 
 def config_text(cfg: dict) -> str:
@@ -111,37 +138,27 @@ def config_text(cfg: dict) -> str:
     return buf.getvalue()
 
 
-def fval(cfg, sec, key) -> float:
-    return float(cfg[sec][key])
-
-
-def ival(cfg, sec, key) -> int:
-    return int(cfg[sec][key])
+def config_hash(cfg: dict) -> str:
+    return hashlib.sha256(config_text(cfg).encode()).hexdigest()
 
 
 def solver_config(cfg: dict) -> SolverConfig:
-    e = make_exponents(fval(cfg, "exponents", "p"), ival(cfg, "exponents", "N"))
-    T = fval(cfg, "solver", "T")
-    grid = RadialGrid(r_max=fval(cfg, "solver", "r_max_factor") * T,
-                      nr=ival(cfg, "solver", "nr"))
-    return SolverConfig(
-        e=e, grid=grid, cfl=fval(cfg, "solver", "cfl"),
-        u_cap=fval(cfg, "solver", "u_cap"),
-        amp_safety=fval(cfg, "solver", "amp_safety"),
-        max_steps=ival(cfg, "solver", "max_steps"),
-        store_ds=fval(cfg, "solver", "store_ds"),
-        family=cfg["solver"]["family"], T=T,
-        core_frac=fval(cfg, "solver", "core_frac"),
-        taper_frac=fval(cfg, "solver", "taper_frac"),
-        amplitude=fval(cfg, "solver", "amplitude"),
-        width=fval(cfg, "solver", "width"),
-        fit_amp_min=fval(cfg, "solver", "fit_amp_min"))
+    """The solver section is SolverConfig's fields, plus the grid's size."""
+    vals = typed(cfg)
+    solver = dict(vals["solver"])
+    r_max = solver.pop("r_max_factor") * solver["T"]
+    try:
+        return SolverConfig(e=make_exponents(**vals["exponents"]),
+                            grid=RadialGrid(r_max=r_max, nr=solver.pop("nr")),
+                            **solver)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # file helpers
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
+def write_csv(path: str, header: list[str], columns: list) -> str:
     """RFC-4180 CSV, UTF-8, '.' decimal, %.17g round-trip precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
@@ -149,6 +166,13 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
         for row in zip(*columns):
             wr.writerow([f"{v:.17g}" if isinstance(v, float) or isinstance(v, np.floating)
                          else str(v) for v in row])
+    return path
+
+
+def write_json(path: str, obj) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, default=float)
+    return path
 
 
 def read_csv(path: str):
@@ -168,79 +192,81 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def update_manifest(run_dir: str, config_hash: str):
+def update_manifest(run_dir: str, config_hash: str, written: list[str]):
+    """Record the checksum and size of each file a stage wrote.
+
+    Entries of other files keep the checksums their own stage recorded,
+    unless the manifest belongs to another config: then it starts afresh.
+    """
+    path = os.path.join(run_dir, "manifest.json")
     files = {}
-    for root, _dirs, names in os.walk(run_dir):
-        for name in sorted(names):
-            if name == "manifest.json":
-                continue
-            p = os.path.join(root, name)
-            rel = os.path.relpath(p, run_dir)
-            files[rel] = {"sha256": sha256_file(p), "bytes": os.path.getsize(p)}
-    manifest = {"config_hash": config_hash, "version": __version__,
-                "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "files": files}
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    if os.path.exists(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                old = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"unreadable manifest {path}: {exc}") from exc
+        if old.get("config_hash") == config_hash:
+            files = old["files"]
+    for p in written:
+        files[os.path.relpath(p, run_dir)] = {"sha256": sha256_file(p),
+                                              "bytes": os.path.getsize(p)}
+    write_json(path, {"config_hash": config_hash, "version": __version__,
+                      "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                      "files": files})
 
 
-def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict):
+def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict) -> list[str]:
     """CSV (s,value,tail_bound) + JSON sidecar."""
     tail = (ser.tail_bound if ser.tail_bound is not None
             else np.zeros_like(ser.s))
-    write_csv(os.path.join(run_dir, f"{ser.name}.csv"),
-              ["s", "value", "tail_bound"], [ser.s, ser.values, tail])
-    side = {"name": ser.name, "meta": ser.meta, "provenance": provenance}
-    with open(os.path.join(run_dir, f"{ser.name}.json"), "w", encoding="utf-8") as fh:
-        json.dump(side, fh, indent=1, sort_keys=True)
+    return [write_csv(os.path.join(run_dir, f"{ser.name}.csv"),
+                      ["s", "value", "tail_bound"], [ser.s, ser.values, tail]),
+            write_json(os.path.join(run_dir, f"{ser.name}.json"),
+                       {"name": ser.name, "meta": ser.meta, "provenance": provenance})]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
+def _resolve_and_solve(cfg: dict, out_dir: str):
+    """Echo the resolved config into out_dir, then run the solver on it."""
+    scfg = solver_config(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.resolved.ini"), "w",
+              encoding="utf-8") as fh:
+        fh.write(config_text(cfg))
+    return scfg, run_until_blowup(scfg)
+
+
 def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
                  verbose: bool = False) -> int:
     cfg = parse_config(config_path)
-    os.makedirs(out_dir, exist_ok=True)
-    text = config_text(cfg)
-    with open(os.path.join(out_dir, "config.resolved.ini"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
-    chash = hashlib.sha256(text.encode()).hexdigest()
-
-    scfg = solver_config(cfg)
-    traj = run_until_blowup(scfg)
+    scfg, traj = _resolve_and_solve(cfg, out_dir)
     if verbose:
         print(f"simulate: status={traj.status} steps={traj.center_t.size} "
               f"frames={traj.frames_t.size} T_est={traj.T_est}")
 
-    np.save(os.path.join(out_dir, "frames_t.npy"), traj.frames_t)
-    np.save(os.path.join(out_dir, "frames_u.npy"), traj.frames_u)
-    np.save(os.path.join(out_dir, "frames_ut.npy"), traj.frames_ut)
-    write_csv(os.path.join(out_dir, "center.csv"),
-              ["t", "u_center", "u_max"],
-              [traj.center_t, traj.center_u, traj.max_u])
-    status = {"status": traj.status,
-              "T_est": traj.T_est,
-              "exponent": traj.fit.exponent if traj.fit else None,
-              "r2": traj.fit.r2 if traj.fit else None,
-              "expected_exponent": -scfg.e.two_over_pm1,
-              "n_frames": int(traj.frames_t.size)}
-    with open(os.path.join(out_dir, "t_est.json"), "w", encoding="utf-8") as fh:
-        json.dump(status, fh, indent=1, sort_keys=True)
+    written = [os.path.join(out_dir, "config.resolved.ini")]
+    for name in FRAMES:
+        written.append(os.path.join(out_dir, f"{name}.npy"))
+        np.save(written[-1], getattr(traj, name))
+    written.append(write_csv(os.path.join(out_dir, "center.csv"),
+                             ["t", "u_center", "u_max"],
+                             [traj.center_t, traj.center_u, traj.max_u]))
+    written.append(write_json(os.path.join(out_dir, "t_est.json"), {
+        "status": traj.status,
+        "T_est": traj.T_est,
+        "exponent": traj.fit.exponent if traj.fit else None,
+        "r2": traj.fit.r2 if traj.fit else None,
+        "expected_exponent": -scfg.e.two_over_pm1,
+        "n_frames": int(traj.frames_t.size)}))
     if dump_raw:
-        stride = max(1, traj.frames_t.size // 50)
-        idx = np.arange(0, traj.frames_t.size, stride)
-        rows_t, rows_r, rows_u, rows_ut = [], [], [], []
-        for i in idx:
-            rows_t.append(np.full(traj.grid.nr, traj.frames_t[i]))
-            rows_r.append(traj.grid.nodes)
-            rows_u.append(traj.frames_u[i])
-            rows_ut.append(traj.frames_ut[i])
-        write_csv(os.path.join(out_dir, "raw.csv"), ["t", "r", "u", "ut"],
-                  [np.concatenate(rows_t), np.concatenate(rows_r),
-                   np.concatenate(rows_u), np.concatenate(rows_ut)])
-    update_manifest(out_dir, chash)
+        idx = np.arange(0, traj.frames_t.size, max(1, traj.frames_t.size // 50))
+        written.append(write_csv(os.path.join(out_dir, "raw.csv"), ["t", "r", "u", "ut"], [
+            np.repeat(traj.frames_t[idx], traj.grid.nr), np.tile(traj.grid.nodes, idx.size),
+            traj.frames_u[idx].ravel(), traj.frames_ut[idx].ravel()]))
+    update_manifest(out_dir, config_hash(cfg), written)
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
 
@@ -251,7 +277,7 @@ def load_run(run_dir: str):
         raise ConfigError(f"{run_dir} does not look like a run directory "
                           "(missing config.resolved.ini)")
     cfg = parse_config(cpath)
-    for name in ("frames_t.npy", "frames_u.npy", "frames_ut.npy", "t_est.json"):
+    for name in [f"{n}.npy" for n in FRAMES] + ["t_est.json"]:
         if not os.path.exists(os.path.join(run_dir, name)):
             raise ConfigError(f"missing trajectory artifact {name} in {run_dir}")
     with open(os.path.join(run_dir, "t_est.json"), encoding="utf-8") as fh:
@@ -259,39 +285,35 @@ def load_run(run_dir: str):
     scfg = solver_config(cfg)
     traj = Trajectory(
         e=scfg.e, grid=scfg.grid,
-        frames_t=np.load(os.path.join(run_dir, "frames_t.npy")),
-        frames_u=np.load(os.path.join(run_dir, "frames_u.npy")),
-        frames_ut=np.load(os.path.join(run_dir, "frames_ut.npy")),
+        **{n: np.load(os.path.join(run_dir, f"{n}.npy")) for n in FRAMES},
         center_t=np.array([]), center_u=np.array([]), max_u=np.array([]),
         status=status["status"], T_est=status["T_est"])
     return cfg, traj
 
 
-def snapshot_grid(cfg: dict, traj) -> np.ndarray:
-    T0 = traj.T_est
-    s0 = -math.log(T0)
-    raw_lo, raw_hi = cfg["similarity"]["s_lo"], cfg["similarity"]["s_hi"]
-    s_lo = s0 + 0.75 if raw_lo == "auto" else float(raw_lo)
-    s_hi = traj.s_max_covered - 0.5 if raw_hi == "auto" else float(raw_hi)
-    ds = fval(cfg, "similarity", "ds")
-    if s_hi <= s_lo:
-        raise ConfigError(f"empty snapshot window [{s_lo}, {s_hi}]")
-    return np.arange(s_lo, s_hi + 1e-9, ds)
+def load_blowup_run(run_dir: str):
+    """load_run for the stages that analyse a blow-up; NoBlowupError otherwise."""
+    cfg, traj = load_run(run_dir)
+    if traj.status != "blowup":
+        raise NoBlowupError(f"{run_dir} holds no blow-up trajectory "
+                            f"(status {traj.status}); nothing to analyse")
+    return cfg, traj
 
 
 def build_snapshots(cfg: dict, traj):
-    e = traj.e
-    rules = RuleTable(e.N, n_radial=ival(cfg, "similarity", "n_radial"),
-                      n_angular=ival(cfg, "similarity", "n_angular"))
-    s_grid = snapshot_grid(cfg, traj)
-    x0 = fval(cfg, "similarity", "x0")
-    T0 = traj.T_est if cfg["similarity"]["T0"] == "auto" \
-        else fval(cfg, "similarity", "T0")
-    snaps = trajectory_to_w(traj, e, x0, T0, s_grid, rules.plain)
+    sim = typed(cfg)["similarity"]
+    rules = RuleTable(traj.e.N, n_radial=sim["n_radial"], n_angular=sim["n_angular"])
+    s_lo = -math.log(traj.T_est) + 0.75 if sim["s_lo"] == "auto" else sim["s_lo"]
+    s_hi = traj.s_max_covered - 0.5 if sim["s_hi"] == "auto" else sim["s_hi"]
+    if s_hi <= s_lo:
+        raise ConfigError(f"empty snapshot window [{s_lo}, {s_hi}]")
+    s_grid = np.arange(s_lo, s_hi + 1e-9, sim["ds"])
+    T0 = traj.T_est if sim["T0"] == "auto" else sim["T0"]
+    snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid, rules.plain)
     return rules, snaps
 
 
-def export_snapshots(run_dir: str, snaps):
+def export_snapshots(run_dir: str, snaps) -> str:
     """Snapshot node data: s, node coordinates, w, ws, |gw|, |gw_r|, |gw_th|."""
     N = snaps[0].rule.N
     cols = {k: [] for k in ["s"] + [f"y{d}" for d in range(N)]
@@ -307,123 +329,109 @@ def export_snapshots(run_dir: str, snaps):
         cols["grad"].append(np.sqrt(ns.g2))
         cols["grad_r"].append(np.sqrt(ns.gr2))
         cols["grad_theta"].append(np.sqrt(ns.gth2))
-    write_csv(os.path.join(run_dir, "snapshots.csv"), list(cols),
-              [np.concatenate(v) for v in cols.values()])
+    return write_csv(os.path.join(run_dir, "snapshots.csv"), list(cols),
+                     [np.concatenate(v) for v in cols.values()])
 
 
 def cmd_functionals(run_dir: str, selection: str | None = None,
                     dump_snapshots: bool = False, verbose: bool = False) -> int:
-    cfg, traj = load_run(run_dir)
-    if traj.status != "blowup":
-        raise ConfigError("run has no blow-up trajectory")
-    e = traj.e
+    cfg, traj = load_blowup_run(run_dir)
     rules, snaps = build_snapshots(cfg, traj)
-    eps = fval(cfg, "functionals", "eps")
-    k = ival(cfg, "functionals", "k")
-    sigma = fval(cfg, "functionals", "sigma")
-    names = [n.strip() for n in (selection or cfg["functionals"]["names"]).split(",")
-             if n.strip()]
+    vals = typed(cfg)["functionals"]
+    params = {key: vals[key] for key in ("eps", "k", "sigma")}
+    names = [n.strip() for n in (selection or vals["names"]).split(",") if n.strip()]
     provenance = {
         "run_dir": os.path.abspath(run_dir),
         "frames_sha256": sha256_file(os.path.join(run_dir, "frames_u.npy")),
-        "eps": eps, "k": k, "sigma": sigma,
+        **params,
     }
+    written = []
     for name in names:
         try:
-            spec = fu.FunctionalSpec(name=name, eps=eps, k=k, sigma=sigma)
+            spec = fu.FunctionalSpec(name=name, **params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        ser = fu.evaluate_series(spec, snaps, rules, e)
-        write_series(run_dir, ser, provenance)
+        ser = fu.evaluate_series(spec, snaps, rules, traj.e)
+        written += write_series(run_dir, ser, provenance)
         if verbose:
             print(f"functionals: wrote {name} ({len(ser)} samples)")
     if dump_snapshots:
-        export_snapshots(run_dir, snaps)
-    cpath = os.path.join(run_dir, "config.resolved.ini")
-    with open(cpath, encoding="utf-8") as fh:
-        chash = hashlib.sha256(fh.read().encode()).hexdigest()
-    update_manifest(run_dir, chash)
+        written.append(export_snapshots(run_dir, snaps))
+    update_manifest(run_dir, config_hash(cfg), written)
     return EXIT_OK
 
 
-def _report_rows(reports) -> list[dict]:
-    return [r.as_dict() if hasattr(r, "as_dict") else dict(r) for r in reports]
-
-
 def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
-               out_path: str | None = None, verbose: bool = False) -> int:
+               verbose: bool = False) -> int:
     """Verification suites; exit 1 iff any check fails.
 
     'identities' runs on static fields (no run dir needed); 'lemmas',
     'monotone' and 'decay' need a simulated run; 'all' runs whatever its
-    inputs allow.
+    inputs allow.  The reports go to RUN_DIR/verify_<suite>.{json,txt}
+    (the working directory without a run dir), and into the manifest when
+    a run was checked.
     """
-    suites = ("identities", "lemmas", "monotone", "decay", "all")
-    if suite not in suites:
-        raise ConfigError(f"unknown suite '{suite}', expected one of {suites}")
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite '{suite}', expected one of {SUITES}")
     reports: list[dict] = []
 
     if suite in ("identities", "all"):
         for N in (2, 3):
             for eps in (0.6, 1.0, 1.1):
-                reps = verify.run_identity_battery(N, eps, n_fields=10, seed=seed)
-                reports += _report_rows(reps)
+                reports += [r.as_dict() for r in verify.run_identity_battery(
+                    N, eps, n_fields=10, seed=seed)]
 
-    if suite in ("lemmas", "monotone", "decay", "all") and run_dir is not None:
-        cfg, traj = load_run(run_dir)
-        if traj.status != "blowup":
-            raise ConfigError("verification suites need a blow-up run")
+    cfg = None
+    if suite != "identities" and run_dir is not None:
+        cfg, traj = load_blowup_run(run_dir)
         e = traj.e
         rules, snaps = build_snapshots(cfg, traj)
         s = np.array([sn.s for sn in snaps])
-        eps = fval(cfg, "functionals", "eps")
+        vals = typed(cfg)
 
         if suite in ("lemmas", "all"):
-            ds = fval(cfg, "similarity", "ds")
             dr = traj.grid.dr
             # resolution-indexed tolerance (relative to the RHS scale)
-            tol = 200.0 * (ds ** 2 + (dr / math.exp(-s[0])) ** 2)
+            tol = 200.0 * (vals["similarity"]["ds"] ** 2 + (dr / math.exp(-s[0])) ** 2)
             hi = min(s[0] + 1.0, s[-1])
             for name in verify.LEMMA_NAMES:
                 rep = verify.check_derivative_lemma(
-                    name, snaps, rules, e, eps=eps, window=(s[0], hi), tol=tol)
+                    name, snaps, rules, e, eps=vals["functionals"]["eps"],
+                    window=(s[0], hi), tol=tol)
                 reports.append(rep.as_dict())
 
         if suite in ("monotone", "all"):
             f0 = fu.f0_series(snaps, rules, e)
             reports.append(verify.check_f0_monotone(f0))
-            reports += verify.check_ladder(f0, e, ival(cfg, "functionals", "k_max"))
+            reports += verify.check_ladder(f0, e, vals["functionals"]["k_max"])
 
         if suite in ("decay", "all"):
             bundle = verify.build_decay_bundle(snaps, rules, e, k_max=2)
-            for rep in verify.check_decay_suite(bundle):
-                reports.append(rep)
+            reports += verify.check_decay_suite(bundle)
 
     ok = all(r.get("passed", False) for r in reports)
     lines = [f"{'PASS' if r.get('passed') else 'FAIL'}  {r['name']}" for r in reports]
     text = "\n".join(lines) + f"\n{'OK' if ok else 'FAILURES'}: " \
         f"{sum(bool(r.get('passed')) for r in reports)}/{len(reports)} checks passed\n"
-    if out_path is None:
-        out_path = os.path.join(run_dir or ".", f"verify_{suite}")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(reports, fh, indent=1, sort_keys=True, default=float)
-    with open(out_path + ".txt", "w", encoding="utf-8") as fh:
+    out_dir = run_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    out_path = os.path.join(out_dir, f"verify_{suite}")
+    written = [write_json(out_path + ".json", reports), out_path + ".txt"]
+    with open(written[1], "w", encoding="utf-8") as fh:
         fh.write(text)
+    if cfg is not None:
+        update_manifest(run_dir, config_hash(cfg), written)
     if verbose:
         print(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
-    cfg, traj = load_run(run_dir)
-    if traj.status != "blowup":
-        print("rate: run has no blow-up; nothing to analyse")
-        return EXIT_NO_BLOWUP
-    e = traj.e
-    rep = fu.theorem_quantities(traj, e, traj.T_est, q=q)
-    for name, ser in rep.series.items():
-        write_series(run_dir, ser, {"q": q})
+    cfg, traj = load_blowup_run(run_dir)
+    rep = fu.theorem_quantities(traj, traj.e, traj.T_est, q=q)
+    written = []
+    for ser in rep.series.values():
+        written += write_series(run_dir, ser, {"q": q})
     # trend verdicts: the log weight is divided out before the slope test
     sl2 = rep.series["scaled_l2"]
     tau = np.exp(-sl2.s)
@@ -444,9 +452,8 @@ def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
         "lower_bound_floor": rep.meta["lower_bound_floor"],
         "sup": rep.sup,
     }
-    with open(os.path.join(run_dir, "rate_verdict.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(verdict, fh, indent=1, sort_keys=True, default=float)
+    written.append(write_json(os.path.join(run_dir, "rate_verdict.json"), verdict))
+    update_manifest(run_dir, config_hash(cfg), written)
     if verbose:
         print(json.dumps(verdict, indent=1, sort_keys=True, default=float))
     ok = (verdict["slope_within_10pct"]
@@ -457,16 +464,11 @@ def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
 
 def _sweep_one(args):
     cfg, out_dir = args
-    text = config_text(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved.ini"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
-    scfg = solver_config(cfg)
-    traj = run_until_blowup(scfg)
+    scfg, traj = _resolve_and_solve(cfg, out_dir)
     row = {"p": scfg.e.p, "N": scfg.e.N, "status": traj.status,
            "T_est": traj.T_est if traj.T_est else math.nan,
-           "exponent": traj.fit.exponent if traj.fit else math.nan}
+           "exponent": traj.fit.exponent if traj.fit else math.nan,
+           "F0_monotone": False, "ladder_monotone": False}
     if traj.status == "blowup":
         rules = RuleTable(scfg.e.N, n_radial=32, n_angular=1)
         s0 = -math.log(traj.T_est)
@@ -476,9 +478,6 @@ def _sweep_one(args):
         row["F0_monotone"] = verify.check_f0_monotone(f0)["passed"]
         row["ladder_monotone"] = all(
             r["passed"] for r in verify.check_ladder(f0, scfg.e, 6))
-    else:
-        row["F0_monotone"] = False
-        row["ladder_monotone"] = False
     return row
 
 
@@ -493,15 +492,11 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
         except ValueError as exc:
             bad.append(f"(p={p}, N={N}): {exc}")
     if bad:
-        raise ConfigError("invalid sweep pairs rejected before launch:\n  "
-                          + "\n  ".join(bad))
+        raise ConfigError("invalid sweep pairs rejected before launch: "
+                          + "; ".join(bad))
     os.makedirs(out_dir, exist_ok=True)
-    tasks = []
-    for p, N in pairs:
-        cfg = {sec: dict(vals) for sec, vals in base.items()}
-        cfg["exponents"]["p"] = repr(p)
-        cfg["exponents"]["N"] = repr(N)
-        tasks.append((cfg, os.path.join(out_dir, f"p{p}_N{N}")))
+    tasks = [({**base, "exponents": {"p": repr(p), "N": repr(N)}},
+              os.path.join(out_dir, f"p{p}_N{N}")) for p, N in pairs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -509,16 +504,11 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     else:
         rows = [_sweep_one(t) for t in tasks]
     cols = ["p", "N", "status", "T_est", "exponent", "F0_monotone", "ladder_monotone"]
-    with open(os.path.join(out_dir, "aggregate.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols)
-        for row in rows:
-            wr.writerow([f"{row[c]:.17g}" if isinstance(row[c], float)
-                         else str(row[c]) for c in cols])
+    written = [write_csv(os.path.join(out_dir, "aggregate.csv"), cols,
+                         [[row[c] for row in rows] for c in cols])]
     if verbose:
         for row in rows:
             print(row)
-    text = config_text(base)
-    update_manifest(out_dir, hashlib.sha256(text.encode()).hexdigest())
+    written += [os.path.join(d, "config.resolved.ini") for _cfg, d in tasks]
+    update_manifest(out_dir, config_hash(base), written)
     return EXIT_OK

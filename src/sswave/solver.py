@@ -28,6 +28,9 @@ class SolverError(RuntimeError):
     pass
 
 
+FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
+
+
 @dataclass
 class SolverConfig:
     e: Exponents
@@ -37,7 +40,7 @@ class SolverConfig:
     amp_safety: float = 0.02
     max_steps: int = 2_000_000
     store_ds: float = 0.02
-    family: str = "ode_plateau"   # ode_plateau | plateau | gaussian | ode_constant | zero
+    family: str = "ode_plateau"   # one of FAMILIES
     T: float = 1.0                # seeded ODE blow-up time (plateau families)
     core_frac: float = 1.15       # plateau: exact-ODE core out to core_frac*T
     taper_frac: float = 1.4       # plateau: data vanishes beyond taper_frac*T

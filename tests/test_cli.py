@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sswave import runio
 from sswave.cli import main as cli_main
+from sswave.functionals import FUNCTIONAL_NAMES
 
 
 CFG_SMALL = """\
@@ -77,13 +80,39 @@ def test_simulate_zero_data_exit_code(small_cfg, tmp_path):
     assert status["status"] == "no-blowup"
 
 
-def test_simulate_bad_config_diagnostics(tmp_path):
+def test_simulate_bad_config_diagnostics(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[solver]\nnr = many\n")
-    rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
-    assert rc == 2
-    cfg.write_text("[solvr]\nnr = 128\n")
+    for text in ("[solver]\nnr = many\n", "[solvr]\nnr = 128\n",
+                 "[similarity]\ns_lo = early\n", "[similarity]\nT0 = 1.0.0\n",
+                 "[solver]\nfamily = gausian\n", "[exponents]\np = 3.0\n",
+                 "[functionals]\nq = 2.0\n", "[output]\nseed = 0\n"):
+        cfg.write_text(text)
+        rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
+        assert rc == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+    # rejected before the solver ran
+    assert not os.path.exists(tmp_path / "r" / "frames_u.npy")
+
+
+def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(open(small_cfg).read().replace("u_cap = 1e5", "u_cap = 1e60"))
     assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SolverError: amplitude overflow") and err.count("\n") == 1
+
+
+def test_fit_error_exits_3_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):
+    from sswave import solver
+    from sswave.ode import FitError
+
+    def no_fit(*args, **kwargs):
+        raise FitError("fit-failed: stub")
+
+    monkeypatch.setattr(solver, "fit_blowup", no_fit)
+    assert run_cli("simulate", "--config", small_cfg, "--out", str(tmp_path / "r")) == 3
+    assert capsys.readouterr().err == "error: FitError: fit-failed: stub\n"
 
 
 def test_determinism_byte_identical(small_cfg, tmp_path):
@@ -123,6 +152,8 @@ def test_verify_identities_static(tmp_path):
     assert len(reports) == 6 * 10 * 2
     assert all(r["passed"] for r in reports)
     assert os.path.exists(os.path.join(out, "verify_identities.txt"))
+    # no run was checked, so the directory gets no manifest
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_verify_monotone_and_failure_path(small_cfg, tmp_path):
@@ -201,6 +232,46 @@ def test_parse_config_pure_defaults():
     assert runio.solver_config(cfg).grid.nr == 1024
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = {
+    float: _finite.map(repr),
+    int: st.integers(-10**12, 10**12).map(str),
+    runio._auto_or_float: st.one_of(st.just("auto"), _finite.map(repr)),
+    runio._family: st.sampled_from(runio.FAMILIES),
+    str: st.lists(st.sampled_from(FUNCTIONAL_NAMES), min_size=1).map(",".join),
+}
+# in schema order, the order parse_config resolves into
+_CONFIGS = st.tuples(*(
+    st.tuples(*(_VALUES[parse] for _d, parse in keys.values()))
+    for keys in runio.SCHEMA.values())).map(lambda secs: {
+        sec: dict(zip(keys, vals)) for (sec, keys), vals in zip(runio.SCHEMA.items(), secs)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(_CONFIGS)
+def test_config_text_round_trip(cfg):
+    text = runio.config_text(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        parsed = runio.parse_config(path)
+    assert parsed == cfg
+    assert runio.config_text(parsed) == text
+
+
+@pytest.mark.parametrize("parse,bad", [
+    (float, "1.0.0"), (int, "1.5"), (runio._auto_or_float, "automatic"),
+    (runio._family, "gausian")])
+def test_parse_config_rejects_malformed_value(tmp_path, parse, bad):
+    sec, key = next((sec, key) for sec, keys in runio.SCHEMA.items()
+                    for key, (_d, p) in keys.items() if p is parse)
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{sec}]\n{key} = {bad}\n")
+    with pytest.raises(runio.ConfigError, match=f"\\[{sec}\\] {key}"):
+        runio.parse_config(str(path))
+
+
 def test_dump_raw_flag(small_cfg, tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out,
@@ -221,13 +292,17 @@ def test_export_snapshots_flag(small_cfg, tmp_path):
     assert np.all(cols[6] ** 2 - cols[7] ** 2 - cols[8] ** 2 < 1e-10)
 
 
-def test_functionals_on_non_blowup_run(small_cfg, tmp_path):
+def test_functionals_on_non_blowup_run(small_cfg, tmp_path, capsys):
     cfg = tmp_path / "zero.ini"
     cfg.write_text(CFG_SMALL.replace("[similarity]",
                                      "family = zero\nmax_steps = 300\n\n[similarity]"))
     out = str(tmp_path / "zrun")
     run_cli("simulate", "--config", str(cfg), "--out", out)
-    assert run_cli("functionals", "--out", out) == 2
+    capsys.readouterr()
+    for argv in (["functionals"], ["verify", "--suite", "lemmas"]):
+        assert run_cli(*argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: NoBlowupError: ") and err.count("\n") == 1
 
 
 def test_verify_empty_suite_exits_ok(tmp_path, monkeypatch):
@@ -265,6 +340,45 @@ def test_verify_monotone_short_snapshot_window_fails(small_cfg, tmp_path):
     reports = json.load(open(os.path.join(out, "verify_monotone.json")))
     assert reports[0] == {"name": "F0_monotone", "passed": False,
                           "violations": [], "n": 2}
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "decay"])
+def test_verify_short_snapshot_window_fails(small_cfg, tmp_path, suite):
+    """A snapshot window with fewer than 3 snapshots fails every lemma and
+    decay check (exit 1) instead of raising."""
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(open(small_cfg).read() + "s_lo = 1.0\ns_hi = 1.15\n")
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
+    assert run_cli("verify", "--suite", suite, "--out", out) == 1
+    reports = json.load(open(os.path.join(out, f"verify_{suite}.json")))
+    assert reports and not any(r["passed"] for r in reports)
+
+
+def test_manifest_lists_every_written_file(small_cfg, tmp_path, monkeypatch):
+    """After the whole pipeline the manifest lists every file with its
+    checksum and size; later stages hash only what they wrote."""
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out, "--dump-raw") == 0
+    hashed = []
+    sha256_file = runio.sha256_file
+
+    def counting_sha256(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(runio, "sha256_file", counting_sha256)
+    assert run_cli("functionals", "--out", out, "--names", "F0,M",
+                   "--export-snapshots") == 0
+    assert run_cli("verify", "--suite", "monotone", "--out", out) == 0
+    assert run_cli("rate", "--out", out) == 0
+    assert not {"frames_t.npy", "frames_ut.npy", "center.csv", "raw.csv"} & set(hashed)
+    files = json.load(open(os.path.join(out, "manifest.json")))["files"]
+    on_disk = {n for n in os.listdir(out) if n != "manifest.json"}
+    assert set(files) == on_disk
+    for name, entry in files.items():
+        path = os.path.join(out, name)
+        assert entry == {"sha256": sha256_file(path), "bytes": os.path.getsize(path)}
 
 
 def test_verify_creates_missing_out_dir(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""The narrative demos and the benchmark tracer stay in step with the package.
+"""The narrative demos, the README's config block and the benchmark tracer
+stay in step with the package.
 
 demo_identities is left out: everything it calls is covered by
 test_verify, and it takes longer than the other three together.
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sswave.quadrature import RuleTable
+from sswave.runio import SCHEMA
 from sswave.similarity import constant_field, make_test_field
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +57,23 @@ def test_tracer_targets_resolve():
     assert id(rules.plain) in snap._samples and id(rule) not in snap._samples
     snap.on(rule)
     assert id(rule) in snap._samples
+
+
+def test_readme_config_block_matches_schema():
+    """The README's ini block lists exactly the schema's sections, keys and
+    defaults, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, sec = {}, None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            sec = line.strip("[]")
+            documented[sec] = {}
+        elif line:
+            key, val = (part.strip() for part in line.split("=", 1))
+            documented[sec][key] = val
+    schema = {sec: {key: default for key, (default, _parse) in keys.items()}
+              for sec, keys in SCHEMA.items()}
+    assert [(sec, list(keys.items())) for sec, keys in documented.items()] == \
+        [(sec, list(keys.items())) for sec, keys in schema.items()]
