@@ -28,7 +28,7 @@ def main():
         print(f"  s^({k}/18) F0: monotone={rep['passed']} "
               f"(checked from s = {max(f0.s[0], verify.ladder_start(e, k)):.2f})")
 
-    fam = fu.f_family(snaps, rules, e, k=1, sigma=1.0)
+    fam = fu.f_family(snaps, rules, e, k=1)
     monF1 = verify.monitor_monotone(fam["F1"], require_nonneg=True)
     print(f"F1 (with tail integral): monotone={monF1['monotone']} "
           f"nonnegative={monF1['nonnegative']}  "
@@ -39,7 +39,7 @@ def main():
     print(f"scriptF1 at sigma=1: monotone={mon_sf['monotone']}")
 
     print("\ndecay suite (each quantity's final/initial over the last half):")
-    bundle = verify.build_decay_bundle(snaps, rules, e, k_max=2)
+    bundle = verify.build_decay_bundle(snaps, rules, e)
     for rep in verify.check_decay_suite(bundle):
         print(f"  {rep['name']:>15}: ratio {rep['ratio']:.2e}  "
               f"log-slope {rep['log_slope']:+.3f}  pass={rep['passed']}")

@@ -238,14 +238,13 @@ def script_f_series(mser: FunctionalSeries, user: FunctionalSeries, k: int,
                             meta={"k": k, "sigma": sigma})
 
 
-def f_family(snaps, rules, e: Exponents, k: int, sigma: float = 1.0,
-             enforce_span: bool = True) -> dict:
-    """F0 and M, and for k >= 1 the ladder F_k with U_k and scriptF_k."""
+def f_family(snaps, rules, e: Exponents, k: int) -> dict:
+    """F0 and M, and for k >= 1 the ladder F_k with U_k and scriptF_k (sigma = 1)."""
     out = {"F0": f0_series(snaps, rules, e), "M": m_series(snaps, rules, e)}
     if k >= 1:
-        out[f"F{k}"] = f_ladder(out["F0"], k, e, enforce_span=enforce_span)
+        out[f"F{k}"] = f_ladder(out["F0"], k, e)
         out[f"U{k}"] = u_series(u_integrand_series(snaps, rules, e), k, e)
-        out[f"scriptF{k}"] = script_f_series(out["M"], out[f"U{k}"], k, sigma, e)
+        out[f"scriptF{k}"] = script_f_series(out["M"], out[f"U{k}"], k, 1.0, e)
     return out
 
 
@@ -269,13 +268,14 @@ SNAPSHOT_FUNCTIONALS = {
 }
 
 # ladder family -> its series at index k; each builds only what it needs
+# (F_k records its tail estimate in tail_bound instead of enforcing a span)
 LADDERS = {
-    "F": lambda snaps, rules, e, k, sigma, span: f_ladder(
-        f0_series(snaps, rules, e), k, e, enforce_span=span),
-    "U": lambda snaps, rules, e, k, sigma, span: u_series(
+    "F": lambda snaps, rules, e, k, sigma: f_ladder(
+        f0_series(snaps, rules, e), k, e, enforce_span=False),
+    "U": lambda snaps, rules, e, k, sigma: u_series(
         u_integrand_series(snaps, rules, e), k, e),
-    "scriptF": lambda snaps, rules, e, k, sigma, span: script_f_series(
-        m_series(snaps, rules, e), LADDERS["U"](snaps, rules, e, k, sigma, span),
+    "scriptF": lambda snaps, rules, e, k, sigma: script_f_series(
+        m_series(snaps, rules, e), LADDERS["U"](snaps, rules, e, k, sigma),
         k, sigma, e),
 }
 
@@ -307,15 +307,14 @@ class FunctionalSpec:
             raise ValueError("ladder index must be >= 0")
 
 
-def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents,
-                    enforce_span: bool = False) -> FunctionalSeries:
+def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents) -> FunctionalSeries:
     """Evaluate one named functional over a snapshot series."""
     if spec.name in SNAPSHOT_FUNCTIONALS:
         fn = SNAPSHOT_FUNCTIONALS[spec.name]
         return series_of(snaps, lambda sn: fn(sn, rules, e, spec.eps), spec.name)
     family, index = spec.name[:-1], spec.name[-1]
     k = 1 if index == "1" else max(spec.k, 1)
-    return LADDERS[family](snaps, rules, e, k, spec.sigma, enforce_span)
+    return LADDERS[family](snaps, rules, e, k, spec.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +348,7 @@ class TheoremReport:
     meta: dict
 
 
-def theorem_quantities(traj, e: Exponents, T0: float, q: float,
-                       n_times: int = 40, tau_hi_frac: float = 0.45) -> TheoremReport:
+def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport:
     """Log-weighted cone quantities monitored near the blow-up surface.
 
     Returns series (indexed by s = -log(T0 - t)) of
@@ -359,7 +357,8 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float,
       scaled_l2: |log tau|^q tau^(-(p-1)N/(p+3)) int_{B(0,tau)} u^2
       lower_bound: the scaling-invariant norm combination with its empirical floor
     plus suprema and a power fit of scaled_l2 after removing the log weight.
-    Radial center x0 = 0 only (the solver evolves radial data).
+    40 sample times run geometrically in tau from 0.45 of the first frame's
+    tau to a few grid cells.  Radial center x0 = 0 (the solver is radial).
     """
     if traj.status != "blowup":
         raise ValueError("theorem quantities need a blow-up trajectory")
@@ -384,11 +383,11 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float,
     # stay a few cells above the grid scale: the cone integral is meaningless
     # once the ball radius drops below the mesh
     tau_lo = max(taus[-1] * 4.0, 10.0 * dr)
-    tau_hi = taus[0] * tau_hi_frac if taus[0] * tau_hi_frac > tau_lo else taus[2]
+    tau_hi = taus[0] * 0.45 if taus[0] * 0.45 > tau_lo else taus[2]
     if tau_hi > traj.grid.r_max:
         raise ValueError(f"cone of radius {tau_hi} exits the grid "
                          f"(r_max={traj.grid.r_max})")
-    targets = np.geomspace(tau_hi, tau_lo, n_times)
+    targets = np.geomspace(tau_hi, tau_lo, 40)
     idx = np.unique(np.searchsorted(-taus, -targets))
     idx = idx[idx < ft.size - 1]
 

@@ -22,7 +22,6 @@ class FitError(RuntimeError):
 @dataclass
 class OdeTrajectory:
     p: float
-    T: float | None          # seeded blow-up time when known, else None
     t: np.ndarray
     u: np.ndarray
     v: np.ndarray            # du/dt
@@ -60,12 +59,11 @@ def _rk4_step(u, v, dt, p):
 
 
 def ode_integrate(u0: float, u1: float, e: Exponents, dt: float,
-                  u_cap: float = 1e8, max_steps: int = 200_000,
-                  theta: float = 0.01) -> OdeTrajectory:
+                  u_cap: float = 1e8, max_steps: int = 200_000) -> OdeTrajectory:
     """RK4 trajectory of u'' = |u|^(p-1) u, stopped at |u| >= u_cap.
 
     dt is the base step; near blow-up the step shrinks to
-    theta * (kappa/|u|)^((p-1)/2), i.e. a fixed fraction of the local
+    0.01 * (kappa/|u|)^((p-1)/2), i.e. a fixed fraction of the local
     time-to-blow-up, so the cap is actually reachable.  Never hitting the
     cap within the step budget is reported as status 'no-blowup'.
     """
@@ -82,7 +80,7 @@ def ode_integrate(u0: float, u1: float, e: Exponents, dt: float,
         au = abs(u)
         step = dt
         if au > k:
-            step = min(dt, theta * (k / au) ** ((p - 1.0) / 2.0))
+            step = min(dt, 0.01 * (k / au) ** ((p - 1.0) / 2.0))
         u, v = _rk4_step(u, v, step, p)
         t += step
         ts.append(t)
@@ -91,7 +89,7 @@ def ode_integrate(u0: float, u1: float, e: Exponents, dt: float,
         if abs(u) >= u_cap:
             status = "blowup"
             break
-    return OdeTrajectory(p=p, T=None, t=np.array(ts), u=np.array(us),
+    return OdeTrajectory(p=p, t=np.array(ts), u=np.array(us),
                          v=np.array(vs), status=status)
 
 
@@ -117,7 +115,7 @@ def _loglog_sse(T: float, t: np.ndarray, la: np.ndarray):
     return sse, b, r2
 
 
-def fit_blowup(t, amp, amp_window=(1e3, None), min_samples: int = 8):
+def fit_blowup(t, amp, amp_window=(1e3, None)):
     """Fit log|amp| ~ log(T - t) with T inside the fit.
 
     T is located by a deterministic golden-section search on the one-sided
@@ -132,9 +130,8 @@ def fit_blowup(t, amp, amp_window=(1e3, None), min_samples: int = 8):
     if hi is not None:
         mask &= amp <= hi
     t, amp = t[mask], amp[mask]
-    if t.size < min_samples:
-        raise FitError(
-            f"only {t.size} samples in the asymptotic window, need {min_samples}")
+    if t.size < 8:
+        raise FitError(f"only {t.size} samples in the asymptotic window, need 8")
     if np.any(np.diff(amp) <= 0):
         raise FitError("fit-failed: amplitude tail is not strictly increasing")
     la = np.log(amp)

@@ -114,6 +114,8 @@ class SphereRule:
 
 
 def sphere_rule(N: int, n_angular: int = 1) -> SphereRule:
+    if n_angular < 1:
+        raise ValueError(f"need n_angular >= 1, got {n_angular}")
     if n_angular == 1:
         pts = np.zeros((1, N))
         pts[0, 0] = 1.0

@@ -19,13 +19,14 @@ import io
 import json
 import math
 import os
+import sys
 import time
 
 import numpy as np
 
 from . import __version__
 from .core import FunctionalSeries, RadialGrid, make_exponents
-from .quadrature import RuleTable
+from .quadrature import RuleTable, build_rule
 from .solver import FAMILIES, SolverConfig, Trajectory, run_until_blowup
 from .similarity import trajectory_to_w
 from . import functionals as fu
@@ -230,8 +231,14 @@ def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict) -> list[
 # commands
 
 def _resolve_and_solve(cfg: dict, out_dir: str):
-    """Echo the resolved config into out_dir, then run the solver on it."""
+    """Check the config, its [similarity] rule included, echo it into out_dir,
+    then run the solver on it."""
     scfg = solver_config(cfg)
+    sim = typed(cfg)["similarity"]
+    try:
+        build_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
+    except (ValueError, NotImplementedError) as exc:
+        raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.ini"), "w",
               encoding="utf-8") as fh:
@@ -301,6 +308,7 @@ def load_blowup_run(run_dir: str):
 
 
 def build_snapshots(cfg: dict, traj):
+    """The [similarity] rules and the snapshots of its s-window, centred at x0."""
     sim = typed(cfg)["similarity"]
     rules = RuleTable(traj.e.N, n_radial=sim["n_radial"], n_angular=sim["n_angular"])
     s_lo = -math.log(traj.T_est) + 0.75 if sim["s_lo"] == "auto" else sim["s_lo"]
@@ -361,6 +369,12 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
     return EXIT_OK
 
 
+def _monotone_suite(snaps, rules, e, k_max: int) -> list[dict]:
+    """F0's own monotonicity report, then one per ladder index 1..k_max."""
+    f0 = fu.f0_series(snaps, rules, e)
+    return [verify.check_f0_monotone(f0)] + verify.check_ladder(f0, e, k_max)
+
+
 def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
                verbose: bool = False) -> int:
     """Verification suites; exit 1 iff any check fails.
@@ -401,12 +415,10 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
                 reports.append(rep.as_dict())
 
         if suite in ("monotone", "all"):
-            f0 = fu.f0_series(snaps, rules, e)
-            reports.append(verify.check_f0_monotone(f0))
-            reports += verify.check_ladder(f0, e, vals["functionals"]["k_max"])
+            reports += _monotone_suite(snaps, rules, e, vals["functionals"]["k_max"])
 
         if suite in ("decay", "all"):
-            bundle = verify.build_decay_bundle(snaps, rules, e, k_max=2)
+            bundle = verify.build_decay_bundle(snaps, rules, e)
             reports += verify.check_decay_suite(bundle)
 
     ok = all(r.get("passed", False) for r in reports)
@@ -463,6 +475,8 @@ def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
 
 
 def _sweep_one(args):
+    """One sweep point: its run and `verify --suite monotone` on it.  A window
+    that cannot be built fails both verdicts, with a note on stderr."""
     cfg, out_dir = args
     scfg, traj = _resolve_and_solve(cfg, out_dir)
     row = {"p": scfg.e.p, "N": scfg.e.N, "status": traj.status,
@@ -470,14 +484,16 @@ def _sweep_one(args):
            "exponent": traj.fit.exponent if traj.fit else math.nan,
            "F0_monotone": False, "ladder_monotone": False}
     if traj.status == "blowup":
-        rules = RuleTable(scfg.e.N, n_radial=32, n_angular=1)
-        s0 = -math.log(traj.T_est)
-        s_grid = np.arange(s0 + 0.75, min(traj.s_max_covered - 0.5, s0 + 6.0), 0.1)
-        snaps = trajectory_to_w(traj, scfg.e, 0.0, traj.T_est, s_grid, rules.plain)
-        f0 = fu.f0_series(snaps, rules, scfg.e)
-        row["F0_monotone"] = verify.check_f0_monotone(f0)["passed"]
-        row["ladder_monotone"] = all(
-            r["passed"] for r in verify.check_ladder(f0, scfg.e, 6))
+        try:
+            rules, snaps = build_snapshots(cfg, traj)
+            f0_rep, *ladder = _monotone_suite(snaps, rules, traj.e,
+                                              typed(cfg)["functionals"]["k_max"])
+        except ValueError as exc:  # ConfigError included
+            print(f"sweep: p={scfg.e.p} N={scfg.e.N}: window not checked: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        else:
+            row["F0_monotone"] = f0_rep["passed"]
+            row["ladder_monotone"] = all(r["passed"] for r in ladder)
     return row
 
 

@@ -27,6 +27,7 @@ differentiates each monomial along an ordered list of coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,16 +85,22 @@ class PolyField:
                     out[:, j] += term
         return out
 
+    def jet(self, pts: np.ndarray, degrees) -> list:
+        """The value (degree 0), gradient (1) or Hessian (2) for each entry
+        of degrees, all from one power table."""
+        orders = [list(itertools.product(range(self.N), repeat=g)) for g in degrees]
+        cols = self._partials(pts, [o for group in orders for o in group])
+        parts = np.split(cols, np.cumsum([len(group) for group in orders])[:-1], axis=1)
+        return [c.reshape((-1,) + (self.N,) * g) for g, c in zip(degrees, parts)]
+
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self._partials(pts, [()])[:, 0]
+        return self.jet(pts, (0,))[0]
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        return self._partials(pts, [(d,) for d in range(self.N)])
+        return self.jet(pts, (1,))[0]
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
-        N = self.N
-        orders = [(d1, d2) for d1 in range(N) for d2 in range(N)]
-        return self._partials(pts, orders).reshape(-1, N, N)
+        return self.jet(pts, (2,))[0]
 
     def times(self, other: "PolyField") -> "PolyField":
         coeffs: dict = {}
@@ -106,12 +113,8 @@ class PolyField:
 
 def harmonic_poly(m: int) -> PolyField:
     """Re((y1 + i y2)^m) as a planar polynomial; r^m cos(m theta)."""
-    coeffs = {}
-    for j in range(0, m + 1, 2):
-        coeffs[(m - j, j)] = math.comb(m, j) * (-1.0) ** (j // 2)
-    if m == 0:
-        coeffs = {(0, 0): 1.0}
-    return PolyField(2, coeffs)
+    return PolyField(2, {(m - j, j): math.comb(m, j) * (-1.0) ** (j // 2)
+                         for j in range(0, m + 1, 2)})
 
 
 class WeightedPoly:
@@ -140,21 +143,18 @@ class WeightedPoly:
             return self.poly.grad(pts)
         pts = np.atleast_2d(pts)
         om = 1.0 - np.sum(pts ** 2, axis=1)
-        q = self.poly(pts)
-        gq = self.poly.grad(pts)
+        q, gq = self.poly.jet(pts, (0, 1))
         P = om ** a
         return P[:, None] * gq - (2.0 * a) * (om ** (a - 1.0) * q)[:, None] * pts
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
         a = self.a
-        Hq = self.poly.hess(pts)
         if a == 0.0:
-            return Hq
+            return self.poly.hess(pts)
         pts = np.atleast_2d(pts)
         N = pts.shape[1]
         om = 1.0 - np.sum(pts ** 2, axis=1)
-        q = self.poly(pts)
-        gq = self.poly.grad(pts)
+        q, gq, Hq = self.poly.jet(pts, (0, 1, 2))
         P = om ** a
         Pm1 = om ** (a - 1.0)
         eye = np.eye(N)

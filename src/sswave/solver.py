@@ -51,6 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must be in (0,1), got {self.cfl}")
+        if self.family == "ode_plateau" and self.grid.r_max <= self.taper_frac * self.T:
+            raise ValueError("grid too small: need r_max > taper_frac*T")
 
 
 def _smoothstep(x):
@@ -71,8 +73,6 @@ def initial_state(cfg: SolverConfig) -> PhysicalState:
         u0, u1 = ode_exact(cfg.e, cfg.T, 0.0)
         return PhysicalState(0.0, np.full_like(r, u0), np.full_like(r, u1))
     if cfg.family == "ode_plateau":
-        if cfg.grid.r_max <= cfg.taper_frac * cfg.T:
-            raise ValueError("grid too small: need r_max > taper_frac*T")
         u0, u1 = ode_exact(cfg.e, cfg.T, 0.0)
         chi = plateau_profile(r, cfg.core_frac * cfg.T, cfg.taper_frac * cfg.T)
         return PhysicalState(0.0, u0 * chi, u1 * chi)
@@ -131,7 +131,6 @@ class Trajectory:
     status: str                   # 'blowup' | 'no-blowup'
     T_est: float | None = None
     fit: BlowupFit | None = None
-    blowup_center: np.ndarray | None = None
 
     def sample_state(self, t: float) -> PhysicalState:
         """Cubic (4-point Lagrange in t) interpolation of the stored frames."""
@@ -227,15 +226,11 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
         amp_hi = min(cfg.u_cap * 1.01, k * tau_floor ** (-e.two_over_pm1))
         amp_hi = max(amp_hi, 100.0 * amp_min)
         try:
-            fit = fit_blowup(traj.center_t, np.abs(traj.center_u),
-                             amp_window=(amp_min, amp_hi))
-            traj.fit = fit
-            traj.T_est = fit.T_est
+            traj.fit = fit_blowup(traj.center_t, np.abs(traj.center_u),
+                                  amp_window=(amp_min, amp_hi))
         except FitError:
             # center did not reach the window; fall back to the max series
-            fit = fit_blowup(traj.center_t, traj.max_u,
-                             amp_window=(amp_min, amp_hi))
-            traj.fit = fit
-            traj.T_est = fit.T_est
-        traj.blowup_center = np.zeros(e.N)
+            traj.fit = fit_blowup(traj.center_t, traj.max_u,
+                                  amp_window=(amp_min, amp_hi))
+        traj.T_est = traj.fit.T_est
     return traj

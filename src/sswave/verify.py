@@ -29,6 +29,7 @@ from .similarity import (PolyField, SimilaritySnapshot, StaticSnapshot,
 from . import functionals as fu
 
 FLOOR = 1e-14
+POHOZAEV_TOL = 1e-8   # polynomial integrands: both sides agree to rounding
 
 LEMMA_NAMES = ("dE_eps", "dJ_eps", "dN_eps", "dI_eps", "dL_eps",
                "dM", "dF0", "dF1", "dJ0")
@@ -313,8 +314,7 @@ def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
 # ---------------------------------------------------------------------------
 # static Pohozaev identities (appendix lemmas)
 
-def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable,
-                     tol: float = 1e-8) -> IdentityReport:
+def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> IdentityReport:
     """int y.gw div(rho_eps gw - rho_eps (y.gw) y) dy against its four-term
     expansion; the left side uses the field's analytic divergence."""
     rule = rules.rule(eps)
@@ -324,13 +324,12 @@ def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable,
     rw = _Raw(field, rules, _DUMMY_E, eps)
     rhs = (-eps * rw.get("Q1") - eps * rw.get("S3")
            + 0.5 * field.field_spec.N * rw.get("S1") - rw.get("S2"))
-    return report("pohozaev_A", lhs, rhs, tol,
+    return report("pohozaev_A", lhs, rhs, POHOZAEV_TOL,
                   context=f"N={field.field_spec.N} eps={eps} a={field.field_spec.a} "
                           f"m={field.field_spec.m}")
 
 
-def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable,
-                     tol: float = 1e-8) -> IdentityReport:
+def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable) -> IdentityReport:
     """-int div(rho_eps gw - rho_eps (y.gw) y) w / sqrt(1-|y|^2) dy against
     the angular/radial split with the singular weights."""
     mu = rules.rule(eps - 0.5)
@@ -339,7 +338,7 @@ def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable,
     lhs = -float(np.sum(mu.weights * ns.w * dv))
     rw = _Raw(field, rules, _DUMMY_E, eps)
     rhs = rw.get("Thh") + rw.get("Hr") + rw.get("W1h")
-    return report("pohozaev_E", lhs, rhs, tol,
+    return report("pohozaev_E", lhs, rhs, POHOZAEV_TOL,
                   context=f"N={field.field_spec.N} eps={eps} a={field.field_spec.a} "
                           f"m={field.field_spec.m}")
 
@@ -376,20 +375,17 @@ def random_test_field(N: int, rng: np.random.Generator,
                      ws_a=ws_a, ws_poly=ws_poly)
 
 
-def run_identity_battery(N: int, eps: float, n_fields: int = 50, seed: int = 0,
-                         n_radial: int = 48, n_angular: int | None = None,
-                         tol: float = 1e-8) -> list[IdentityReport]:
+def run_identity_battery(N: int, eps: float, n_fields: int = 50,
+                         seed: int = 0) -> list[IdentityReport]:
     """Both appendix identities on a seeded random suite of test fields."""
-    if n_angular is None:
-        n_angular = 64 if N == 2 else 20
-    rules = RuleTable(N, n_radial=n_radial, n_angular=n_angular)
+    rules = RuleTable(N, n_radial=48, n_angular=64 if N == 2 else 20)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_fields):
         tf = random_test_field(N, rng)
         snap = make_test_field(tf, rules.rule(eps))
-        out.append(check_pohozaev_A(snap, eps, rules, tol=tol))
-        out.append(check_pohozaev_E(snap, eps, rules, tol=tol))
+        out.append(check_pohozaev_A(snap, eps, rules))
+        out.append(check_pohozaev_E(snap, eps, rules))
     return out
 
 
@@ -498,7 +494,7 @@ def one_sided_report(name, lhs, rhs, scale, tol, context="") -> IdentityReport:
 
 
 def check_sigma_bound(snaps, rules, e: Exponents, window=None,
-                      C1: float | None = None, tol: float = 1e-10):
+                      C1: float | None = None):
     """int Sigma dtau + 1/20 int int ws^2 rho <= 4/5 int int |gw|^2 rho
     + C1 int int w^2 rho; returns (report, smallest admissible C1)."""
     snaps, s = _in_window(snaps, window)
@@ -513,36 +509,33 @@ def check_sigma_bound(snaps, rules, e: Exponents, window=None,
         C1 = max(c1_min, 0.0) * 1.05 + 1.0
     rhs = grad_part + C1 * iw3
     rep = one_sided_report("sigma_bound", lhs, rhs,
-                           max(abs(lhs), abs(rhs), iw3, FLOOR), tol,
+                           max(abs(lhs), abs(rhs), iw3, FLOOR), 1e-10,
                            context=f"C1={C1:.6g} window=[{s[0]:.3f},{s[-1]:.3f}]")
     return rep, float(c1_min)
 
 
-def check_singular_average_bound(snaps, rules, e: Exponents, eps: float, s_lo: float,
-                   C: float | None = None, tol: float = 1e-10):
+def check_singular_average_bound(snaps, rules, e: Exponents, eps: float, s_lo: float):
     """Time-averaged singular L^(p+1) bound: int_s^(s+1) of the singular
-    norm <= C int_(s-2)^(s+3) of the rho_eps energy sum; needs coverage
-    [s_lo-2, s_lo+3].  Returns (report, smallest admissible C)."""
+    norm <= C int_(s-2)^(s+3) of the rho_eps energy sum, with C calibrated
+    as max(1, 2 C_min); needs coverage [s_lo-2, s_lo+3].  Returns (report,
+    smallest admissible C)."""
     s = np.array([sn.s for sn in snaps])
     if s[0] > s_lo - 2.0 + 1e-9 or s[-1] < s_lo + 3.0 - 1e-9:
         raise ValueError(f"need coverage [{s_lo - 2}, {s_lo + 3}], have "
                          f"[{s[0]}, {s[-1]}]")
     sing = np.array([fu.singular_Lp1(sn, rules, e, eps) for sn in snaps])
-    ener = []
-    for sn in snaps:
-        rw = _Raw(sn, rules, e, eps)
-        ener.append(rw.get("S2") + rw.get("P2") + rw.get("W3") + rw.get("R2"))
-    ener = np.array(ener)
+    rws = [_Raw(sn, rules, e, eps) for sn in snaps]
+    ener = np.array([rw.get("S2") + rw.get("P2") + rw.get("W3") + rw.get("R2")
+                     for rw in rws])
     in_win = (s >= s_lo) & (s <= s_lo + 1.0)
     big_win = (s >= s_lo - 2.0) & (s <= s_lo + 3.0)
     lhs = float(np.trapezoid(sing[in_win], s[in_win]))
     ref = float(np.trapezoid(ener[big_win], s[big_win]))
     c_min = lhs / ref if ref > 0 else 0.0
-    if C is None:
-        C = max(1.0, 2.0 * c_min)
+    C = max(1.0, 2.0 * c_min)
     rhs = C * ref
     rep = one_sided_report("singular_average_bound", lhs, rhs,
-                           max(abs(lhs), abs(rhs), FLOOR), tol,
+                           max(abs(lhs), abs(rhs), FLOOR), 1e-10,
                            context=f"C={C:.6g} eps={eps} s_lo={s_lo}")
     return rep, float(c_min)
 
@@ -581,17 +574,18 @@ def calibrate_hardy(snaps_or_fields, eps: float, rules: RuleTable) -> float:
 # ---------------------------------------------------------------------------
 # monotonicity and decay monitors
 
-def ladder_start(e: Exponents, k: int, margin: float = 1.25) -> float:
+def ladder_start(e: Exponents, k: int) -> float:
     """End of the transient window for s^(k/18) F0: the weight factor
-    s^(k/18) e^(2 alpha s) only decreases once s > k/(36 |alpha|)."""
-    return margin * k / (36.0 * abs(e.alpha))
+    s^(k/18) e^(2 alpha s) only decreases once s > k/(36 |alpha|), and the
+    window ends a quarter past that."""
+    return 1.25 * k / (36.0 * abs(e.alpha))
 
 
 def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
-                     require_nonneg: bool = False,
-                     nonneg_slack: float = 1e-8) -> dict:
+                     require_nonneg: bool = False) -> dict:
     """Indices where the series increases by more than slack*local-scale;
-    optionally also checks the claimed nonnegativity."""
+    optionally also checks the claimed nonnegativity (down to -1e-8 of the
+    largest magnitude)."""
     v = series.values
     if v.size < 3:
         raise ValueError("need at least 3 samples")
@@ -603,7 +597,7 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
     if require_nonneg:
         gscale = max(float(np.max(np.abs(v))), FLOOR)
         out["min_value"] = float(np.min(v))
-        out["nonnegative"] = bool(np.min(v) >= -nonneg_slack * gscale)
+        out["nonnegative"] = bool(np.min(v) >= -1e-8 * gscale)
     return out
 
 
@@ -620,8 +614,7 @@ def check_f0_monotone(f0: FunctionalSeries) -> dict:
             **{k: v for k, v in mon.items() if k != "name"}}
 
 
-def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int,
-                 slack: float = 1e-6) -> list[dict]:
+def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
     """Monotonicity of s^(k/18) F0 past ladder_start, for k = 1..k_max.
 
     A window with fewer than 3 samples cannot show monotonicity and fails.
@@ -632,8 +625,7 @@ def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int,
         passed, violations = False, []
         if np.count_nonzero(sel) >= 3:
             mk = monitor_monotone(FunctionalSeries(
-                f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]),
-                slack=slack)
+                f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]))
             passed, violations = mk["monotone"], mk["violations"]
         out.append({"name": f"ladder_k{k}_monotone", "passed": passed,
                     "violations": violations})
@@ -641,7 +633,7 @@ def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int,
 
 
 def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
-                   e: Exponents, slack: float = 0.0) -> float:
+                   e: Exponents) -> float:
     """Smallest sigma making s^((k-18)/18) e^(2 alpha s) M + sigma U_k
     nonincreasing on the sampled grid (inf if U's decrease cannot pay)."""
     gamma = (k - 18.0) / 18.0
@@ -650,7 +642,7 @@ def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
     dU = np.diff(user.values)
     need = 0.0
     for a, b in zip(dP, dU):
-        if a <= slack:
+        if a <= 0.0:
             continue
         if b >= 0:
             return math.inf
@@ -658,28 +650,26 @@ def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
     return need
 
 
-def decay_report(series: FunctionalSeries, ratio_max: float = 0.1,
-                 half: bool = True) -> dict:
-    """Trend over the last half of the window: final/initial ratio and the
-    sign of the fitted log-slope.  A series with fewer than 3 samples
-    cannot show a trend and fails."""
+def decay_report(series: FunctionalSeries) -> dict:
+    """Trend over the last half of the window: passes if the final/initial
+    ratio is at most 0.1 and the fitted log-slope is negative.  A series
+    with fewer than 3 samples cannot show a trend and fails."""
     s, v = series.s, np.abs(series.values)
     if s.size < 3:
         return {"name": series.name, "passed": False, "n": int(s.size)}
-    if half:
-        sel = s >= 0.5 * (s[0] + s[-1])
-        s, v = s[sel], v[sel]
+    sel = s >= 0.5 * (s[0] + s[-1])
+    s, v = s[sel], v[sel]
     v = np.maximum(v, 1e-300)
     slope = float(np.polyfit(s, np.log(v), 1)[0])
     ratio = float(v[-1] / v[0]) if v[0] > 0 else 0.0
     return {"name": series.name, "initial": float(v[0]), "final": float(v[-1]),
             "ratio": ratio, "log_slope": slope,
-            "passed": bool(ratio <= ratio_max and slope < 0.0)}
+            "passed": bool(ratio <= 0.1 and slope < 0.0)}
 
 
-def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
-                       window_len: float = 1.0) -> dict:
-    """Every quantity the decay suite monitors, from one snapshot series.
+def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
+    """Every quantity the decay suite monitors, from one snapshot series,
+    with the s^(k/18)-type gains for k = 1, 2.
 
     Per-snapshot quantities are sampled on the sub-grid that leaves room
     for the [s, s+1] window integrals at the tail end.
@@ -691,14 +681,14 @@ def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
         for integrand in ("w2", "lp1", "lp32", "g2", "ws2"))
     f0 = np.array([fu.F0(sn, rules, e) for sn in snaps])
 
-    head = s <= s[-1] - window_len + 1e-9
+    head = s <= s[-1] - 1.0 + 1e-9
     sh = s[head]
 
     def win_int(vals):
-        """int_s^(s+window_len) vals dtau at each head sample."""
+        """int_s^(s+1) vals dtau at each head sample."""
         out = np.empty(sh.size)
         for i, si in enumerate(sh):
-            sel = (s >= si - 1e-12) & (s <= si + window_len + 1e-12)
+            sel = (s >= si - 1e-12) & (s <= si + 1.0 + 1e-12)
             out[i] = float(np.trapezoid(vals[sel], s[sel]))
         return out
 
@@ -725,7 +715,7 @@ def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
     tail = fu.tail_trapezoid(s, e2 * wp1)
     bundle["lp1_spacetime_tail"] = FunctionalSeries(
         "lp1_spacetime_tail", s[:-1], tail[:-1])
-    for k in range(1, k_max + 1):
+    for k in (1, 2):
         bundle[f"window_energy_k{k}"] = FunctionalSeries(
             f"window_energy_k{k}", sh, sh ** (k / 18.0) * e2h * win_int(ws2 + grad2))
         bundle[f"lp32_weighted_k{k}"] = FunctionalSeries(
@@ -738,6 +728,6 @@ def build_decay_bundle(snaps, rules, e: Exponents, k_max: int = 2,
     return bundle
 
 
-def check_decay_suite(bundle: dict, ratio_max: float = 0.1) -> list[dict]:
+def check_decay_suite(bundle: dict) -> list[dict]:
     """Decay verdict for every series in the bundle."""
-    return [decay_report(ser, ratio_max=ratio_max) for ser in bundle.values()]
+    return [decay_report(ser) for ser in bundle.values()]

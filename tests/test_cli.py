@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -85,7 +86,10 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
     for text in ("[solver]\nnr = many\n", "[solvr]\nnr = 128\n",
                  "[similarity]\ns_lo = early\n", "[similarity]\nT0 = 1.0.0\n",
                  "[solver]\nfamily = gausian\n", "[exponents]\np = 3.0\n",
-                 "[functionals]\nq = 2.0\n", "[output]\nseed = 0\n"):
+                 "[functionals]\nq = 2.0\n", "[output]\nseed = 0\n",
+                 # values that parse but that the solver grid or a rule rejects
+                 "[solver]\nr_max_factor = 1.3\n", "[similarity]\nn_radial = 0\n",
+                 "[exponents]\np = 2.5\nN = 4\n[similarity]\nn_angular = 2\n"):
         cfg.write_text(text)
         rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2, text
@@ -210,6 +214,44 @@ def test_sweep_smoke_and_determinism(small_cfg, tmp_path):
     with open(os.path.join(out2, "aggregate.csv")) as fh:
         lines2 = fh.read().strip().splitlines()
     assert hashlib.sha256("\n".join(lines2).encode()).hexdigest() == h1
+
+
+def test_sweep_honours_similarity_window(small_cfg, tmp_path):
+    """A sweep point takes the config's snapshot window, so a window of two
+    snapshots fails its monotone verdicts as `verify --suite monotone` does."""
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(open(small_cfg).read() + "s_lo = 1.0\ns_hi = 1.15\n")
+    out = str(tmp_path / "sweep")
+    assert run_cli("sweep", "--config", str(cfg), "--p-list", "3.6,4.2",
+                   "--N-list", "3", "--out", out) == 0
+    with open(os.path.join(out, "aggregate.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["blowup", "blowup"]
+    assert all(r["F0_monotone"] == r["ladder_monotone"] == "False" for r in rows)
+
+
+def test_sweep_point_outside_its_coverage_fails_alone(small_cfg, tmp_path, capsys):
+    """s_hi = 16 lies beyond the p=3.6 run (covered to s ~ 14.8) but inside
+    the p=4.2 run (s ~ 18.4): the first point fails its verdicts, the
+    second gets those of `verify --suite monotone`, and the sweep completes."""
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(open(small_cfg).read() + "s_lo = 10.0\ns_hi = 16.0\n")
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg), "--p-list", "3.6,4.2",
+                   "--N-list", "3", "--out", str(out)) == 0
+    assert "p=3.6 N=3: window not checked: ValueError" in capsys.readouterr().err
+    with open(out / "aggregate.csv") as fh:
+        p36, p42 = csv.DictReader(fh)
+    assert p36["F0_monotone"] == p36["ladder_monotone"] == "False"
+    run = str(tmp_path / "run42")
+    assert run_cli("simulate", "--config", str(out / "p4.2_N3" / "config.resolved.ini"),
+                   "--out", run) == 0
+    rc = run_cli("verify", "--suite", "monotone", "--out", run)
+    with open(os.path.join(run, "verify_monotone.json")) as fh:
+        reports = json.load(fh)
+    assert p42["F0_monotone"] == str(reports[0]["passed"])
+    assert p42["ladder_monotone"] == str(all(r["passed"] for r in reports[1:]))
+    assert (rc == 0) == all(r["passed"] for r in reports)
 
 
 def test_sweep_rejects_invalid_pair(small_cfg, tmp_path):

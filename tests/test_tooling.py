@@ -1,10 +1,12 @@
 """The narrative demos, the README's config block and the benchmark tracer
-stay in step with the package.
+stay in step with the package, and every parameter default has a caller
+that overrides it.
 
 demo_identities is left out: everything it calls is covered by
 test_verify, and it takes longer than the other three together.
 """
 
+import ast
 import importlib
 import os
 import runpy
@@ -77,3 +79,69 @@ def test_readme_config_block_matches_schema():
               for sec, keys in SCHEMA.items()}
     assert [(sec, list(keys.items())) for sec, keys in documented.items()] == \
         [(sec, list(keys.items())) for sec, keys in schema.items()]
+
+
+def _parsed(*tops):
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _calls(*tops):
+    """Function name -> the calls that may reach it.  A call through an
+    attribute (`verify.check_ladder(...)`, `self.step(...)`) is keyed by the
+    attribute; a call by bare name only where the module imports that name
+    from sswave, else under (module path, name) for the module's own
+    functions."""
+    calls: dict = {}
+    for path, tree in _parsed(*tops):
+        imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("sswave"))
+                    for a in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute):
+                key = node.func.attr
+            elif isinstance(node.func, ast.Name):
+                key = imported.get(node.func.id, (path, node.func.id))
+            else:
+                continue
+            calls.setdefault(key, []).append(node)
+    return calls
+
+
+def test_every_default_has_a_caller():
+    """A defaulted parameter of a function in src/sswave is a knob only if
+    some call in src/, tests/, demos/ or perfbench/ passes it a value other
+    than the default (compared as ASTs), by keyword or by position;
+    otherwise it is a constant."""
+    calls = _calls("src", "tests", "demos", "perfbench")
+
+    def overrides(call, param, slot, default):
+        args = [kw.value for kw in call.keywords if kw.arg == param]
+        if not args and slot is not None and len(call.args) > slot and not any(
+                isinstance(arg, ast.Starred) for arg in call.args):
+            args = [call.args[slot]]
+        return any(ast.dump(arg) != ast.dump(default) for arg in args)
+
+    unset = []
+    for path, tree in _parsed("src/sswave"):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            a = fn.args
+            positional = [arg.arg for arg in a.posonlyargs + a.args]
+            bound = 1 if positional[:1] in (["self"], ["cls"]) else 0
+            defaulted = list(zip(positional[len(positional) - len(a.defaults):],
+                                 a.defaults))
+            defaulted += [(arg.arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            callers = calls.get(fn.name, []) + calls.get((path, fn.name), [])
+            for param, default in defaulted:
+                slot = positional.index(param) - bound if param in positional else None
+                if not any(overrides(call, param, slot, default) for call in callers):
+                    unset.append(f"{path.name}:{fn.name}({param})")
+    assert not unset, f"defaults that no caller overrides: {unset}"
