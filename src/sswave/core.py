@@ -110,12 +110,6 @@ class PhysicalState:
     u: np.ndarray
     ut: np.ndarray
 
-    def check_finite(self):
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.ut))):
-            raise FloatingPointError(
-                f"non-finite field values at t={self.t}; blow-up must be "
-                "detected by the amplitude cap before overflow")
-
 
 @dataclass
 class FunctionalSeries:

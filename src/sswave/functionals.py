@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import Exponents, FunctionalSeries
 from .quadrature import RuleTable, surface_area
@@ -171,11 +170,16 @@ def tail_trapezoid(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integral_to_inf(f) -> float:
+    """int_0^inf f(x) dx by scipy's quad, imported only where a tail needs it."""
+    from scipy.integrate import quad
+
+    return quad(f, 0.0, np.inf)[0]
+
+
 def exp_tail_factor(gamma: float, alpha: float, s_max: float) -> float:
     """int_smax^inf tau^gamma e^(2 alpha (tau - smax)) dtau by quadrature."""
-    val, _ = quad(lambda x: (s_max + x) ** gamma * math.exp(2.0 * alpha * x),
-                  0.0, np.inf)
-    return float(val)
+    return _integral_to_inf(lambda x: (s_max + x) ** gamma * math.exp(2.0 * alpha * x))
 
 
 def required_span(e: Exponents) -> float:
@@ -217,8 +221,8 @@ def u_series(uint: FunctionalSeries, k: int, e: Exponents) -> FunctionalSeries:
     gamma = (k - 18.0) / 18.0
     s = uint.s
     inner = tail_trapezoid(s, s ** gamma * np.exp(2.0 * e.alpha * s) * uint.values)
-    kern, _ = quad(lambda x: (s[-1] + x) ** gamma
-                   * math.exp(2.0 * e.alpha * (s[-1] + x)), 0.0, np.inf)
+    kern = _integral_to_inf(lambda x: (s[-1] + x) ** gamma
+                            * math.exp(2.0 * e.alpha * (s[-1] + x)))
     return FunctionalSeries(
         name=f"U{k}", s=s, values=inner + uint.values[-1] * kern,
         tail_bound=np.full_like(s, abs(uint.values[-1]) * kern),

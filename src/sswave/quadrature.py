@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 
 def surface_area(N: int) -> float:
@@ -70,6 +69,8 @@ class BallQuadrature:
 def _radial_rule(N: int, beta: float, n_radial: int):
     """Gauss rule for integral_0^1 g(r) r^(N-1) (1-r^2)^beta dr, exact for
     g polynomial in r^2 of degree <= 2*n_radial - 1."""
+    from scipy.special import roots_jacobi
+
     # u = r^2 turns the weight into the Jacobi weight u^((N-2)/2) (1-u)^beta.
     x, w = roots_jacobi(n_radial, beta, (N - 2) / 2.0)
     u = 0.5 * (x + 1.0)
@@ -126,6 +127,8 @@ def sphere_rule(N: int, n_angular: int = 1) -> SphereRule:
         return SphereRule(N=2, points=pts,
                           weights=np.full(n_angular, 2.0 * math.pi / n_angular))
     if N == 3:
+        from scipy.special import roots_legendre
+
         mu, vmu = roots_legendre(n_angular)
         n_az = 2 * n_angular
         phi = 2.0 * math.pi * np.arange(n_az) / n_az

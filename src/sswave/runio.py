@@ -176,15 +176,6 @@ def write_json(path: str, obj) -> str:
     return path
 
 
-def read_csv(path: str):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        rows = [[float(v) for v in row] for row in rd]
-    cols = list(map(np.array, zip(*rows))) if rows else [np.array([]) for _ in header]
-    return header, cols
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -277,16 +268,43 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
 
+def _check_sizes(run_dir: str, names: list[str]):
+    """Each named file has the byte size that manifest.json records for it.
+
+    A stat only: a rewrite of the same size passes here, and the checksums
+    stay in the manifest for a full check.
+    """
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.exists(path):
+        raise ConfigError(f"missing manifest.json in {run_dir}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            files = json.load(fh)["files"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"unreadable manifest {path}: {exc!r}") from exc
+    for name in names:
+        recorded = files.get(name, {}).get("bytes")
+        if recorded is None:
+            raise ConfigError(f"manifest of {run_dir} has no entry for {name}")
+        size = os.path.getsize(os.path.join(run_dir, name))
+        if size != recorded:
+            raise ConfigError(f"{name} in {run_dir} is {size} bytes, but the "
+                              f"manifest records {recorded}")
+
+
 def load_run(run_dir: str):
-    """Rebuild (cfg, Trajectory) from a run directory."""
+    """Rebuild (cfg, Trajectory) from a run directory whose frame files and
+    t_est.json have the sizes its manifest records."""
     cpath = os.path.join(run_dir, "config.resolved.ini")
     if not os.path.exists(cpath):
         raise ConfigError(f"{run_dir} does not look like a run directory "
                           "(missing config.resolved.ini)")
     cfg = parse_config(cpath)
-    for name in [f"{n}.npy" for n in FRAMES] + ["t_est.json"]:
+    names = [f"{n}.npy" for n in FRAMES] + ["t_est.json"]
+    for name in names:
         if not os.path.exists(os.path.join(run_dir, name)):
             raise ConfigError(f"missing trajectory artifact {name} in {run_dir}")
+    _check_sizes(run_dir, names)
     with open(os.path.join(run_dir, "t_est.json"), encoding="utf-8") as fh:
         status = json.load(fh)
     scfg = solver_config(cfg)

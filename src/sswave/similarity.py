@@ -7,7 +7,9 @@ Two sources of profiles on the unit ball:
   with ds w obtained from the chain rule
       ds w = -(2/(p-1)) w + tau^(2/(p-1)+1) (dt u - y . grad_x u);
   the chain-rule formula is validated against a finite-difference-in-s
-  oracle in the test suite before anything downstream trusts it;
+  oracle in the test suite before anything downstream trusts it; u and
+  dt u between the radial nodes come from RadialSpline, scipy's
+  CubicSpline arithmetic in numpy, batched over all snapshots of a series;
 
 * static test fields w = (1-|y|^2)^a q(y) with polynomial q (optionally
   carrying a planar angular mode via the harmonic factor Re((y1+i y2)^m)),
@@ -32,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .core import Exponents
+from .core import Exponents, PhysicalState
 from .quadrature import BallQuadrature, SphereRule, grad_decompose
 
 
@@ -355,20 +356,160 @@ def constant_field(N: int, value: float) -> TestField:
 
 
 # ---------------------------------------------------------------------------
+# radial splines
+
+class RadialSpline:
+    """Cubic splines through every column of y (n, m) on the nodes x, with
+    slope 0 at x[0] and not-a-knot at x[-1].
+
+    The arithmetic is that of scipy's CubicSpline(x, y, bc_type=((1, 0.0),
+    "not-a-knot")) column by column, so coefficients and values agree bit
+    for bit: the node slopes solve the tridiagonal system as LAPACK dgtsv
+    does, row interchanges included, and evaluation is PPoly's power sum.
+    The interchanges and elimination factors depend only on x, so they are
+    found once; each elimination step then runs over all m columns.  y is
+    kept, not copied.
+
+    Per interval i and column j, with h = r - x[i], the spline is
+        0 + y[i] + dydx[i] h + quadratic[i] h^2 + cubic[i] h^3.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.size
+        if n < 3 or y.ndim != 2 or y.shape[0] != n:
+            raise ValueError(f"need >= 3 nodes and y of shape ({n}, m), "
+                             f"got y of shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("spline data must contain only finite values")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValueError("spline nodes must be strictly increasing")
+        dxc = dx[:, None]
+        # slope holds the chord slopes until it becomes the quadratic block;
+        # scratch is the right-hand side's workspace, then the cubic block
+        slope = np.diff(y, axis=0)
+        slope /= dxc
+        scratch = np.empty_like(slope)
+        b = np.empty_like(y)
+        b[0] = 0.0
+        np.multiply(dxc[1:], slope[:-1], out=b[1:-1])
+        np.multiply(dxc[:-1], slope[1:], out=scratch[:-1])
+        b[1:-1] += scratch[:-1]
+        b[1:-1] *= 3
+        d = x[-1] - x[-3]
+        b[-1] = dx[-1] ** 2 * slope[-2]
+        np.multiply((2 * d + dx[-1]) * dx[-2], slope[-1], out=scratch[0])
+        b[-1] += scratch[0]
+        b[-1] /= d
+        _solve_tridiagonal(dx, d, b, scratch[0])
+        # Hermite form: t = (dydx[:-1] + dydx[1:] - 2 slope) / dx,
+        # cubic = t / dx, quadratic = (slope - dydx[:-1]) / dx - t
+        cubic = scratch
+        np.add(b[:-1], b[1:], out=cubic)
+        cubic -= 2 * slope
+        cubic /= dxc
+        slope -= b[:-1]
+        slope /= dxc
+        slope -= cubic
+        cubic /= dxc
+        self.x = x
+        self.y = y
+        self.dydx = b
+        self.quadratic = slope
+        self.cubic = cubic
+
+    def locate(self, r: np.ndarray):
+        """(interval, h, h^2, h^3) at each r, extrapolating past both ends:
+        interval i holds x[i] <= r < x[i+1], the last one also r >= x[-1]."""
+        i = self.x[1:-1].searchsorted(r, side="right")
+        h = r - self.x[i]
+        h2 = h * h
+        return i, h, h2, h2 * h
+
+    def value(self, at, j: int) -> np.ndarray:
+        """Column j at the points that locate() returned."""
+        i, h, h2, h3 = at
+        return (0.0 + self.y[:, j][i] + self.dydx[:, j][i] * h
+                + self.quadratic[:, j][i] * h2 + self.cubic[:, j][i] * h3)
+
+    def derivative(self, at, j: int) -> np.ndarray:
+        """The first derivative of column j at the points of locate(); its
+        coefficients are (cubic, quadratic, dydx) * (3, 2, 1)."""
+        i, h, h2, _h3 = at
+        return (0.0 + self.dydx[:, j][i] + (self.quadratic[:, j][i] * 2.0) * h
+                + (self.cubic[:, j][i] * 3.0) * h2)
+
+
+def _solve_tridiagonal(dx: np.ndarray, d_end: float, b: np.ndarray, tmp: np.ndarray):
+    """Overwrite b (n, m) with the node slopes, by dgtsv's Gaussian
+    elimination with row interchanges.
+
+    The matrix has diagonal (1, 2 (dx[i-1] + dx[i]), ..., dx[-2]), upper
+    diagonal (0, dx[0], ..., dx[-3]) and lower diagonal (dx[1], ...,
+    dx[-1], d_end); tmp is one scratch row of b.  The matrix entries are
+    Python floats, whose arithmetic is the same IEEE double arithmetic.
+    """
+    n = b.shape[0]
+    dx = dx.tolist()
+    diag = [1.0] + [2 * (dx[i - 1] + dx[i]) for i in range(1, n - 1)] + [dx[-2]]
+    up = [0.0] + dx[:n - 2]
+    low = dx[1:n - 1] + [float(d_end)]
+    rows = list(b)
+    for i in range(n - 1):
+        if abs(diag[i]) >= abs(low[i]):
+            if diag[i] == 0.0:
+                raise ValueError(f"singular spline system at row {i}")
+            fact = low[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - fact * up[i]
+            np.multiply(rows[i], fact, out=tmp)
+            rows[i + 1] -= tmp
+            low[i] = 0.0
+        else:
+            fact = diag[i] / low[i]
+            diag[i] = low[i]
+            temp = diag[i + 1]
+            diag[i + 1] = up[i] - fact * temp
+            if i < n - 2:
+                low[i] = up[i + 1]
+                up[i + 1] = -fact * low[i]
+            up[i] = temp
+            tmp[...] = rows[i]
+            rows[i][...] = rows[i + 1]
+            rows[i + 1] *= fact
+            np.subtract(tmp, rows[i + 1], out=rows[i + 1])
+    if diag[n - 1] == 0.0:
+        raise ValueError(f"singular spline system at row {n - 1}")
+    rows[n - 1] /= diag[n - 1]
+    np.multiply(rows[n - 1], up[n - 2], out=tmp)
+    rows[n - 2] -= tmp
+    rows[n - 2] /= diag[n - 2]
+    for i in range(n - 3, -1, -1):
+        row = rows[i]
+        np.multiply(rows[i + 1], up[i], out=tmp)
+        row -= tmp
+        np.multiply(rows[i + 2], low[i], out=tmp)
+        row -= tmp
+        row /= diag[i]
+
+
+# ---------------------------------------------------------------------------
 # transform of physical data
 
 class TransformSnapshot(SimilaritySnapshot):
-    """Snapshot of one physical state: (w, ds w, grad w) from radial (u, ut)
-    splines, evaluated at x0 + tau y."""
+    """Snapshot of one physical state: (w, ds w, grad w) from column col of
+    the radial (u, ut) splines, evaluated at x0 + tau y."""
 
     def __init__(self, e: Exponents, x0: np.ndarray, tau: float,
-                 u_spline, ut_spline, rule: BallQuadrature):
+                 u_spline: RadialSpline, ut_spline: RadialSpline, col: int,
+                 rule: BallQuadrature):
         self.e = e
         self.x0 = x0
         self.tau = tau
         self.u_spline = u_spline
-        self.ur_spline = u_spline.derivative()
         self.ut_spline = ut_spline
+        self.col = col
         super().__init__(-math.log(tau), rule)
 
     def fields(self, pts: np.ndarray):
@@ -377,9 +518,10 @@ class TransformSnapshot(SimilaritySnapshot):
         R = np.sqrt(np.sum(X ** 2, axis=1))
         e = self.e
         lam = self.tau ** e.two_over_pm1
-        uval = self.u_spline(R)
-        urval = self.ur_spline(R)
-        utval = self.ut_spline(R)
+        at = self.u_spline.locate(R)   # the two splines share their nodes
+        uval = self.u_spline.value(at, self.col)
+        urval = self.u_spline.derivative(at, self.col)
+        utval = self.ut_spline.value(at, self.col)
         # grad_x u = u_r(R) X / R; u_r(0) = 0 for smooth radial data
         coef = np.divide(urval, R, out=np.zeros_like(R), where=R > 1e-300)
         gradx = coef[:, None] * X
@@ -390,17 +532,12 @@ class TransformSnapshot(SimilaritySnapshot):
         return w, ws, grad
 
 
-def to_similarity(state, grid, e: Exponents, x0, T0: float,
-                  rule: BallQuadrature) -> SimilaritySnapshot:
-    """Transform one PhysicalState into a SimilaritySnapshot.
-
-    Requires t < T0 and the closed ball {x0 + y tau : |y| <= 1} inside the
-    radial grid.  Radial cubic splines carry the off-node evaluation; the
-    left end is clamped to u_r(0) = 0 (smooth even data).
-    """
-    tau = T0 - state.t
+def _ball(e: Exponents, grid, x0, t: float, T0: float):
+    """(x0 as an N-vector, tau = T0 - t) once t < T0 and the closed ball
+    {x0 + y tau : |y| <= 1} lies inside the radial grid."""
+    tau = float(T0 - t)
     if tau <= 0:
-        raise ValueError(f"state time t={state.t} is not before T0={T0}")
+        raise ValueError(f"state time t={t} is not before T0={T0}")
     x0v = np.zeros(e.N)
     x0flat = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0flat.size == 1:
@@ -413,9 +550,27 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float,
         raise ValueError(
             f"similarity ball of radius {tau} at |x0|={np.linalg.norm(x0v)} "
             f"exits the grid (r_max={grid.r_max})")
-    u_spline = CubicSpline(grid.nodes, state.u, bc_type=((1, 0.0), "not-a-knot"))
-    ut_spline = CubicSpline(grid.nodes, state.ut, bc_type=((1, 0.0), "not-a-knot"))
-    return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, rule)
+    return x0v, tau
+
+
+def to_similarity(state, grid, e: Exponents, x0, T0: float, rule: BallQuadrature):
+    """Transform one PhysicalState into a SimilaritySnapshot, or a batch of
+    states into a list of snapshots.
+
+    A batch is a PhysicalState whose t holds m times and whose u and ut are
+    (nr, m) blocks, column j being the state at t[j]; one state is a batch
+    of one.  Every t must be before T0, with the closed ball
+    {x0 + y (T0 - t) : |y| <= 1} inside the radial grid.  One RadialSpline
+    over u's columns and one over ut's carry the off-node evaluation; the
+    left end is clamped to u_r(0) = 0 (smooth even data).
+    """
+    times = state.t if np.ndim(state.t) else [state.t]
+    balls = [_ball(e, grid, x0, t, T0) for t in times]
+    u_spline = RadialSpline(grid.nodes, np.reshape(state.u, (grid.nr, -1)))
+    ut_spline = RadialSpline(grid.nodes, np.reshape(state.ut, (grid.nr, -1)))
+    snaps = [TransformSnapshot(e, x0v, tau, u_spline, ut_spline, j, rule)
+             for j, (x0v, tau) in enumerate(balls)]
+    return snaps if np.ndim(state.t) else snaps[0]
 
 
 def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
@@ -424,13 +579,18 @@ def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
 
     Every T0 - e^(-s) must be bracketed by stored trajectory frames
     (cubic interpolation in t); otherwise the uncovered s is reported.
+    The states are sampled into the columns of one batch for to_similarity.
     """
-    out = []
-    for s in np.atleast_1d(np.asarray(s_grid, dtype=float)):
+    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    batch = PhysicalState(np.empty(s_grid.size), np.empty((traj.grid.nr, s_grid.size)),
+                          np.empty((traj.grid.nr, s_grid.size)))
+    for j, s in enumerate(s_grid):
         t = T0 - math.exp(-s)
         try:
             state = traj.sample_state(t)
         except ValueError as exc:
             raise ValueError(f"s={s} requires t={t}, outside coverage: {exc}") from exc
-        out.append(to_similarity(state, traj.grid, e, x0, T0, rule))
-    return out
+        batch.t[j] = state.t
+        batch.u[:, j] = state.u
+        batch.ut[:, j] = state.ut
+    return to_similarity(batch, traj.grid, e, x0, T0, rule)

@@ -1,5 +1,6 @@
 """Shared simulation fixtures; the expensive runs are session-scoped."""
 
+import csv
 import math
 
 import numpy as np
@@ -67,3 +68,13 @@ def lemma_window_snaps(traj, e, rules, ds, length=1.0, offset=0.35):
     s_lo = math.ceil((-math.log(traj.T_est) + offset) / 0.1) * 0.1
     s_grid = np.arange(s_lo, s_lo + length + ds / 2.0, ds)
     return sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid, rules.plain)
+
+
+def read_csv(path):
+    """(header, columns) of a CSV the CLI wrote, every value as a float."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rd = csv.reader(fh)
+        header = next(rd)
+        rows = [[float(v) for v in row] for row in rd]
+    cols = list(map(np.array, zip(*rows))) if rows else [np.array([]) for _ in header]
+    return header, cols

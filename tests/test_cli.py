@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_csv
 from sswave import runio
 from sswave.cli import main as cli_main
 from sswave.functionals import FUNCTIONAL_NAMES
@@ -136,7 +137,7 @@ def test_functionals_outputs(small_cfg, tmp_path):
         assert os.path.exists(os.path.join(out, f"{name}.csv"))
         side = json.load(open(os.path.join(out, f"{name}.json")))
         assert "frames_sha256" in side["provenance"]
-    header, cols = runio.read_csv(os.path.join(out, "F0.csv"))
+    header, cols = read_csv(os.path.join(out, "F0.csv"))
     assert header == ["s", "value", "tail_bound"]
     assert np.all(np.diff(cols[0]) > 0)
     assert not os.path.exists(os.path.join(out, "plots"))
@@ -268,6 +269,39 @@ def test_console_module_entry(small_cfg, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_SCIPY_PROBE = """
+import json, sys
+from sswave.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules(*argv):
+    """(exit code, scipy modules loaded) of one CLI run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
+    """Importing the CLI loads no scipy, `rate` none at all; no stage loads
+    scipy.interpolate, and scipy.integrate comes in only where the F1/U1
+    tail integrals are computed."""
+    out = str(tmp_path / "run")
+    assert scipy_modules() == (0, [])
+    for argv, integrate in [(["simulate", "--config", small_cfg], False),
+                            (["functionals"], True),
+                            (["verify", "--suite", "lemmas"], True),
+                            (["verify", "--suite", "monotone"], False)]:
+        code, mods = scipy_modules(*argv, "--out", out)
+        assert code == 0
+        assert "scipy.special" in mods and "scipy.interpolate" not in mods, argv
+        assert ("scipy.integrate" in mods) == integrate, argv
+    assert scipy_modules("rate", "--out", out) == (0, [])
+
+
 def test_parse_config_pure_defaults():
     cfg = runio.parse_config(None)
     assert cfg["exponents"]["p"] == "4.0"
@@ -318,7 +352,7 @@ def test_dump_raw_flag(small_cfg, tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out,
                    "--dump-raw") == 0
-    header, cols = runio.read_csv(os.path.join(out, "raw.csv"))
+    header, cols = read_csv(os.path.join(out, "raw.csv"))
     assert header == ["t", "r", "u", "ut"]
     assert cols[0].size > 0
 
@@ -328,7 +362,7 @@ def test_export_snapshots_flag(small_cfg, tmp_path):
     run_cli("simulate", "--config", small_cfg, "--out", out)
     assert run_cli("functionals", "--out", out, "--names", "F0",
                    "--export-snapshots") == 0
-    header, cols = runio.read_csv(os.path.join(out, "snapshots.csv"))
+    header, cols = read_csv(os.path.join(out, "snapshots.csv"))
     assert header == ["s", "y0", "y1", "y2", "w", "ws",
                       "grad", "grad_r", "grad_theta"]
     assert np.all(cols[6] ** 2 - cols[7] ** 2 - cols[8] ** 2 < 1e-10)
@@ -451,6 +485,30 @@ def test_verify_detects_corrupted_run(small_cfg, tmp_path):
     ft_path = os.path.join(out, "frames_ut.npy")
     np.save(ft_path, np.load(ft_path) * wig[:, None])
     assert run_cli("verify", "--suite", "monotone", "--out", out) == 1
+
+
+@pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry"])
+def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, damage):
+    """A truncated frame file, a missing manifest or a file the manifest
+    does not list is a one-line ConfigError (exit 2) at load time."""
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    manifest = os.path.join(out, "manifest.json")
+    if damage == "truncate":
+        with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
+            fh.truncate(os.path.getsize(fh.name) - 8)
+    elif damage == "no_manifest":
+        os.remove(manifest)
+    else:
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        del doc["files"]["t_est.json"]
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+    capsys.readouterr()
+    assert run_cli("rate", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
 
 
 def test_env_var_selects_output_root(small_cfg, tmp_path, monkeypatch):

@@ -83,15 +83,6 @@ def test_radial_grid_nodes():
     assert g.dr == pytest.approx(0.5)
 
 
-def test_physical_state_finiteness_guard():
-    g = sw.RadialGrid(r_max=1.0, nr=8)
-    st_ = sw.PhysicalState(0.0, np.zeros(8), np.zeros(8))
-    st_.check_finite()
-    st_.u[3] = np.inf
-    with pytest.raises(FloatingPointError):
-        st_.check_finite()
-
-
 def test_functional_series_requires_increasing_s():
     sw.FunctionalSeries("ok", [0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="increasing"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import sswave as sw
 from sswave.ode import FitError, fit_blowup, ode_exact, ode_integrate
@@ -101,6 +102,24 @@ def test_fit_recovers_exact_parameters(e43):
     assert abs(fit.T_est - 1.0) < 1e-6
     assert abs(fit.exponent - (-2.0 / 3.0)) < 1e-3
     assert fit.r2 > 1.0 - 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(3.1, 4.9), T=st.floats(0.5, 2.0),
+       noise=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_recovers_blowup_from_noisy_exact_series(p, T, noise, seed):
+    """Exact ODE amplitudes times (1 + noise * U(-1, 1)): T within a few
+    noise levels of the last sample's distance to T, and the exponent
+    -2/(p-1) within a fraction of the noise level, each above the
+    golden-section search's own resolution."""
+    e = sw.make_exponents(p, 3)
+    t = T - T * np.geomspace(0.5, 1e-8, 400)
+    u, _ = ode_exact(e, T, t)
+    u = u * (1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, t.size))
+    fit = fit_blowup(t, u, amp_window=(u[100], None))
+    assert abs(fit.T_est - T) <= 4.0 * noise * (T - t[-1]) + 1e-12 * max(1.0, T)
+    assert abs(fit.exponent + e.two_over_pm1) <= e.two_over_pm1 * (0.25 * noise + 1e-6)
 
 
 def test_fit_rejects_constant_data():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 import sswave as sw
 from sswave.core import PhysicalState
 from sswave.quadrature import RuleTable
-from sswave.similarity import (PolyField, TestField, harmonic_poly,
+from sswave.similarity import (PolyField, RadialSpline, TestField, harmonic_poly,
                                make_test_field, to_similarity, trajectory_to_w)
 from sswave import functionals as fu
 
@@ -129,6 +131,56 @@ def test_boundary_vanishing_for_weighted_fields():
     om = 1.0 - r2[near]
     assert np.all(np.abs(w[near]) < 10.0 * om)
     assert np.all((1.0 - r2[near]) * np.sum(grad[near] ** 2, axis=1) < 50.0 * om)
+
+
+# ---------------------------------------------------------------------------
+# the radial spline against scipy's CubicSpline, which stays a test-only oracle
+
+@st.composite
+def spline_data(draw):
+    """A strictly increasing grid of 3..64 nodes, uneven, with steps from
+    1e-5 to 50 (steps above 1 make dgtsv interchange rows), and 1..6 columns."""
+    n = draw(st.integers(3, 64))
+    m = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 5.0, 50.0]))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(steps)]) * scale
+    vals = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    y = np.array(draw(st.lists(vals, min_size=n * m, max_size=n * m))).reshape(n, m)
+    return x, y
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spline_data())
+@example((np.array([0.0, 2.0, 4.0]), np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]])))
+def test_radial_spline_is_bitwise_cubic_spline(data):
+    """Coefficients, values and first derivatives equal CubicSpline's with
+    bc_type=((1, 0), 'not-a-knot') bit for bit, at the nodes, between them
+    and beyond both ends.  The example is the nr=3 grid with dr = 2, whose
+    first elimination step interchanges rows 0 and 1."""
+    x, y = data
+    sp = RadialSpline(x, y.copy())
+    span = x[-1] - x[0]
+    r = np.concatenate([x, x[:-1] + 0.37 * np.diff(x), x[-1] - 0.5 * np.diff(x)[-1:],
+                        [x[0] - 0.3 * span, x[-1] + 0.3 * span]])
+    at = sp.locate(r)
+    for j in range(y.shape[1]):
+        cs = CubicSpline(x, y[:, j], bc_type=((1, 0.0), "not-a-knot"))
+        coeffs = np.stack([sp.cubic[:, j], sp.quadratic[:, j], sp.dydx[:-1, j], sp.y[:-1, j]])
+        assert bits(coeffs) == bits(cs.c)
+        assert bits(sp.value(at, j)) == bits(cs(r))
+        assert bits(sp.derivative(at, j)) == bits(cs.derivative()(r))
+
+
+def test_radial_spline_rejects_non_finite_data():
+    y = np.zeros((4, 2))
+    y[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        RadialSpline(np.arange(4.0), y)
 
 
 # ---------------------------------------------------------------------------
