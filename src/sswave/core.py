@@ -81,6 +81,12 @@ def kappa(e: Exponents) -> float:
     return kappa_value(e.p)
 
 
+def pointwise(fn, x):
+    """fn on each float of x in Python, i.e. libm's exp, log and pow, which numpy's
+    vectorised ones miss in the last bit; a scalar x gives a scalar."""
+    return np.vectorize(fn, otypes=[float])(x)[()]
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial grid on [0, r_max] with the origin as node 0."""

@@ -17,8 +17,9 @@ scriptF_k = s^((k-18)/18) e^(2 alpha s) M + sigma_k U_k.  Tails beyond the
 sampled horizon are estimated from the last sample's e^(2 alpha s) decay and
 recorded as metadata.
 
-Every per-snapshot integral goes through _int; every selectable name is a
-key of SNAPSHOT_FUNCTIONALS or a ladder family of LADDERS.
+Every per-snapshot integral goes through _int, which takes one snapshot or
+a whole series (one value per snapshot); every selectable name is a key of
+SNAPSHOT_FUNCTIONALS or a ladder family of LADDERS.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponents, FunctionalSeries
+from .core import Exponents, FunctionalSeries, pointwise
 from .quadrature import RuleTable, surface_area
 from .similarity import SimilaritySnapshot
 
@@ -39,13 +40,14 @@ def _g1(e: Exponents) -> float:
     return (e.p + 1.0) / (e.p - 1.0) ** 2
 
 
-def _int(snap: SimilaritySnapshot, rules: RuleTable, beta: float, weighted) -> float:
-    """Sum of weighted(node weights, node samples) over the beta rule's nodes.
+def _int(snap: SimilaritySnapshot, rules: RuleTable, beta: float, weighted):
+    """Sum of weighted(node weights, node samples) over the beta rule's
+    nodes, one row sum per snapshot.
 
     The integrand applies the weights itself, so each product keeps the
     association it is written with."""
     rule = rules.rule(beta)
-    return float(np.sum(weighted(rule.weights, snap.on(rule))))
+    return np.sum(weighted(rule.weights, snap.on(rule)), axis=-1)
 
 
 def _lp1(n, e: Exponents) -> np.ndarray:
@@ -70,7 +72,7 @@ def _j0_terms(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents):
 def E_and_F0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents):
     ww, w2 = _j0_terms(snap, rules, e)
     E = E0(snap, rules, e) + ww - w2
-    return E, math.exp(2.0 * e.alpha * snap.s) * E
+    return E, pointwise(math.exp, 2.0 * e.alpha * snap.s) * E
 
 
 def F0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents) -> float:
@@ -140,33 +142,26 @@ def h_norm(snap, rules) -> float:
 # ---------------------------------------------------------------------------
 # series assembly
 
-def series_of(snaps, fn, name: str) -> FunctionalSeries:
-    s = np.array([sn.s for sn in snaps])
-    vals = np.array([fn(sn) for sn in snaps])
-    return FunctionalSeries(name=name, s=s, values=vals)
-
-
 def f0_series(snaps, rules, e: Exponents) -> FunctionalSeries:
-    return series_of(snaps, lambda sn: F0(sn, rules, e), "F0")
+    return FunctionalSeries("F0", snaps.s, F0(snaps, rules, e))
 
 
 def m_series(snaps, rules, e: Exponents) -> FunctionalSeries:
-    return series_of(snaps, lambda sn: M_func(sn, rules, e), "M")
+    return FunctionalSeries("M", snaps.s, M_func(snaps, rules, e))
 
 
 def u_integrand_series(snaps, rules, e: Exponents) -> FunctionalSeries:
     """int |w|^(p+1) rho/(1-|y|^2) + int w^2 rho, the U-ladder integrand."""
-    return series_of(snaps, lambda sn: (
-        _int(sn, rules, EPS0 - 1.0, lambda wt, n: wt * _lp1(n, e))
-        + _int(sn, rules, EPS0, _w2)), "U_integrand")
+    return FunctionalSeries("U_integrand", snaps.s, (
+        _int(snaps, rules, EPS0 - 1.0, lambda wt, n: wt * _lp1(n, e))
+        + _int(snaps, rules, EPS0, _w2)))
 
 
 def tail_trapezoid(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """int_s^smax g dtau at every sample: the trapezoid rule accumulated
-    from the right, 0 at smax."""
+    from the right, 0 at smax (+ 0.0 turns a -0.0 sum into a loop's 0.0)."""
     out = np.zeros_like(s)
-    for i in range(s.size - 2, -1, -1):
-        out[i] = out[i + 1] + 0.5 * (g[i] + g[i + 1]) * (s[i + 1] - s[i])
+    out[:-1] = np.cumsum((0.5 * (g[:-1] + g[1:]) * (s[1:] - s[:-1]))[::-1])[::-1] + 0.0
     return out
 
 
@@ -314,8 +309,8 @@ class FunctionalSpec:
 def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents) -> FunctionalSeries:
     """Evaluate one named functional over a snapshot series."""
     if spec.name in SNAPSHOT_FUNCTIONALS:
-        fn = SNAPSHOT_FUNCTIONALS[spec.name]
-        return series_of(snaps, lambda sn: fn(sn, rules, e, spec.eps), spec.name)
+        return FunctionalSeries(spec.name, snaps.s, SNAPSHOT_FUNCTIONALS[spec.name](
+            snaps, rules, e, spec.eps))
     family, index = spec.name[:-1], spec.name[-1]
     k = 1 if index == "1" else max(spec.k, 1)
     return LADDERS[family](snaps, rules, e, k, spec.sigma)
@@ -350,6 +345,8 @@ class TheoremReport:
     series: dict
     sup: dict
     meta: dict
+    tau: np.ndarray       # T0 - t at the samples of every series
+    pure_l2: np.ndarray   # scaled_l2 with its log weight divided out
 
 
 def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport:
@@ -360,7 +357,8 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
       boundary_energy: |log tau|^q (tau/2) int_{B(0,tau)} (weighted energy terms)
       scaled_l2: |log tau|^q tau^(-(p-1)N/(p+3)) int_{B(0,tau)} u^2
       lower_bound: the scaling-invariant norm combination with its empirical floor
-    plus suprema and a power fit of scaled_l2 after removing the log weight.
+    plus suprema and a power fit of scaled_l2 after removing the log weight
+    (that pure power part is returned too, with the sample taus).
     40 sample times run geometrically in tau from 0.45 of the first frame's
     tau to a few grid cells.  Radial center x0 = 0 (the solver is radial).
     """
@@ -439,4 +437,4 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     expected = 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0))
     meta = {"q": q, "power_fit_slope": slope, "expected_power": expected,
             "lower_bound_floor": float(np.min(lower))}
-    return TheoremReport(series=series, sup=sup, meta=meta)
+    return TheoremReport(series=series, sup=sup, meta=meta, tau=tau_sel, pure_l2=pure)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class BallQuadrature:
     points: np.ndarray = field(repr=False)   # (K, N)
     weights: np.ndarray = field(repr=False)  # (K,)
 
-    @property
+    @cached_property
     def r2(self) -> np.ndarray:
         return np.sum(self.points ** 2, axis=1)
 
@@ -168,23 +169,17 @@ def grad_decompose(y: np.ndarray, grad: np.ndarray):
     convention is grad_r = 0 (both sides of (y.grad)^2 = |y|^2 |grad_r|^2
     vanish there).  It also applies where |y|^2 underflows below the
     smallest normal float, whose few significant bits would spoil the
-    quotient.  Accepts single points (N,) or stacks (K, N).
+    quotient.  Accepts single points (N,) or stacks (K, N), and gradients
+    with leading axes over the stack, e.g. (m, K, N) for m snapshots.
     """
     y = np.asarray(y, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
-        grad = grad[None, :]
-    r2 = np.sum(y * y, axis=1)
-    yg = np.sum(y * grad, axis=1)
+    r2 = np.sum(y * y, axis=-1)
+    yg = np.sum(y * grad, axis=-1)
     coef = np.divide(yg, r2, out=np.zeros_like(yg),
                      where=r2 >= np.finfo(float).tiny)
-    grad_r = coef[:, None] * y
-    grad_theta = grad - grad_r
-    if single:
-        return grad_r[0], grad_theta[0]
-    return grad_r, grad_theta
+    grad_r = coef[..., None] * y
+    return grad_r, grad - grad_r
 
 
 class RuleTable:

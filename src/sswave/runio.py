@@ -340,23 +340,16 @@ def build_snapshots(cfg: dict, traj):
 
 
 def export_snapshots(run_dir: str, snaps) -> str:
-    """Snapshot node data: s, node coordinates, w, ws, |gw|, |gw_r|, |gw_th|."""
-    N = snaps[0].rule.N
-    cols = {k: [] for k in ["s"] + [f"y{d}" for d in range(N)]
-            + ["w", "ws", "grad", "grad_r", "grad_theta"]}
-    for sn in snaps:
-        ns = sn.base
-        n = ns.w.size
-        cols["s"].append(np.full(n, sn.s))
-        for d in range(N):
-            cols[f"y{d}"].append(ns.points[:, d])
-        cols["w"].append(ns.w)
-        cols["ws"].append(ns.ws)
-        cols["grad"].append(np.sqrt(ns.g2))
-        cols["grad_r"].append(np.sqrt(ns.gr2))
-        cols["grad_theta"].append(np.sqrt(ns.gth2))
+    """Snapshot node data: s, node coordinates, w, ws, |gw|, |gw_r|, |gw_th|,
+    one row per snapshot and node."""
+    ns, pts = snaps.base, snaps.rule.points
+    m, K = ns.w.shape
+    cols = {"s": np.repeat(snaps.s, K)}
+    cols.update({f"y{d}": np.tile(pts[:, d], m) for d in range(pts.shape[1])})
+    cols.update(w=ns.w.ravel(), ws=ns.ws.ravel(), grad=np.sqrt(ns.g2).ravel(),
+                grad_r=np.sqrt(ns.gr2).ravel(), grad_theta=np.sqrt(ns.gth2).ravel())
     return write_csv(os.path.join(run_dir, "snapshots.csv"), list(cols),
-                     [np.concatenate(v) for v in cols.values()])
+                     list(cols.values()))
 
 
 def cmd_functionals(run_dir: str, selection: str | None = None,
@@ -418,18 +411,17 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
         cfg, traj = load_blowup_run(run_dir)
         e = traj.e
         rules, snaps = build_snapshots(cfg, traj)
-        s = np.array([sn.s for sn in snaps])
+        s = snaps.s
         vals = typed(cfg)
 
         if suite in ("lemmas", "all"):
             dr = traj.grid.dr
             # resolution-indexed tolerance (relative to the RHS scale)
             tol = 200.0 * (vals["similarity"]["ds"] ** 2 + (dr / math.exp(-s[0])) ** 2)
-            hi = min(s[0] + 1.0, s[-1])
+            window = verify.in_window(snaps, (s[0], min(s[0] + 1.0, s[-1])))
             for name in verify.LEMMA_NAMES:
                 rep = verify.check_derivative_lemma(
-                    name, snaps, rules, e, eps=vals["functionals"]["eps"],
-                    window=(s[0], hi), tol=tol)
+                    name, window, rules, e, eps=vals["functionals"]["eps"], tol=tol)
                 reports.append(rep.as_dict())
 
         if suite in ("monotone", "all"):
@@ -462,13 +454,9 @@ def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
     written = []
     for ser in rep.series.values():
         written += write_series(run_dir, ser, {"q": q})
-    # trend verdicts: the log weight is divided out before the slope test
-    sl2 = rep.series["scaled_l2"]
-    tau = np.exp(-sl2.s)
-    logw = np.abs(np.log(tau)) ** q
-    pure = sl2.values / np.where(logw > 0, logw, 1.0)
-    last_decade = tau <= tau[-1] * 10.0
-    decreasing = bool(np.all(np.diff(pure[last_decade]) < 0.0))
+    # trend verdicts on scaled_l2 with its log weight divided out
+    last_decade = rep.tau <= rep.tau[-1] * 10.0
+    decreasing = bool(np.all(np.diff(rep.pure_l2[last_decade]) < 0.0))
     slope = rep.meta["power_fit_slope"]
     expected = rep.meta["expected_power"]
     verdict = {

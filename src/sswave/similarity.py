@@ -29,13 +29,15 @@ differentiates each monomial along an ordered list of coordinates.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponents, PhysicalState
+from .core import Exponents, pointwise
 from .quadrature import BallQuadrature, SphereRule, grad_decompose
 
 
@@ -173,52 +175,61 @@ class WeightedPoly:
 # ---------------------------------------------------------------------------
 # snapshots
 
+ROW_BLOCK = 64   # snapshots sampled at once: bounds the (rows, K, N) temporaries
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """x summed over its short last axis left to right, as np.sum adds it, but faster."""
+    return functools.reduce(np.add, (x[..., d] for d in range(x.shape[-1])))
+
+
 @dataclass
 class NodeSample:
-    """Snapshot fields sampled at one rule's nodes."""
+    """What the integrands read at one rule's K nodes, each computed once:
+    r2 = |y|^2 (K,), and per snapshot (ROWS; (m, K) for a series of m)."""
 
-    points: np.ndarray
+    r2: np.ndarray
     w: np.ndarray
     ws: np.ndarray
-    grad: np.ndarray
-    grad_r: np.ndarray
-    grad_theta: np.ndarray
+    ydg: np.ndarray     # y . grad w
+    g2: np.ndarray      # |grad w|^2
+    gr2: np.ndarray     # |radial part of grad w|^2
+    gth2: np.ndarray    # |angular part of grad w|^2
 
-    @property
-    def r2(self) -> np.ndarray:
-        return np.sum(self.points ** 2, axis=1)
+    ROWS = ("w", "ws", "ydg", "g2", "gr2", "gth2")
 
-    @property
-    def ydg(self) -> np.ndarray:
-        return np.sum(self.points * self.grad, axis=1)
-
-    @property
-    def g2(self) -> np.ndarray:
-        return np.sum(self.grad ** 2, axis=1)
-
-    @property
-    def gr2(self) -> np.ndarray:
-        return np.sum(self.grad_r ** 2, axis=1)
-
-    @property
-    def gth2(self) -> np.ndarray:
-        return np.sum(self.grad_theta ** 2, axis=1)
+    def rows(self, idx) -> "NodeSample":
+        return NodeSample(self.r2, *(getattr(self, name)[idx] for name in self.ROWS))
 
 
 class SimilaritySnapshot:
-    """Profile (w, ds w, grad w) on the unit ball at similarity time s.
+    """Profile (w, ds w, grad w) on the unit ball at similarity time s, or a
+    series of profiles when s is an (m,) array; indexing a series selects
+    rows (an integer one snapshot), their samples included.
 
     A subclass supplies fields(pts) -> (w, ds w, grad w) anywhere on the
-    closed ball.  Every rule's node samples, the primary rule's included,
-    come from it through on(), which caches them per rule; the boundary
-    trace is the same evaluation on a sphere rule.
+    closed ball, shaped s.shape + (K,) and s.shape + (K, N), and names its
+    per-snapshot attributes in ROWS.  Every rule's node samples, the primary
+    rule's included, come from it through on(), which caches them per rule;
+    the boundary trace is the same evaluation on a sphere rule.
     """
 
-    def __init__(self, s: float, rule: BallQuadrature):
-        self.s = float(s)
+    ROWS = ("s",)
+
+    def __init__(self, s, rule: BallQuadrature):
+        self.s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
         self.rule = rule
         self._samples: dict = {}
         self.on(rule)
+
+    def __getitem__(self, idx) -> "SimilaritySnapshot":
+        if np.ndim(self.s) == 0:
+            raise TypeError("a single snapshot has no rows")
+        out = copy.copy(self)
+        for name in self.ROWS:
+            setattr(out, name, getattr(self, name)[idx])
+        out._samples = {key: ns.rows(idx) for key, ns in self._samples.items()}
+        return out
 
     @property
     def base(self) -> NodeSample:
@@ -232,26 +243,27 @@ class SimilaritySnapshot:
     def ws(self):
         return self.base.ws
 
-    @property
-    def grad(self):
-        return self.base.grad
-
-    @property
-    def grad_r(self):
-        return self.base.grad_r
-
-    @property
-    def grad_theta(self):
-        return self.base.grad_theta
-
     def on(self, rule: BallQuadrature) -> NodeSample:
         key = id(rule)
         if key not in self._samples:
-            w, ws, grad = self.fields(rule.points)
-            grad_r, grad_theta = grad_decompose(rule.points, grad)
-            self._samples[key] = NodeSample(rule.points, w, ws, grad,
-                                            grad_r, grad_theta)
+            if np.ndim(self.s) == 0:
+                ns = NodeSample(rule.r2, *self._node_fields(rule.points))
+            else:
+                ns = NodeSample(rule.r2, *(np.empty((self.s.size, rule.weights.size))
+                                           for _ in NodeSample.ROWS))
+                for i in range(0, self.s.size, ROW_BLOCK):
+                    block = self[i:i + ROW_BLOCK]._node_fields(rule.points)
+                    for name, val in zip(NodeSample.ROWS, block):
+                        getattr(ns, name)[i:i + ROW_BLOCK] = val
+            self._samples[key] = ns
         return self._samples[key]
+
+    def _node_fields(self, pts: np.ndarray):
+        """NodeSample.ROWS at pts: w, ws, y.grad w, |grad w|^2, |grad_r|^2, |grad_th|^2."""
+        w, ws, grad = self.fields(pts)
+        grad_r, grad_theta = grad_decompose(pts, grad)
+        return (w, ws, _sum_last(pts * grad), _sum_last(grad ** 2),
+                _sum_last(grad_r ** 2), _sum_last(grad_theta ** 2))
 
     def boundary(self, sph: SphereRule):
         """(w, ds w) traces on |y| = 1."""
@@ -295,15 +307,17 @@ class TestField:
 
 
 class StaticSnapshot(SimilaritySnapshot):
-    """Snapshot backed by closed forms; also exposes Hessian-level data."""
+    """Snapshot backed by closed forms; also exposes Hessian-level data.
+    With an (m,) array s it is the series of the same field at m times."""
 
-    def __init__(self, tf: TestField, rule: BallQuadrature, s: float = 0.0):
+    def __init__(self, tf: TestField, rule: BallQuadrature, s=0.0):
         self.field_spec = tf
         self.w_part, self.ws_part = tf.parts()
         super().__init__(s, rule)
 
     def fields(self, pts: np.ndarray):
-        return self.w_part.value(pts), self.ws_part.value(pts), self.w_part.grad(pts)
+        return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape) for f in (
+            self.w_part.value(pts), self.ws_part.value(pts), self.w_part.grad(pts)))
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
         return self.w_part.hess(pts)
@@ -344,7 +358,7 @@ class StaticSnapshot(SimilaritySnapshot):
                 - (N + 2.0 * al) * ws - 2.0 * ydgs)
 
 
-def make_test_field(tf: TestField, rule: BallQuadrature, s: float = 0.0) -> StaticSnapshot:
+def make_test_field(tf: TestField, rule: BallQuadrature, s=0.0) -> StaticSnapshot:
     """Instantiate a test field as a snapshot with analytic derivatives."""
     if rule.N != tf.N:
         raise ValueError(f"rule dimension {rule.N} != field dimension {tf.N}")
@@ -428,18 +442,18 @@ class RadialSpline:
         h2 = h * h
         return i, h, h2, h2 * h
 
-    def value(self, at, j: int) -> np.ndarray:
-        """Column j at the points that locate() returned."""
+    def value(self, at, j) -> np.ndarray:
+        """Column(s) j, broadcast against the points that locate() returned."""
         i, h, h2, h3 = at
-        return (0.0 + self.y[:, j][i] + self.dydx[:, j][i] * h
-                + self.quadratic[:, j][i] * h2 + self.cubic[:, j][i] * h3)
+        return (0.0 + self.y[i, j] + self.dydx[i, j] * h
+                + self.quadratic[i, j] * h2 + self.cubic[i, j] * h3)
 
-    def derivative(self, at, j: int) -> np.ndarray:
-        """The first derivative of column j at the points of locate(); its
+    def derivative(self, at, j) -> np.ndarray:
+        """The first derivative of column(s) j at the points of locate(); its
         coefficients are (cubic, quadratic, dydx) * (3, 2, 1)."""
         i, h, h2, _h3 = at
-        return (0.0 + self.dydx[:, j][i] + (self.quadratic[:, j][i] * 2.0) * h
-                + (self.cubic[:, j][i] * 3.0) * h2)
+        return (0.0 + self.dydx[i, j] + (self.quadratic[i, j] * 2.0) * h
+                + (self.cubic[i, j] * 3.0) * h2)
 
 
 def _solve_tridiagonal(dx: np.ndarray, d_end: float, b: np.ndarray, tmp: np.ndarray):
@@ -498,99 +512,90 @@ def _solve_tridiagonal(dx: np.ndarray, d_end: float, b: np.ndarray, tmp: np.ndar
 # transform of physical data
 
 class TransformSnapshot(SimilaritySnapshot):
-    """Snapshot of one physical state: (w, ds w, grad w) from column col of
+    """Snapshots of physical states: (w, ds w, grad w) from columns cols of
     the radial (u, ut) splines, evaluated at x0 + tau y."""
 
-    def __init__(self, e: Exponents, x0: np.ndarray, tau: float,
-                 u_spline: RadialSpline, ut_spline: RadialSpline, col: int,
-                 rule: BallQuadrature):
+    ROWS = ("s", "tau", "cols")
+
+    def __init__(self, e: Exponents, x0: np.ndarray, tau, u_spline: RadialSpline,
+                 ut_spline: RadialSpline, cols, rule: BallQuadrature):
         self.e = e
         self.x0 = x0
         self.tau = tau
         self.u_spline = u_spline
         self.ut_spline = ut_spline
-        self.col = col
-        super().__init__(-math.log(tau), rule)
+        self.cols = cols
+        super().__init__(pointwise(lambda t: -math.log(t), tau), rule)
 
     def fields(self, pts: np.ndarray):
         pts = np.atleast_2d(pts)
-        X = self.x0[None, :] + self.tau * pts
-        R = np.sqrt(np.sum(X ** 2, axis=1))
+        tau = np.expand_dims(self.tau, (-2, -1))
+        X = self.x0 + tau * pts
+        R = np.sqrt(np.sum(X ** 2, axis=-1))
         e = self.e
-        lam = self.tau ** e.two_over_pm1
+        lam = np.expand_dims(pointwise(lambda t: t ** e.two_over_pm1, self.tau), -1)
+        col = np.expand_dims(self.cols, -1)
         at = self.u_spline.locate(R)   # the two splines share their nodes
-        uval = self.u_spline.value(at, self.col)
-        urval = self.u_spline.derivative(at, self.col)
-        utval = self.ut_spline.value(at, self.col)
+        uval = self.u_spline.value(at, col)
+        urval = self.u_spline.derivative(at, col)
+        utval = self.ut_spline.value(at, col)
         # grad_x u = u_r(R) X / R; u_r(0) = 0 for smooth radial data
         coef = np.divide(urval, R, out=np.zeros_like(R), where=R > 1e-300)
-        gradx = coef[:, None] * X
+        gradx = coef[..., None] * X
         w = lam * uval
-        grad = (lam * self.tau) * gradx
-        ydgx = np.sum(pts * gradx, axis=1)
-        ws = -e.two_over_pm1 * w + (lam * self.tau) * (utval - ydgx)
+        lam_tau = lam * tau[..., 0]
+        grad = lam_tau[..., None] * gradx
+        ydgx = np.sum(pts * gradx, axis=-1)
+        ws = -e.two_over_pm1 * w + lam_tau * (utval - ydgx)
         return w, ws, grad
 
 
-def _ball(e: Exponents, grid, x0, t: float, T0: float):
-    """(x0 as an N-vector, tau = T0 - t) once t < T0 and the closed ball
-    {x0 + y tau : |y| <= 1} lies inside the radial grid."""
-    tau = float(T0 - t)
-    if tau <= 0:
-        raise ValueError(f"state time t={t} is not before T0={T0}")
-    x0v = np.zeros(e.N)
+def _ball(e: Exponents, grid, x0, t, T0: float):
+    """(x0 as an N-vector, tau = T0 - t) once every t is before T0 and each
+    closed ball {x0 + y tau : |y| <= 1} lies inside the radial grid."""
+    tau = T0 - t
+    if np.any(tau <= 0):
+        raise ValueError(f"state time t={np.max(t)} is not before T0={T0}")
     x0flat = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0flat.size == 1:
-        x0v[0] = x0flat[0]
-    elif x0flat.size == e.N:
-        x0v = x0flat.astype(float)
-    else:
+    if x0flat.size not in (1, e.N):
         raise ValueError(f"x0 must be scalar or length {e.N}")
-    if np.sqrt(np.sum(x0v ** 2)) + tau > grid.r_max * (1.0 + 1e-12):
+    x0v = np.zeros(e.N)
+    x0v[:x0flat.size] = x0flat
+    if np.sqrt(np.sum(x0v ** 2)) + np.max(tau) > grid.r_max * (1.0 + 1e-12):
         raise ValueError(
-            f"similarity ball of radius {tau} at |x0|={np.linalg.norm(x0v)} "
+            f"similarity ball of radius {np.max(tau)} at |x0|={np.linalg.norm(x0v)} "
             f"exits the grid (r_max={grid.r_max})")
     return x0v, tau
 
 
-def to_similarity(state, grid, e: Exponents, x0, T0: float, rule: BallQuadrature):
-    """Transform one PhysicalState into a SimilaritySnapshot, or a batch of
-    states into a list of snapshots.
+def to_similarity(state, grid, e: Exponents, x0, T0: float,
+                  rule: BallQuadrature) -> TransformSnapshot:
+    """Transform a PhysicalState into a snapshot, or a batch of states (t of
+    m times, u and ut (nr, m) blocks, column j at t[j]) into a series.
 
-    A batch is a PhysicalState whose t holds m times and whose u and ut are
-    (nr, m) blocks, column j being the state at t[j]; one state is a batch
-    of one.  Every t must be before T0, with the closed ball
-    {x0 + y (T0 - t) : |y| <= 1} inside the radial grid.  One RadialSpline
-    over u's columns and one over ut's carry the off-node evaluation; the
-    left end is clamped to u_r(0) = 0 (smooth even data).
+    Every t must be before T0, with the closed ball {x0 + y (T0 - t) : |y| <= 1}
+    inside the radial grid.  Two RadialSplines, over u's and ut's columns and
+    clamped to u_r(0) = 0 (smooth even data), evaluate off the nodes.
     """
-    times = state.t if np.ndim(state.t) else [state.t]
-    balls = [_ball(e, grid, x0, t, T0) for t in times]
+    x0v, tau = _ball(e, grid, x0, state.t, T0)
     u_spline = RadialSpline(grid.nodes, np.reshape(state.u, (grid.nr, -1)))
     ut_spline = RadialSpline(grid.nodes, np.reshape(state.ut, (grid.nr, -1)))
-    snaps = [TransformSnapshot(e, x0v, tau, u_spline, ut_spline, j, rule)
-             for j, (x0v, tau) in enumerate(balls)]
-    return snaps if np.ndim(state.t) else snaps[0]
+    cols = np.arange(np.size(tau)).reshape(np.shape(tau))
+    return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, cols, rule)
 
 
 def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
-                    rule: BallQuadrature) -> list[SimilaritySnapshot]:
-    """Time-interpolated snapshots at the requested s values.
+                    rule: BallQuadrature) -> TransformSnapshot:
+    """The series of time-interpolated snapshots at the requested s values.
 
     Every T0 - e^(-s) must be bracketed by stored trajectory frames
-    (cubic interpolation in t); otherwise the uncovered s is reported.
-    The states are sampled into the columns of one batch for to_similarity.
+    (cubic interpolation in t); otherwise the uncovered time is reported.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    batch = PhysicalState(np.empty(s_grid.size), np.empty((traj.grid.nr, s_grid.size)),
-                          np.empty((traj.grid.nr, s_grid.size)))
-    for j, s in enumerate(s_grid):
-        t = T0 - math.exp(-s)
-        try:
-            state = traj.sample_state(t)
-        except ValueError as exc:
-            raise ValueError(f"s={s} requires t={t}, outside coverage: {exc}") from exc
-        batch.t[j] = state.t
-        batch.u[:, j] = state.u
-        batch.ut[:, j] = state.ut
+    t = T0 - pointwise(lambda s: math.exp(-s), s_grid)
+    try:
+        batch = traj.sample_state(t)
+    except ValueError as exc:
+        raise ValueError(f"s in [{s_grid[0]}, {s_grid[-1]}] reaches a time "
+                         f"outside coverage: {exc}") from exc
     return to_similarity(batch, traj.grid, e, x0, T0, rule)

@@ -29,6 +29,7 @@ class SolverError(RuntimeError):
 
 
 FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
+TIME_BLOCK = 64   # times interpolated at once, whose sums stay in cache
 
 
 @dataclass
@@ -132,24 +133,32 @@ class Trajectory:
     T_est: float | None = None
     fit: BlowupFit | None = None
 
-    def sample_state(self, t: float) -> PhysicalState:
-        """Cubic (4-point Lagrange in t) interpolation of the stored frames."""
+    def sample_state(self, t) -> PhysicalState:
+        """Cubic (4-point Lagrange in t) interpolation of the stored frames,
+        at one time t or at each of an array of m times; u and ut are then
+        (nr, m) blocks, column j being the state at t[j]."""
         ft = self.frames_t
-        if not ft[0] <= t <= ft[-1]:
-            raise ValueError(f"t={t} outside stored range [{ft[0]}, {ft[-1]}]")
-        i = int(np.searchsorted(ft, t))
-        i0 = min(max(i - 2, 0), ft.size - 4)
-        tt = ft[i0:i0 + 4]
-        u = np.zeros(self.grid.nr)
-        ut = np.zeros(self.grid.nr)
-        for j in range(4):
-            lam = 1.0
-            for m in range(4):
-                if m != j:
-                    lam *= (t - tt[m]) / (tt[j] - tt[m])
-            u += lam * self.frames_u[i0 + j]
-            ut += lam * self.frames_ut[i0 + j]
-        return PhysicalState(t, u, ut)
+        ts = np.atleast_1d(t)
+        outside = ~((ft[0] <= ts) & (ts <= ft[-1]))
+        if np.any(outside):
+            raise ValueError(f"t={ts[outside][0]} outside stored range "
+                             f"[{ft[0]}, {ft[-1]}]")
+        i0 = np.clip(np.searchsorted(ft, ts) - 2, 0, ft.size - 4)
+        u = np.empty((self.grid.nr, ts.size))
+        ut = np.empty((self.grid.nr, ts.size))
+        for rows in (slice(i, i + TIME_BLOCK) for i in range(0, ts.size, TIME_BLOCK)):
+            tb, tt = ts[rows], ft[i0[rows, None] + np.arange(4)].T
+            acc_u, acc_ut = np.zeros((2, tb.size, self.grid.nr))
+            for j in range(4):
+                lam = 1.0
+                for m in range(4):
+                    if m != j:
+                        lam *= (tb - tt[m]) / (tt[j] - tt[m])
+                acc_u += lam[:, None] * self.frames_u[i0[rows] + j]
+                acc_ut += lam[:, None] * self.frames_ut[i0[rows] + j]
+            u[:, rows], ut[:, rows] = acc_u.T, acc_ut.T
+        shape = (self.grid.nr,) + np.shape(t)
+        return PhysicalState(t, u.reshape(shape), ut.reshape(shape))
 
     @property
     def s_max_covered(self) -> float:

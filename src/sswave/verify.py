@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponents, FunctionalSeries
+from .core import Exponents, FunctionalSeries, pointwise
 from .quadrature import RuleTable
 from .similarity import (PolyField, SimilaritySnapshot, StaticSnapshot,
                          TestField, make_test_field)
@@ -30,6 +30,7 @@ from . import functionals as fu
 
 FLOOR = 1e-14
 POHOZAEV_TOL = 1e-8   # polynomial integrands: both sides agree to rounding
+MIN_SAMPLES = 3       # fewer samples show no trend, no monotonicity, no residual
 
 LEMMA_NAMES = ("dE_eps", "dJ_eps", "dN_eps", "dI_eps", "dL_eps",
                "dM", "dF0", "dF1", "dJ0")
@@ -66,6 +67,11 @@ def report(name, lhs, rhs, tol, context="", scale=None) -> IdentityReport:
 # raw node integrals (the verifier's own quadrature path)
 
 EPS0 = 0.6   # the weight exponent 3/5 that M's d/ds law and Sigma pin
+
+
+def _g1(e: Exponents) -> float:
+    return (e.p + 1.0) / (e.p - 1.0) ** 2
+
 
 # the raw path's integrands, as functions of the node samples n and exponents e
 _INTEGRANDS = {
@@ -110,14 +116,14 @@ _RAW_TABLE = {
 }
 
 
-def _raw_int(snap, rules: RuleTable, e: Exponents, integrand: str,
-             beta: float) -> float:
+def _raw_int(snap, rules: RuleTable, e: Exponents, integrand: str, beta: float):
+    """The integrand against the beta rule, one row sum per snapshot."""
     rule = rules.rule(beta)
-    return float(np.sum(rule.weights * _INTEGRANDS[integrand](snap.on(rule), e)))
+    return np.sum(rule.weights * _INTEGRANDS[integrand](snap.on(rule), e), axis=-1)
 
 
 class _Raw:
-    """Per-snapshot raw integrals for a given eps; memoised by name.
+    """Raw integrals of a snapshot or series for a given eps; memoised by name.
 
     Names in _RAW_TABLE are single integrals; the others are functionals
     rebuilt on the raw path from them (the _<name> methods)."""
@@ -145,10 +151,9 @@ class _Raw:
         return -self.get("W2h") - 2.0 * self.get("W1h") - 0.5 * self.e.N * self.get("Bh")
 
     def _Gfun(self):
-        g1 = (self.e.p + 1.0) / (self.e.p - 1.0) ** 2
         return (self.get("S2") - self.get("R2")
                 - (self.get("P2") + 2.0 * self.get("P3") + self.get("S3"))
-                + 2.0 * g1 * self.get("W3"))
+                + 2.0 * _g1(self.e) * self.get("W3"))
 
     def boundary(self):
         sph = self.rules.sphere()
@@ -162,7 +167,7 @@ class _Raw:
 def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
     """Instantaneous d/ds of the named functional per its dissipation law."""
     al, N, p = e.alpha, e.N, e.p
-    g1 = (p + 1.0) / (p - 1.0) ** 2
+    g1 = _g1(e)
     rw = _Raw(snap, rules, e, eps)
 
     if name == "dE_eps":
@@ -205,19 +210,20 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
 
     if name == "dF0":
         wts, bw, bws = rw.boundary()
-        surf = float(np.sum(wts * (bws + al * bw) ** 2))
-        fac = math.exp(2.0 * al * snap.s)
+        surf = np.sum(wts * (bws + al * bw) ** 2, axis=-1)
+        fac = pointwise(math.exp, 2.0 * al * snap.s)
         return fac * (-surf + al * (p - 1.0) / (p + 1.0) * rw.get("R2p"))
 
     if name == "dF1":
-        return snap.s ** (1.0 / 18.0) * lemma_rhs("dF0", snap, rules, e, eps)
+        return (pointwise(lambda s: s ** (1.0 / 18.0), snap.s)
+                * lemma_rhs("dF0", snap, rules, e, eps))
 
     if name == "dJ0":
         wts, bw, bws = rw.boundary()
         return (al * rw.get("P2p") - al * rw.get("S1p") + al * rw.get("R2p")
-                - al ** 2 * float(np.sum(wts * bw ** 2))
+                - al ** 2 * np.sum(wts * bw ** 2, axis=-1)
                 + (al ** 2 * N - 2.0 * al * g1) * rw.get("W3p")
-                - 2.0 * al * float(np.sum(wts * bw * bws))
+                - 2.0 * al * np.sum(wts * bw * bws, axis=-1)
                 + 2.0 * al * rw.get("P3p")
                 - 2.0 * al ** 2 * rw.get("W2p"))
 
@@ -243,8 +249,8 @@ def dm_collected_rhs(snap, rules, e: Exponents) -> float:
 def sigma_parts(snap, rules, e: Exponents) -> dict:
     """The junk terms of dM's dissipation budget, grouped as in
     dm_collected_rhs; each piece is absorbable by the gradient/L2 terms."""
-    al, N, p = e.alpha, e.N, e.p
-    g1 = (p + 1.0) / (p - 1.0) ** 2
+    al, N = e.alpha, e.N
+    g1 = _g1(e)
     c = e.two_over_pm1 + 0.4
     rw = _Raw(snap, rules, e, EPS0)
     return {
@@ -261,41 +267,28 @@ def sigma_parts(snap, rules, e: Exponents) -> dict:
 # ---------------------------------------------------------------------------
 # lemma functional values (left sides)
 
-def _in_window(snaps, window):
-    """The snapshots with s in [lo, hi] (all of them for window None), and
-    their s values."""
-    s = np.array([sn.s for sn in snaps])
-    if window is None:
-        return snaps, s
+def in_window(snaps, window):
+    """The rows of a series with s in window = (lo, hi)."""
     lo, hi = window
-    sel = (s >= lo - 1e-12) & (s <= hi + 1e-12)
-    return [sn for sn, keep in zip(snaps, sel) if keep], s[sel]
-
-
-def lemma_lhs_value(name: str, snap, rules, e: Exponents, eps: float) -> float:
-    """Value of the functional X whose d/ds law is named dX."""
-    if name[1:] not in fu.SNAPSHOT_FUNCTIONALS:
-        raise ValueError(name)
-    return fu.SNAPSHOT_FUNCTIONALS[name[1:]](snap, rules, e, eps)
+    return snaps[(snaps.s >= lo - 1e-12) & (snaps.s <= hi + 1e-12)]
 
 
 def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
-                           eps: float = 0.6, window=None,
-                           tol: float = math.inf) -> IdentityReport:
-    """Functional difference across the window vs trapezoid of the stated RHS.
+                           eps: float = 0.6, tol: float = math.inf) -> IdentityReport:
+    """Functional difference across the series vs trapezoid of the stated RHS.
 
     `snaps` must sample [s, s'] densely (trapezoid-in-s); tolerances are
     resolution-indexed, so by default the report only records the residual
-    and the convergence study in the tests asserts the order.  A window
-    with fewer than 3 snapshots has no residual (NaN) and fails.
+    and the convergence study in the tests asserts the order.  A series
+    with fewer than MIN_SAMPLES snapshots has no residual (NaN) and fails.
     """
     if name not in LEMMA_NAMES:
         raise ValueError(f"unknown lemma '{name}'")
-    snaps, s = _in_window(snaps, window)
-    if len(snaps) < 3:
-        return report(name, math.nan, math.nan, tol, context=f"n={len(snaps)}")
+    s = snaps.s
+    if s.size < MIN_SAMPLES:
+        return report(name, math.nan, math.nan, tol, context=f"n={s.size}")
 
-    rhs_vals = np.array([lemma_rhs(name, sn, rules, e, eps) for sn in snaps])
+    rhs_vals = lemma_rhs(name, snaps, rules, e, eps)
     rhs = float(np.trapezoid(rhs_vals, s))
 
     if name == "dF1":
@@ -303,11 +296,12 @@ def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
         f1 = fu.f_ladder(f0, 1, e, enforce_span=False)
         lhs = f1.values[-1] - f1.values[0]
     else:
-        lhs = (lemma_lhs_value(name, snaps[-1], rules, e, eps)
-               - lemma_lhs_value(name, snaps[0], rules, e, eps))
+        # the functional X whose d/ds law is dX, at the first and last snapshot
+        first, last = fu.SNAPSHOT_FUNCTIONALS[name[1:]](snaps[[0, -1]], rules, e, eps)
+        lhs = last - first
     scale = float(np.max(np.abs(rhs_vals))) * max(s[-1] - s[0], 1.0)
     return report(name, lhs, rhs, tol,
-                  context=f"window=[{s[0]:.3f},{s[-1]:.3f}] eps={eps} n={len(snaps)}",
+                  context=f"window=[{s[0]:.3f},{s[-1]:.3f}] eps={eps} n={s.size}",
                   scale=scale)
 
 
@@ -493,14 +487,13 @@ def one_sided_report(name, lhs, rhs, scale, tol, context="") -> IdentityReport:
                           passed=bool(lhs <= rhs + tol * scale), context=context)
 
 
-def check_sigma_bound(snaps, rules, e: Exponents, window=None,
-                      C1: float | None = None):
+def check_sigma_bound(snaps, rules, e: Exponents, C1: float | None = None):
     """int Sigma dtau + 1/20 int int ws^2 rho <= 4/5 int int |gw|^2 rho
     + C1 int int w^2 rho; returns (report, smallest admissible C1)."""
-    snaps, s = _in_window(snaps, window)
-    sig = np.array([sum(sigma_parts(sn, rules, e).values()) for sn in snaps])
-    rws = [_Raw(sn, rules, e, EPS0) for sn in snaps]
-    p2, s2, w3 = (np.array([rw.get(name) for rw in rws]) for name in ("P2", "S2", "W3"))
+    s = snaps.s
+    sig = sum(sigma_parts(snaps, rules, e).values())
+    rw = _Raw(snaps, rules, e, EPS0)
+    p2, s2, w3 = rw.get("P2"), rw.get("S2"), rw.get("W3")
     lhs = float(np.trapezoid(sig, s)) + 0.05 * float(np.trapezoid(p2, s))
     grad_part = 0.8 * float(np.trapezoid(s2, s))
     iw3 = float(np.trapezoid(w3, s))
@@ -519,14 +512,13 @@ def check_singular_average_bound(snaps, rules, e: Exponents, eps: float, s_lo: f
     norm <= C int_(s-2)^(s+3) of the rho_eps energy sum, with C calibrated
     as max(1, 2 C_min); needs coverage [s_lo-2, s_lo+3].  Returns (report,
     smallest admissible C)."""
-    s = np.array([sn.s for sn in snaps])
+    s = snaps.s
     if s[0] > s_lo - 2.0 + 1e-9 or s[-1] < s_lo + 3.0 - 1e-9:
         raise ValueError(f"need coverage [{s_lo - 2}, {s_lo + 3}], have "
                          f"[{s[0]}, {s[-1]}]")
-    sing = np.array([fu.singular_Lp1(sn, rules, e, eps) for sn in snaps])
-    rws = [_Raw(sn, rules, e, eps) for sn in snaps]
-    ener = np.array([rw.get("S2") + rw.get("P2") + rw.get("W3") + rw.get("R2")
-                     for rw in rws])
+    sing = fu.singular_Lp1(snaps, rules, e, eps)
+    rw = _Raw(snaps, rules, e, eps)
+    ener = rw.get("S2") + rw.get("P2") + rw.get("W3") + rw.get("R2")
     in_win = (s >= s_lo) & (s <= s_lo + 1.0)
     big_win = (s >= s_lo - 2.0) & (s <= s_lo + 3.0)
     lhs = float(np.trapezoid(sing[in_win], s[in_win]))
@@ -542,15 +534,12 @@ def check_singular_average_bound(snaps, rules, e: Exponents, eps: float, s_lo: f
 
 def calibrate_m_bound(snaps, rules, e: Exponents) -> float:
     """Smallest C3 with |M| <= C3 int (ws^2+|gw|^2+w^2+|w|^(p+1)) rho."""
-    best = 0.0
-    for sn in snaps:
-        den = fu.m_bound_denominator(sn, rules, e)
-        if den > 0:
-            best = max(best, abs(fu.M_func(sn, rules, e)) / den)
-    return best
+    den = np.atleast_1d(fu.m_bound_denominator(snaps, rules, e))
+    m = np.abs(np.atleast_1d(fu.M_func(snaps, rules, e)))
+    return float(np.max(m[den > 0] / den[den > 0], initial=0.0))
 
 
-def hardy_ratio(snap, eps: float, rules: RuleTable) -> float:
+def hardy_ratio(snap, eps: float, rules: RuleTable):
     """LHS/RHS of the Hardy inequality with C = 1.
 
     ratio = integral w^2 rho_eps/(1-|y|^2)
@@ -558,17 +547,19 @@ def hardy_ratio(snap, eps: float, rules: RuleTable) -> float:
 
     Two rules suffice: the beta = eps-1 rule carries both w^2 integrals
     (the plain-rho one picks up a smooth (1-|y|^2) factor) and the
-    beta = eps+1 rule carries the gradient term.  Returns 0 for w == 0.
+    beta = eps+1 rule carries the gradient term.  Returns 0 for w == 0, and
+    one ratio per snapshot of a series.
     """
     num = _raw_int(snap, rules, _DUMMY_E, "w2", eps - 1.0)
     den = (_raw_int(snap, rules, _DUMMY_E, "g2", eps + 1.0)
            + _raw_int(snap, rules, _DUMMY_E, "w2_1mr2", eps - 1.0))
-    return 0.0 if den == 0.0 else num / den
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0.0)[()]
 
 
-def calibrate_hardy(snaps_or_fields, eps: float, rules: RuleTable) -> float:
-    """Empirical Hardy constant: max ratio over the given profiles."""
-    return max(hardy_ratio(sn, eps, rules) for sn in snaps_or_fields)
+def calibrate_hardy(profiles, eps: float, rules: RuleTable) -> float:
+    """Empirical Hardy constant: max ratio over the given snapshots and
+    series."""
+    return max(float(np.max(hardy_ratio(sn, eps, rules))) for sn in profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +578,8 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
     optionally also checks the claimed nonnegativity (down to -1e-8 of the
     largest magnitude)."""
     v = series.values
-    if v.size < 3:
-        raise ValueError("need at least 3 samples")
+    if v.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     scale = np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
     scale = np.maximum(scale, FLOOR)
     bad = np.nonzero(v[1:] - v[:-1] > slack * scale)[0]
@@ -604,9 +595,10 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
 def check_f0_monotone(f0: FunctionalSeries) -> dict:
     """F0 nonincreasing and nonnegative over the snapshot window.
 
-    A window with fewer than 3 samples cannot show monotonicity and fails.
+    A window with fewer than MIN_SAMPLES samples cannot show monotonicity
+    and fails.
     """
-    if f0.values.size < 3:
+    if f0.values.size < MIN_SAMPLES:
         return {"name": "F0_monotone", "passed": False, "violations": [],
                 "n": int(f0.values.size)}
     mon = monitor_monotone(f0, slack=1e-6, require_nonneg=True)
@@ -617,13 +609,14 @@ def check_f0_monotone(f0: FunctionalSeries) -> dict:
 def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
     """Monotonicity of s^(k/18) F0 past ladder_start, for k = 1..k_max.
 
-    A window with fewer than 3 samples cannot show monotonicity and fails.
+    A window with fewer than MIN_SAMPLES samples cannot show monotonicity
+    and fails.
     """
     out = []
     for k in range(1, k_max + 1):
         sel = f0.s >= max(f0.s[0], ladder_start(e, k))
         passed, violations = False, []
-        if np.count_nonzero(sel) >= 3:
+        if np.count_nonzero(sel) >= MIN_SAMPLES:
             mk = monitor_monotone(FunctionalSeries(
                 f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]))
             passed, violations = mk["monotone"], mk["violations"]
@@ -653,9 +646,9 @@ def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
 def decay_report(series: FunctionalSeries) -> dict:
     """Trend over the last half of the window: passes if the final/initial
     ratio is at most 0.1 and the fitted log-slope is negative.  A series
-    with fewer than 3 samples cannot show a trend and fails."""
+    with fewer than MIN_SAMPLES samples cannot show a trend and fails."""
     s, v = series.s, np.abs(series.values)
-    if s.size < 3:
+    if s.size < MIN_SAMPLES:
         return {"name": series.name, "passed": False, "n": int(s.size)}
     sel = s >= 0.5 * (s[0] + s[-1])
     s, v = s[sel], v[sel]
@@ -675,21 +668,23 @@ def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
     for the [s, s+1] window integrals at the tail end.
     """
     p, al = e.p, e.alpha
-    s = np.array([sn.s for sn in snaps])
-    w2, wp1, wp32, grad2, ws2 = (
-        np.array([_raw_int(sn, rules, e, integrand, 0.0) for sn in snaps])
-        for integrand in ("w2", "lp1", "lp32", "g2", "ws2"))
-    f0 = np.array([fu.F0(sn, rules, e) for sn in snaps])
+    s = snaps.s
+    w2, wp1, wp32, grad2, ws2 = (_raw_int(snaps, rules, e, integrand, 0.0)
+                                 for integrand in ("w2", "lp1", "lp32", "g2", "ws2"))
+    f0 = fu.F0(snaps, rules, e)
 
-    head = s <= s[-1] - 1.0 + 1e-9
-    sh = s[head]
+    sh = s[s <= s[-1] - 1.0 + 1e-9]
+    # the window [s, s+1] of head sample i holds the n[i] samples from lo[i] on
+    lo = np.searchsorted(s, sh - 1e-12)
+    n = np.searchsorted(s, sh + 1.0 + 1e-12, side="right") - lo
 
     def win_int(vals):
-        """int_s^(s+1) vals dtau at each head sample."""
+        """int_s^(s+1) vals dtau at each head sample; the windows of one
+        length are the rows of one trapezoid, each keeping its own sum."""
         out = np.empty(sh.size)
-        for i, si in enumerate(sh):
-            sel = (s >= si - 1e-12) & (s <= si + 1.0 + 1e-12)
-            out[i] = float(np.trapezoid(vals[sel], s[sel]))
+        for k in np.unique(n):
+            idx = lo[n == k, None] + np.arange(k)
+            out[n == k] = np.trapezoid(vals[idx], s[idx], axis=-1)
         return out
 
     e2 = np.exp(2.0 * al * s)

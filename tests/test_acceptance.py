@@ -186,7 +186,7 @@ def coarse_snaps(plateau_1024, exp43):
 def test_criterion_9_inequality_calibrations(plateau_snaps, coarse_snaps,
                                              radial_rules, exp43, tmp_path):
     rules_c, snaps_c = coarse_snaps
-    snaps_f = [sn for sn in plateau_snaps if sn.s <= 9.2 + 1e-9]
+    snaps_f = plateau_snaps[plateau_snaps.s <= 9.2 + 1e-9]
     eps = 0.6
     cal = {}
     for label, rules, snaps in [("fine", radial_rules, snaps_f),
@@ -197,12 +197,12 @@ def test_criterion_9_inequality_calibrations(plateau_snaps, coarse_snaps,
         rng = np.random.default_rng(77)
         fields += [make_test_field(verify.random_test_field(3, rng),
                                    rules.rule(eps)) for _ in range(10)]
-        ch = verify.calibrate_hardy(fields + snaps[::20], eps, rules)
+        ch = verify.calibrate_hardy(fields + [snaps[::20]], eps, rules)
         rep_w1, c_w1 = verify.check_singular_average_bound(snaps, rules, exp43, eps, s_lo=5.0)
         assert rep_w1.passed
         c3 = verify.calibrate_m_bound(snaps[::10], rules, exp43)
-        rep_sig, c1 = verify.check_sigma_bound(snaps, rules, exp43,
-                                               window=(3.0, 4.0))
+        rep_sig, c1 = verify.check_sigma_bound(verify.in_window(snaps, (3.0, 4.0)),
+                                               rules, exp43)
         assert rep_sig.passed
         cal[label] = {"hardy_C": ch, "singular_avg_C": c_w1, "m_bound_C3": c3,
                       "sigma_C1": c1}

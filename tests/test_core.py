@@ -87,3 +87,23 @@ def test_functional_series_requires_increasing_s():
     sw.FunctionalSeries("ok", [0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="increasing"):
         sw.FunctionalSeries("bad", [0.0, 0.0], [1.0, 2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40, unique=True),
+       st.integers(1, 5), st.data())
+def test_functional_series_invariants(points, pad, data):
+    """len is the sample count; values of another shape, and an s that
+    repeats or falls anywhere, are rejected."""
+    s = np.sort(np.array(points))
+    assert len(sw.FunctionalSeries("x", s, np.ones(s.size))) == s.size
+    with pytest.raises(ValueError, match="matching shapes"):
+        sw.FunctionalSeries("x", s, np.ones(s.size + pad))
+    i = data.draw(st.integers(0, s.size - 2))
+    bad = s.copy()
+    if data.draw(st.booleans()):
+        bad[i + 1] = bad[i]
+    else:
+        bad[[i, i + 1]] = bad[[i + 1, i]]
+    with pytest.raises(ValueError, match="increasing"):
+        sw.FunctionalSeries("x", bad, np.ones(s.size))

@@ -161,7 +161,7 @@ def test_f_ladder_constant_solution_oracle():
     k = sw.kappa(e)
     al = e.alpha
     s = np.arange(2.0, 14.0 + 1e-9, 0.01)
-    snaps = [const_snap(e, k, rules, s=si) for si in s]
+    snaps = const_snap(e, k, rules, s=s)
     f0 = fu.f0_series(snaps, rules, e)
     E_exact = k ** 2 * ball_volume(3) * (1.0 / (e.p - 1.0) - al * 3 / 2.0)
     assert np.allclose(f0.values, np.exp(2 * al * s) * E_exact, rtol=1e-10)
@@ -181,6 +181,21 @@ def test_f_ladder_constant_solution_oracle():
     # the U kernel carries e^(2 alpha tau) itself, so the composite trapezoid
     # error is larger than F1's; 3e-5 is the Delta s = 0.01 level
     assert np.max(np.abs(u1.values - u_oracle) / u_oracle) < 3e-5
+
+
+def test_tail_trapezoid_is_the_right_to_left_loop():
+    """The cumulative tail equals the loop accumulated from 0.0 at s_max,
+    bit for bit and with the loop's +0.0 where it sums zeros."""
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 3, 9, 200):
+        s = np.sort(rng.uniform(0.0, 10.0, n))
+        g = rng.standard_normal(n) * rng.choice([1.0, 0.0, -0.0], n)
+        loop = np.zeros_like(s)
+        for i in range(n - 2, -1, -1):
+            loop[i] = loop[i + 1] + 0.5 * (g[i] + g[i + 1]) * (s[i + 1] - s[i])
+        got = fu.tail_trapezoid(s, g)
+        assert np.array_equal(got, loop) and np.array_equal(np.signbit(got), np.signbit(loop))
+    assert not np.any(np.signbit(fu.tail_trapezoid(np.arange(4.0), np.full(4, -0.0))))
 
 
 def test_f_ladder_zero_series():
@@ -206,7 +221,7 @@ def test_m_bound_inequality_reported():
     rng = np.random.default_rng(12)
     snaps = [make_test_field(random_test_field(3, rng, with_ws=True), rules.plain)
              for _ in range(12)]
-    C3 = calibrate_m_bound(snaps, rules, e)
+    C3 = max(calibrate_m_bound(sn, rules, e) for sn in snaps)
     assert np.isfinite(C3) and C3 > 0
     for sn in snaps:
         assert abs(fu.M_func(sn, rules, e)) <= C3 * fu.m_bound_denominator(sn, rules, e) + 1e-12
@@ -261,7 +276,7 @@ def test_functional_spec_validation_and_dispatch(plateau_1024, exp43, radial_rul
                                np.arange(2.0, 4.01, 0.1), radial_rules.plain)
     ser = fu.evaluate_series(fu.FunctionalSpec(name="F0"), snaps,
                              radial_rules, exp43)
-    assert ser.name == "F0" and len(ser) == len(snaps)
+    assert ser.name == "F0" and len(ser) == snaps.s.size
     f2 = fu.evaluate_series(fu.FunctionalSpec(name="Fk", k=2), snaps,
                             radial_rules, exp43)
     assert f2.name == "F2" and f2.meta["k"] == 2

@@ -41,7 +41,7 @@ def test_constant_field_is_flat():
     snap = make_test_field(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 1.0})),
                            rules.rule(0.6))
     assert np.allclose(snap.w, 1.0)
-    assert np.allclose(snap.grad, 0.0)
+    assert np.allclose(snap.fields(rules.rule(0.6).points)[2], 0.0)
     assert np.allclose(snap.pohozaev_div_over_rho(rules.rule(0.6).points, 0.6), 0.0)
 
 
@@ -94,7 +94,9 @@ def test_angular_mode_gives_nonzero_angular_gradient():
     tf = TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0}), m=2)
     rules = RuleTable(2, n_radial=12, n_angular=16)
     snap = make_test_field(tf, rules.rule(0.6))
-    assert float(np.max(np.abs(snap.grad_theta))) > 0.1
+    pts = rules.rule(0.6).points
+    grad_theta = sw.grad_decompose(pts, snap.fields(pts)[2])[1]
+    assert float(np.max(np.abs(grad_theta))) > 0.1
     # harmonic factor really is r^m cos(m theta)
     hp = harmonic_poly(3)
     th = 0.7
@@ -203,7 +205,7 @@ def test_transform_of_exact_ode_branch_is_constant(exp43):
         k = sw.kappa(exp43)
         assert np.max(np.abs(snap.w - k)) < 1e-12 * k
         assert np.max(np.abs(snap.ws)) < 1e-10
-        assert np.max(np.abs(snap.grad)) < 1e-10
+        assert np.max(np.abs(snap.fields(rules.plain.points)[2])) < 1e-10
         assert snap.s == pytest.approx(-math.log(1.0 - t))
 
 
@@ -288,6 +290,57 @@ def test_trajectory_to_w_single_s_consistency(exp43, plateau_1024, radial_rules)
                            traj.T_est, radial_rules.plain)
     assert np.allclose(snaps[0].w, direct.w, rtol=0, atol=1e-14)
     assert np.allclose(snaps[0].ws, direct.ws, rtol=0, atol=1e-14)
+
+
+def test_series_rows_are_the_states_transformed_alone(exp43, plateau_1024, monkeypatch):
+    """A series samples, integrates and assembles every lemma right side
+    with the arithmetic of its snapshots taken one at a time: every node
+    sample on five rules and the sphere, every registered functional and
+    every lemma right side equal, row by row and bit for bit, those of each
+    state transformed alone; so do those of a row selection made before
+    the rules were sampled."""
+    from sswave import similarity, verify
+
+    monkeypatch.setattr(similarity, "ROW_BLOCK", 16)   # three blocks
+    traj, T0 = plateau_1024, plateau_1024.T_est
+    rules = RuleTable(3, n_radial=12, n_angular=3)
+    s_grid = np.arange(2.0, 4.0, 0.05)
+    series = trajectory_to_w(traj, exp43, 0.0, T0, s_grid, rules.plain)
+    picked = series[[3, 17, 38]]
+    singles = [to_similarity(traj.sample_state(T0 - math.exp(-s)), traj.grid, exp43,
+                             0.0, T0, rules.plain) for s in s_grid]
+    for view, rows in ((series, range(s_grid.size)), (picked, (3, 17, 38))):
+        assert np.array_equal(view.s, [singles[j].s for j in rows])
+        samples = [(view.on(rules.rule(beta)), [sn.on(rules.rule(beta)) for sn in singles])
+                   for beta in (0.0, 0.6, -0.4, 0.1, 1.1)]
+        sphere = [(b, [sn.boundary(rules.sphere())[i] for sn in singles])
+                  for i, b in enumerate(view.boundary(rules.sphere()))]
+        for ns, alone in samples:
+            assert all(np.array_equal(ns.r2, one.r2) for one in alone)
+            for name in ns.ROWS:
+                field = getattr(ns, name)
+                assert all(np.array_equal(field[i], getattr(alone[j], name))
+                           for i, j in enumerate(rows)), name
+        for trace, alone in sphere:
+            assert all(np.array_equal(trace[i], alone[j]) for i, j in enumerate(rows))
+        for name, fn in fu.SNAPSHOT_FUNCTIONALS.items():
+            vals = fn(view, rules, exp43, 0.6)
+            assert all(np.array_equal(vals[i], fn(singles[j], rules, exp43, 0.6))
+                       for i, j in enumerate(rows)), name
+        for name in verify.LEMMA_NAMES:
+            vals = verify.lemma_rhs(name, view, rules, exp43, 0.6)
+            assert all(np.array_equal(vals[i], verify.lemma_rhs(name, singles[j], rules,
+                                                                exp43, 0.6))
+                       for i, j in enumerate(rows)), name
+    # the node samples are the np.sum forms of the fields, bit for bit
+    planar = make_test_field(verify.random_test_field(2, np.random.default_rng(5)),
+                             RuleTable(2, n_radial=12, n_angular=16).plain)
+    for sn in singles[:3] + [planar]:
+        pts = sn.rule.points
+        grad = sn.fields(pts)[2]
+        assert np.array_equal(sn.base.ydg, np.sum(pts * grad, axis=1))
+        for name, g in zip(("g2", "gr2", "gth2"), (grad,) + sw.grad_decompose(pts, grad)):
+            assert np.array_equal(getattr(sn.base, name), np.sum(g ** 2, axis=1)), name
 
 
 def test_trajectory_to_w_reports_uncovered_s(exp43, plateau_1024, radial_rules):

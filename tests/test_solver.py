@@ -135,6 +135,30 @@ def test_snapshot_density_near_blowup(plateau_1024):
     assert np.max(gaps) < 1.0 / 40.0 + 1e-3
 
 
+def test_sample_state_batch_is_the_per_time_loop(plateau_1024):
+    """Interpolating many times at once, across several blocks, gives the
+    per-time 4-point Lagrange loop's states bit for bit."""
+    traj, ft = plateau_1024, plateau_1024.frames_t
+    ts = np.concatenate([[ft[0], ft[-1]], np.linspace(ft[0], ft[-1], 150)[1:-1],
+                         ft[5:12], ft[-8:] - 1e-3 * (ft[-1] - ft[-8])])
+    batch = traj.sample_state(ts)
+    assert batch.u.shape == batch.ut.shape == (traj.grid.nr, ts.size)
+    for j, t in enumerate(ts):
+        i0 = min(max(int(np.searchsorted(ft, t)) - 2, 0), ft.size - 4)
+        tt = ft[i0:i0 + 4]
+        u, ut = np.zeros(traj.grid.nr), np.zeros(traj.grid.nr)
+        for k in range(4):
+            lam = 1.0
+            for m in range(4):
+                if m != k:
+                    lam *= (t - tt[m]) / (tt[k] - tt[m])
+            u += lam * traj.frames_u[i0 + k]
+            ut += lam * traj.frames_ut[i0 + k]
+        assert np.array_equal(batch.u[:, j], u) and np.array_equal(batch.ut[:, j], ut)
+        one = traj.sample_state(t)
+        assert np.array_equal(one.u, u) and np.array_equal(one.ut, ut)
+
+
 def test_overflow_guard_raises_before_nonfinite():
     cfg = make_cfg(nr=128, family="ode_plateau", u_cap=np.inf, max_steps=10 ** 7)
     with pytest.raises(SolverError):

@@ -14,11 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sswave import functionals, verify
+from sswave.core import PhysicalState, RadialGrid, make_exponents
 from sswave.quadrature import RuleTable
 from sswave.runio import SCHEMA
-from sswave.similarity import constant_field, make_test_field
+from sswave.similarity import (SimilaritySnapshot, constant_field, make_test_field,
+                               to_similarity)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,8 +43,10 @@ def test_demo_runs(demo, tmp_path):
         assert (tmp_path / "profile_s6.csv").exists()
 
 
-def test_tracer_targets_resolve():
-    """Every function the benchmark tracer wraps exists under its name."""
+def test_tracer_targets_resolve(monkeypatch):
+    """Every function the benchmark tracer wraps exists under its name, and
+    both integral paths sample a transform series through the wrapped
+    SimilaritySnapshot.on."""
     # run_path compiles without caching, so the benchmark's directory
     # gains no bytecode files
     wrapped = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["WRAPPED"]
@@ -59,6 +65,23 @@ def test_tracer_targets_resolve():
     assert id(rules.plain) in snap._samples and id(rule) not in snap._samples
     snap.on(rule)
     assert id(rule) in snap._samples
+    # a three-snapshot transform series: functionals._int and
+    # verify._raw_int reach on(), as the tracer's wrapper would see them
+    grid = RadialGrid(r_max=1.5, nr=16)
+    state = PhysicalState(np.array([0.1, 0.2, 0.3]), np.ones((16, 3)), np.zeros((16, 3)))
+    e = make_exponents(6.0, 2)
+    series = to_similarity(state, grid, e, 0.0, 1.0, rules.plain)
+    seen = []
+    on = SimilaritySnapshot.on
+    monkeypatch.setattr(SimilaritySnapshot, "on",
+                        lambda snap, rule: seen.append(rule) or on(snap, rule))
+    for beta, integral in (
+            (0.3, lambda: functionals._int(series, rules, 0.3, lambda wt, n: wt * n.w)),
+            (0.8, lambda: verify._raw_int(series, rules, e, "w2", 0.8))):
+        rule = rules.rule(beta)
+        assert id(rule) not in series._samples
+        assert integral().shape == (3,)
+        assert seen[-1] is rule and id(rule) in series._samples
 
 
 def test_readme_config_block_matches_schema():

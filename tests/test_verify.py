@@ -166,8 +166,8 @@ def test_derivative_lemma_converges_on_trajectory(small_gauss_pair, name):
 def test_zero_series_lemmas_read_zero():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=16)
-    snaps = [make_test_field(constant_field(3, 0.0), rules.plain, s=s)
-             for s in (1.0, 1.1, 1.2)]
+    snaps = make_test_field(constant_field(3, 0.0), rules.plain,
+                            s=np.array([1.0, 1.1, 1.2]))
     for name in verify.LEMMA_NAMES:
         rep = verify.check_derivative_lemma(name, snaps, rules, e, eps=0.6)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
@@ -179,8 +179,8 @@ def test_constant_profile_dF0_closed_form():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=32)
     k = sw.kappa(e)
-    snaps = [make_test_field(constant_field(3, k), rules.plain, s=s)
-             for s in np.arange(1.0, 2.0001, 0.005)]
+    snaps = make_test_field(constant_field(3, k), rules.plain,
+                            s=np.arange(1.0, 2.0001, 0.005))
     rep = verify.check_derivative_lemma("dF0", snaps, rules, e)
     # trapezoid of a smooth exponential: residual ~ (ds^2/12) (2 alpha)^2
     assert rep.rel_residual < 1e-6
@@ -268,8 +268,8 @@ def test_sigma_bound_constant_profile_closed_form():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=40)
     k = sw.kappa(e)
-    snaps = [make_test_field(constant_field(3, k), rules.plain, s=s)
-             for s in np.arange(1.0, 2.0001, 0.05)]
+    snaps = make_test_field(constant_field(3, k), rules.plain,
+                            s=np.arange(1.0, 2.0001, 0.05))
     rep, c1_min = verify.check_sigma_bound(snaps, rules, e)
     assert rep.passed
     parts = verify.sigma_parts(snaps[0], rules, e)
@@ -292,8 +292,8 @@ def test_sigma_bound_constant_profile_closed_form():
 def test_sigma_bound_zero_series():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=16)
-    snaps = [make_test_field(constant_field(3, 0.0), rules.plain, s=s)
-             for s in (1.0, 1.5, 2.0)]
+    snaps = make_test_field(constant_field(3, 0.0), rules.plain,
+                            s=np.array([1.0, 1.5, 2.0]))
     rep, c1_min = verify.check_sigma_bound(snaps, rules, e, C1=1.0)
     assert rep.passed and rep.lhs == 0.0 and c1_min == 0.0
 
@@ -304,6 +304,24 @@ def test_decay_report():
     assert dec["passed"] and dec["ratio"] < 0.1
     grow = verify.decay_report(FunctionalSeries("g", s, np.exp(0.1 * s)))
     assert not grow["passed"]
+
+
+def test_decay_windows_are_per_window_trapezoids(exp43, plateau_1024):
+    """The decay bundle's [s, s+1] window integrals equal one np.trapezoid
+    per window, bit for bit, on an uneven s grid whose windows hold
+    different numbers of samples."""
+    traj, rules = plateau_1024, RuleTable(3, n_radial=12, n_angular=3)
+    s_grid = 2.0 + np.cumsum(np.random.default_rng(8).uniform(0.02, 0.08, 50))
+    snaps = sw.trajectory_to_w(traj, exp43, 0.0, traj.T_est, s_grid, rules.plain)
+    s = snaps.s
+    gradient = verify.build_decay_bundle(snaps, rules, exp43)["window_gradient"]
+    g2 = verify._raw_int(snaps, rules, exp43, "g2", 0.0)
+    sels = [(s >= si - 1e-12) & (s <= si + 1.0 + 1e-12) for si in gradient.s]
+    assert len({np.count_nonzero(sel) for sel in sels}) > 2
+    loop = np.array([float(np.trapezoid(g2[sel], s[sel])) for sel in sels])
+    sh = gradient.s
+    assert np.array_equal(gradient.values,
+                          sh ** (1.0 / 18.0) * np.exp(2.0 * exp43.alpha * sh) * loop)
 
 
 def test_smallest_sigma_reporting():
