@@ -21,6 +21,7 @@ controls every e^(2*alpha*s) decay weight downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,6 +86,11 @@ def pointwise(fn, x):
     """fn on each float of x in Python, i.e. libm's exp, log and pow, which numpy's
     vectorised ones miss in the last bit; a scalar x gives a scalar."""
     return np.vectorize(fn, otypes=[float])(x)[()]
+
+
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """x summed over its short last axis left to right, as np.sum adds it, but faster."""
+    return functools.reduce(np.add, (x[..., d] for d in range(x.shape[-1])))
 
 
 @dataclass(frozen=True)

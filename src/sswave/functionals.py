@@ -319,8 +319,9 @@ def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents) -> Functio
 # ---------------------------------------------------------------------------
 # physical-space quantities near the blow-up surface
 
-def _radial_integral(vals: np.ndarray, grid, R: float, N: int) -> float:
-    """int_0^R vals(r) r^(N-1) dr on the grid, trapezoid + partial last cell.
+def _radial_integral(vals: np.ndarray, grid, R: float, N: int) -> np.ndarray:
+    """int_0^R vals(r) r^(N-1) dr on the grid along vals' last axis, one
+    value per leading index; trapezoid + partial last cell.
 
     The partial cell keeps the r^(N-1) factor exact (sub-sampled) and only
     linearises vals, so small R << dr is not overestimated.
@@ -329,14 +330,13 @@ def _radial_integral(vals: np.ndarray, grid, R: float, N: int) -> float:
     R = min(R, r[-1])
     f = vals * r ** (N - 1.0)
     i = int(np.searchsorted(r, R))
-    if i == 0:
-        return 0.0
-    total = float(np.trapezoid(f[:i], r[:i]))
+    total = np.trapezoid(f[..., :i], r[:i], axis=-1)
     if i < r.size and R > r[i - 1]:
         r0, r1 = r[i - 1], r[i]
         rs = np.linspace(r0, R, 5)
-        vi = vals[i - 1] + (vals[i] - vals[i - 1]) * (rs - r0) / (r1 - r0)
-        total += float(np.trapezoid(vi * rs ** (N - 1.0), rs))
+        v0 = vals[..., i - 1, None]
+        vi = v0 + (vals[..., i, None] - v0) * (rs - r0) / (r1 - r0)
+        total = total + np.trapezoid(vi * rs ** (N - 1.0), rs, axis=-1)
     return total
 
 
@@ -368,73 +368,71 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
         raise ValueError("q must be >= 0")
     N, p = e.N, e.p
     sa = surface_area(N)
-    ft = traj.frames_t
+    grid, ft = traj.grid, traj.frames_t
+    if np.any(np.diff(ft) < 0):
+        raise ValueError("frame times must not decrease")
+    # the frames before T0 are a prefix of the archive
     taus = T0 - ft
-    good = taus > 0
-    ft, taus = ft[good], taus[good]
-    fu = traj.frames_u[good]
-    fut = traj.frames_ut[good]
-    dr = traj.grid.dr
-
-    # per-frame gradient cache and the cone energy G(t) = int_{B(0,T0-t)}(...)
-    fur = np.gradient(fu, dr, axis=1)
-    Gt = np.array([sa * _radial_integral(fur[i] ** 2 + fut[i] ** 2, traj.grid,
-                                         taus[i], N)
-                   for i in range(ft.size)])
+    n = int(np.count_nonzero(taus > 0))
+    ft, taus = ft[:n], taus[:n]
 
     # stay a few cells above the grid scale: the cone integral is meaningless
     # once the ball radius drops below the mesh
-    tau_lo = max(taus[-1] * 4.0, 10.0 * dr)
+    tau_lo = max(taus[-1] * 4.0, 10.0 * grid.dr)
     tau_hi = taus[0] * 0.45 if taus[0] * 0.45 > tau_lo else taus[2]
-    if tau_hi > traj.grid.r_max:
+    if tau_hi > grid.r_max:
         raise ValueError(f"cone of radius {tau_hi} exits the grid "
-                         f"(r_max={traj.grid.r_max})")
+                         f"(r_max={grid.r_max})")
     targets = np.geomspace(tau_hi, tau_lo, 40)
     idx = np.unique(np.searchsorted(-taus, -targets))
-    idx = idx[idx < ft.size - 1]
+    idx = idx[idx < n - 1]
+    if idx.size == 0:
+        raise ValueError("no sample time before the last frame")
+    tau_s = taus[idx]
+    log_tau = np.log(tau_s)
+    logw = np.abs(log_tau) ** q
 
-    logw = np.abs(np.log(taus[idx])) ** q
+    # sample j's window [t, (t+T0)/2] holds the frames lo[j]:hi[j]; only the
+    # frames from the first window's start to the last one's end are read
+    lo = np.searchsorted(ft, ft[idx], side="left")
+    hi = np.searchsorted(ft, 0.5 * (ft[idx] + T0), side="right")
+    blk = slice(lo[0], hi[-1])
+    ft, fu, fut = ft[blk], traj.frames_u[blk], traj.frames_ut[blk]
+    idx, lo, hi = idx - blk.start, lo - blk.start, hi - blk.start
+    # their radial gradients and the cone energy G(t) = int_{B(0,T0-t)}(...)
+    fur = np.gradient(fu, grid.dr, axis=1)
+    Gt = np.array([sa * _radial_integral(fur[k] ** 2 + fut[k] ** 2, grid, tau, N)
+                   for k, tau in enumerate(taus[blk])])
+
     exps_l2 = -(p - 1.0) * N / (p + 3.0)
-
     cone, bound_e, sl2, lower = [], [], [], []
-    for j, i in enumerate(idx):
-        t_i, tau_i = ft[i], taus[i]
+    for j, (i, tau_i) in enumerate(zip(idx, tau_s)):
         # (i) time integral over [t, (t+T0)/2] of the cone gradient energy
-        t_half = 0.5 * (t_i + T0)
-        sel = (ft >= t_i) & (ft <= t_half)
-        cone.append(logw[j] * float(np.trapezoid(Gt[sel], ft[sel])))
-        # (ii) boundary-energy expression on B(0, tau)
-        vals = (fur[i] ** 2 * (1.0 - np.minimum(traj.grid.nodes / tau_i, 1.0) ** 2)
-                + fut[i] ** 2 - np.abs(fu[i]) ** (p + 1.0) / (p + 1.0))
-        bound_e.append(logw[j] * 0.5 * tau_i * sa
-                       * _radial_integral(vals, traj.grid, tau_i, N))
-        # (iii) scaled L2 norm
-        l2 = sa * _radial_integral(fu[i] ** 2, traj.grid, tau_i, N)
+        cone.append(logw[j] * float(np.trapezoid(Gt[lo[j]:hi[j]], ft[lo[j]:hi[j]])))
+        # (ii)-(iv) on B(0, tau): the boundary-energy expression and the
+        # squared norms of u, u_t and u_r
+        bound, u2, ut2, ur2 = _radial_integral(np.stack([
+            fur[i] ** 2 * (1.0 - np.minimum(grid.nodes / tau_i, 1.0) ** 2)
+            + fut[i] ** 2 - np.abs(fu[i]) ** (p + 1.0) / (p + 1.0),
+            fu[i] ** 2, fut[i] ** 2, fur[i] ** 2]), grid, tau_i, N)
+        bound_e.append(logw[j] * 0.5 * tau_i * sa * bound)
+        l2 = sa * u2
         sl2.append(logw[j] * tau_i ** exps_l2 * l2)
-        # (iv) lower-bound combination
-        nu = math.sqrt(l2)
-        nut = math.sqrt(sa * _radial_integral(fut[i] ** 2, traj.grid, tau_i, N))
-        nur = math.sqrt(sa * _radial_integral(fur[i] ** 2, traj.grid, tau_i, N))
+        # the lower-bound combination of the three norms
+        nu, nut, nur = math.sqrt(l2), math.sqrt(sa * ut2), math.sqrt(sa * ur2)
         lower.append(tau_i ** (e.two_over_pm1 - 0.5 * N) * nu
                      + tau_i ** (e.two_over_pm1 + 1.0 - 0.5 * N) * (nut + nur))
 
-    s = -np.log(taus[idx])
-    series = {
-        "cone_gradient": FunctionalSeries("cone_gradient", s, np.array(cone)),
-        "boundary_energy": FunctionalSeries("boundary_energy", s, np.array(bound_e)),
-        "scaled_l2": FunctionalSeries("scaled_l2", s, np.array(sl2)),
-        "lower_bound": FunctionalSeries("lower_bound", s, np.array(lower)),
-    }
+    s = -log_tau
+    series = {name: FunctionalSeries(name, s, np.array(vals)) for name, vals in (
+        ("cone_gradient", cone), ("boundary_energy", bound_e),
+        ("scaled_l2", sl2), ("lower_bound", lower))}
     sup = {k: float(np.max(np.abs(v.values))) for k, v in series.items()}
 
     # slope of the pure power part of (iii): remove the known log weight
-    tau_sel = taus[idx]
     pure = np.array(sl2) / np.where(logw > 0, logw, 1.0)
-    if np.all(pure > 0):
-        slope = float(np.polyfit(np.log(tau_sel), np.log(pure), 1)[0])
-    else:
-        slope = 0.0
+    slope = float(np.polyfit(log_tau, np.log(pure), 1)[0]) if np.all(pure > 0) else 0.0
     expected = 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0))
     meta = {"q": q, "power_fit_slope": slope, "expected_power": expected,
             "lower_bound_floor": float(np.min(lower))}
-    return TheoremReport(series=series, sup=sup, meta=meta, tau=tau_sel, pure_l2=pure)
+    return TheoremReport(series=series, sup=sup, meta=meta, tau=tau_s, pure_l2=pure)

@@ -28,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import sum_last
+
 
 def surface_area(N: int) -> float:
     """|S^(N-1)| = 2 pi^(N/2) / Gamma(N/2)."""
@@ -64,7 +66,7 @@ class BallQuadrature:
 
     @cached_property
     def r2(self) -> np.ndarray:
-        return np.sum(self.points ** 2, axis=1)
+        return sum_last(self.points ** 2)
 
 
 def _radial_rule(N: int, beta: float, n_radial: int):
@@ -174,8 +176,8 @@ def grad_decompose(y: np.ndarray, grad: np.ndarray):
     """
     y = np.asarray(y, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    r2 = np.sum(y * y, axis=-1)
-    yg = np.sum(y * grad, axis=-1)
+    r2 = sum_last(y * y)
+    yg = sum_last(y * grad)
     coef = np.divide(yg, r2, out=np.zeros_like(yg),
                      where=r2 >= np.finfo(float).tiny)
     grad_r = coef[..., None] * y

@@ -23,21 +23,22 @@ Both are SimilaritySnapshot subclasses with one fields(pts) -> (w, ds w,
 grad w).  That is the only sampling path: SimilaritySnapshot.on samples
 every rule through it, the snapshot's primary rule included, and caches
 the node samples per rule; the boundary trace is fields on a sphere rule.
-PolyField's value, gradient and Hessian are likewise one routine, which
-differentiates each monomial along an ordered list of coordinates.
+PolyField's value, gradient and Hessian are likewise one routine (jet),
+which differentiates each monomial along an ordered list of coordinates,
+and WeightedPoly.jet builds all requested degrees of (1-|y|^2)^a q from
+one PolyField.jet.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponents, pointwise
+from .core import Exponents, pointwise, sum_last
 from .quadrature import BallQuadrature, SphereRule, grad_decompose
 
 
@@ -134,53 +135,46 @@ class WeightedPoly:
         self.a = float(a)
         self.poly = poly
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
+    def jet(self, pts: np.ndarray, degrees) -> list:
+        """The value (degree 0), gradient (1) or Hessian (2) for each entry
+        of degrees, from one |y|^2, one set of powers of 1-|y|^2 and one
+        PolyField.jet.  The value clips 1-|y|^2 at 0; the derivatives do not."""
         pts = np.atleast_2d(pts)
-        om = 1.0 - np.sum(pts ** 2, axis=1)
-        P = np.ones_like(om) if self.a == 0.0 else np.clip(om, 0.0, None) ** self.a
-        return P * self.poly(pts)
+        a = self.a
+        if a == 0.0:
+            return self.poly.jet(pts, degrees)
+        q, *dq = self.poly.jet(pts, range(max(degrees) + 1))
+        om = 1.0 - sum_last(pts ** 2)
+        out = {0: np.clip(om, 0.0, None) ** a * q} if 0 in degrees else {}
+        if dq:
+            P, Pm1, gq = om ** a, om ** (a - 1.0), dq[0]
+        if 1 in degrees:
+            out[1] = P[:, None] * gq - (2.0 * a) * (Pm1 * q)[:, None] * pts
+        if len(dq) == 2:
+            H = P[:, None, None] * dq[1]
+            H -= (2.0 * a) * Pm1[:, None, None] * (
+                pts[:, :, None] * gq[:, None, :] + gq[:, :, None] * pts[:, None, :]
+                + q[:, None, None] * np.eye(self.N)[None, :, :])
+            if a != 1.0:
+                H += (4.0 * a * (a - 1.0)) * (om ** (a - 2.0) * q)[:, None, None] * (
+                    pts[:, :, None] * pts[:, None, :])
+            out[2] = H
+        return [out[g] for g in degrees]
+
+    def value(self, pts: np.ndarray) -> np.ndarray:
+        return self.jet(pts, (0,))[0]
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        a = self.a
-        if a == 0.0:
-            return self.poly.grad(pts)
-        pts = np.atleast_2d(pts)
-        om = 1.0 - np.sum(pts ** 2, axis=1)
-        q, gq = self.poly.jet(pts, (0, 1))
-        P = om ** a
-        return P[:, None] * gq - (2.0 * a) * (om ** (a - 1.0) * q)[:, None] * pts
+        return self.jet(pts, (1,))[0]
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
-        a = self.a
-        if a == 0.0:
-            return self.poly.hess(pts)
-        pts = np.atleast_2d(pts)
-        N = pts.shape[1]
-        om = 1.0 - np.sum(pts ** 2, axis=1)
-        q, gq, Hq = self.poly.jet(pts, (0, 1, 2))
-        P = om ** a
-        Pm1 = om ** (a - 1.0)
-        eye = np.eye(N)
-        out = P[:, None, None] * Hq
-        out -= (2.0 * a) * Pm1[:, None, None] * (
-            pts[:, :, None] * gq[:, None, :] + gq[:, :, None] * pts[:, None, :]
-            + q[:, None, None] * eye[None, :, :])
-        if a != 1.0:
-            Pm2 = om ** (a - 2.0)
-            out += (4.0 * a * (a - 1.0)) * (Pm2 * q)[:, None, None] * (
-                pts[:, :, None] * pts[:, None, :])
-        return out
+        return self.jet(pts, (2,))[0]
 
 
 # ---------------------------------------------------------------------------
 # snapshots
 
 ROW_BLOCK = 64   # snapshots sampled at once: bounds the (rows, K, N) temporaries
-
-
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """x summed over its short last axis left to right, as np.sum adds it, but faster."""
-    return functools.reduce(np.add, (x[..., d] for d in range(x.shape[-1])))
 
 
 @dataclass
@@ -262,8 +256,8 @@ class SimilaritySnapshot:
         """NodeSample.ROWS at pts: w, ws, y.grad w, |grad w|^2, |grad_r|^2, |grad_th|^2."""
         w, ws, grad = self.fields(pts)
         grad_r, grad_theta = grad_decompose(pts, grad)
-        return (w, ws, _sum_last(pts * grad), _sum_last(grad ** 2),
-                _sum_last(grad_r ** 2), _sum_last(grad_theta ** 2))
+        return (w, ws, sum_last(pts * grad), sum_last(grad ** 2),
+                sum_last(grad_r ** 2), sum_last(grad_theta ** 2))
 
     def boundary(self, sph: SphereRule):
         """(w, ds w) traces on |y| = 1."""
@@ -316,25 +310,21 @@ class StaticSnapshot(SimilaritySnapshot):
         super().__init__(s, rule)
 
     def fields(self, pts: np.ndarray):
-        return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape) for f in (
-            self.w_part.value(pts), self.ws_part.value(pts), self.w_part.grad(pts)))
-
-    def hess(self, pts: np.ndarray) -> np.ndarray:
-        return self.w_part.hess(pts)
-
-    def ws_grad(self, pts: np.ndarray) -> np.ndarray:
-        return self.ws_part.grad(pts)
+        w, grad = self.w_part.jet(pts, (0, 1))
+        return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape)
+                     for f in (w, self.ws_part.value(pts), grad))
 
     def pohozaev_div_over_rho(self, pts: np.ndarray, eps: float) -> np.ndarray:
         """div(rho_eps grad w - rho_eps (y.grad w) y) / rho_eps, analytically.
 
         Equals Lap w - y^T H y - (N+1+2 eps) y.grad w; the 1/(1-|y|^2)
         factor from grad rho_eps cancels exactly against the multiplier
-        structure, so no boundary-singular term ever appears.
+        structure, so no boundary-singular term ever appears.  grad w is
+        evaluated here, not read from a NodeSample, so the static checks
+        stay independent of the sampling path.
         """
         pts = np.atleast_2d(pts)
-        H = self.hess(pts)
-        grad = self.w_part.grad(pts)
+        grad, H = self.w_part.jet(pts, (1, 2))
         lap = np.trace(H, axis1=1, axis2=2)
         yHy = np.einsum("ki,kij,kj->k", pts, H, pts)
         ydg = np.sum(pts * grad, axis=1)
@@ -350,7 +340,7 @@ class StaticSnapshot(SimilaritySnapshot):
         pts = np.atleast_2d(pts)
         w = self.w_part.value(pts)
         ws = self.ws_part.value(pts)
-        ydgs = np.sum(pts * self.ws_grad(pts), axis=1)
+        ydgs = np.sum(pts * self.ws_part.grad(pts), axis=1)
         p, N, al = e.p, e.N, e.alpha
         g1 = (p + 1.0) / (p - 1.0) ** 2
         return (self.pohozaev_div_over_rho(pts, al)
@@ -531,7 +521,7 @@ class TransformSnapshot(SimilaritySnapshot):
         pts = np.atleast_2d(pts)
         tau = np.expand_dims(self.tau, (-2, -1))
         X = self.x0 + tau * pts
-        R = np.sqrt(np.sum(X ** 2, axis=-1))
+        R = np.sqrt(sum_last(X ** 2))
         e = self.e
         lam = np.expand_dims(pointwise(lambda t: t ** e.two_over_pm1, self.tau), -1)
         col = np.expand_dims(self.cols, -1)
@@ -545,7 +535,7 @@ class TransformSnapshot(SimilaritySnapshot):
         w = lam * uval
         lam_tau = lam * tau[..., 0]
         grad = lam_tau[..., None] * gradx
-        ydgx = np.sum(pts * gradx, axis=-1)
+        ydgx = sum_last(pts * gradx)
         ws = -e.two_over_pm1 * w + lam_tau * (utval - ydgx)
         return w, ws, grad
 

@@ -403,7 +403,7 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
         pts = rule.points
         w, ws, grad = field.fields(pts)
         v = field.eq_rhs(pts, e)
-        gws = field.ws_grad(pts)
+        gws = field.ws_part.grad(pts)
         return rule, pts, w, ws, grad, v, gws
 
     if name in ("dE_eps", "dF0"):

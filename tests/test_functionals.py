@@ -243,6 +243,19 @@ def test_theorem_quantities_zero_field():
         assert np.all(ser.values == 0.0)
 
 
+def test_theorem_quantities_guards():
+    """Frames whose times decrease, and frames too coarse to leave a sample
+    time before the last one, are errors rather than silently wrong series."""
+    e = sw.make_exponents(4.0, 3)
+    traj = zero_trajectory(e)
+    traj.frames_t = traj.frames_t[::-1].copy()
+    with pytest.raises(ValueError, match="must not decrease"):
+        fu.theorem_quantities(traj, e, 1.0, q=1.0)
+    traj.frames_t = np.array([0.0, 0.5, 0.9] + [0.995] * 37)
+    with pytest.raises(ValueError, match="no sample time"):
+        fu.theorem_quantities(traj, e, 0.95, q=1.0)
+
+
 def test_theorem_quantities_plateau(plateau_1024, exp43):
     rep = fu.theorem_quantities(plateau_1024, exp43, plateau_1024.T_est, q=1.0)
     # derived exponent: N - 4/(p-1) - (p-1)N/(p+3) = 8/21 at (4, 3)
@@ -256,6 +269,94 @@ def test_theorem_quantities_plateau(plateau_1024, exp43):
     logw = np.abs(np.log(np.exp(-s)))
     assert np.allclose(rep.series["scaled_l2"].values,
                        logw * rep0.series["scaled_l2"].values, rtol=1e-12)
+
+
+def _radial_integral_1d(vals, grid, R, N):
+    """The one-row radial integral theorem_quantities called per quantity."""
+    r = grid.nodes
+    R = min(R, r[-1])
+    f = vals * r ** (N - 1.0)
+    i = int(np.searchsorted(r, R))
+    if i == 0:
+        return 0.0
+    total = float(np.trapezoid(f[:i], r[:i]))
+    if i < r.size and R > r[i - 1]:
+        r0, r1 = r[i - 1], r[i]
+        rs = np.linspace(r0, R, 5)
+        vi = vals[i - 1] + (vals[i] - vals[i - 1]) * (rs - r0) / (r1 - r0)
+        total += float(np.trapezoid(vi * rs ** (N - 1.0), rs))
+    return total
+
+
+def _theorem_quantities_whole_archive(traj, e, T0, q):
+    """theorem_quantities as it was: masked copies of every frame before T0,
+    the gradient and cone energy of each, and one radial integral per
+    quantity and sample; kept as the reference of the windowed version."""
+    N, p = e.N, e.p
+    sa = sw.surface_area(N)
+    ft = traj.frames_t
+    taus = T0 - ft
+    good = taus > 0
+    ft, taus = ft[good], taus[good]
+    fu_, fut = traj.frames_u[good], traj.frames_ut[good]
+    dr = traj.grid.dr
+    fur = np.gradient(fu_, dr, axis=1)
+    Gt = np.array([sa * _radial_integral_1d(fur[i] ** 2 + fut[i] ** 2, traj.grid,
+                                            taus[i], N) for i in range(ft.size)])
+    tau_lo = max(taus[-1] * 4.0, 10.0 * dr)
+    tau_hi = taus[0] * 0.45 if taus[0] * 0.45 > tau_lo else taus[2]
+    targets = np.geomspace(tau_hi, tau_lo, 40)
+    idx = np.unique(np.searchsorted(-taus, -targets))
+    idx = idx[idx < ft.size - 1]
+    logw = np.abs(np.log(taus[idx])) ** q
+    exps_l2 = -(p - 1.0) * N / (p + 3.0)
+    cone, bound_e, sl2, lower = [], [], [], []
+    for j, i in enumerate(idx):
+        t_i, tau_i = ft[i], taus[i]
+        sel = (ft >= t_i) & (ft <= 0.5 * (t_i + T0))
+        cone.append(logw[j] * float(np.trapezoid(Gt[sel], ft[sel])))
+        vals = (fur[i] ** 2 * (1.0 - np.minimum(traj.grid.nodes / tau_i, 1.0) ** 2)
+                + fut[i] ** 2 - np.abs(fu_[i]) ** (p + 1.0) / (p + 1.0))
+        bound_e.append(logw[j] * 0.5 * tau_i * sa
+                       * _radial_integral_1d(vals, traj.grid, tau_i, N))
+        l2 = sa * _radial_integral_1d(fu_[i] ** 2, traj.grid, tau_i, N)
+        sl2.append(logw[j] * tau_i ** exps_l2 * l2)
+        nu = math.sqrt(l2)
+        nut = math.sqrt(sa * _radial_integral_1d(fut[i] ** 2, traj.grid, tau_i, N))
+        nur = math.sqrt(sa * _radial_integral_1d(fur[i] ** 2, traj.grid, tau_i, N))
+        lower.append(tau_i ** (e.two_over_pm1 - 0.5 * N) * nu
+                     + tau_i ** (e.two_over_pm1 + 1.0 - 0.5 * N) * (nut + nur))
+    s = -np.log(taus[idx])
+    series = {name: FunctionalSeries(name, s, np.array(v)) for name, v in (
+        ("cone_gradient", cone), ("boundary_energy", bound_e),
+        ("scaled_l2", sl2), ("lower_bound", lower))}
+    sup = {k: float(np.max(np.abs(v.values))) for k, v in series.items()}
+    tau_sel = taus[idx]
+    pure = np.array(sl2) / np.where(logw > 0, logw, 1.0)
+    slope = (float(np.polyfit(np.log(tau_sel), np.log(pure), 1)[0])
+             if np.all(pure > 0) else 0.0)
+    meta = {"q": q, "power_fit_slope": slope,
+            "expected_power": 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0)),
+            "lower_bound_floor": float(np.min(lower))}
+    return fu.TheoremReport(series=series, sup=sup, meta=meta, tau=tau_sel, pure_l2=pure)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.5])
+def test_theorem_quantities_read_only_their_windows(plateau_1024, exp43, q):
+    """Sampling first and reading only the frames the windows span gives the
+    whole-archive computation bit for bit, also when T0 lies before the last
+    frames, which then drop out of the archive's prefix."""
+    ft = plateau_1024.frames_t
+    for T0 in (plateau_1024.T_est, 0.5 * (ft[-41] + ft[-40])):
+        got = fu.theorem_quantities(plateau_1024, exp43, T0, q=q)
+        want = _theorem_quantities_whole_archive(plateau_1024, exp43, T0, q)
+        assert got.series.keys() == want.series.keys()
+        for name, ser in want.series.items():
+            assert np.array_equal(got.series[name].s, ser.s), name
+            assert np.array_equal(got.series[name].values, ser.values), name
+        assert got.sup == want.sup and got.meta == want.meta
+        assert np.array_equal(got.tau, want.tau)
+        assert np.array_equal(got.pure_l2, want.pure_l2)
 
 
 def test_h_norm_finite_on_suite(radial_rules, plateau_1024, exp43):

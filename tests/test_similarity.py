@@ -9,8 +9,9 @@ from scipy.interpolate import CubicSpline
 import sswave as sw
 from sswave.core import PhysicalState
 from sswave.quadrature import RuleTable
-from sswave.similarity import (PolyField, RadialSpline, TestField, harmonic_poly,
-                               make_test_field, to_similarity, trajectory_to_w)
+from sswave.similarity import (PolyField, RadialSpline, TestField, WeightedPoly,
+                               harmonic_poly, make_test_field, to_similarity,
+                               trajectory_to_w)
 from sswave import functionals as fu
 
 
@@ -69,8 +70,8 @@ def test_field_derivatives_match_sympy_oracle(tf):
     dv = snap.pohozaev_div_over_rho(pts, eps)
     # (numeric value, gradient, Hessian or None) against the symbolic form:
     # the field, its ds w part, and the polynomial factor q on its own
-    cases = [((wv, gv, snap.hess(pts)), w),
-             ((wsv, snap.ws_grad(pts), None), ws),
+    cases = [((wv, gv, snap.w_part.hess(pts)), w),
+             ((wsv, snap.ws_part.grad(pts), None), ws),
              ((tf.poly(pts), tf.poly.grad(pts), tf.poly.hess(pts)), q)]
     for (val, grad, hess), expr in cases:
         grad_s = [sympy.diff(expr, y) for y in ys]
@@ -133,6 +134,76 @@ def test_boundary_vanishing_for_weighted_fields():
     om = 1.0 - r2[near]
     assert np.all(np.abs(w[near]) < 10.0 * om)
     assert np.all((1.0 - r2[near]) * np.sum(grad[near] ** 2, axis=1) < 50.0 * om)
+
+
+def _weighted_poly_value(wp, pts):
+    """WeightedPoly's value, gradient and Hessian as three routines, each
+    recomputing |y|^2, its powers and the polynomial; kept as references."""
+    pts = np.atleast_2d(pts)
+    om = 1.0 - np.sum(pts ** 2, axis=1)
+    P = np.ones_like(om) if wp.a == 0.0 else np.clip(om, 0.0, None) ** wp.a
+    return P * wp.poly(pts)
+
+
+def _weighted_poly_grad(wp, pts):
+    a = wp.a
+    if a == 0.0:
+        return wp.poly.grad(pts)
+    pts = np.atleast_2d(pts)
+    om = 1.0 - np.sum(pts ** 2, axis=1)
+    q, gq = wp.poly.jet(pts, (0, 1))
+    P = om ** a
+    return P[:, None] * gq - (2.0 * a) * (om ** (a - 1.0) * q)[:, None] * pts
+
+
+def _weighted_poly_hess(wp, pts):
+    a = wp.a
+    if a == 0.0:
+        return wp.poly.hess(pts)
+    pts = np.atleast_2d(pts)
+    N = pts.shape[1]
+    om = 1.0 - np.sum(pts ** 2, axis=1)
+    q, gq, Hq = wp.poly.jet(pts, (0, 1, 2))
+    P = om ** a
+    Pm1 = om ** (a - 1.0)
+    eye = np.eye(N)
+    out = P[:, None, None] * Hq
+    out -= (2.0 * a) * Pm1[:, None, None] * (
+        pts[:, :, None] * gq[:, None, :] + gq[:, :, None] * pts[:, None, :]
+        + q[:, None, None] * eye[None, :, :])
+    if a != 1.0:
+        Pm2 = om ** (a - 2.0)
+        out += (4.0 * a * (a - 1.0)) * (Pm2 * q)[:, None, None] * (
+            pts[:, :, None] * pts[:, None, :])
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_weighted_poly_jet_is_the_three_routines(N):
+    """Every degree of WeightedPoly.jet, alone or requested together, equals
+    the separate value/grad/hess routines bit for bit, at Gauss nodes and on
+    the unit sphere, where the value clips 1-|y|^2 and the derivatives
+    (NaN or inf there for some a) do not."""
+    rng = np.random.default_rng(N)
+    poly = PolyField(N, {tuple(int(v) for v in rng.integers(0, 3, size=N)):
+                         float(rng.uniform(-1.0, 1.0)) for _ in range(6)})
+    gauss = RuleTable(N, n_radial=8, n_angular={2: 8, 3: 4, 4: 1}[N]).rule(0.6).points
+    sphere = rng.standard_normal((200, N))
+    sphere /= np.sqrt(np.sum(sphere ** 2, axis=1))[:, None]
+    sphere = np.vstack([sphere, np.eye(N), -np.eye(N)])
+    if N < 4:
+        sphere = np.vstack([sphere, sw.sphere_rule(N, 12).points])
+    refs = (_weighted_poly_value, _weighted_poly_grad, _weighted_poly_hess)
+    with np.errstate(all="ignore"):
+        for a in (0.0, 0.5, 1.0, 2.0, 3.0):
+            wp = WeightedPoly(N, a, poly)
+            for pts in (gauss, sphere):
+                want = [ref(wp, pts) for ref in refs]
+                for degrees in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)):
+                    for g, got in zip(degrees, wp.jet(pts, degrees)):
+                        assert np.array_equal(got, want[g], equal_nan=True), (a, degrees, g)
+                for g, fn in enumerate((wp.value, wp.grad, wp.hess)):
+                    assert np.array_equal(fn(pts), want[g], equal_nan=True), (a, g)
 
 
 # ---------------------------------------------------------------------------

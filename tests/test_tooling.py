@@ -21,8 +21,8 @@ from sswave import functionals, verify
 from sswave.core import PhysicalState, RadialGrid, make_exponents
 from sswave.quadrature import RuleTable
 from sswave.runio import SCHEMA
-from sswave.similarity import (SimilaritySnapshot, constant_field, make_test_field,
-                               to_similarity)
+from sswave.similarity import (SimilaritySnapshot, WeightedPoly, constant_field,
+                               make_test_field, to_similarity)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +82,26 @@ def test_tracer_targets_resolve(monkeypatch):
         assert id(rule) not in series._samples
         assert integral().shape == (3,)
         assert seen[-1] is rule and id(rule) in series._samples
+
+
+def test_identity_battery_reaches_the_traced_functions(monkeypatch):
+    """The benchmark tracer sees the identity battery through the closed-form
+    field routines and the two Pohozaev checks it wraps: a 2-field battery
+    calls WeightedPoly.value, grad or hess, and makes 4 Pohozaev checks."""
+    calls = {"field": 0, "pohozaev": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in ("value", "grad", "hess"):
+        monkeypatch.setattr(WeightedPoly, name, counted(getattr(WeightedPoly, name), "field"))
+    for name in ("check_pohozaev_A", "check_pohozaev_E"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name), "pohozaev"))
+    assert len(verify.run_identity_battery(2, 0.6, n_fields=2)) == 4
+    assert calls["field"] >= 1 and calls["pohozaev"] == 4
 
 
 def test_readme_config_block_matches_schema():
