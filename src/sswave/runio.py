@@ -2,7 +2,7 @@
 
 A run directory is the unit of provenance: `simulate` writes the trajectory
 (frames as raw .npy arrays, center series as CSV), later commands read it
-back and add functional series, verification reports and rate diagnostics.
+back and record functional series and the checks `verify` decides on it.
 Identical config reproduces byte-identical CSV/npy output; the manifest
 records the checksum and size of every file a stage wrote.
 
@@ -184,6 +184,22 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def read_manifest(run_dir: str) -> dict | None:
+    """The run directory's manifest.json, None if it has none; anything but
+    an object with a "files" object is a ConfigError."""
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable manifest {path}: {exc}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("files"), dict)):
+        raise ConfigError(f'manifest {path} is not an object with a "files" object')
+    return doc
+
+
 def update_manifest(run_dir: str, config_hash: str, written: list[str]):
     """Record the checksum and size of each file a stage wrote.
 
@@ -191,15 +207,8 @@ def update_manifest(run_dir: str, config_hash: str, written: list[str]):
     unless the manifest belongs to another config: then it starts afresh.
     """
     path = os.path.join(run_dir, "manifest.json")
-    files = {}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                old = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"unreadable manifest {path}: {exc}") from exc
-        if old.get("config_hash") == config_hash:
-            files = old["files"]
+    old = read_manifest(run_dir)
+    files = old["files"] if old and old.get("config_hash") == config_hash else {}
     for p in written:
         files[os.path.relpath(p, run_dir)] = {"sha256": sha256_file(p),
                                               "bytes": os.path.getsize(p)}
@@ -221,15 +230,36 @@ def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict) -> list[
 # ---------------------------------------------------------------------------
 # commands
 
+def functional_specs(names: str, vals: dict) -> list:
+    """The FunctionalSpec of each name in the comma list, at the eps, k and
+    sigma of the [functionals] values; a name or value that the spec
+    rejects is a ConfigError."""
+    try:
+        return [fu.FunctionalSpec(n.strip(), vals["eps"], vals["k"], vals["sigma"])
+                for n in names.split(",") if n.strip()]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_and_solve(cfg: dict, out_dir: str):
-    """Check the config, its [similarity] rule included, echo it into out_dir,
-    then run the solver on it."""
+    """Check the config, its [similarity] rule and [functionals] specs
+    included, and out_dir's manifest; echo the config into out_dir, then
+    run the solver on it."""
     scfg = solver_config(cfg)
-    sim = typed(cfg)["similarity"]
+    vals = typed(cfg)
+    sim, fun = vals["similarity"], vals["functionals"]
     try:
         build_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
+    functional_specs(fun["names"], fun)
+    try:  # the lemma and monotone suites read eps and k_max whatever the names;
+        # k_max is the k of Fk, the top rung of the ladder the monotone suite checks
+        fu.FunctionalSpec("Fk", fun["eps"], fun["k_max"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid [functionals] eps = {fun['eps']}, "
+                          f"k_max = {fun['k_max']}: {exc}") from exc
+    read_manifest(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.ini"), "w",
               encoding="utf-8") as fh:
@@ -268,60 +298,37 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
 
-def _check_sizes(run_dir: str, names: list[str]):
-    """Each named file has the byte size that manifest.json records for it.
-
-    A stat only: a rewrite of the same size passes here, and the checksums
-    stay in the manifest for a full check.
-    """
-    path = os.path.join(run_dir, "manifest.json")
-    if not os.path.exists(path):
+def load_run(run_dir: str):
+    """(cfg, Trajectory) of the blow-up a run directory holds, whose frame
+    files and t_est.json have the byte sizes its manifest records (a stat:
+    the checksums wait for a full check); NoBlowupError for a run that did
+    not blow up."""
+    cfg = parse_config(os.path.join(run_dir, "config.resolved.ini"))
+    manifest = read_manifest(run_dir)
+    if manifest is None:
         raise ConfigError(f"missing manifest.json in {run_dir}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            files = json.load(fh)["files"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"unreadable manifest {path}: {exc!r}") from exc
-    for name in names:
-        recorded = files.get(name, {}).get("bytes")
+    for name in [f"{n}.npy" for n in FRAMES] + ["t_est.json"]:
+        path = os.path.join(run_dir, name)
+        if not os.path.exists(path):
+            raise ConfigError(f"missing trajectory artifact {name} in {run_dir}")
+        entry = manifest["files"].get(name)
+        recorded = entry.get("bytes") if isinstance(entry, dict) else None
         if recorded is None:
             raise ConfigError(f"manifest of {run_dir} has no entry for {name}")
-        size = os.path.getsize(os.path.join(run_dir, name))
-        if size != recorded:
-            raise ConfigError(f"{name} in {run_dir} is {size} bytes, but the "
-                              f"manifest records {recorded}")
-
-
-def load_run(run_dir: str):
-    """Rebuild (cfg, Trajectory) from a run directory whose frame files and
-    t_est.json have the sizes its manifest records."""
-    cpath = os.path.join(run_dir, "config.resolved.ini")
-    if not os.path.exists(cpath):
-        raise ConfigError(f"{run_dir} does not look like a run directory "
-                          "(missing config.resolved.ini)")
-    cfg = parse_config(cpath)
-    names = [f"{n}.npy" for n in FRAMES] + ["t_est.json"]
-    for name in names:
-        if not os.path.exists(os.path.join(run_dir, name)):
-            raise ConfigError(f"missing trajectory artifact {name} in {run_dir}")
-    _check_sizes(run_dir, names)
+        if os.path.getsize(path) != recorded:
+            raise ConfigError(f"{name} in {run_dir} is {os.path.getsize(path)} bytes, "
+                              f"but the manifest records {recorded}")
     with open(os.path.join(run_dir, "t_est.json"), encoding="utf-8") as fh:
         status = json.load(fh)
+    if status["status"] != "blowup":
+        raise NoBlowupError(f"{run_dir} holds no blow-up trajectory "
+                            f"(status {status['status']}); nothing to analyse")
     scfg = solver_config(cfg)
     traj = Trajectory(
         e=scfg.e, grid=scfg.grid,
         **{n: np.load(os.path.join(run_dir, f"{n}.npy")) for n in FRAMES},
         center_t=np.array([]), center_u=np.array([]), max_u=np.array([]),
         status=status["status"], T_est=status["T_est"])
-    return cfg, traj
-
-
-def load_blowup_run(run_dir: str):
-    """load_run for the stages that analyse a blow-up; NoBlowupError otherwise."""
-    cfg, traj = load_run(run_dir)
-    if traj.status != "blowup":
-        raise NoBlowupError(f"{run_dir} holds no blow-up trajectory "
-                            f"(status {traj.status}); nothing to analyse")
     return cfg, traj
 
 
@@ -354,36 +361,25 @@ def export_snapshots(run_dir: str, snaps) -> str:
 
 def cmd_functionals(run_dir: str, selection: str | None = None,
                     dump_snapshots: bool = False, verbose: bool = False) -> int:
-    cfg, traj = load_blowup_run(run_dir)
-    rules, snaps = build_snapshots(cfg, traj)
+    cfg, traj = load_run(run_dir)
     vals = typed(cfg)["functionals"]
-    params = {key: vals[key] for key in ("eps", "k", "sigma")}
-    names = [n.strip() for n in (selection or vals["names"]).split(",") if n.strip()]
+    specs = functional_specs(selection or vals["names"], vals)
+    rules, snaps = build_snapshots(cfg, traj)
     provenance = {
         "run_dir": os.path.abspath(run_dir),
         "frames_sha256": sha256_file(os.path.join(run_dir, "frames_u.npy")),
-        **params,
+        **{key: vals[key] for key in ("eps", "k", "sigma")},
     }
     written = []
-    for name in names:
-        try:
-            spec = fu.FunctionalSpec(name=name, **params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    for spec in specs:
         ser = fu.evaluate_series(spec, snaps, rules, traj.e)
         written += write_series(run_dir, ser, provenance)
         if verbose:
-            print(f"functionals: wrote {name} ({len(ser)} samples)")
+            print(f"functionals: wrote {spec.name} ({len(ser)} samples)")
     if dump_snapshots:
         written.append(export_snapshots(run_dir, snaps))
     update_manifest(run_dir, config_hash(cfg), written)
     return EXIT_OK
-
-
-def _monotone_suite(snaps, rules, e, k_max: int) -> list[dict]:
-    """F0's own monotonicity report, then one per ladder index 1..k_max."""
-    f0 = fu.f0_series(snaps, rules, e)
-    return [verify.check_f0_monotone(f0)] + verify.check_ladder(f0, e, k_max)
 
 
 def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
@@ -401,35 +397,22 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     reports: list[dict] = []
 
     if suite in ("identities", "all"):
-        for N in (2, 3):
-            for eps in (0.6, 1.0, 1.1):
-                reports += [r.as_dict() for r in verify.run_identity_battery(
-                    N, eps, n_fields=10, seed=seed)]
+        reports += verify.identity_suite(seed)
 
     cfg = None
     if suite != "identities" and run_dir is not None:
-        cfg, traj = load_blowup_run(run_dir)
-        e = traj.e
+        cfg, traj = load_run(run_dir)
         rules, snaps = build_snapshots(cfg, traj)
-        s = snaps.s
         vals = typed(cfg)
-
         if suite in ("lemmas", "all"):
-            dr = traj.grid.dr
-            # resolution-indexed tolerance (relative to the RHS scale)
-            tol = 200.0 * (vals["similarity"]["ds"] ** 2 + (dr / math.exp(-s[0])) ** 2)
-            window = verify.in_window(snaps, (s[0], min(s[0] + 1.0, s[-1])))
-            for name in verify.LEMMA_NAMES:
-                rep = verify.check_derivative_lemma(
-                    name, window, rules, e, eps=vals["functionals"]["eps"], tol=tol)
-                reports.append(rep.as_dict())
-
+            reports += verify.lemma_suite(snaps, rules, traj.e, vals["functionals"]["eps"],
+                                          vals["similarity"]["ds"], traj.grid.dr)
         if suite in ("monotone", "all"):
-            reports += _monotone_suite(snaps, rules, e, vals["functionals"]["k_max"])
-
+            reports += verify.monotone_suite(snaps, rules, traj.e,
+                                             vals["functionals"]["k_max"])
         if suite in ("decay", "all"):
-            bundle = verify.build_decay_bundle(snaps, rules, e)
-            reports += verify.check_decay_suite(bundle)
+            reports += verify.check_decay_suite(
+                verify.build_decay_bundle(snaps, rules, traj.e))
 
     ok = all(r.get("passed", False) for r in reports)
     lines = [f"{'PASS' if r.get('passed') else 'FAIL'}  {r['name']}" for r in reports]
@@ -449,34 +432,17 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
 
 
 def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
-    cfg, traj = load_blowup_run(run_dir)
+    cfg, traj = load_run(run_dir)
     rep = fu.theorem_quantities(traj, traj.e, traj.T_est, q=q)
     written = []
     for ser in rep.series.values():
         written += write_series(run_dir, ser, {"q": q})
-    # trend verdicts on scaled_l2 with its log weight divided out
-    last_decade = rep.tau <= rep.tau[-1] * 10.0
-    decreasing = bool(np.all(np.diff(rep.pure_l2[last_decade]) < 0.0))
-    slope = rep.meta["power_fit_slope"]
-    expected = rep.meta["expected_power"]
-    verdict = {
-        "q": q,
-        "power_fit_slope": slope,
-        "expected_power": expected,
-        "slope_within_10pct": bool(abs(slope - expected) <= 0.1 * abs(expected)),
-        "scaled_l2_decreasing_last_decade": decreasing,
-        "cone_gradient_sup": rep.sup["cone_gradient"],
-        "cone_gradient_bounded": bool(np.isfinite(rep.sup["cone_gradient"])),
-        "lower_bound_floor": rep.meta["lower_bound_floor"],
-        "sup": rep.sup,
-    }
+    verdict = verify.rate_verdict(rep, q)
     written.append(write_json(os.path.join(run_dir, "rate_verdict.json"), verdict))
     update_manifest(run_dir, config_hash(cfg), written)
     if verbose:
         print(json.dumps(verdict, indent=1, sort_keys=True, default=float))
-    ok = (verdict["slope_within_10pct"]
-          and verdict["scaled_l2_decreasing_last_decade"]
-          and verdict["cone_gradient_bounded"])
+    ok = all(verdict[key] for key in verify.RATE_VERDICTS)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -492,8 +458,8 @@ def _sweep_one(args):
     if traj.status == "blowup":
         try:
             rules, snaps = build_snapshots(cfg, traj)
-            f0_rep, *ladder = _monotone_suite(snaps, rules, traj.e,
-                                              typed(cfg)["functionals"]["k_max"])
+            f0_rep, *ladder = verify.monotone_suite(snaps, rules, traj.e,
+                                                    typed(cfg)["functionals"]["k_max"])
         except ValueError as exc:  # ConfigError included
             print(f"sweep: p={scfg.e.p} N={scfg.e.N}: window not checked: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -516,6 +482,7 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     if bad:
         raise ConfigError("invalid sweep pairs rejected before launch: "
                           + "; ".join(bad))
+    read_manifest(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     tasks = [({**base, "exponents": {"p": repr(p), "N": repr(N)}},
               os.path.join(out_dir, f"p{p}_N{N}")) for p, N in pairs]

@@ -18,7 +18,7 @@ so each identity stands on its own rather than on transcription.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,9 @@ MIN_SAMPLES = 3       # fewer samples show no trend, no monotonicity, no residua
 LEMMA_NAMES = ("dE_eps", "dJ_eps", "dN_eps", "dI_eps", "dL_eps",
                "dM", "dF0", "dF1", "dJ0")
 
+RATE_VERDICTS = ("slope_within_10pct", "scaled_l2_decreasing_last_decade",
+                 "cone_gradient_bounded")
+
 
 @dataclass
 class IdentityReport:
@@ -48,9 +51,7 @@ class IdentityReport:
     context: str = ""
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("name", "lhs", "rhs", "abs_residual", "rel_residual",
-                 "tolerance", "passed", "context")}
+        return asdict(self)
 
 
 def report(name, lhs, rhs, tol, context="", scale=None) -> IdentityReport:
@@ -305,6 +306,18 @@ def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
                   scale=scale)
 
 
+def lemma_suite(snaps, rules, e: Exponents, eps: float, ds: float,
+                dr: float) -> list[dict]:
+    """Every d/ds lemma over the series' first unit [s0, min(s0+1, s_end)],
+    to a tolerance indexed by the snapshot spacing ds and the radial step
+    dr, relative to the RHS scale."""
+    s = snaps.s
+    tol = 200.0 * (ds ** 2 + (dr / math.exp(-s[0])) ** 2)
+    window = in_window(snaps, (s[0], min(s[0] + 1.0, s[-1])))
+    return [check_derivative_lemma(name, window, rules, e, eps=eps, tol=tol).as_dict()
+            for name in LEMMA_NAMES]
+
+
 # ---------------------------------------------------------------------------
 # static Pohozaev identities (appendix lemmas)
 
@@ -381,6 +394,13 @@ def run_identity_battery(N: int, eps: float, n_fields: int = 50,
         out.append(check_pohozaev_A(snap, eps, rules))
         out.append(check_pohozaev_E(snap, eps, rules))
     return out
+
+
+def identity_suite(seed: int) -> list[dict]:
+    """Both Pohozaev identities on 10 seeded fields for each N in (2, 3)
+    and eps in (0.6, 1.0, 1.1)."""
+    return [r.as_dict() for N in (2, 3) for eps in (0.6, 1.0, 1.1)
+            for r in run_identity_battery(N, eps, n_fields=10, seed=seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +583,7 @@ def calibrate_hardy(profiles, eps: float, rules: RuleTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity and decay monitors
+# monotonicity, decay and rate-trend verdicts
 
 def ladder_start(e: Exponents, k: int) -> float:
     """End of the transient window for s^(k/18) F0: the weight factor
@@ -623,6 +643,12 @@ def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
         out.append({"name": f"ladder_k{k}_monotone", "passed": passed,
                     "violations": violations})
     return out
+
+
+def monotone_suite(snaps, rules, e: Exponents, k_max: int) -> list[dict]:
+    """F0's own monotonicity report, then one per ladder index 1..k_max."""
+    f0 = fu.f0_series(snaps, rules, e)
+    return [check_f0_monotone(f0)] + check_ladder(f0, e, k_max)
 
 
 def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
@@ -726,3 +752,24 @@ def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
 def check_decay_suite(bundle: dict) -> list[dict]:
     """Decay verdict for every series in the bundle."""
     return [decay_report(ser) for ser in bundle.values()]
+
+
+def rate_verdict(rep: fu.TheoremReport, q: float) -> dict:
+    """The RATE_VERDICTS, which must all hold, and the numbers they rest on:
+    scaled_l2 with its log weight divided out fits the expected power within
+    10% and decreases over the last decade of tau; the cone sup is finite."""
+    last_decade = rep.tau <= rep.tau[-1] * 10.0
+    decreasing = bool(np.all(np.diff(rep.pure_l2[last_decade]) < 0.0))
+    slope = rep.meta["power_fit_slope"]
+    expected = rep.meta["expected_power"]
+    return {
+        "q": q,
+        "power_fit_slope": slope,
+        "expected_power": expected,
+        "slope_within_10pct": bool(abs(slope - expected) <= 0.1 * abs(expected)),
+        "scaled_l2_decreasing_last_decade": decreasing,
+        "cone_gradient_sup": rep.sup["cone_gradient"],
+        "cone_gradient_bounded": bool(np.isfinite(rep.sup["cone_gradient"])),
+        "lower_bound_floor": rep.meta["lower_bound_floor"],
+        "sup": rep.sup,
+    }

@@ -90,7 +90,11 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  "[functionals]\nq = 2.0\n", "[output]\nseed = 0\n",
                  # values that parse but that the solver grid or a rule rejects
                  "[solver]\nr_max_factor = 1.3\n", "[similarity]\nn_radial = 0\n",
-                 "[exponents]\np = 2.5\nN = 4\n[similarity]\nn_angular = 2\n"):
+                 "[exponents]\np = 2.5\nN = 4\n[similarity]\nn_angular = 2\n",
+                 # [functionals] values that parse but that a FunctionalSpec rejects
+                 "[functionals]\neps = -1.0\n", "[functionals]\nk_max = -3\n",
+                 "[functionals]\nnames = F0,nope\n",
+                 "[functionals]\nnames =\neps = 0.0\n"):   # eps drives the lemma suite
         cfg.write_text(text)
         rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2, text
@@ -141,6 +145,20 @@ def test_functionals_outputs(small_cfg, tmp_path):
     assert header == ["s", "value", "tail_bound"]
     assert np.all(np.diff(cols[0]) > 0)
     assert not os.path.exists(os.path.join(out, "plots"))
+
+
+def test_functionals_bad_name_writes_nothing(small_cfg, tmp_path, capsys):
+    """Every selected name is checked before the first series is written."""
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    manifest = open(os.path.join(out, "manifest.json")).read()
+    capsys.readouterr()
+    assert run_cli("functionals", "--out", out, "--names", "F0,nope") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: unknown functional 'nope'"), err
+    assert err.count("\n") == 1
+    assert not {"F0.csv", "F0.json"} & set(os.listdir(out))
+    assert open(os.path.join(out, "manifest.json")).read() == manifest
 
 
 def test_functionals_missing_trajectory(tmp_path):
@@ -487,10 +505,13 @@ def test_verify_detects_corrupted_run(small_cfg, tmp_path):
     assert run_cli("verify", "--suite", "monotone", "--out", out) == 1
 
 
-@pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry"])
+@pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry",
+                                    "not_an_object", "no_files"])
 def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, damage):
-    """A truncated frame file, a missing manifest or a file the manifest
-    does not list is a one-line ConfigError (exit 2) at load time."""
+    """A truncated frame file, a missing manifest, a file the manifest does
+    not list, or a manifest that is not an object with a "files" object is
+    a one-line ConfigError (exit 2) at load time; a damaged manifest is one
+    too when `simulate` writes into its directory."""
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
     manifest = os.path.join(out, "manifest.json")
@@ -502,13 +523,20 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
     else:
         with open(manifest) as fh:
             doc = json.load(fh)
-        del doc["files"]["t_est.json"]
+        if damage == "no_entry":
+            del doc["files"]["t_est.json"]
+        elif damage == "no_files":
+            del doc["files"]   # the config hash still matches
         with open(manifest, "w") as fh:
-            json.dump(doc, fh)
+            json.dump([] if damage == "not_an_object" else doc, fh)
     capsys.readouterr()
-    assert run_cli("rate", "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    argvs = [["rate", "--out", out]]
+    if damage in ("not_an_object", "no_files"):
+        argvs.append(["simulate", "--config", small_cfg, "--out", out])
+    for argv in argvs:
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
 
 
 def test_env_var_selects_output_root(small_cfg, tmp_path, monkeypatch):
@@ -536,3 +564,13 @@ def test_verify_suite_all(small_cfg, tmp_path):
     assert "pohozaev_A" in names and "F0_monotone" in names
     assert any(n.startswith("d") for n in names)        # lemma checks
     assert any(n.startswith("window") for n in names)   # decay suite
+    # the identity battery first, N outer and eps inner, 10 fields each ...
+    battery = [(f"pohozaev_{side}", f"N={N} eps={eps}") for N in (2, 3)
+               for eps in (0.6, 1.0, 1.1) for _field in range(10) for side in "AE"]
+    assert [(r["name"], r["context"].split(" a=")[0]) for r in reports[:120]] == battery
+    # ... then exactly the run-based suites, in order
+    run_based = []
+    for suite in ("lemmas", "monotone", "decay"):
+        run_cli("verify", "--suite", suite, "--out", out)
+        run_based += json.load(open(os.path.join(out, f"verify_{suite}.json")))
+    assert reports[120:] == run_based

@@ -7,7 +7,9 @@ test_verify, and it takes longer than the other three together.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import runpy
 import subprocess
@@ -19,8 +21,9 @@ import pytest
 
 from sswave import functionals, verify
 from sswave.core import PhysicalState, RadialGrid, make_exponents
-from sswave.quadrature import RuleTable
+from sswave.quadrature import RuleTable, build_rule
 from sswave.runio import SCHEMA
+from sswave.solver import SolverConfig
 from sswave.similarity import (SimilaritySnapshot, WeightedPoly, constant_field,
                                make_test_field, to_similarity)
 
@@ -122,6 +125,31 @@ def test_readme_config_block_matches_schema():
               for sec, keys in SCHEMA.items()}
     assert [(sec, list(keys.items())) for sec, keys in documented.items()] == \
         [(sec, list(keys.items())) for sec, keys in schema.items()]
+
+
+def test_schema_defaults_are_the_library_defaults():
+    """Each config default, after its parser, is the default of the library
+    parameter it sets, so a library run and a CLI run with no config agree:
+    SolverConfig's fields, the rules' sizes, FunctionalSpec's values."""
+    parsed = {sec: {key: parse(default) for key, (default, parse) in keys.items()}
+              for sec, keys in SCHEMA.items()}
+
+    def field_defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+
+    solver = field_defaults(SolverConfig)
+    # nr and r_max_factor size the RadialGrid, which has no defaults
+    assert set(parsed["solver"]) - set(solver) == {"nr", "r_max_factor"}
+    for key in set(parsed["solver"]) & set(solver):
+        assert parsed["solver"][key] == solver[key], key
+    for fn in (RuleTable, build_rule):
+        params = inspect.signature(fn).parameters
+        for key in ("n_radial", "n_angular"):
+            assert parsed["similarity"][key] == params[key].default, (fn, key)
+    spec = field_defaults(functionals.FunctionalSpec)
+    for key in ("eps", "k", "sigma"):
+        assert parsed["functionals"][key] == spec[key], key
 
 
 def _parsed(*tops):

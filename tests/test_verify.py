@@ -306,6 +306,41 @@ def test_decay_report():
     assert not grow["passed"]
 
 
+def _rate_report(slope=-0.5, pure_l2=None, cone_sup=2.0):
+    """A hand-built TheoremReport whose three rate verdicts hold by default:
+    slope on the expected power -0.5, tau^-0.5 falling toward the blow-up
+    (tau from 1e-1 to 1e-4, so the last decade is tau <= 1e-3), a finite
+    cone sup."""
+    tau = np.geomspace(1e-1, 1e-4, 40)
+    return fu.TheoremReport(
+        series={}, sup={"cone_gradient": cone_sup, "scaled_l2": 1.0},
+        meta={"power_fit_slope": slope, "expected_power": -0.5,
+              "lower_bound_floor": 0.25},
+        tau=tau, pure_l2=tau ** 0.5 if pure_l2 is None else pure_l2)
+
+
+def test_rate_verdicts_fail_one_at_a_time():
+    """Each rate verdict turns false on its own defect, and only that one."""
+    good = verify.rate_verdict(_rate_report(), q=1.0)
+    assert set(good) == {"q", "power_fit_slope", "expected_power", "slope_within_10pct",
+                         "scaled_l2_decreasing_last_decade", "cone_gradient_sup",
+                         "cone_gradient_bounded", "lower_bound_floor", "sup"}
+    assert all(good[key] is True for key in verify.RATE_VERDICTS)
+    rising, early = _rate_report().pure_l2.copy(), _rate_report().pure_l2.copy()
+    rising[-1] = 1.01 * rising[-2]          # inside the last decade
+    early[1] = 2.0 * early[0]               # before it: not a verdict
+    for rep, failed in [(_rate_report(slope=-0.6), "slope_within_10pct"),
+                        (_rate_report(slope=-0.4), "slope_within_10pct"),
+                        (_rate_report(pure_l2=rising), "scaled_l2_decreasing_last_decade"),
+                        (_rate_report(cone_sup=math.inf), "cone_gradient_bounded"),
+                        (_rate_report(pure_l2=early), None)]:
+        verdict = verify.rate_verdict(rep, q=1.0)
+        assert {key for key in verify.RATE_VERDICTS if not verdict[key]} == (
+            {failed} if failed else set()), failed
+    near = verify.rate_verdict(_rate_report(slope=-0.54), q=2.5)   # 8% off
+    assert near["slope_within_10pct"] and near["q"] == 2.5
+
+
 def test_decay_windows_are_per_window_trapezoids(exp43, plateau_1024):
     """The decay bundle's [s, s+1] window integrals equal one np.trapezoid
     per window, bit for bit, on an uneven s grid whose windows hold
