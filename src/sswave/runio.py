@@ -252,6 +252,9 @@ def _resolve_and_solve(cfg: dict, out_dir: str):
         build_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
+    if not (math.isfinite(sim["ds"]) and sim["ds"] > 0.0):
+        raise ConfigError(f"invalid [similarity] ds = {sim['ds']}: "
+                          f"must be finite and positive")
     functional_specs(fun["names"], fun)
     try:  # the lemma and monotone suites read eps and k_max whatever the names;
         # k_max is the k of Fk, the top rung of the ladder the monotone suite checks
@@ -333,7 +336,10 @@ def load_run(run_dir: str):
 
 
 def build_snapshots(cfg: dict, traj):
-    """The [similarity] rules and the snapshots of its s-window, centred at x0."""
+    """The [similarity] rules and the snapshots of its s-window, centred at
+    x0.  A window that the run cannot supply is a ConfigError: one that is
+    empty, reaches a time outside the stored frames, or whose largest ball
+    x0 + (T0 - t) y leaves the radial grid."""
     sim = typed(cfg)["similarity"]
     rules = RuleTable(traj.e.N, n_radial=sim["n_radial"], n_angular=sim["n_angular"])
     s_lo = -math.log(traj.T_est) + 0.75 if sim["s_lo"] == "auto" else sim["s_lo"]
@@ -342,6 +348,19 @@ def build_snapshots(cfg: dict, traj):
         raise ConfigError(f"empty snapshot window [{s_lo}, {s_hi}]")
     s_grid = np.arange(s_lo, s_hi + 1e-9, sim["ds"])
     T0 = traj.T_est if sim["T0"] == "auto" else sim["T0"]
+    # T0 - e^(-s) increases with s: the window's ends bound its times
+    t_first, t_last = T0 - math.exp(-s_grid[0]), T0 - math.exp(-s_grid[-1])
+    frames_t = traj.frames_t
+    if not (frames_t[0] <= t_first and t_last <= frames_t[-1]):
+        raise ConfigError(
+            f"[similarity] s_lo, s_hi, T0: the window s in [{s_grid[0]}, {s_grid[-1]}] "
+            f"needs t in [{t_first}, {t_last}], but the run stores t in "
+            f"[{frames_t[0]}, {frames_t[-1]}]")
+    reach = abs(sim["x0"]) + (T0 - t_first)
+    if reach > traj.grid.r_max * (1.0 + 1e-12):
+        raise ConfigError(
+            f"[similarity] x0, s_lo: the ball of radius {T0 - t_first} at |x0| = "
+            f"{abs(sim['x0'])} reaches r = {reach}, past r_max = {traj.grid.r_max}")
     snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid, rules.plain)
     return rules, snaps
 
@@ -364,6 +383,8 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
     cfg, traj = load_run(run_dir)
     vals = typed(cfg)["functionals"]
     specs = functional_specs(selection or vals["names"], vals)
+    if not specs:
+        raise ConfigError(f"no functional selected by {selection or vals['names']!r}")
     rules, snaps = build_snapshots(cfg, traj)
     provenance = {
         "run_dir": os.path.abspath(run_dir),
@@ -394,6 +415,8 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite '{suite}', expected one of {SUITES}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     reports: list[dict] = []
 
     if suite in ("identities", "all"):
@@ -432,6 +455,8 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
 
 
 def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
+    if not (math.isfinite(q) and q >= 0.0):
+        raise ConfigError(f"--q must be finite and >= 0, got {q}")
     cfg, traj = load_run(run_dir)
     rep = fu.theorem_quantities(traj, traj.e, traj.T_est, q=q)
     written = []
@@ -460,9 +485,10 @@ def _sweep_one(args):
             rules, snaps = build_snapshots(cfg, traj)
             f0_rep, *ladder = verify.monotone_suite(snaps, rules, traj.e,
                                                     typed(cfg)["functionals"]["k_max"])
-        except ValueError as exc:  # ConfigError included
+        except ValueError as exc:
+            # ConfigError included: one point's window is not the sweep's usage error
             print(f"sweep: p={scfg.e.p} N={scfg.e.N}: window not checked: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                  f"ValueError: {exc}", file=sys.stderr)
         else:
             row["F0_monotone"] = f0_rep["passed"]
             row["ladder_monotone"] = all(r["passed"] for r in ladder)
@@ -473,6 +499,9 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
               jobs: int = 1, verbose: bool = False) -> int:
     base = parse_config(config_path)
     pairs = [(p, N) for p in p_list for N in N_list]
+    if not pairs:
+        raise ConfigError(f"--p-list {p_list} and --N-list {N_list} "
+                          f"select no (p, N) pair")
     bad = []
     for p, N in pairs:
         try:

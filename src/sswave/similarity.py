@@ -180,9 +180,10 @@ ROW_BLOCK = 64   # snapshots sampled at once: bounds the (rows, K, N) temporarie
 @dataclass
 class NodeSample:
     """What the integrands read at one rule's K nodes, each computed once:
-    r2 = |y|^2 (K,), and per snapshot (ROWS; (m, K) for a series of m)."""
+    per snapshot (ROWS; (m, K) for a series of m), and through the rule
+    sampled, which the sample keeps alive, r2 = |y|^2 (K,)."""
 
-    r2: np.ndarray
+    rule: BallQuadrature
     w: np.ndarray
     ws: np.ndarray
     ydg: np.ndarray     # y . grad w
@@ -192,8 +193,12 @@ class NodeSample:
 
     ROWS = ("w", "ws", "ydg", "g2", "gr2", "gth2")
 
+    @property
+    def r2(self) -> np.ndarray:
+        return self.rule.r2
+
     def rows(self, idx) -> "NodeSample":
-        return NodeSample(self.r2, *(getattr(self, name)[idx] for name in self.ROWS))
+        return NodeSample(self.rule, *(getattr(self, name)[idx] for name in self.ROWS))
 
 
 class SimilaritySnapshot:
@@ -204,8 +209,10 @@ class SimilaritySnapshot:
     A subclass supplies fields(pts) -> (w, ds w, grad w) anywhere on the
     closed ball, shaped s.shape + (K,) and s.shape + (K, N), and names its
     per-snapshot attributes in ROWS.  Every rule's node samples, the primary
-    rule's included, come from it through on(), which caches them per rule;
-    the boundary trace is the same evaluation on a sphere rule.
+    rule's included, come from it through on(), which caches them by
+    id(rule); each sample holds its rule, so no other rule can take that id
+    while the entry exists.  The boundary trace is the same evaluation on a
+    sphere rule.
     """
 
     ROWS = ("s",)
@@ -241,10 +248,10 @@ class SimilaritySnapshot:
         key = id(rule)
         if key not in self._samples:
             if np.ndim(self.s) == 0:
-                ns = NodeSample(rule.r2, *self._node_fields(rule.points))
+                ns = NodeSample(rule, *self._node_fields(rule.points))
             else:
-                ns = NodeSample(rule.r2, *(np.empty((self.s.size, rule.weights.size))
-                                           for _ in NodeSample.ROWS))
+                ns = NodeSample(rule, *(np.empty((self.s.size, rule.weights.size))
+                                        for _ in NodeSample.ROWS))
                 for i in range(0, self.s.size, ROW_BLOCK):
                     block = self[i:i + ROW_BLOCK]._node_fields(rule.points)
                     for name, val in zip(NodeSample.ROWS, block):

@@ -54,6 +54,9 @@ class SolverConfig:
             raise ValueError(f"cfl must be in (0,1), got {self.cfl}")
         if self.family == "ode_plateau" and self.grid.r_max <= self.taper_frac * self.T:
             raise ValueError("grid too small: need r_max > taper_frac*T")
+        if self.family in ("ode_plateau", "plateau") and not self.core_frac < self.taper_frac:
+            raise ValueError(f"the {self.family} family needs core_frac < taper_frac, got "
+                             f"core_frac = {self.core_frac}, taper_frac = {self.taper_frac}")
 
 
 def _smoothstep(x):

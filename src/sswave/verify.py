@@ -5,7 +5,7 @@ d/ds lemmas on snapshot series from solver trajectories, with the left side
 a difference of the functional and the right side an independent
 quadrature/trapezoid assembly of the stated integrands.  The two sides are
 deliberately disjoint code paths: everything on the right comes from the
-raw node integrals in _Raw below, never from functionals.py (except where a
+raw node integrals of _raw below, never from functionals.py (except where a
 lemma's right side literally contains the functional itself, e.g. the
 -2 alpha int F dtau terms).
 
@@ -17,6 +17,7 @@ so each identity stands on its own rather than on transcription.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -24,8 +25,7 @@ import numpy as np
 
 from .core import Exponents, FunctionalSeries, pointwise
 from .quadrature import RuleTable
-from .similarity import (PolyField, SimilaritySnapshot, StaticSnapshot,
-                         TestField, make_test_field)
+from .similarity import PolyField, StaticSnapshot, TestField, make_test_field
 from . import functionals as fu
 
 FLOOR = 1e-14
@@ -117,49 +117,39 @@ _RAW_TABLE = {
 }
 
 
-def _raw_int(snap, rules: RuleTable, e: Exponents, integrand: str, beta: float):
-    """The integrand against the beta rule, one row sum per snapshot."""
+def _raw_int(snap, rules: RuleTable, e: Exponents | None, integrand: str, beta: float):
+    """The integrand against the beta rule, one row sum per snapshot; e may be
+    None for an integrand that reads no exponent."""
     rule = rules.rule(beta)
     return np.sum(rule.weights * _INTEGRANDS[integrand](snap.on(rule), e), axis=-1)
 
 
-class _Raw:
-    """Raw integrals of a snapshot or series for a given eps; memoised by name.
+def _raw(snap, rules: RuleTable, e: Exponents | None, eps: float, name: str):
+    """The raw integral name of _RAW_TABLE for a snapshot or series at eps,
+    summed from the node samples the snapshot caches."""
+    integrand, shift = _RAW_TABLE[name]
+    return _raw_int(snap, rules, e, integrand, 0.0 if shift is None else eps + shift)
 
-    Names in _RAW_TABLE are single integrals; the others are functionals
-    rebuilt on the raw path from them (the _<name> methods)."""
 
-    def __init__(self, snap: SimilaritySnapshot, rules: RuleTable,
-                 e: Exponents, eps: float):
-        self.snap = snap
-        self.rules = rules
-        self.e = e
-        self.eps = eps
-        self._memo: dict = {}
+def _Ifun(snap, rules: RuleTable, e: Exponents, eps: float):
+    """I_eps rebuilt on the raw path."""
+    raw = functools.partial(_raw, snap, rules, e, eps)
+    return -raw("W2h") - 2.0 * raw("W1h") - 0.5 * e.N * raw("Bh")
 
-    def get(self, name: str) -> float:
-        if name not in self._memo:
-            if name in _RAW_TABLE:
-                integrand, shift = _RAW_TABLE[name]
-                beta = 0.0 if shift is None else self.eps + shift
-                self._memo[name] = _raw_int(self.snap, self.rules, self.e,
-                                            integrand, beta)
-            else:
-                self._memo[name] = getattr(self, "_" + name)()
-        return self._memo[name]
 
-    def _Ifun(self):
-        return -self.get("W2h") - 2.0 * self.get("W1h") - 0.5 * self.e.N * self.get("Bh")
+def _Gfun(snap, rules: RuleTable, e: Exponents, eps: float):
+    """G_eps rebuilt on the raw path."""
+    raw = functools.partial(_raw, snap, rules, e, eps)
+    return (raw("S2") - raw("R2")
+            - (raw("P2") + 2.0 * raw("P3") + raw("S3"))
+            + 2.0 * _g1(e) * raw("W3"))
 
-    def _Gfun(self):
-        return (self.get("S2") - self.get("R2")
-                - (self.get("P2") + 2.0 * self.get("P3") + self.get("S3"))
-                + 2.0 * _g1(self.e) * self.get("W3"))
 
-    def boundary(self):
-        sph = self.rules.sphere()
-        bw, bws = self.snap.boundary(sph)
-        return sph.weights, bw, bws
+def _boundary(snap, rules: RuleTable):
+    """(sphere weights, w, ds w) on |y| = 1."""
+    sph = rules.sphere()
+    bw, bws = snap.boundary(sph)
+    return sph.weights, bw, bws
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +159,32 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
     """Instantaneous d/ds of the named functional per its dissipation law."""
     al, N, p = e.alpha, e.N, e.p
     g1 = _g1(e)
-    rw = _Raw(snap, rules, e, eps)
+    raw = functools.partial(_raw, snap, rules, e, eps)
 
     if name == "dE_eps":
-        return (-2.0 * eps * rw.get("P1") - 2.0 * al * rw.get("P2")
-                + (2.0 * eps - 2.0 * al) * rw.get("P3"))
+        return (-2.0 * eps * raw("P1") - 2.0 * al * raw("P2")
+                + (2.0 * eps - 2.0 * al) * raw("P3"))
 
     if name == "dJ_eps":
-        return (rw.get("Gfun") + 4.0 * eps * rw.get("W4")
-                + (2.0 * al - 2.0 * eps) * rw.get("W1")
-                - 2.0 * N * rw.get("W2"))
+        return (_Gfun(snap, rules, e, eps) + 4.0 * eps * raw("W4")
+                + (2.0 * al - 2.0 * eps) * raw("W1")
+                - 2.0 * N * raw("W2"))
 
     if name == "dN_eps":
-        return (-2.0 * al * (rw.get("P3") + rw.get("S3"))
-                - eps * rw.get("Q1") + (2.0 * eps / (p + 1.0)) * rw.get("R1")
-                - 0.5 * N * rw.get("P2") + eps * rw.get("P1")
-                + 0.5 * N * rw.get("S1") - rw.get("S2")
-                - 2.0 * g1 * rw.get("W1")
-                - (N + 2.0 * eps) / (p + 1.0) * rw.get("R2")
-                - N * rw.get("P3") + eps * rw.get("S3"))
+        return (-2.0 * al * (raw("P3") + raw("S3"))
+                - eps * raw("Q1") + (2.0 * eps / (p + 1.0)) * raw("R1")
+                - 0.5 * N * raw("P2") + eps * raw("P1")
+                + 0.5 * N * raw("S1") - raw("S2")
+                - 2.0 * g1 * raw("W1")
+                - (N + 2.0 * eps) / (p + 1.0) * raw("R2")
+                - N * raw("P3") + eps * raw("S3"))
 
     if name == "dI_eps":
-        return (-2.0 * al * rw.get("Ifun") - rw.get("Ph") + rw.get("Thh")
-                + rw.get("Hr") - rw.get("Rh")
-                + (1.0 - 2.0 * eps - 2.0 * al) * rw.get("W1h")
-                + (2.0 * g1 - al * N) * rw.get("Bh")
-                - 2.0 * rw.get("P3h"))
+        return (-2.0 * al * _Ifun(snap, rules, e, eps) - raw("Ph") + raw("Thh")
+                + raw("Hr") - raw("Rh")
+                + (1.0 - 2.0 * eps - 2.0 * al) * raw("W1h")
+                + (2.0 * g1 - al * N) * raw("Bh")
+                - 2.0 * raw("P3h"))
 
     if name == "dL_eps":
         return (lemma_rhs("dN_eps", snap, rules, e, 0.5 + eps)
@@ -203,30 +193,30 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
     if name == "dM":
         # composite route: M = E + N - c J + (6/5) c A + c alpha B at EPS0
         c = e.two_over_pm1 + 0.4
-        rw0 = _Raw(snap, rules, e, EPS0)
+        raw0 = functools.partial(_raw, snap, rules, e, EPS0)
         return (lemma_rhs("dE_eps", snap, rules, e, EPS0)
                 + lemma_rhs("dN_eps", snap, rules, e, EPS0)
                 - c * lemma_rhs("dJ_eps", snap, rules, e, EPS0)
-                + 2.4 * c * rw0.get("W4") + 2.0 * c * al * rw0.get("W2"))
+                + 2.4 * c * raw0("W4") + 2.0 * c * al * raw0("W2"))
 
     if name == "dF0":
-        wts, bw, bws = rw.boundary()
+        wts, bw, bws = _boundary(snap, rules)
         surf = np.sum(wts * (bws + al * bw) ** 2, axis=-1)
         fac = pointwise(math.exp, 2.0 * al * snap.s)
-        return fac * (-surf + al * (p - 1.0) / (p + 1.0) * rw.get("R2p"))
+        return fac * (-surf + al * (p - 1.0) / (p + 1.0) * raw("R2p"))
 
     if name == "dF1":
         return (pointwise(lambda s: s ** (1.0 / 18.0), snap.s)
                 * lemma_rhs("dF0", snap, rules, e, eps))
 
     if name == "dJ0":
-        wts, bw, bws = rw.boundary()
-        return (al * rw.get("P2p") - al * rw.get("S1p") + al * rw.get("R2p")
+        wts, bw, bws = _boundary(snap, rules)
+        return (al * raw("P2p") - al * raw("S1p") + al * raw("R2p")
                 - al ** 2 * np.sum(wts * bw ** 2, axis=-1)
-                + (al ** 2 * N - 2.0 * al * g1) * rw.get("W3p")
+                + (al ** 2 * N - 2.0 * al * g1) * raw("W3p")
                 - 2.0 * al * np.sum(wts * bw * bws, axis=-1)
-                + 2.0 * al * rw.get("P3p")
-                - 2.0 * al ** 2 * rw.get("W2p"))
+                + 2.0 * al * raw("P3p")
+                - 2.0 * al ** 2 * raw("W2p"))
 
     raise ValueError(f"unknown lemma '{name}', expected one of {LEMMA_NAMES}")
 
@@ -239,12 +229,12 @@ def dm_collected_rhs(snap, rules, e: Exponents) -> float:
          + (2p+1)/(5(p+1)) R2 + Sigma,  all at EPS0 = 3/5.
     """
     al, p = e.alpha, e.p
-    rw = _Raw(snap, rules, e, EPS0)
+    raw = functools.partial(_raw, snap, rules, e, EPS0)
     M = fu.M_func(snap, rules, e)
     sig = sum(sigma_parts(snap, rules, e).values())
-    return (-2.0 * al * M - 0.6 * rw.get("Q1") - 0.9 * rw.get("S2")
-            + 6.0 / (5.0 * (p + 1.0)) * rw.get("R1")
-            + (2.0 * p + 1.0) / (5.0 * (p + 1.0)) * rw.get("R2") + sig)
+    return (-2.0 * al * M - 0.6 * raw("Q1") - 0.9 * raw("S2")
+            + 6.0 / (5.0 * (p + 1.0)) * raw("R1")
+            + (2.0 * p + 1.0) / (5.0 * (p + 1.0)) * raw("R2") + sig)
 
 
 def sigma_parts(snap, rules, e: Exponents) -> dict:
@@ -253,15 +243,15 @@ def sigma_parts(snap, rules, e: Exponents) -> dict:
     al, N = e.alpha, e.N
     g1 = _g1(e)
     c = e.two_over_pm1 + 0.4
-    rw = _Raw(snap, rules, e, EPS0)
+    raw = functools.partial(_raw, snap, rules, e, EPS0)
     return {
-        "Sigma1": (-0.6 * rw.get("P1") + 0.6 * rw.get("S3") + 1.2 * rw.get("P3")),
-        "Sigma2": (-0.1 * rw.get("P2") - 0.1 * rw.get("S3") - 0.2 * rw.get("P3")),
-        "Sigma3": ((-2.0 * g1 - c * (2.0 * al - 1.2)) * rw.get("W1")
+        "Sigma1": (-0.6 * raw("P1") + 0.6 * raw("S3") + 1.2 * raw("P3")),
+        "Sigma2": (-0.1 * raw("P2") - 0.1 * raw("S3") - 0.2 * raw("P3")),
+        "Sigma3": ((-2.0 * g1 - c * (2.0 * al - 1.2)) * raw("W1")
                    + (-2.0 * c * g1 + 2.0 * al * g1 + al * c * N
-                      + 4.0 * c * al ** 2) * rw.get("W3")),
-        "Sigma4": 2.4 * al * c * rw.get("A"),
-        "Sigma5": 2.0 * c * (N + 2.0 * al) * rw.get("W2"),
+                      + 4.0 * c * al ** 2) * raw("W3")),
+        "Sigma4": 2.4 * al * c * raw("A"),
+        "Sigma5": 2.0 * c * (N + 2.0 * al) * raw("W2"),
     }
 
 
@@ -328,9 +318,9 @@ def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> Ide
     ns = field.on(rule)
     dv = field.pohozaev_div_over_rho(rule.points, eps)
     lhs = float(np.sum(rule.weights * ns.ydg * dv))
-    rw = _Raw(field, rules, _DUMMY_E, eps)
-    rhs = (-eps * rw.get("Q1") - eps * rw.get("S3")
-           + 0.5 * field.field_spec.N * rw.get("S1") - rw.get("S2"))
+    raw = functools.partial(_raw, field, rules, None, eps)
+    rhs = (-eps * raw("Q1") - eps * raw("S3")
+           + 0.5 * field.field_spec.N * raw("S1") - raw("S2"))
     return report("pohozaev_A", lhs, rhs, POHOZAEV_TOL,
                   context=f"N={field.field_spec.N} eps={eps} a={field.field_spec.a} "
                           f"m={field.field_spec.m}")
@@ -343,16 +333,11 @@ def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable) -> Ide
     ns = field.on(mu)
     dv = field.pohozaev_div_over_rho(mu.points, eps)
     lhs = -float(np.sum(mu.weights * ns.w * dv))
-    rw = _Raw(field, rules, _DUMMY_E, eps)
-    rhs = rw.get("Thh") + rw.get("Hr") + rw.get("W1h")
+    raw = functools.partial(_raw, field, rules, None, eps)
+    rhs = raw("Thh") + raw("Hr") + raw("W1h")
     return report("pohozaev_E", lhs, rhs, POHOZAEV_TOL,
                   context=f"N={field.field_spec.N} eps={eps} a={field.field_spec.a} "
                           f"m={field.field_spec.m}")
-
-
-# raw integrals of the Pohozaev identities and the Hardy ratio never touch
-# the exponents; a placeholder keeps the raw path's signatures uniform
-_DUMMY_E = Exponents(p=4.0, N=3, p_c=3.0, p_S=5.0, alpha=-1.0 / 3.0)
 
 
 def random_test_field(N: int, rng: np.random.Generator,
@@ -512,8 +497,8 @@ def check_sigma_bound(snaps, rules, e: Exponents, C1: float | None = None):
     + C1 int int w^2 rho; returns (report, smallest admissible C1)."""
     s = snaps.s
     sig = sum(sigma_parts(snaps, rules, e).values())
-    rw = _Raw(snaps, rules, e, EPS0)
-    p2, s2, w3 = rw.get("P2"), rw.get("S2"), rw.get("W3")
+    raw = functools.partial(_raw, snaps, rules, e, EPS0)
+    p2, s2, w3 = raw("P2"), raw("S2"), raw("W3")
     lhs = float(np.trapezoid(sig, s)) + 0.05 * float(np.trapezoid(p2, s))
     grad_part = 0.8 * float(np.trapezoid(s2, s))
     iw3 = float(np.trapezoid(w3, s))
@@ -537,8 +522,8 @@ def check_singular_average_bound(snaps, rules, e: Exponents, eps: float, s_lo: f
         raise ValueError(f"need coverage [{s_lo - 2}, {s_lo + 3}], have "
                          f"[{s[0]}, {s[-1]}]")
     sing = fu.singular_Lp1(snaps, rules, e, eps)
-    rw = _Raw(snaps, rules, e, eps)
-    ener = rw.get("S2") + rw.get("P2") + rw.get("W3") + rw.get("R2")
+    raw = functools.partial(_raw, snaps, rules, e, eps)
+    ener = raw("S2") + raw("P2") + raw("W3") + raw("R2")
     in_win = (s >= s_lo) & (s <= s_lo + 1.0)
     big_win = (s >= s_lo - 2.0) & (s <= s_lo + 3.0)
     lhs = float(np.trapezoid(sing[in_win], s[in_win]))
@@ -570,9 +555,9 @@ def hardy_ratio(snap, eps: float, rules: RuleTable):
     beta = eps+1 rule carries the gradient term.  Returns 0 for w == 0, and
     one ratio per snapshot of a series.
     """
-    num = _raw_int(snap, rules, _DUMMY_E, "w2", eps - 1.0)
-    den = (_raw_int(snap, rules, _DUMMY_E, "g2", eps + 1.0)
-           + _raw_int(snap, rules, _DUMMY_E, "w2_1mr2", eps - 1.0))
+    num = _raw_int(snap, rules, None, "w2", eps - 1.0)
+    den = (_raw_int(snap, rules, None, "g2", eps + 1.0)
+           + _raw_int(snap, rules, None, "w2_1mr2", eps - 1.0))
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0.0)[()]
 
 

@@ -94,7 +94,12 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  # [functionals] values that parse but that a FunctionalSpec rejects
                  "[functionals]\neps = -1.0\n", "[functionals]\nk_max = -3\n",
                  "[functionals]\nnames = F0,nope\n",
-                 "[functionals]\nnames =\neps = 0.0\n"):   # eps drives the lemma suite
+                 "[functionals]\nnames =\neps = 0.0\n",   # eps drives the lemma suite
+                 # a snapshot spacing that selects no window, and plateau data
+                 # whose core does not end before its taper
+                 "[similarity]\nds = 0\n", "[similarity]\nds = -0.05\n",
+                 "[solver]\ncore_frac = 1.4\n",
+                 "[solver]\nfamily = plateau\ncore_frac = 2.0\n"):
         cfg.write_text(text)
         rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2, text
@@ -102,6 +107,45 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
     # rejected before the solver ran
     assert not os.path.exists(tmp_path / "r" / "frames_u.npy")
+
+
+def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
+    """Values that parse but that the run cannot supply, or that select
+    nothing: a snapshot window past the run's frames or grid, a --q that is
+    negative or not finite, a negative --seed, a --names or --p-list that
+    selects nothing.  Each exits 2 with one ConfigError line before it
+    writes a file."""
+    runs = {}
+    for name, extra in (("base", ""), ("far", "x0 = 5.0\n"),
+                        ("long", "s_lo = 1.0\ns_hi = 100.0\n")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(open(small_cfg).read() + extra)
+        runs[name] = str(tmp_path / name)
+        assert run_cli("simulate", "--config", str(cfg), "--out", runs[name]) == 0
+    fresh = str(tmp_path / "fresh")
+
+    def written():
+        return {os.path.join(d, n): os.stat(os.path.join(d, n)).st_mtime_ns
+                for d in runs.values() for n in os.listdir(d)}
+
+    before = written()
+    capsys.readouterr()
+    for args in (("functionals", "--out", runs["far"]),
+                 ("verify", "--suite", "decay", "--out", runs["far"]),
+                 ("functionals", "--out", runs["long"]),
+                 ("verify", "--suite", "lemmas", "--out", runs["long"]),
+                 ("rate", "--out", runs["base"], "--q", "-1"),
+                 ("rate", "--out", runs["base"], "--q", "nan"),
+                 ("rate", "--out", runs["base"], "--q", "inf"),
+                 ("verify", "--suite", "identities", "--seed", "-1", "--out", fresh),
+                 ("functionals", "--out", runs["base"], "--names", " , "),
+                 ("sweep", "--config", small_cfg, "--p-list", "", "--N-list", "3",
+                  "--out", fresh)):
+        assert run_cli(*args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+        assert written() == before and not os.path.exists(fresh), args
+    assert not os.path.exists(os.path.join(runs["base"], "rate_verdict.json"))
 
 
 def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -119,6 +120,23 @@ def test_snapshot_decomposition_identities():
     assert np.all(np.abs(ns.ydg ** 2 - ns.r2 * ns.gr2) <= 1e-12 * np.maximum(scale, 1.0))
     assert np.all(np.abs(ns.r2 * g2 - ns.ydg ** 2 - ns.r2 * ns.gth2)
                   <= 1e-12 * np.maximum(scale, 1.0))
+
+
+def test_freed_rules_never_lend_their_samples():
+    """Node samples are cached by id(rule).  Rules of 200 temporary
+    RuleTables, each dropped and collected before the next is built, so
+    that a new rule can land on a freed one's id, each get a sample of
+    their own nodes.  A collection of the youngest generation suffices:
+    rules hold no cycles, and a full one per rule would cost seconds."""
+    tf = TestField(N=2, a=1.0, poly=PolyField(2, {(1, 0): 1.0, (0, 2): 0.5}))
+    snap = make_test_field(tf, RuleTable(2, n_radial=4, n_angular=4).plain)
+    for i in range(200):
+        rule = RuleTable(2, n_radial=4 + i % 5, n_angular=4).rule(0.6)
+        ns = snap.on(rule)
+        assert np.array_equal(ns.r2, rule.r2), i
+        assert np.array_equal(ns.w, snap.fields(rule.points)[0]), i
+        del rule, ns
+        gc.collect(0)
 
 
 def test_boundary_vanishing_for_weighted_fields():
