@@ -82,6 +82,19 @@ def _radial_rule(N: int, beta: float, n_radial: int):
     return r, W
 
 
+def check_rule(N: int, beta: float, n_radial: int = 48, n_angular: int = 1):
+    """Raise the ValueError, or the NotImplementedError of a tensor angular
+    grid beyond N = 3, that build_rule raises for parameters it builds no
+    rule from; computes nothing, so scipy stays unloaded."""
+    if beta <= -1.0:
+        raise ValueError(f"non-integrable weight: beta={beta} <= -1")
+    if n_radial < 4:
+        raise ValueError(f"need n_radial >= 4, got {n_radial}")
+    if N < 2:
+        raise ValueError(f"need N >= 2, got N={N}")
+    _check_sphere(N, n_angular)
+
+
 def build_rule(N: int, beta: float, n_radial: int = 48, n_angular: int = 1) -> BallQuadrature:
     """Build a ball rule for the weight (1-|y|^2)^beta.
 
@@ -90,12 +103,7 @@ def build_rule(N: int, beta: float, n_radial: int = 48, n_angular: int = 1) -> B
     symmetric integrands, any N >= 2); otherwise a tensor spherical grid
     is attached (N = 2 or 3 only).
     """
-    if beta <= -1.0:
-        raise ValueError(f"non-integrable weight: beta={beta} <= -1")
-    if n_radial < 4:
-        raise ValueError(f"need n_radial >= 4, got {n_radial}")
-    if N < 2:
-        raise ValueError(f"need N >= 2, got N={N}")
+    check_rule(N, beta, n_radial, n_angular)
     r, W = _radial_rule(N, beta, n_radial)
     if np.any(W <= 0) or np.any(r <= 0) or np.any(r >= 1):
         raise AssertionError("radial rule integrity violated")
@@ -117,9 +125,17 @@ class SphereRule:
     weights: np.ndarray = field(repr=False)
 
 
-def sphere_rule(N: int, n_angular: int = 1) -> SphereRule:
+def _check_sphere(N: int, n_angular: int):
     if n_angular < 1:
         raise ValueError(f"need n_angular >= 1, got {n_angular}")
+    if n_angular > 1 and N not in (2, 3):
+        raise NotImplementedError(
+            f"tensor angular grids are implemented for N in (2, 3); got N={N} "
+            "with n_angular > 1 (radial collapse n_angular=1 supports any N)")
+
+
+def sphere_rule(N: int, n_angular: int = 1) -> SphereRule:
+    _check_sphere(N, n_angular)
     if n_angular == 1:
         pts = np.zeros((1, N))
         pts[0, 0] = 1.0
@@ -129,22 +145,18 @@ def sphere_rule(N: int, n_angular: int = 1) -> SphereRule:
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return SphereRule(N=2, points=pts,
                           weights=np.full(n_angular, 2.0 * math.pi / n_angular))
-    if N == 3:
-        from scipy.special import roots_legendre
+    from scipy.special import roots_legendre
 
-        mu, vmu = roots_legendre(n_angular)
-        n_az = 2 * n_angular
-        phi = 2.0 * math.pi * np.arange(n_az) / n_az
-        smu = np.sqrt(1.0 - mu ** 2)
-        pts = np.empty((n_angular * n_az, 3))
-        pts[:, 0] = np.outer(smu, np.cos(phi)).ravel()
-        pts[:, 1] = np.outer(smu, np.sin(phi)).ravel()
-        pts[:, 2] = np.outer(mu, np.ones(n_az)).ravel()
-        wts = np.outer(vmu, np.full(n_az, 2.0 * math.pi / n_az)).ravel()
-        return SphereRule(N=3, points=pts, weights=wts)
-    raise NotImplementedError(
-        f"tensor angular grids are implemented for N in (2, 3); got N={N} "
-        "with n_angular > 1 (radial collapse n_angular=1 supports any N)")
+    mu, vmu = roots_legendre(n_angular)
+    n_az = 2 * n_angular
+    phi = 2.0 * math.pi * np.arange(n_az) / n_az
+    smu = np.sqrt(1.0 - mu ** 2)
+    pts = np.empty((n_angular * n_az, 3))
+    pts[:, 0] = np.outer(smu, np.cos(phi)).ravel()
+    pts[:, 1] = np.outer(smu, np.sin(phi)).ravel()
+    pts[:, 2] = np.outer(mu, np.ones(n_az)).ravel()
+    wts = np.outer(vmu, np.full(n_az, 2.0 * math.pi / n_az)).ravel()
+    return SphereRule(N=3, points=pts, weights=wts)
 
 
 def integrate(rule: BallQuadrature, f) -> float:

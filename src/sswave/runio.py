@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .core import FunctionalSeries, RadialGrid, make_exponents
-from .quadrature import RuleTable, build_rule
+from .quadrature import RuleTable, check_rule
 from .solver import FAMILIES, SolverConfig, Trajectory, run_until_blowup
 from .similarity import trajectory_to_w
 from . import functionals as fu
@@ -249,7 +249,7 @@ def _resolve_and_solve(cfg: dict, out_dir: str):
     vals = typed(cfg)
     sim, fun = vals["similarity"], vals["functionals"]
     try:
-        build_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
+        check_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
     if not (math.isfinite(sim["ds"]) and sim["ds"] > 0.0):
@@ -502,6 +502,11 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     if not pairs:
         raise ConfigError(f"--p-list {p_list} and --N-list {N_list} "
                           f"select no (p, N) pair")
+    for flag, vals in (("--p-list", p_list), ("--N-list", N_list)):
+        repeated = sorted({v for v in vals if vals.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"{flag} repeats {', '.join(map(repr, repeated))}: "
+                              f"each (p, N) point is solved once, into its own directory")
     bad = []
     for p, N in pairs:
         try:

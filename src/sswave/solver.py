@@ -6,7 +6,9 @@ leapfrog with the nonlinearity at the current level.  dt = cfl*dr away from
 blow-up; once the amplitude makes the local ODE time scale
 (kappa/max|u|)^((p-1)/2) ~ T-t smaller than that, the step is capped at a
 fixed fraction of it, which also makes consecutive steps advance s by a
-fixed ~amp_safety, exactly what the similarity resampling needs.
+fixed ~amp_safety, exactly what the similarity resampling needs.  Each
+step evaluates the acceleration once, at the new level, into buffers held
+for the whole march, and carries it into the next step.
 
 Frames are archived at (approximately) uniform spacing in s using the
 amplitude-based proxy for T-t, and the accumulated time uses compensated
@@ -89,35 +91,85 @@ def initial_state(cfg: SolverConfig) -> PhysicalState:
     raise ValueError(f"unknown initial-data family '{cfg.family}'")
 
 
-def _accel(u: np.ndarray, dr: float, N: int, p: float) -> np.ndarray:
-    """Laplacian + nonlinearity; origin by the symmetric limit N*u_rr."""
-    a = np.empty_like(u)
-    a[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
-    r = np.arange(1, u.size - 1) * dr
-    a[1:-1] += (N - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * dr)
-    a[0] = N * 2.0 * (u[1] - u[0]) / dr ** 2
-    a[-1] = 0.0
-    return a + np.abs(u) ** (p - 1.0) * u
+class _Leapfrog:
+    """One march's fields u, ut and a(u), its buffers and its stencil constants.
+
+    a holds a(u) of the current u, so each step evaluates the acceleration
+    once, at the new u, and carries it into the next step.  Every array
+    operation writes into a preallocated buffer, in the order of the
+    expressions written in the comments, so the bits are those of
+    evaluating them with fresh temporaries.
+    """
+
+    def __init__(self, state: PhysicalState, cfg: SolverConfig):
+        nr, dr, e = cfg.grid.nr, cfg.grid.dr, cfg.e
+        self.pm1 = e.p - 1.0
+        self.two_N = e.N * 2.0
+        self.dr2 = dr ** 2
+        self.two_dr = 2.0 * dr
+        self.coef = (e.N - 1.0) / (np.arange(1, nr - 1) * dr)
+        self.u, self.ut = state.u.copy(), state.ut.copy()
+        self.a = np.empty(nr)
+        self.u1, self.ut1, self.a1, self.w = np.empty((4, nr))
+        self.s = np.empty(nr - 2)
+        self._accel(self.u, self.a)
+
+    def _accel(self, u: np.ndarray, a: np.ndarray):
+        """a = Laplacian + nonlinearity; origin by the symmetric limit N*u_rr."""
+        ai, s, w = a[1:-1], self.s, self.w
+        # ai = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
+        np.multiply(u[1:-1], 2.0, out=s)
+        np.subtract(u[2:], s, out=ai)
+        ai += u[:-2]
+        ai /= self.dr2
+        # ai += (N - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * dr)
+        np.subtract(u[2:], u[:-2], out=s)
+        s *= self.coef
+        s /= self.two_dr
+        ai += s
+        a[0] = self.two_N * (u[1] - u[0]) / self.dr2
+        a[-1] = 0.0
+        # a += |u|**(p - 1.0) * u
+        np.abs(u, out=w)
+        w **= self.pm1
+        w *= u
+        a += w
+
+    def step(self, dt: float) -> float:
+        """Advance by dt (homogeneous Dirichlet outer boundary); returns
+        max|u| at the new level."""
+        u1, ut1, w = self.u1, self.ut1, self.w
+        # u1 = u + dt * ut + 0.5 * dt * dt * a
+        np.multiply(self.ut, dt, out=u1)
+        u1 += self.u
+        np.multiply(self.a, 0.5 * dt * dt, out=w)
+        u1 += w
+        u1[-1] = 0.0
+        self._accel(u1, self.a1)
+        # ut1 = ut + 0.5 * dt * (a + a1)
+        np.add(self.a, self.a1, out=ut1)
+        ut1 *= 0.5 * dt
+        ut1 += self.ut
+        ut1[-1] = 0.0
+        np.abs(u1, out=w)
+        amax = float(w.max())
+        # stay far from the float range so |u|^p never overflows silently
+        if not np.isfinite(amax) or amax > 1e40:
+            raise SolverError(
+                "amplitude overflow before the cap triggered; u_cap must stop the run first")
+        self.u, self.u1 = u1, self.u
+        self.ut, self.ut1 = ut1, self.ut
+        self.a, self.a1 = self.a1, self.a
+        return amax
 
 
 def step(state: PhysicalState, cfg: SolverConfig, dt: float | None = None) -> PhysicalState:
     """One leapfrog (velocity form) step; homogeneous Dirichlet outer boundary."""
-    dr = cfg.grid.dr
     if dt is None:
-        dt = cfg.cfl * dr
-    e = cfg.e
-    a0 = _accel(state.u, dr, e.N, e.p)
-    u1 = state.u + dt * state.ut + 0.5 * dt * dt * a0
-    u1[-1] = 0.0
-    a1 = _accel(u1, dr, e.N, e.p)
-    ut1 = state.ut + 0.5 * dt * (a0 + a1)
-    ut1[-1] = 0.0
-    amax = float(np.max(np.abs(u1)))
-    # stay far from the float range so |u|^p never overflows silently
-    if not np.isfinite(amax) or amax > 1e40:
-        raise SolverError(
-            "amplitude overflow before the cap triggered; u_cap must stop the run first")
-    return PhysicalState(state.t + dt, u1, ut1)
+        dt = cfg.cfl * cfg.grid.dr
+    march = _Leapfrog(state, cfg)
+    march.step(dt)
+    return PhysicalState(state.t + dt, march.u, march.ut)
 
 
 @dataclass
@@ -182,11 +234,11 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
     k = kappa_value(e.p)
     pow_ = (e.p - 1.0) / 2.0
 
-    state = initial_state(cfg)
+    march = _Leapfrog(initial_state(cfg), cfg)
     t_hi, t_lo = 0.0, 0.0          # compensated time accumulator
 
-    frames_t, frames_u, frames_ut = [0.0], [state.u.copy()], [state.ut.copy()]
-    center_t, center_u, max_u = [0.0], [float(state.u[0])], [float(np.max(np.abs(state.u)))]
+    frames_t, frames_u, frames_ut = [0.0], [march.u.copy()], [march.ut.copy()]
+    center_t, center_u, max_u = [0.0], [float(march.u[0])], [float(np.max(np.abs(march.u)))]
     s_accum = 0.0
     status = "no-blowup"
 
@@ -197,17 +249,15 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
             dt = min(dt, cfg.amp_safety * (k / amax) ** pow_)
             if dt < 1e-306:
                 raise SolverError("time step underflow; lower u_cap")
-        state = step(state, cfg, dt)
+        amax = march.step(dt)
         # Kahan update of t
         y = dt - t_lo
         t_new = t_hi + y
         t_lo = (t_new - t_hi) - y
         t_hi = t_new
-        state.t = t_hi
 
-        amax = float(np.max(np.abs(state.u)))
         center_t.append(t_hi)
-        center_u.append(float(state.u[0]))
+        center_u.append(float(march.u[0]))
         max_u.append(amax)
 
         tau_proxy = (k / max(amax, k)) ** pow_
@@ -215,8 +265,8 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
         hit_cap = amax >= cfg.u_cap
         if s_accum >= cfg.store_ds or hit_cap:
             frames_t.append(t_hi)
-            frames_u.append(state.u.copy())
-            frames_ut.append(state.ut.copy())
+            frames_u.append(march.u.copy())
+            frames_ut.append(march.ut.copy())
             s_accum = 0.0
         if hit_cap:
             status = "blowup"

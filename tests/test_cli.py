@@ -88,9 +88,8 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  "[similarity]\ns_lo = early\n", "[similarity]\nT0 = 1.0.0\n",
                  "[solver]\nfamily = gausian\n", "[exponents]\np = 3.0\n",
                  "[functionals]\nq = 2.0\n", "[output]\nseed = 0\n",
-                 # values that parse but that the solver grid or a rule rejects
-                 "[solver]\nr_max_factor = 1.3\n", "[similarity]\nn_radial = 0\n",
-                 "[exponents]\np = 2.5\nN = 4\n[similarity]\nn_angular = 2\n",
+                 # a value that parses but that the solver grid rejects
+                 "[solver]\nr_max_factor = 1.3\n",
                  # [functionals] values that parse but that a FunctionalSpec rejects
                  "[functionals]\neps = -1.0\n", "[functionals]\nk_max = -3\n",
                  "[functionals]\nnames = F0,nope\n",
@@ -105,6 +104,16 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
         assert rc == 2, text
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+    # values that parse but that a rule rejects: checked without building
+    # the rule, in build_rule's words
+    for text, why in (("[similarity]\nn_radial = 0\n", "need n_radial >= 4, got 0"),
+                      ("[similarity]\nn_angular = 0\n", "need n_angular >= 1, got 0"),
+                      ("[exponents]\np = 2.5\nN = 4\n[similarity]\nn_angular = 2\n",
+                       "tensor angular grids are implemented for N in (2, 3); got N=4 "
+                       "with n_angular > 1 (radial collapse n_angular=1 supports any N)")):
+        cfg.write_text(text)
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: invalid [similarity] rule: {why}\n"
     # rejected before the solver ran
     assert not os.path.exists(tmp_path / "r" / "frames_u.npy")
 
@@ -113,8 +122,8 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
     """Values that parse but that the run cannot supply, or that select
     nothing: a snapshot window past the run's frames or grid, a --q that is
     negative or not finite, a negative --seed, a --names or --p-list that
-    selects nothing.  Each exits 2 with one ConfigError line before it
-    writes a file."""
+    selects nothing, a --p-list or --N-list that repeats a value.  Each
+    exits 2 with one ConfigError line before it writes a file."""
     runs = {}
     for name, extra in (("base", ""), ("far", "x0 = 5.0\n"),
                         ("long", "s_lo = 1.0\ns_hi = 100.0\n")):
@@ -140,7 +149,11 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
                  ("verify", "--suite", "identities", "--seed", "-1", "--out", fresh),
                  ("functionals", "--out", runs["base"], "--names", " , "),
                  ("sweep", "--config", small_cfg, "--p-list", "", "--N-list", "3",
-                  "--out", fresh)):
+                  "--out", fresh),
+                 ("sweep", "--config", small_cfg, "--p-list", "3.6,4.2,3.6",
+                  "--N-list", "3", "--out", fresh),
+                 ("sweep", "--config", small_cfg, "--p-list", "3.6",
+                  "--N-list", "3,3", "--out", fresh)):
         assert run_cli(*args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
@@ -348,13 +361,13 @@ def scipy_modules(*argv):
 
 
 def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
-    """Importing the CLI loads no scipy, `rate` none at all; no stage loads
-    scipy.interpolate, and scipy.integrate comes in only where the F1/U1
-    tail integrals are computed."""
+    """Importing the CLI loads no scipy, nor do `simulate` and `rate`; no
+    stage loads scipy.interpolate, and scipy.integrate comes in only where
+    the F1/U1 tail integrals are computed."""
     out = str(tmp_path / "run")
     assert scipy_modules() == (0, [])
-    for argv, integrate in [(["simulate", "--config", small_cfg], False),
-                            (["functionals"], True),
+    assert scipy_modules("simulate", "--config", small_cfg, "--out", out) == (0, [])
+    for argv, integrate in [(["functionals"], True),
                             (["verify", "--suite", "lemmas"], True),
                             (["verify", "--suite", "monotone"], False)]:
         code, mods = scipy_modules(*argv, "--out", out)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sswave as sw
-from sswave.quadrature import RuleTable
+from sswave.quadrature import RuleTable, check_rule
 from sswave.verify import hardy_ratio
 from sswave.similarity import PolyField, TestField, make_test_field
 
@@ -57,6 +57,16 @@ def test_rejects_non_integrable_weight():
         sw.build_rule(3, -1.0, 16)
     with pytest.raises(ValueError):
         sw.build_rule(3, 0.0, 3)
+
+
+@pytest.mark.parametrize("args", [(3, -1.0, 16, 1), (3, 0.0, 3, 1), (1, 0.0, 16, 1),
+                                  (2, 0.0, 16, 0), (4, 0.0, 16, 2), (3, -1.5, 2, 0)])
+def test_check_rule_raises_what_build_rule_raises(args):
+    with pytest.raises((ValueError, NotImplementedError)) as built:
+        sw.build_rule(*args)
+    with pytest.raises(built.type) as checked:
+        check_rule(*args)
+    assert str(checked.value) == str(built.value)
 
 
 def test_smooth_function_matches_adaptive_oracle():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sswave as sw
+from sswave.core import kappa_value
 from sswave.ode import ode_exact
 from sswave.solver import SolverConfig, SolverError, initial_state, run_until_blowup, step
 
@@ -100,6 +101,68 @@ def test_causality_of_exterior_perturbation():
     # the physical cone: negligible at the edge, round-off a few cells in
     assert np.max(diff[r < R - t]) < 1e-6 * 1e3
     assert np.max(diff[r < R - t - 20 * cfg.grid.dr]) < 1e-12 * 1e3
+
+
+def _accel_reference(u, dr, N, p):
+    """The acceleration as one expression with fresh temporaries."""
+    a = np.empty_like(u)
+    a[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
+    r = np.arange(1, u.size - 1) * dr
+    a[1:-1] += (N - 1.0) / r * (u[2:] - u[:-2]) / (2.0 * dr)
+    a[0] = N * 2.0 * (u[1] - u[0]) / dr ** 2
+    a[-1] = 0.0
+    return a + np.abs(u) ** (p - 1.0) * u
+
+
+def _march_reference(cfg):
+    """run_until_blowup's steps with two accelerations per step, each
+    evaluated afresh: the (t, u, ut) after every step, and how many steps
+    ran with dt capped below cfl*dr."""
+    dr, N, p = cfg.grid.dr, cfg.e.N, cfg.e.p
+    k, pow_ = kappa_value(p), (p - 1.0) / 2.0
+    st = initial_state(cfg)
+    u, ut, t_hi, t_lo = st.u, st.ut, 0.0, 0.0
+    amax, capped, states = float(np.max(np.abs(u))), 0, []
+    while amax < cfg.u_cap:
+        dt = cfg.cfl * dr
+        if amax > k:
+            dt = min(dt, cfg.amp_safety * (k / amax) ** pow_)
+        capped += dt < cfg.cfl * dr
+        a0 = _accel_reference(u, dr, N, p)
+        u = u + dt * ut + 0.5 * dt * dt * a0
+        u[-1] = 0.0
+        a1 = _accel_reference(u, dr, N, p)
+        ut = ut + 0.5 * dt * (a0 + a1)
+        ut[-1] = 0.0
+        y = dt - t_lo
+        t_new = t_hi + y
+        t_lo = (t_new - t_hi) - y
+        t_hi = t_new
+        amax = float(np.max(np.abs(u)))
+        states.append((t_hi, u, ut))
+    return states, capped
+
+
+@pytest.mark.parametrize("p,N", [(7.05, 2), (4.55, 3), (4.0, 3)])
+def test_march_is_bitwise_the_two_acceleration_step(p, N):
+    """The march that carries each acceleration into the next step gives,
+    after every step and through the dt-capped regime, the t, u and ut of
+    evaluating both accelerations of each step afresh, bit for bit; and
+    step() from the initial state is the march's first step."""
+    e = sw.make_exponents(p, N)
+    cfg = SolverConfig(e=e, grid=sw.RadialGrid(r_max=1.5, nr=192), u_cap=1e4,
+                       store_ds=0.0)   # store a frame after every step
+    states, capped = _march_reference(cfg)
+    assert capped >= 300
+    traj = run_until_blowup(cfg)
+    assert traj.frames_t.size == len(states) + 1
+    for n, (t, u, ut) in enumerate(states, start=1):
+        assert traj.frames_t[n] == traj.center_t[n] == t, n
+        assert np.array_equal(traj.frames_u[n], u) and np.array_equal(traj.frames_ut[n], ut), n
+    first = step(initial_state(cfg), cfg, traj.frames_t[1])
+    assert first.t == traj.frames_t[1]
+    assert np.array_equal(first.u, traj.frames_u[1])
+    assert np.array_equal(first.ut, traj.frames_ut[1])
 
 
 def test_plateau_blowup_time_and_rate(plateau_1024):
