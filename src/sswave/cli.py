@@ -6,10 +6,11 @@
     sswave rate        --out runs/a [--q 1.0]
     sswave sweep       [--config run.ini] --p-list 3.5,4.5 --N-list 3 --out runs/sweep [--jobs 2]
 
-Exit codes: 0 all good, 1 check failures, 2 usage, config or solver error,
-3 no blow-up where one was required (or no fit of one).  An error ends in
-one `error: <Class>: <message>` line on stderr.  SSWAVE_OUT selects the
-default output root; everything else comes from flags and the config file.
+Every command also takes --verbose.  Exit codes: 0 all good, 1 check
+failures, 2 usage, config or solver error, 3 no blow-up where one was
+required (or no fit of one).  An error ends in one `error: <Class>:
+<message>` line on stderr.  SSWAVE_OUT selects the default output root;
+everything else comes from flags and the config file.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", "(p, N) sweep with aggregate table", config=True)
     p.add_argument("--p-list", required=True, help="comma list of p values")
     p.add_argument("--N-list", required=True, help="comma list of N values")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (>= 1), never more than points")
     return ap
 
 

@@ -177,26 +177,16 @@ def exp_tail_factor(gamma: float, alpha: float, s_max: float) -> float:
     return _integral_to_inf(lambda x: (s_max + x) ** gamma * math.exp(2.0 * alpha * x))
 
 
-def required_span(e: Exponents) -> float:
-    return 2.5 / abs(e.alpha)
-
-
-def f_ladder(f0: FunctionalSeries, k: int, e: Exponents,
-             enforce_span: bool = True) -> FunctionalSeries:
+def f_ladder(f0: FunctionalSeries, k: int, e: Exponents) -> FunctionalSeries:
     """F_k = s^(k/18) F0 + (k/18) int_s^inf tau^((k-18)/18) F0 dtau.
 
     The integral is truncated at the sampled horizon; the remainder is
-    estimated from F0(s_max) e^(2 alpha (tau - s_max)) decay and both added
-    to the value and recorded in tail metadata.
+    estimated from F0(s_max) e^(2 alpha (tau - s_max)) decay, added to the
+    value and recorded in tail_bound, however short the series.
     """
     if k < 1:
         raise ValueError("ladder index k must be >= 1")
     s, vals = f0.s, f0.values
-    span = s[-1] - s[0]
-    if enforce_span and span < required_span(e):
-        raise ValueError(
-            f"series spans {span:.3f} in s but the tail needs s_max >= "
-            f"{s[0] + required_span(e):.3f} (e^(2 alpha s) domination)")
     gamma = (k - 18.0) / 18.0
     inner = tail_trapezoid(s, s ** gamma * vals)
     fac = exp_tail_factor(gamma, e.alpha, s[-1])
@@ -237,16 +227,6 @@ def script_f_series(mser: FunctionalSeries, user: FunctionalSeries, k: int,
                             meta={"k": k, "sigma": sigma})
 
 
-def f_family(snaps, rules, e: Exponents, k: int) -> dict:
-    """F0 and M, and for k >= 1 the ladder F_k with U_k and scriptF_k (sigma = 1)."""
-    out = {"F0": f0_series(snaps, rules, e), "M": m_series(snaps, rules, e)}
-    if k >= 1:
-        out[f"F{k}"] = f_ladder(out["F0"], k, e)
-        out[f"U{k}"] = u_series(u_integrand_series(snaps, rules, e), k, e)
-        out[f"scriptF{k}"] = script_f_series(out["M"], out[f"U{k}"], k, 1.0, e)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the name registry
 
@@ -267,10 +247,8 @@ SNAPSHOT_FUNCTIONALS = {
 }
 
 # ladder family -> its series at index k; each builds only what it needs
-# (F_k records its tail estimate in tail_bound instead of enforcing a span)
 LADDERS = {
-    "F": lambda snaps, rules, e, k, sigma: f_ladder(
-        f0_series(snaps, rules, e), k, e, enforce_span=False),
+    "F": lambda snaps, rules, e, k, sigma: f_ladder(f0_series(snaps, rules, e), k, e),
     "U": lambda snaps, rules, e, k, sigma: u_series(
         u_integrand_series(snaps, rules, e), k, e),
     "scriptF": lambda snaps, rules, e, k, sigma: script_f_series(
@@ -281,6 +259,16 @@ LADDERS = {
 # a ladder name is its family plus "1" (k = 1) or "k" (the spec's k)
 FUNCTIONAL_NAMES = tuple(SNAPSHOT_FUNCTIONALS) + tuple(
     family + index for family in LADDERS for index in "1k")
+
+
+def f_family(snaps, rules, e: Exponents, k: int) -> dict:
+    """F0 and M, and for k >= 1 the ladders F_k, U_k and scriptF_k (sigma = 1)."""
+    out = {name: FunctionalSeries(name, snaps.s, SNAPSHOT_FUNCTIONALS[name](
+        snaps, rules, e, EPS0)) for name in ("F0", "M")}
+    if k >= 1:
+        out.update({family + str(k): LADDERS[family](snaps, rules, e, k, 1.0)
+                    for family in LADDERS})
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,8 +290,8 @@ class FunctionalSpec:
                              f"expected one of {FUNCTIONAL_NAMES}")
         if self.eps <= 0:
             raise ValueError("the weight exponent eps must be positive")
-        if self.k < 0:
-            raise ValueError("ladder index must be >= 0")
+        if self.k < 1:
+            raise ValueError("ladder index k must be >= 1")
 
 
 def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents) -> FunctionalSeries:
@@ -312,8 +300,7 @@ def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents) -> Functio
         return FunctionalSeries(spec.name, snaps.s, SNAPSHOT_FUNCTIONALS[spec.name](
             snaps, rules, e, spec.eps))
     family, index = spec.name[:-1], spec.name[-1]
-    k = 1 if index == "1" else max(spec.k, 1)
-    return LADDERS[family](snaps, rules, e, k, spec.sigma)
+    return LADDERS[family](snaps, rules, e, 1 if index == "1" else spec.k, spec.sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -256,12 +256,14 @@ def _resolve_and_solve(cfg: dict, out_dir: str):
         raise ConfigError(f"invalid [similarity] ds = {sim['ds']}: "
                           f"must be finite and positive")
     functional_specs(fun["names"], fun)
-    try:  # the lemma and monotone suites read eps and k_max whatever the names;
-        # k_max is the k of Fk, the top rung of the ladder the monotone suite checks
-        fu.FunctionalSpec("Fk", fun["eps"], fun["k_max"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid [functionals] eps = {fun['eps']}, "
-                          f"k_max = {fun['k_max']}: {exc}") from exc
+    # whatever the names: the lemma and monotone suites read eps and k_max,
+    # and `functionals --names` may select a ladder at k
+    if not fun["eps"] > 0.0:
+        raise ConfigError(f"invalid [functionals] eps = {fun['eps']}: must be positive")
+    if fun["k"] < 1:
+        raise ConfigError(f"invalid [functionals] k = {fun['k']}: must be >= 1")
+    if fun["k_max"] < 0:
+        raise ConfigError(f"invalid [functionals] k_max = {fun['k_max']}: must be >= 0")
     read_manifest(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.ini"), "w",
@@ -396,7 +398,7 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
         ser = fu.evaluate_series(spec, snaps, rules, traj.e)
         written += write_series(run_dir, ser, provenance)
         if verbose:
-            print(f"functionals: wrote {spec.name} ({len(ser)} samples)")
+            print(f"functionals: wrote {ser.name} ({len(ser)} samples)")
     if dump_snapshots:
         written.append(export_snapshots(run_dir, snaps))
     update_manifest(run_dir, config_hash(cfg), written)
@@ -497,6 +499,8 @@ def _sweep_one(args):
 
 def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
               jobs: int = 1, verbose: bool = False) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     base = parse_config(config_path)
     pairs = [(p, N) for p in p_list for N in N_list]
     if not pairs:
@@ -520,9 +524,11 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     tasks = [({**base, "exponents": {"p": repr(p), "N": repr(N)}},
               os.path.join(out_dir, f"p{p}_N{N}")) for p, N in pairs]
-    if jobs > 1:
+    # a pool forks all its workers on the first submit: no more than points
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]

@@ -23,10 +23,11 @@ Both are SimilaritySnapshot subclasses with one fields(pts) -> (w, ds w,
 grad w).  That is the only sampling path: SimilaritySnapshot.on samples
 every rule through it, the snapshot's primary rule included, and caches
 the node samples per rule; the boundary trace is fields on a sphere rule.
-PolyField's value, gradient and Hessian are likewise one routine (jet),
-which differentiates each monomial along an ordered list of coordinates,
-and WeightedPoly.jet builds all requested degrees of (1-|y|^2)^a q from
-one PolyField.jet.
+A polynomial is evaluated only through PolyField.jet, one routine for its
+value, gradient and Hessian, which differentiates each monomial along an
+ordered list of coordinates; WeightedPoly.jet builds all requested degrees
+of (1-|y|^2)^a q from one PolyField.jet, and WeightedPoly.value, grad and
+hess each take one degree of it.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ class PolyField:
         cols = self._partials(pts, [o for group in orders for o in group])
         parts = np.split(cols, np.cumsum([len(group) for group in orders])[:-1], axis=1)
         return [c.reshape((-1,) + (self.N,) * g) for g, c in zip(degrees, parts)]
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.jet(pts, (0,))[0]
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        return self.jet(pts, (1,))[0]
-
-    def hess(self, pts: np.ndarray) -> np.ndarray:
-        return self.jet(pts, (2,))[0]
 
     def times(self, other: "PolyField") -> "PolyField":
         coeffs: dict = {}

@@ -92,6 +92,7 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  "[solver]\nr_max_factor = 1.3\n",
                  # [functionals] values that parse but that a FunctionalSpec rejects
                  "[functionals]\neps = -1.0\n", "[functionals]\nk_max = -3\n",
+                 "[functionals]\nnames = Fk,F0\nk = 0\n", "[functionals]\nnames =\nk = 0\n",
                  "[functionals]\nnames = F0,nope\n",
                  "[functionals]\nnames =\neps = 0.0\n",   # eps drives the lemma suite
                  # a snapshot spacing that selects no window, and plateau data
@@ -480,6 +481,18 @@ def test_verify_monotone_short_ladder_window_fails(small_cfg, tmp_path):
                            "violations": []}
 
 
+def test_k_max_zero_checks_f0_alone(small_cfg, tmp_path):
+    """k_max = 0 is a ladder of no rungs: simulate accepts it, and the
+    monotone suite reports F0's own check alone."""
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text(open(small_cfg).read() + "\n[functionals]\nk_max = 0\n")
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
+    run_cli("verify", "--suite", "monotone", "--out", out)
+    reports = json.load(open(os.path.join(out, "verify_monotone.json")))
+    assert [r["name"] for r in reports] == ["F0_monotone"]
+
+
 def test_verify_monotone_short_snapshot_window_fails(small_cfg, tmp_path):
     """A snapshot window with fewer than 3 snapshots fails F0's own
     monotonicity check (exit 1) instead of raising."""
@@ -610,6 +623,45 @@ def test_sweep_parallel_jobs(small_cfg, tmp_path):
     assert rc == 0
     with open(os.path.join(out, "aggregate.csv")) as fh:
         assert len(fh.read().strip().splitlines()) == 3
+
+
+def test_sweep_jobs_rule(small_cfg, tmp_path, capsys, monkeypatch):
+    """--jobs below 1 exits 2 with one line before any directory is written,
+    and a sweep starts at most one worker per point: the fork start method
+    launches every worker of a pool on its first submit.  A stand-in
+    executor records max_workers and maps in process; no pool is started."""
+    import concurrent.futures
+
+    for jobs in ("0", "-2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("sweep", "--config", small_cfg, "--p-list", "3.6",
+                       "--N-list", "3", "--out", str(out), "--jobs", jobs) == 2
+        assert capsys.readouterr().err == \
+            f"error: ConfigError: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+    started = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    for p_list, want in (("3.6,4.2", [2]), ("3.6", [2])):   # one point: no pool
+        out = str(tmp_path / f"sweep{p_list}")
+        assert run_cli("sweep", "--config", small_cfg, "--p-list", p_list,
+                       "--N-list", "3", "--out", out, "--jobs", "8") == 0
+        assert started == want, p_list
+        with open(os.path.join(out, "aggregate.csv")) as fh:
+            assert len(fh.read().strip().splitlines()) == 1 + len(p_list.split(","))
 
 
 def test_verify_suite_all(small_cfg, tmp_path):

@@ -206,12 +206,18 @@ def test_f_ladder_zero_series():
     assert np.all(f1.values == 0.0)
 
 
-def test_f_ladder_coverage_error():
-    e = sw.make_exponents(4.0, 3)  # alpha = -1/3 -> need span >= 7.5
+def test_f_ladder_short_series_records_its_tail():
+    """A series spanning 3 in s, far short of the e^(2 alpha s) decay
+    length, still gets F1: its tail bound is the estimate beyond s_max,
+    (1/18) |F0(s_max)| int_smax^inf tau^(-17/18) e^(2 alpha (tau - smax))."""
+    e = sw.make_exponents(4.0, 3)
     s = np.arange(2.0, 5.0, 0.05)
     f0 = FunctionalSeries("F0", s, np.exp(2 * e.alpha * s))
-    with pytest.raises(ValueError, match="s_max >="):
-        fu.f_ladder(f0, 1, e)
+    f1 = fu.f_ladder(f0, 1, e)
+    tail = (1.0 / 18.0) * (abs(f0.values[-1])
+                           * fu.exp_tail_factor(-17.0 / 18.0, e.alpha, s[-1]))
+    assert tail > 0.0 and np.array_equal(f1.tail_bound, np.full_like(s, tail))
+    assert np.all(np.isfinite(f1.values))
 
 
 def test_m_bound_inequality_reported():
@@ -371,8 +377,9 @@ def test_functional_spec_validation_and_dispatch(plateau_1024, exp43, radial_rul
         fu.FunctionalSpec(name="nope")
     with pytest.raises(ValueError, match="positive"):
         fu.FunctionalSpec(name="E_eps", eps=-0.1)
-    with pytest.raises(ValueError, match=">= 0"):
-        fu.FunctionalSpec(name="Fk", k=-1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            fu.FunctionalSpec(name="Fk", k=k)
     snaps = sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
                                np.arange(2.0, 4.01, 0.1), radial_rules.plain)
     ser = fu.evaluate_series(fu.FunctionalSpec(name="F0"), snaps,

@@ -73,7 +73,7 @@ def test_field_derivatives_match_sympy_oracle(tf):
     # the field, its ds w part, and the polynomial factor q on its own
     cases = [((wv, gv, snap.w_part.hess(pts)), w),
              ((wsv, snap.ws_part.grad(pts), None), ws),
-             ((tf.poly(pts), tf.poly.grad(pts), tf.poly.hess(pts)), q)]
+             (tuple(tf.poly.jet(pts, (0, 1, 2))), q)]
     for (val, grad, hess), expr in cases:
         grad_s = [sympy.diff(expr, y) for y in ys]
         hess_s = [[sympy.diff(g, y) for y in ys] for g in grad_s]
@@ -103,7 +103,7 @@ def test_angular_mode_gives_nonzero_angular_gradient():
     hp = harmonic_poly(3)
     th = 0.7
     r = 0.5
-    val = hp(np.array([[r * math.cos(th), r * math.sin(th)]]))[0]
+    val = hp.jet(np.array([[r * math.cos(th), r * math.sin(th)]]), (0,))[0][0]
     assert val == pytest.approx(r ** 3 * math.cos(3 * th), rel=1e-12)
 
 
@@ -160,13 +160,13 @@ def _weighted_poly_value(wp, pts):
     pts = np.atleast_2d(pts)
     om = 1.0 - np.sum(pts ** 2, axis=1)
     P = np.ones_like(om) if wp.a == 0.0 else np.clip(om, 0.0, None) ** wp.a
-    return P * wp.poly(pts)
+    return P * wp.poly.jet(pts, (0,))[0]
 
 
 def _weighted_poly_grad(wp, pts):
     a = wp.a
     if a == 0.0:
-        return wp.poly.grad(pts)
+        return wp.poly.jet(pts, (1,))[0]
     pts = np.atleast_2d(pts)
     om = 1.0 - np.sum(pts ** 2, axis=1)
     q, gq = wp.poly.jet(pts, (0, 1))
@@ -177,7 +177,7 @@ def _weighted_poly_grad(wp, pts):
 def _weighted_poly_hess(wp, pts):
     a = wp.a
     if a == 0.0:
-        return wp.poly.hess(pts)
+        return wp.poly.jet(pts, (2,))[0]
     pts = np.atleast_2d(pts)
     N = pts.shape[1]
     om = 1.0 - np.sum(pts ** 2, axis=1)

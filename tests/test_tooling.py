@@ -1,16 +1,18 @@
-"""The narrative demos, the README's config block and the benchmark tracer
-stay in step with the package, and every parameter default has a caller
+"""The narrative demos, the README's config and CLI blocks and the benchmark
+tracer stay in step with the package, and every parameter default has a caller
 that overrides it.
 
 demo_identities is left out: everything it calls is covered by
 test_verify, and it takes longer than the other three together.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
 import inspect
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sswave import functionals, verify
+from sswave import cli, functionals, verify
 from sswave.core import PhysicalState, RadialGrid, make_exponents
 from sswave.quadrature import RuleTable, build_rule
 from sswave.runio import SCHEMA
@@ -125,6 +127,42 @@ def test_readme_config_block_matches_schema():
               for sec, keys in SCHEMA.items()}
     assert [(sec, list(keys.items())) for sec, keys in documented.items()] == \
         [(sec, list(keys.items())) for sec, keys in schema.items()]
+
+
+def _documented_commands(text: str) -> dict:
+    """Command -> {flag: the '|'-separated choices written after it, or
+    None} from the `sswave <command> ...` lines of a usage text."""
+    out = {}
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["sswave"] and len(words) > 1:
+            out[words[1]] = {flag: choices.split("|") if "|" in choices else None
+                             for flag, choices in re.findall(r"(--[\w-]+)\]? ?([^\s\]]*)",
+                                                             line)}
+    return out
+
+
+def test_cli_usage_matches_parser():
+    """The README's CLI block and the cli docstring list exactly the
+    subcommands of cli.build_parser(), in order, each with its flags and
+    their choices; --verbose, which every command takes, is said once."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {}
+    for name, parser in sub.choices.items():
+        flags = {a.option_strings[-1]: a for a in parser._actions
+                 if a.option_strings and a.option_strings[-1] != "--help"}
+        assert "--verbose" in flags, name
+        parsed[name] = {flag: None if a.choices is None else list(a.choices)
+                        for flag, a in flags.items() if flag != "--verbose"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    for text in (block, cli.__doc__):
+        documented = _documented_commands(text)
+        assert list(documented) == list(parsed)
+        assert documented == parsed
+    assert "Every command also takes `--verbose`" in readme
+    assert "Every command also takes --verbose" in cli.__doc__
 
 
 def test_schema_defaults_are_the_library_defaults():

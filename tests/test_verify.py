@@ -262,15 +262,14 @@ def test_ladder_check_fails_short_windows():
 
 
 def test_sigma_bound_constant_profile_closed_form():
-    """On w = kappa only the w^2 pieces of Sigma survive; the inequality
-    margin is computable in closed form."""
+    """On w = kappa only the w^2 pieces of Sigma survive, and the calibrated
+    C1 is their sum over int w^2 rho in closed form."""
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=40)
     k = sw.kappa(e)
     snaps = make_test_field(constant_field(3, k), rules.plain,
                             s=np.arange(1.0, 2.0001, 0.05))
-    rep, c1_min = verify.check_sigma_bound(snaps, rules, e)
-    assert rep.passed
+    c1 = verify.calibrate_sigma_bound(snaps, rules, e)
     parts = verify.sigma_parts(snaps[0], rules, e)
     assert parts["Sigma1"] == 0.0 and parts["Sigma2"] == 0.0
     assert parts["Sigma5"] == 0.0
@@ -284,8 +283,8 @@ def test_sigma_bound_constant_profile_closed_form():
     s4 = 2.4 * al * c * A
     assert parts["Sigma3"] == pytest.approx(s3, rel=1e-10)
     assert parts["Sigma4"] == pytest.approx(s4, rel=1e-10)
-    # LHS = integral Sigma <= C1 integral w^2 rho with the calibrated C1
-    assert c1_min <= (s3 + s4) / (k ** 2 * V) + 1e-10
+    # ws = grad w = 0: int Sigma <= C1 int w^2 rho, with equality at the calibration
+    assert c1 == pytest.approx((s3 + s4) / (k ** 2 * V), rel=1e-10)
 
 
 def test_sigma_bound_zero_series():
@@ -293,8 +292,29 @@ def test_sigma_bound_zero_series():
     rules = RuleTable(3, n_radial=16)
     snaps = make_test_field(constant_field(3, 0.0), rules.plain,
                             s=np.array([1.0, 1.5, 2.0]))
-    rep, c1_min = verify.check_sigma_bound(snaps, rules, e, C1=1.0)
-    assert rep.passed and rep.lhs == 0.0 and c1_min == 0.0
+    assert all(np.all(part == 0.0) for part in verify.sigma_parts(snaps, rules, e).values())
+    assert verify.calibrate_sigma_bound(snaps, rules, e) == 0.0
+
+
+def test_singular_average_constant_profile_and_zero_series():
+    """On w = kappa the singular norm is kappa^(p+1) times the volume of
+    rho_eps/sqrt(1-|y|^2), and the energy sum (kappa^2 + kappa^(p+1)) times
+    that of rho_eps: C is their ratio over the window lengths 1 and 5.  It
+    is 0 on w = 0, and a series that does not cover [s_lo-2, s_lo+3] is an
+    error."""
+    e = sw.make_exponents(4.0, 3)
+    rules = RuleTable(3, n_radial=24)
+    k, eps, s = sw.kappa(e), 0.6, np.arange(0.0, 5.0001, 0.25)
+    const = make_test_field(constant_field(3, k), rules.plain, s=s)
+    C = verify.calibrate_singular_average(const, rules, e, eps, s_lo=2.0)
+    lp1 = k ** (e.p + 1.0)
+    want = (lp1 * sw.ball_weight_volume(3, eps - 0.5)
+            / (5.0 * (k ** 2 + lp1) * sw.ball_weight_volume(3, eps)))
+    assert C == pytest.approx(want, rel=1e-10)
+    zero = make_test_field(constant_field(3, 0.0), rules.plain, s=s)
+    assert verify.calibrate_singular_average(zero, rules, e, eps, s_lo=2.0) == 0.0
+    with pytest.raises(ValueError, match="need coverage"):
+        verify.calibrate_singular_average(const, rules, e, eps, s_lo=2.5)
 
 
 def test_decay_report():
