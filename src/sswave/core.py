@@ -46,14 +46,14 @@ class Exponents:
 def make_exponents(p: float, N: int) -> Exponents:
     """Build Exponents, rejecting anything outside the superconformal window.
 
-    Raises ValueError for N < 2, p <= 1, p <= p_c (conformal/subconformal)
-    or p >= p_S (Sobolev-critical and beyond).
+    Raises ValueError for N < 2, p <= 1 or NaN, p <= p_c
+    (conformal/subconformal) or p >= p_S (Sobolev-critical and beyond).
     """
     N = int(N)
     p = float(p)
     if N < 2:
         raise ValueError(f"space dimension must be >= 2, got N={N}")
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"nonlinearity power must be > 1, got p={p}")
     p_c = 1.0 + 4.0 / (N - 1)
     p_S = math.inf if N == 2 else 1.0 + 4.0 / (N - 2)

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .core import FunctionalSeries, RadialGrid, make_exponents
 from .quadrature import RuleTable, check_rule
-from .solver import FAMILIES, SolverConfig, Trajectory, run_until_blowup
+from .solver import FAMILIES, STATUSES, SolverConfig, Trajectory, run_until_blowup
 from .similarity import trajectory_to_w
 from . import functionals as fu
 from . import verify
@@ -50,8 +50,15 @@ SUITES = ("identities", "lemmas", "monotone", "decay", "all")
 FRAMES = ("frames_t", "frames_u", "frames_ut")
 
 
+def _finite(val: str) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
 def _auto_or_float(val: str):
-    return val if val == "auto" else float(val)
+    return val if val == "auto" else _finite(val)
 
 
 def _family(val: str) -> str:
@@ -62,25 +69,25 @@ def _family(val: str) -> str:
 
 # section -> key -> (default text, parser of the text)
 SCHEMA = {
-    "exponents": {"p": ("4.0", float), "N": ("3", int)},
+    "exponents": {"p": ("4.0", _finite), "N": ("3", int)},
     "solver": {
-        "nr": ("1024", int), "r_max_factor": ("1.5", float), "cfl": ("0.45", float),
-        "amp_safety": ("0.02", float), "u_cap": ("1e8", float),
-        "max_steps": ("2000000", int), "store_ds": ("0.02", float),
-        "family": ("ode_plateau", _family), "T": ("1.0", float),
-        "core_frac": ("1.15", float), "taper_frac": ("1.4", float),
-        "amplitude": ("5.0", float), "width": ("0.35", float),
-        "fit_amp_min": ("1e3", float),
+        "nr": ("1024", int), "r_max_factor": ("1.5", _finite),
+        "cfl": ("0.45", _finite), "amp_safety": ("0.02", _finite),
+        "u_cap": ("1e8", _finite), "max_steps": ("2000000", int),
+        "store_ds": ("0.02", _finite), "family": ("ode_plateau", _family),
+        "T": ("1.0", _finite), "core_frac": ("1.15", _finite),
+        "taper_frac": ("1.4", _finite), "amplitude": ("5.0", _finite),
+        "width": ("0.35", _finite), "fit_amp_min": ("1e3", _finite),
     },
     "similarity": {
-        "x0": ("0.0", float), "T0": ("auto", _auto_or_float),
+        "x0": ("0.0", _finite), "T0": ("auto", _auto_or_float),
         "s_lo": ("auto", _auto_or_float), "s_hi": ("auto", _auto_or_float),
-        "ds": ("0.05", float), "n_radial": ("48", int), "n_angular": ("1", int),
+        "ds": ("0.05", _finite), "n_radial": ("48", int), "n_angular": ("1", int),
     },
     "functionals": {
         "names": ("E0,E,F0,E_eps,J_eps,G_eps,N_eps,I_eps,L_eps,M,U1,F1,singularLp1", str),
-        "eps": ("0.6", float), "k": ("1", int), "k_max": ("6", int),
-        "sigma": ("1.0", float),
+        "eps": ("0.6", _finite), "k": ("1", int), "k_max": ("6", int),
+        "sigma": ("1.0", _finite),
     },
 }
 
@@ -184,17 +191,23 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _read(path: str, load):
+    """load(fh) of the file at path, opened in binary; a file that cannot be
+    read or parsed is a ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            return load(fh)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigError(f"unreadable {path}: {exc}") from exc
+
+
 def read_manifest(run_dir: str) -> dict | None:
     """The run directory's manifest.json, None if it has none; anything but
     an object with a "files" object is a ConfigError."""
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"unreadable manifest {path}: {exc}") from exc
+    doc = _read(path, json.load)
     if not (isinstance(doc, dict) and isinstance(doc.get("files"), dict)):
         raise ConfigError(f'manifest {path} is not an object with a "files" object')
     return doc
@@ -243,8 +256,8 @@ def functional_specs(names: str, vals: dict) -> list:
 
 def _resolve_and_solve(cfg: dict, out_dir: str):
     """Check the config, its [similarity] rule and [functionals] specs
-    included, and out_dir's manifest; echo the config into out_dir, then
-    run the solver on it."""
+    included, and out_dir's manifest; run the solver on it, then echo the
+    config into out_dir (a solve that fails leaves out_dir as it was)."""
     scfg = solver_config(cfg)
     vals = typed(cfg)
     sim, fun = vals["similarity"], vals["functionals"]
@@ -252,9 +265,8 @@ def _resolve_and_solve(cfg: dict, out_dir: str):
         check_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
-    if not (math.isfinite(sim["ds"]) and sim["ds"] > 0.0):
-        raise ConfigError(f"invalid [similarity] ds = {sim['ds']}: "
-                          f"must be finite and positive")
+    if not sim["ds"] > 0.0:
+        raise ConfigError(f"invalid [similarity] ds = {sim['ds']}: must be positive")
     functional_specs(fun["names"], fun)
     # whatever the names: the lemma and monotone suites read eps and k_max,
     # and `functionals --names` may select a ladder at k
@@ -265,11 +277,12 @@ def _resolve_and_solve(cfg: dict, out_dir: str):
     if fun["k_max"] < 0:
         raise ConfigError(f"invalid [functionals] k_max = {fun['k_max']}: must be >= 0")
     read_manifest(out_dir)
+    traj = run_until_blowup(scfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.ini"), "w",
               encoding="utf-8") as fh:
         fh.write(config_text(cfg))
-    return scfg, run_until_blowup(scfg)
+    return scfg, traj
 
 
 def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
@@ -304,14 +317,17 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
 
 
 def load_run(run_dir: str):
-    """(cfg, Trajectory) of the blow-up a run directory holds, whose frame
-    files and t_est.json have the byte sizes its manifest records (a stat:
-    the checksums wait for a full check); NoBlowupError for a run that did
-    not blow up."""
+    """(cfg, Trajectory) of the blow-up a run directory holds, once its config
+    has the manifest's hash, its frame files and t_est.json the manifest's
+    byte sizes (a stat: the checksums wait for a full check) and its frames
+    one row of nr values per time; NoBlowupError for a run without blow-up."""
     cfg = parse_config(os.path.join(run_dir, "config.resolved.ini"))
     manifest = read_manifest(run_dir)
     if manifest is None:
         raise ConfigError(f"missing manifest.json in {run_dir}")
+    if manifest.get("config_hash") != config_hash(cfg):
+        raise ConfigError(f"config.resolved.ini in {run_dir} does not have the "
+                          f"config_hash its manifest records")
     for name in [f"{n}.npy" for n in FRAMES] + ["t_est.json"]:
         path = os.path.join(run_dir, name)
         if not os.path.exists(path):
@@ -323,17 +339,28 @@ def load_run(run_dir: str):
         if os.path.getsize(path) != recorded:
             raise ConfigError(f"{name} in {run_dir} is {os.path.getsize(path)} bytes, "
                               f"but the manifest records {recorded}")
-    with open(os.path.join(run_dir, "t_est.json"), encoding="utf-8") as fh:
-        status = json.load(fh)
+    status = _read(os.path.join(run_dir, "t_est.json"), json.load)
+    if not (isinstance(status, dict) and status.get("status") in STATUSES):
+        raise ConfigError(f"t_est.json in {run_dir} is not an object with a "
+                          f'"status" in {STATUSES}')
     if status["status"] != "blowup":
         raise NoBlowupError(f"{run_dir} holds no blow-up trajectory "
                             f"(status {status['status']}); nothing to analyse")
+    T_est = status.get("T_est")
+    if not (isinstance(T_est, float) and 0.0 < T_est < math.inf):
+        raise ConfigError(f"t_est.json in {run_dir} records the blow-up time "
+                          f"{T_est!r}, not a finite positive number")
     scfg = solver_config(cfg)
+    frames = {name: _read(os.path.join(run_dir, f"{name}.npy"), np.load) for name in FRAMES}
+    n = frames["frames_t"].size
+    want = [(n,), (n, scfg.grid.nr), (n, scfg.grid.nr)]
+    got = [frames[name].shape for name in FRAMES]
+    if got != want:
+        raise ConfigError(f"the frames in {run_dir} have the shapes {got}, not {want}")
     traj = Trajectory(
-        e=scfg.e, grid=scfg.grid,
-        **{n: np.load(os.path.join(run_dir, f"{n}.npy")) for n in FRAMES},
+        e=scfg.e, grid=scfg.grid, **frames,
         center_t=np.array([]), center_u=np.array([]), max_u=np.array([]),
-        status=status["status"], T_est=status["T_est"])
+        status=status["status"], T_est=T_est)
     return cfg, traj
 
 

@@ -31,6 +31,7 @@ class SolverError(RuntimeError):
 
 
 FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
+STATUSES = ("blowup", "no-blowup")
 TIME_BLOCK = 64   # times interpolated at once, whose sums stay in cache
 
 
@@ -184,7 +185,7 @@ class Trajectory:
     center_t: np.ndarray
     center_u: np.ndarray
     max_u: np.ndarray
-    status: str                   # 'blowup' | 'no-blowup'
+    status: str                   # one of STATUSES
     T_est: float | None = None
     fit: BlowupFit | None = None
 

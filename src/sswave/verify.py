@@ -10,9 +10,10 @@ lemma's right side literally contains the functional itself, e.g. the
 -2 alpha int F dtau terms).
 
 Every implemented d/ds law is re-derived from the profile equation by
-parts and certified by the frozen-flow Gateaux oracle in the test suite
-(differentiate under the integral with d2s w eliminated via the equation),
-so each identity stands on its own rather than on transcription.
+parts and certified in the test suite by the frozen-flow Gateaux oracle,
+one integrand table (_FLOW_TABLE) on one Gateaux sample of a closed-form
+field (differentiate under the integral with d2s w eliminated via the
+equation), so each identity stands on its own rather than on transcription.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,9 +51,6 @@ class IdentityReport:
     tolerance: float
     passed: bool
     context: str = ""
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def report(name, lhs, rhs, tol, context="", scale=None) -> IdentityReport:
@@ -304,7 +303,7 @@ def lemma_suite(snaps, rules, e: Exponents, eps: float, ds: float,
     s = snaps.s
     tol = 200.0 * (ds ** 2 + (dr / math.exp(-s[0])) ** 2)
     window = in_window(snaps, (s[0], min(s[0] + 1.0, s[-1])))
-    return [check_derivative_lemma(name, window, rules, e, eps=eps, tol=tol).as_dict()
+    return [asdict(check_derivative_lemma(name, window, rules, e, eps=eps, tol=tol))
             for name in LEMMA_NAMES]
 
 
@@ -384,12 +383,43 @@ def run_identity_battery(N: int, eps: float, n_fields: int = 50,
 def identity_suite(seed: int) -> list[dict]:
     """Both Pohozaev identities on 10 seeded fields for each N in (2, 3)
     and eps in (0.6, 1.0, 1.1)."""
-    return [r.as_dict() for N in (2, 3) for eps in (0.6, 1.0, 1.1)
+    return [asdict(r) for N in (2, 3) for eps in (0.6, 1.0, 1.1)
             for r in run_identity_battery(N, eps, n_fields=10, seed=seed)]
 
 
 # ---------------------------------------------------------------------------
 # frozen-flow (Gateaux) oracle: certifies the d/ds identities without a solve
+
+# flow integral name -> (beta as in _RAW_TABLE, integrand of the Gateaux sample g)
+_FLOW_TABLE = {
+    "dE_eps": (0.0, lambda g, e: g.ws * g.v + g.gdot - g.ydg * g.ydgs
+               + g.w * g.ws * (2.0 * _g1(e) - np.abs(g.w) ** (e.p - 1.0))),
+    "dJ_eps": (0.0, lambda g, e: -(g.ws ** 2) - g.w * g.v
+               - (e.N + 2.0 * e.alpha) * g.w * g.ws),
+    "dN_eps": (0.0, lambda g, e: g.ydgs * g.ws + g.ydg * g.v + 2.0 * g.ydg * g.ydgs),
+    "dI_eps": (-0.5, lambda g, e: -(g.ws ** 2) - g.w * g.v - 2.0 * g.ws * g.ydg
+               - 2.0 * g.w * g.ydgs - e.N * g.w * g.ws),
+    "dJ0": (None, lambda g, e: e.alpha * (g.ws ** 2 + g.w * g.v - e.N * g.w * g.ws)),
+    # the flows of dM's A = int |y|^2 w^2 rho_eps/(1-|y|^2) and B = int w^2 rho_eps
+    "dA": (-1.0, lambda g, e: 2.0 * g.w * g.ws * g.r2),
+    "dB": (0.0, lambda g, e: 2.0 * g.w * g.ws),
+}
+
+
+def _flow(name: str, field, rules: RuleTable, e: Exponents, eps: float) -> float:
+    """The flow integral name of _FLOW_TABLE at eps over one Gateaux sample
+    of the field's closed forms at its rule's nodes: w, ws, v = d2s w from the
+    profile equation, y.grad w, y.grad ws, grad w.grad ws and |y|^2."""
+    shift, integrand = _FLOW_TABLE[name]
+    rule = rules.rule(0.0 if shift is None else eps + shift)
+    pts = rule.points
+    w, ws, grad = field.fields(pts)
+    gws = field.ws_part.grad(pts)
+    g = SimpleNamespace(w=w, ws=ws, v=field.eq_rhs(pts, e), ydg=np.sum(pts * grad, axis=1),
+                        ydgs=np.sum(pts * gws, axis=1), gdot=np.sum(grad * gws, axis=1),
+                        r2=np.sum(pts ** 2, axis=1))
+    return float(np.sum(rule.weights * integrand(g, e)))
+
 
 def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
                     e: Exponents, eps: float) -> float:
@@ -400,55 +430,8 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
     This is the independent oracle for lemma_rhs: the two agree exactly for
     any smooth (w, ws) pair, which certifies the identity's algebra.
     """
-    p, N, al = e.p, e.N, e.alpha
-    g1 = (p + 1.0) / (p - 1.0) ** 2
-
-    def gateaux(beta):
-        rule = rules.rule(beta)
-        pts = rule.points
-        w, ws, grad = field.fields(pts)
-        v = field.eq_rhs(pts, e)
-        gws = field.ws_part.grad(pts)
-        return rule, pts, w, ws, grad, v, gws
-
-    if name in ("dE_eps", "dF0"):
-        beta = eps if name == "dE_eps" else 0.0
-        rule, pts, w, ws, grad, v, gws = gateaux(beta)
-        ydg = np.sum(pts * grad, axis=1)
-        ydgs = np.sum(pts * gws, axis=1)
-        gdot = np.sum(grad * gws, axis=1)
-        dE = float(np.sum(rule.weights * (
-            ws * v + gdot - ydg * ydgs + 2.0 * g1 * w * ws
-            - np.abs(w) ** (p - 1.0) * w * ws)))
-        if name == "dE_eps":
-            return dE
-        # F0 = e^(2 alpha s) (E0 + J0): add J0's flow and the explicit s part
-        dJ0 = float(np.sum(rule.weights * (
-            al * (ws ** 2 + w * v) - al * N * w * ws)))
-        E0v = fu.E0(field, rules, e)
-        J0v = fu.J0(field, rules, e)
-        fac = math.exp(2.0 * al * field.s)
-        return fac * (2.0 * al * (E0v + J0v) + dE + dJ0)
-
-    if name == "dJ_eps":
-        rule, pts, w, ws, grad, v, gws = gateaux(eps)
-        return float(np.sum(rule.weights * (
-            -(ws ** 2) - w * v - (N + 2.0 * al) * w * ws)))
-
-    if name == "dN_eps":
-        rule, pts, w, ws, grad, v, gws = gateaux(eps)
-        ydg = np.sum(pts * grad, axis=1)
-        ydgs = np.sum(pts * gws, axis=1)
-        return float(np.sum(rule.weights * (
-            ydgs * ws + ydg * v + 2.0 * ydg * ydgs)))
-
-    if name == "dI_eps":
-        rule, pts, w, ws, grad, v, gws = gateaux(eps - 0.5)
-        ydg = np.sum(pts * grad, axis=1)
-        ydgs = np.sum(pts * gws, axis=1)
-        return float(np.sum(rule.weights * (
-            -(ws ** 2) - w * v - 2.0 * ws * ydg - 2.0 * w * ydgs
-            - N * w * ws)))
+    if name not in LEMMA_NAMES:
+        raise ValueError(f"unknown lemma '{name}', expected one of {LEMMA_NAMES}")
 
     if name == "dL_eps":
         return (flow_derivative("dN_eps", field, rules, e, 0.5 + eps)
@@ -456,28 +439,22 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
 
     if name == "dM":
         c = e.two_over_pm1 + 0.4
-        rlo = rules.rule(EPS0 - 1.0)
-        pts = rlo.points
-        w, ws, _ = field.fields(pts)
-        r2 = np.sum(pts ** 2, axis=1)
-        dA = 2.0 * float(np.sum(rlo.weights * w * ws * r2))
-        r0 = rules.rule(EPS0)
-        w0, ws0, _ = field.fields(r0.points)
-        dB = 2.0 * float(np.sum(r0.weights * w0 * ws0))
         return (flow_derivative("dE_eps", field, rules, e, EPS0)
                 + flow_derivative("dN_eps", field, rules, e, EPS0)
                 - c * flow_derivative("dJ_eps", field, rules, e, EPS0)
-                + 1.2 * c * dA + c * al * dB)
+                + 1.2 * c * _flow("dA", field, rules, e, EPS0)
+                + c * e.alpha * _flow("dB", field, rules, e, EPS0))
 
-    if name == "dJ0":
-        rule, pts, w, ws, grad, v, gws = gateaux(0.0)
-        return float(np.sum(rule.weights * (
-            al * (ws ** 2 + w * v) - al * N * w * ws)))
+    if name == "dF0":
+        # F0 = e^(2 alpha s) (E0 + J0): the flows of E0 and J0 and the explicit s part
+        return math.exp(2.0 * e.alpha * field.s) * (
+            2.0 * e.alpha * (fu.E0(field, rules, e) + fu.J0(field, rules, e))
+            + _flow("dE_eps", field, rules, e, 0.0) + _flow("dJ0", field, rules, e, eps))
 
     if name == "dF1":
         return field.s ** (1.0 / 18.0) * flow_derivative("dF0", field, rules, e, eps)
 
-    raise ValueError(name)
+    return _flow(name, field, rules, e, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +535,16 @@ def ladder_start(e: Exponents, k: int) -> float:
 
 def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
                      require_nonneg: bool = False) -> dict:
-    """Indices where the series increases by more than slack*local-scale;
-    optionally also checks the claimed nonnegativity (down to -1e-8 of the
-    largest magnitude)."""
+    """Indices where the series increases by more than slack*local-scale, or
+    where either side is not finite; optionally also checks the claimed
+    nonnegativity (down to -1e-8 of the largest magnitude)."""
     v = series.values
     if v.size < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     scale = np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
     scale = np.maximum(scale, FLOOR)
-    bad = np.nonzero(v[1:] - v[:-1] > slack * scale)[0]
+    finite = np.isfinite(v)
+    bad = np.nonzero((v[1:] - v[:-1] > slack * scale) | ~(finite[1:] & finite[:-1]))[0]
     out = {"name": series.name, "violations": bad.tolist(),
            "n": int(v.size), "monotone": bad.size == 0}
     if require_nonneg:
@@ -621,16 +599,9 @@ def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
     nonincreasing on the sampled grid (inf if U's decrease cannot pay)."""
     gamma = (k - 18.0) / 18.0
     P = mser.s ** gamma * np.exp(2.0 * e.alpha * mser.s) * mser.values
-    dP = np.diff(P)
-    dU = np.diff(user.values)
-    need = 0.0
-    for a, b in zip(dP, dU):
-        if a <= 0.0:
-            continue
-        if b >= 0:
-            return math.inf
-        need = max(need, a / (-b))
-    return need
+    up = np.diff(P) > 0.0
+    dP, dU = np.diff(P)[up], np.diff(user.values)[up]
+    return math.inf if np.any(dU >= 0.0) else float(np.max(dP / -dU, initial=0.0))
 
 
 def decay_report(series: FunctionalSeries) -> dict:

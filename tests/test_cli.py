@@ -99,7 +99,9 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  # whose core does not end before its taper
                  "[similarity]\nds = 0\n", "[similarity]\nds = -0.05\n",
                  "[solver]\ncore_frac = 1.4\n",
-                 "[solver]\nfamily = plateau\ncore_frac = 2.0\n"):
+                 "[solver]\nfamily = plateau\ncore_frac = 2.0\n",
+                 # a float that parses but is not finite
+                 "[similarity]\nx0 = nan\n"):
         cfg.write_text(text)
         rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2, text
@@ -115,16 +117,17 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
         cfg.write_text(text)
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
         assert capsys.readouterr().err == f"error: ConfigError: invalid [similarity] rule: {why}\n"
-    # rejected before the solver ran
-    assert not os.path.exists(tmp_path / "r" / "frames_u.npy")
+    # rejected before anything was written
+    assert not os.path.exists(tmp_path / "r")
 
 
 def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
     """Values that parse but that the run cannot supply, or that select
     nothing: a snapshot window past the run's frames or grid, a --q that is
     negative or not finite, a negative --seed, a --names or --p-list that
-    selects nothing, a --p-list or --N-list that repeats a value.  Each
-    exits 2 with one ConfigError line before it writes a file."""
+    selects nothing, a --p-list or --N-list that repeats a value, a --p-list
+    value that is not a number.  Each exits 2 with one ConfigError line
+    before it writes a file."""
     runs = {}
     for name, extra in (("base", ""), ("far", "x0 = 5.0\n"),
                         ("long", "s_lo = 1.0\ns_hi = 100.0\n")):
@@ -154,7 +157,9 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
                  ("sweep", "--config", small_cfg, "--p-list", "3.6,4.2,3.6",
                   "--N-list", "3", "--out", fresh),
                  ("sweep", "--config", small_cfg, "--p-list", "3.6",
-                  "--N-list", "3,3", "--out", fresh)):
+                  "--N-list", "3,3", "--out", fresh),
+                 ("sweep", "--config", small_cfg, "--p-list", "nan",
+                  "--N-list", "3", "--out", fresh)):
         assert run_cli(*args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
@@ -163,11 +168,19 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
 
 
 def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):
+    """A solve that fails leaves the run directory it was pointed at as it
+    was: the earlier run's config echo still matches its manifest."""
+    out = str(tmp_path / "r")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    before = file_hashes(out, (".ini", ".json", ".npy"))
     cfg = tmp_path / "overflow.ini"
     cfg.write_text(open(small_cfg).read().replace("u_cap = 1e5", "u_cap = 1e60"))
-    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SolverError: amplitude overflow") and err.count("\n") == 1
+    assert file_hashes(out, (".ini", ".json", ".npy")) == before
+    assert run_cli("functionals", "--out", out, "--names", "F0") == 0
 
 
 def test_fit_error_exits_3_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):
@@ -384,11 +397,11 @@ def test_parse_config_pure_defaults():
     assert runio.solver_config(cfg).grid.nr == 1024
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
 _VALUES = {
-    float: _finite.map(repr),
+    runio._finite: _floats.map(repr),
     int: st.integers(-10**12, 10**12).map(str),
-    runio._auto_or_float: st.one_of(st.just("auto"), _finite.map(repr)),
+    runio._auto_or_float: st.one_of(st.just("auto"), _floats.map(repr)),
     runio._family: st.sampled_from(runio.FAMILIES),
     str: st.lists(st.sampled_from(FUNCTIONAL_NAMES), min_size=1).map(",".join),
 }
@@ -413,8 +426,10 @@ def test_config_text_round_trip(cfg):
 
 
 @pytest.mark.parametrize("parse,bad", [
-    (float, "1.0.0"), (int, "1.5"), (runio._auto_or_float, "automatic"),
-    (runio._family, "gausian")])
+    (runio._finite, "1.0.0"), (int, "1.5"), (runio._auto_or_float, "automatic"),
+    (runio._family, "gausian")] + [
+    (parse, bad) for parse in (runio._finite, runio._auto_or_float)
+    for bad in ("nan", "inf", "-inf")])
 def test_parse_config_rejects_malformed_value(tmp_path, parse, bad):
     sec, key = next((sec, key) for sec, keys in runio.SCHEMA.items()
                     for key, (_d, p) in keys.items() if p is parse)
@@ -575,19 +590,43 @@ def test_verify_detects_corrupted_run(small_cfg, tmp_path):
     assert run_cli("verify", "--suite", "monotone", "--out", out) == 1
 
 
+def _replace_same_size(path, old, new):
+    with open(path) as fh:
+        text = fh.read()
+    assert len(old) == len(new) and text.count(old) == 1
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+
+
 @pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry",
-                                    "not_an_object", "no_files"])
+                                    "not_an_object", "no_files", "config_edited",
+                                    "no_status", "frames_header", "frames_transposed"])
 def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, damage):
     """A truncated frame file, a missing manifest, a file the manifest does
     not list, or a manifest that is not an object with a "files" object is
     a one-line ConfigError (exit 2) at load time; a damaged manifest is one
-    too when `simulate` writes into its directory."""
+    too when `simulate` writes into its directory.  So are damages that keep
+    every byte size: a config whose hash is not the manifest's, a t_est.json
+    without a status, a frame file whose header is overwritten, and frames
+    stored as (nr, frames)."""
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
     manifest = os.path.join(out, "manifest.json")
     if damage == "truncate":
         with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
             fh.truncate(os.path.getsize(fh.name) - 8)
+    elif damage == "config_edited":
+        _replace_same_size(os.path.join(out, "config.resolved.ini"), "nr = 256", "nr = 128")
+    elif damage == "no_status":
+        _replace_same_size(os.path.join(out, "t_est.json"), '"status"', '"statux"')
+    elif damage == "frames_header":
+        with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
+            fh.write(b"\0" * 10)
+    elif damage == "frames_transposed":
+        path = os.path.join(out, "frames_ut.npy")
+        size = os.path.getsize(path)
+        np.save(path, np.load(path).T)
+        assert os.path.getsize(path) == size
     elif damage == "no_manifest":
         os.remove(manifest)
     else:

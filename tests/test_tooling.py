@@ -254,3 +254,29 @@ def test_every_default_has_a_caller():
                 if not any(overrides(call, param, slot, default) for call in callers):
                     unset.append(f"{path.name}:{fn.name}({param})")
     assert not unset, f"defaults that no caller overrides: {unset}"
+
+
+def test_every_table_row_has_a_reader():
+    """Every row of verify's integrand tables (_INTEGRANDS, _RAW_TABLE and
+    _FLOW_TABLE) is read somewhere in verify: its key appears as a string
+    outside the tables' own keys.  And flow_derivative answers every name of
+    LEMMA_NAMES, from a _FLOW_TABLE row or an explicit `name ==` composite,
+    so that no lemma gains a raw right side without its oracle."""
+    tree = ast.parse((ROOT / "src" / "sswave" / "verify.py").read_text(encoding="utf-8"))
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("_INTEGRANDS", "_RAW_TABLE", "_FLOW_TABLE")}
+    assert sorted(tables) == ["_FLOW_TABLE", "_INTEGRANDS", "_RAW_TABLE"]
+    keys = {id(key) for table in tables.values() for key in table.keys}
+    read = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in keys}
+    for name, table in tables.items():
+        unread = [key.value for key in table.keys if key.value not in read]
+        assert not unread, f"verify.{name} rows that nothing reads: {unread}"
+    flow = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "flow_derivative")
+    composites = {node.comparators[0].value for node in ast.walk(flow)
+                  if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                  and node.left.id == "name" and isinstance(node.ops[0], ast.Eq)}
+    unanswered = set(verify.LEMMA_NAMES) - composites - set(verify._FLOW_TABLE)
+    assert not unanswered, f"lemmas without a frozen-flow oracle: {sorted(unanswered)}"

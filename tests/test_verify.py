@@ -239,6 +239,16 @@ def test_monitor_monotone_flags_violation():
     assert mon["violations"] == [1]
 
 
+def test_monitor_monotone_flags_non_finite_steps():
+    """NaN compares False, and a step to or from inf is no larger than slack
+    times its infinite scale: without a finiteness check a series holding
+    one NaN or inf would read as monotone."""
+    for bad in (math.nan, math.inf, -math.inf):
+        ser = FunctionalSeries("bad", [0, 1, 2, 3], [1.0, bad, 0.5, 0.1])
+        mon = verify.monitor_monotone(ser)
+        assert mon["violations"] == [0, 1] and not mon["monotone"], bad
+
+
 def test_monitor_requires_three_samples():
     with pytest.raises(ValueError):
         verify.monitor_monotone(FunctionalSeries("s", [0, 1], [1.0, 0.5]))
@@ -376,6 +386,31 @@ def test_decay_windows_are_per_window_trapezoids(exp43, plateau_1024):
     sh = gradient.s
     assert np.array_equal(gradient.values,
                           sh ** (1.0 / 18.0) * np.exp(2.0 * exp43.alpha * sh) * loop)
+
+
+def _smallest_sigma_loop(P, U):
+    """The loop smallest_sigma replaced: the reference for its array form."""
+    need = 0.0
+    for a, b in zip(np.diff(P), np.diff(U)):
+        if a <= 0.0:
+            continue
+        if b >= 0:
+            return math.inf
+        need = max(need, a / (-b))
+    return need
+
+
+def test_smallest_sigma_matches_loop():
+    e = sw.make_exponents(4.0, 3)
+    s = np.arange(2.0, 4.0, 0.1)
+    gamma = (1 - 18.0) / 18.0
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        m = FunctionalSeries("M", s, rng.normal(size=s.size))
+        # mostly decreasing U, sometimes with a step up that cannot pay
+        u = FunctionalSeries("U", s, -np.cumsum(rng.uniform(-0.05 * (trial % 2), 1.0, s.size)))
+        P = s ** gamma * np.exp(2 * e.alpha * s) * m.values
+        assert verify.smallest_sigma(m, u, 1, e) == _smallest_sigma_loop(P, u.values)
 
 
 def test_smallest_sigma_reporting():
