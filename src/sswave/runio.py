@@ -2,7 +2,8 @@
 
 A run directory is the unit of provenance: `simulate` writes the trajectory
 (frames as raw .npy arrays, center series as CSV), later commands read it
-back and record functional series and the checks `verify` decides on it.
+back and record functional series and the checks `verify` decides on it,
+and store the quadrature rules they built (rules.json) for the next.
 Identical config reproduces byte-identical CSV/npy output; the manifest
 records the checksum and size of every file a stage wrote.
 
@@ -48,6 +49,7 @@ class NoBlowupError(RuntimeError):
 
 SUITES = ("identities", "lemmas", "monotone", "decay", "all")
 FRAMES = ("frames_t", "frames_u", "frames_ut")
+RULES = "rules.json"   # the run's rule store: RuleTable.stored() data
 
 
 def _finite(val: str) -> float:
@@ -191,12 +193,27 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _read(path: str, load):
-    """load(fh) of the file at path, opened in binary; a file that cannot be
-    read or parsed is a ConfigError."""
+def replace_file(path: str, write) -> str:
+    """write(fh) into a temporary file beside path, opened in binary, then
+    rename it over path: a reader that has opened or mapped the old file
+    keeps reading it whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        write(fh)
+    os.replace(tmp, path)
+    return path
+
+
+def _json(path: str):
+    with open(path, "rb") as fh:
+        return json.load(fh)
+
+
+def _read(path: str, load=_json):
+    """load(path) of the file at path, by default its JSON; a file that
+    cannot be read or parsed is a ConfigError."""
     try:
-        with open(path, "rb") as fh:
-            return load(fh)
+        return load(path)
     except (OSError, ValueError, EOFError) as exc:
         raise ConfigError(f"unreadable {path}: {exc}") from exc
 
@@ -207,7 +224,7 @@ def read_manifest(run_dir: str) -> dict | None:
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         return None
-    doc = _read(path, json.load)
+    doc = _read(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("files"), dict)):
         raise ConfigError(f'manifest {path} is not an object with a "files" object')
     return doc
@@ -295,8 +312,9 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
 
     written = [os.path.join(out_dir, "config.resolved.ini")]
     for name in FRAMES:
-        written.append(os.path.join(out_dir, f"{name}.npy"))
-        np.save(written[-1], getattr(traj, name))
+        arr = getattr(traj, name)
+        written.append(replace_file(os.path.join(out_dir, f"{name}.npy"),
+                                    lambda fh: np.save(fh, arr)))
     written.append(write_csv(os.path.join(out_dir, "center.csv"),
                              ["t", "u_center", "u_max"],
                              [traj.center_t, traj.center_u, traj.max_u]))
@@ -316,11 +334,16 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
 
+def _mapped(path: str):
+    return np.load(path, mmap_mode="r")
+
+
 def load_run(run_dir: str):
     """(cfg, Trajectory) of the blow-up a run directory holds, once its config
     has the manifest's hash, its frame files and t_est.json the manifest's
     byte sizes (a stat: the checksums wait for a full check) and its frames
-    one row of nr values per time; NoBlowupError for a run without blow-up."""
+    one row of nr values per time; NoBlowupError for a run without blow-up.
+    The frames are read-only maps of their files."""
     cfg = parse_config(os.path.join(run_dir, "config.resolved.ini"))
     manifest = read_manifest(run_dir)
     if manifest is None:
@@ -339,7 +362,7 @@ def load_run(run_dir: str):
         if os.path.getsize(path) != recorded:
             raise ConfigError(f"{name} in {run_dir} is {os.path.getsize(path)} bytes, "
                               f"but the manifest records {recorded}")
-    status = _read(os.path.join(run_dir, "t_est.json"), json.load)
+    status = _read(os.path.join(run_dir, "t_est.json"))
     if not (isinstance(status, dict) and status.get("status") in STATUSES):
         raise ConfigError(f"t_est.json in {run_dir} is not an object with a "
                           f'"status" in {STATUSES}')
@@ -351,7 +374,9 @@ def load_run(run_dir: str):
         raise ConfigError(f"t_est.json in {run_dir} records the blow-up time "
                           f"{T_est!r}, not a finite positive number")
     scfg = solver_config(cfg)
-    frames = {name: _read(os.path.join(run_dir, f"{name}.npy"), np.load) for name in FRAMES}
+    # mapped, not read: a stage touches only the frames its window needs
+    frames = {name: np.asarray(_read(os.path.join(run_dir, f"{name}.npy"), _mapped))
+              for name in FRAMES}
     n = frames["frames_t"].size
     want = [(n,), (n, scfg.grid.nr), (n, scfg.grid.nr)]
     got = [frames[name].shape for name in FRAMES]
@@ -364,13 +389,52 @@ def load_run(run_dir: str):
     return cfg, traj
 
 
-def build_snapshots(cfg: dict, traj):
+def seed_rules(run_dir: str, rules: RuleTable):
+    """Seed the table from the run's rule store when its manifest lists one;
+    an unlisted store is another config's, ignored and rebuilt.  A listed
+    store that is missing, whose sha256 is not the manifest's, or whose
+    header or rules the table rejects is a ConfigError."""
+    manifest = read_manifest(run_dir)
+    entry = manifest["files"].get(RULES) if manifest else None
+    if entry is None:
+        return
+    path = os.path.join(run_dir, RULES)
+    if not os.path.exists(path):
+        raise ConfigError(f"missing {RULES} in {run_dir}, which its manifest lists")
+    if not (isinstance(entry, dict) and sha256_file(path) == entry.get("sha256")):
+        raise ConfigError(f"{RULES} in {run_dir} does not have the sha256 "
+                          f"its manifest records")
+    doc = _read(path)
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("not an object")
+        rules.seed(doc)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid rule store {path}: {exc}") from exc
+
+
+def store_rules(run_dir: str, rules: RuleTable) -> list[str]:
+    """[the rule store's path] after rewriting it, if the table built a rule
+    it was not seeded with; [] otherwise."""
+    if not rules.built:
+        return []
+    blob = json.dumps(rules.stored(), sort_keys=True).encode()
+    return [replace_file(os.path.join(run_dir, RULES), lambda fh: fh.write(blob))]
+
+
+def build_snapshots(cfg: dict, traj, run_dir: str | None = None,
+                    span: float | None = None):
     """The [similarity] rules and the snapshots of its s-window, centred at
-    x0.  A window that the run cannot supply is a ConfigError: one that is
-    empty, reaches a time outside the stored frames, or whose largest ball
-    x0 + (T0 - t) y leaves the radial grid."""
+    x0; the rules seeded from run_dir's rule store when given, and only the
+    snapshots of the window's first span of s (and the next one) transformed
+    when a span is given.  A window that the run cannot supply is a
+    ConfigError, whatever the span: one that is empty, reaches a time
+    outside the stored frames, or whose largest ball x0 + (T0 - t) y leaves
+    the radial grid."""
     sim = typed(cfg)["similarity"]
     rules = RuleTable(traj.e.N, n_radial=sim["n_radial"], n_angular=sim["n_angular"])
+    if run_dir is not None:
+        seed_rules(run_dir, rules)
     s_lo = -math.log(traj.T_est) + 0.75 if sim["s_lo"] == "auto" else sim["s_lo"]
     s_hi = traj.s_max_covered - 0.5 if sim["s_hi"] == "auto" else sim["s_hi"]
     if s_hi <= s_lo:
@@ -390,6 +454,10 @@ def build_snapshots(cfg: dict, traj):
         raise ConfigError(
             f"[similarity] x0, s_lo: the ball of radius {T0 - t_first} at |x0| = "
             f"{abs(sim['x0'])} reaches r = {reach}, past r_max = {traj.grid.r_max}")
+    if span is not None:
+        # the next snapshot too: a window [s0, s0 + span] taken from the
+        # transformed s then selects the same rows as from the whole series
+        s_grid = s_grid[:np.count_nonzero(s_grid <= s_grid[0] + span) + 1]
     snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid, rules.plain)
     return rules, snaps
 
@@ -414,7 +482,7 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
     specs = functional_specs(selection or vals["names"], vals)
     if not specs:
         raise ConfigError(f"no functional selected by {selection or vals['names']!r}")
-    rules, snaps = build_snapshots(cfg, traj)
+    rules, snaps = build_snapshots(cfg, traj, run_dir)
     provenance = {
         "run_dir": os.path.abspath(run_dir),
         "frames_sha256": sha256_file(os.path.join(run_dir, "frames_u.npy")),
@@ -428,6 +496,7 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
             print(f"functionals: wrote {ser.name} ({len(ser)} samples)")
     if dump_snapshots:
         written.append(export_snapshots(run_dir, snaps))
+    written += store_rules(run_dir, rules)
     update_manifest(run_dir, config_hash(cfg), written)
     return EXIT_OK
 
@@ -454,7 +523,9 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     cfg = None
     if suite != "identities" and run_dir is not None:
         cfg, traj = load_run(run_dir)
-        rules, snaps = build_snapshots(cfg, traj)
+        # the lemma suite alone reads only the window's first LEMMA_SPAN
+        rules, snaps = build_snapshots(
+            cfg, traj, run_dir, verify.LEMMA_SPAN if suite == "lemmas" else None)
         vals = typed(cfg)
         if suite in ("lemmas", "all"):
             reports += verify.lemma_suite(snaps, rules, traj.e, vals["functionals"]["eps"],
@@ -477,6 +548,7 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     with open(written[1], "w", encoding="utf-8") as fh:
         fh.write(text)
     if cfg is not None:
+        written += store_rules(run_dir, rules)
         update_manifest(run_dir, config_hash(cfg), written)
     if verbose:
         print(text)

@@ -33,6 +33,7 @@ from . import functionals as fu
 FLOOR = 1e-14
 POHOZAEV_TOL = 1e-8   # polynomial integrands: both sides agree to rounding
 MIN_SAMPLES = 3       # fewer samples show no trend, no monotonicity, no residual
+LEMMA_SPAN = 1.0      # the lemma suite checks the first unit of s of a series
 
 LEMMA_NAMES = ("dE_eps", "dJ_eps", "dN_eps", "dI_eps", "dL_eps",
                "dM", "dF0", "dF1", "dJ0")
@@ -297,12 +298,12 @@ def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
 
 def lemma_suite(snaps, rules, e: Exponents, eps: float, ds: float,
                 dr: float) -> list[dict]:
-    """Every d/ds lemma over the series' first unit [s0, min(s0+1, s_end)],
-    to a tolerance indexed by the snapshot spacing ds and the radial step
-    dr, relative to the RHS scale."""
+    """Every d/ds lemma over the series' first unit [s0, min(s0 + LEMMA_SPAN,
+    s_end)], to a tolerance indexed by the snapshot spacing ds and the
+    radial step dr, relative to the RHS scale."""
     s = snaps.s
     tol = 200.0 * (ds ** 2 + (dr / math.exp(-s[0])) ** 2)
-    window = in_window(snaps, (s[0], min(s[0] + 1.0, s[-1])))
+    window = in_window(snaps, (s[0], min(s[0] + LEMMA_SPAN, s[-1])))
     return [asdict(check_derivative_lemma(name, window, rules, e, eps=eps, tol=tol))
             for name in LEMMA_NAMES]
 

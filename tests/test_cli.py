@@ -304,6 +304,9 @@ def test_sweep_smoke_and_determinism(small_cfg, tmp_path):
     with open(os.path.join(out2, "aggregate.csv")) as fh:
         lines2 = fh.read().strip().splitlines()
     assert hashlib.sha256("\n".join(lines2).encode()).hexdigest() == h1
+    # a point keeps only its config echo: no later stage can read it
+    for point in ("p3.6_N3", "p4.2_N3"):
+        assert os.listdir(os.path.join(out, point)) == ["config.resolved.ini"]
 
 
 def test_sweep_honours_similarity_window(small_cfg, tmp_path):
@@ -375,19 +378,32 @@ def scipy_modules(*argv):
 
 
 def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
-    """Importing the CLI loads no scipy, nor do `simulate` and `rate`; no
-    stage loads scipy.interpolate, and scipy.integrate comes in only where
-    the F1/U1 tail integrals are computed."""
-    out = str(tmp_path / "run")
+    """Importing the CLI loads no scipy, nor do `simulate` and `rate`, and no
+    stage loads scipy.interpolate.  A stage loads scipy.special only to
+    build rules its run does not store: `verify --suite monotone` on a run
+    without a store builds them and writes rules.json; once `functionals`
+    has stored them, `monotone` and `decay` load no scipy and `lemmas` only
+    what `import scipy.integrate` (the F1 tail) loads, and none of them
+    rewrites the store."""
+    fresh, out = str(tmp_path / "fresh"), str(tmp_path / "run")
     assert scipy_modules() == (0, [])
-    assert scipy_modules("simulate", "--config", small_cfg, "--out", out) == (0, [])
-    for argv, integrate in [(["functionals"], True),
-                            (["verify", "--suite", "lemmas"], True),
-                            (["verify", "--suite", "monotone"], False)]:
-        code, mods = scipy_modules(*argv, "--out", out)
-        assert code == 0
-        assert "scipy.special" in mods and "scipy.interpolate" not in mods, argv
-        assert ("scipy.integrate" in mods) == integrate, argv
+    for run in (fresh, out):
+        assert scipy_modules("simulate", "--config", small_cfg, "--out", run) == (0, [])
+    code, mods = scipy_modules("verify", "--suite", "monotone", "--out", fresh)
+    assert code == 0 and "scipy.special" in mods and "scipy.interpolate" not in mods
+    assert "rules.json" in json.load(open(os.path.join(fresh, "manifest.json")))["files"]
+    code, mods = scipy_modules("functionals", "--out", out)
+    assert code == 0 and "scipy.integrate" in mods and "scipy.interpolate" not in mods
+    store = open(os.path.join(out, "rules.json"), "rb").read()
+    for suite in ("monotone", "decay"):
+        assert scipy_modules("verify", "--suite", suite, "--out", out) == (0, []), suite
+    proc = subprocess.run([sys.executable, "-c", "import json, sys, scipy.integrate; "
+                           "print(json.dumps(sorted(sys.modules)))"],
+                          capture_output=True, text=True, check=True)
+    by_integrate = set(json.loads(proc.stdout))
+    code, mods = scipy_modules("verify", "--suite", "lemmas", "--out", out)
+    assert code == 0 and "scipy.integrate" in mods and set(mods) <= by_integrate
+    assert open(os.path.join(out, "rules.json"), "rb").read() == store
     assert scipy_modules("rate", "--out", out) == (0, [])
 
 
@@ -598,9 +614,21 @@ def _replace_same_size(path, old, new):
         fh.write(text.replace(old, new))
 
 
+def _rehash(out, name):
+    """Record the current sha256 of out/name in the manifest, as a stage would."""
+    path = os.path.join(out, "manifest.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["files"][name]["sha256"] = runio.sha256_file(os.path.join(out, name))
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 @pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry",
                                     "not_an_object", "no_files", "config_edited",
-                                    "no_status", "frames_header", "frames_transposed"])
+                                    "no_status", "frames_header", "frames_transposed",
+                                    "rules_weight_edited", "rules_swapped",
+                                    "rules_header", "rules_stale"])
 def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, damage):
     """A truncated frame file, a missing manifest, a file the manifest does
     not list, or a manifest that is not an object with a "files" object is
@@ -608,11 +636,38 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
     too when `simulate` writes into its directory.  So are damages that keep
     every byte size: a config whose hash is not the manifest's, a t_est.json
     without a status, a frame file whose header is overwritten, and frames
-    stored as (nr, frames)."""
+    stored as (nr, frames).  The rule store is read back the same way: a
+    weight edited in place (its sha256 is not the manifest's), two weight
+    exponents' rules swapped or n_radial changed in its header (re-hashed,
+    so the moment and header checks must see it) exit 2; a store left by
+    another config, which the restarted manifest does not list, is
+    ignored and rebuilt."""
     out = str(tmp_path / "run")
+    rules = os.path.join(out, "rules.json")
+    if damage == "rules_stale":
+        other = tmp_path / "other.ini"
+        other.write_text(CFG_SMALL.replace("n_radial = 24", "n_radial = 16"))
+        assert run_cli("simulate", "--config", str(other), "--out", out) == 0
+        assert run_cli("functionals", "--out", out) == 0
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
     manifest = os.path.join(out, "manifest.json")
-    if damage == "truncate":
+    if damage.startswith("rules") and damage != "rules_stale":
+        assert run_cli("functionals", "--out", out) == 0
+        doc = json.load(open(rules))
+        if damage == "rules_weight_edited":
+            w = doc["radial"]["0.6"]["weights"]
+            _replace_same_size(rules, repr(w[3]), repr(w[3])[:-1]
+                               + ("1" if repr(w[3])[-1] != "1" else "2"))
+        else:
+            if damage == "rules_swapped":
+                radial = doc["radial"]
+                radial["0.1"], radial["0.6"] = radial["0.6"], radial["0.1"]
+            else:
+                doc["n_radial"] = 32
+            with open(rules, "w") as fh:
+                json.dump(doc, fh)
+            _rehash(out, "rules.json")
+    elif damage == "truncate":
         with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
             fh.truncate(os.path.getsize(fh.name) - 8)
     elif damage == "config_edited":
@@ -639,13 +694,77 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
         with open(manifest, "w") as fh:
             json.dump([] if damage == "not_an_object" else doc, fh)
     capsys.readouterr()
-    argvs = [["rate", "--out", out]]
+    if damage == "rules_stale":
+        assert "rules.json" not in json.load(open(manifest))["files"]
+        assert run_cli("verify", "--suite", "monotone", "--out", out) == 0
+        assert json.load(open(rules))["n_radial"] == 24
+        assert json.load(open(manifest))["files"]["rules.json"]["sha256"] == \
+            runio.sha256_file(rules)
+        return
+    argvs = [["verify", "--suite", "monotone", "--out", out] if damage.startswith("rules")
+             else ["rate", "--out", out]]
     if damage in ("not_an_object", "no_files"):
         argvs.append(["simulate", "--config", small_cfg, "--out", out])
     for argv in argvs:
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+        assert {"rules_weight_edited": "sha256", "rules_swapped": "closed forms",
+                "rules_header": "'n_radial': 32"}.get(damage, "") in err, err
+
+
+def test_mapped_frames_survive_a_rewrite(small_cfg, tmp_path):
+    """load_run maps the frame files, and `simulate` renames each new frame
+    file over the old one: a reader keeps the frames it mapped, whole,
+    after the directory is rewritten under another config."""
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    _cfg, traj = runio.load_run(out)
+    assert all(isinstance(getattr(traj, name).base, np.memmap)
+               for name in runio.FRAMES)
+    before = {name: np.array(getattr(traj, name)) for name in runio.FRAMES}
+    inodes = {name: os.stat(os.path.join(out, f"{name}.npy")).st_ino
+              for name in runio.FRAMES}
+    other = tmp_path / "other.ini"
+    other.write_text(CFG_SMALL.replace("nr = 256", "nr = 128"))
+    assert run_cli("simulate", "--config", str(other), "--out", out) == 0
+    # checked first: reading a mapping of a file truncated in place would
+    # end the process with SIGBUS
+    assert all(os.stat(os.path.join(out, f"{name}.npy")).st_ino != ino
+               for name, ino in inodes.items())
+    for name, old in before.items():
+        assert np.array_equal(getattr(traj, name), old), name
+    assert runio.load_run(out)[1].frames_u.shape[1] == 128
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("window", ["", "s_lo = 1.0\n"])
+def test_lemma_window_transform_is_bit_identical(tmp_path, window):
+    """`verify --suite lemmas` transforms only the window's first LEMMA_SPAN
+    of s (and the next snapshot): its snapshots are rows of the whole
+    series, bit for bit, and the lemma suite reports the same dicts.  From
+    s_lo = 1.0 the grid point nearest s0 + 1 lies an ulp past it, and the
+    suite's window still takes it."""
+    from sswave import verify
+
+    cfg_path = tmp_path / "window.ini"
+    cfg_path.write_text(CFG_SMALL + window)
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", out) == 0
+    cfg, traj = runio.load_run(out)
+    vals = runio.typed(cfg)
+    runs = {}
+    for span in (verify.LEMMA_SPAN, None):
+        rules, snaps = runio.build_snapshots(cfg, traj, span=span)
+        runs[span] = snaps, verify.lemma_suite(
+            snaps, rules, traj.e, vals["functionals"]["eps"], vals["similarity"]["ds"],
+            traj.grid.dr)
+    (cut, cut_reports), (full, full_reports) = runs[verify.LEMMA_SPAN], runs[None]
+    m = cut.s.size
+    assert m < full.s.size
+    for name in ("w", "ws", "g2"):
+        assert getattr(cut.base, name).tobytes() == getattr(full.base, name)[:m].tobytes()
+    assert cut_reports == full_reports
 
 
 def test_env_var_selects_output_root(small_cfg, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 
 import mpmath
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sswave as sw
-from sswave.quadrature import RuleTable, check_rule
+from sswave.quadrature import RuleTable, check_radial_rule, check_rule
 from sswave.verify import hardy_ratio
 from sswave.similarity import PolyField, TestField, make_test_field
 
@@ -67,6 +69,80 @@ def test_check_rule_raises_what_build_rule_raises(args):
     with pytest.raises(built.type) as checked:
         check_rule(*args)
     assert str(checked.value) == str(built.value)
+
+
+@pytest.mark.parametrize("N,n_angular", [(2, 16), (3, 1), (3, 4)])
+def test_seeded_rule_table_is_bit_identical(N, n_angular):
+    """A table seeded from another's stored() data, through JSON text,
+    assembles the same rules bit for bit and builds none."""
+    betas = (-0.4, 0.0, 0.1, 0.6, 1.1)
+    fresh = RuleTable(N, n_radial=24, n_angular=n_angular)
+    built = [fresh.rule(b) for b in betas]
+    seeded = RuleTable(N, n_radial=24, n_angular=n_angular)
+    seeded.seed(json.loads(json.dumps(fresh.stored())))
+    for beta, rule in zip(betas, built):
+        again = seeded.rule(beta)
+        for name in ("points", "weights", "radial_nodes", "radial_weights"):
+            assert getattr(again, name).tobytes() == getattr(rule, name).tobytes(), name
+        assert (again.beta, again.n_radial, again.n_angular) == \
+            (rule.beta, rule.n_radial, rule.n_angular)
+    assert seeded.sphere().points.tobytes() == fresh.sphere().points.tobytes()
+    assert seeded.sphere().weights.tobytes() == fresh.sphere().weights.tobytes()
+    assert fresh.built and not seeded.built
+
+
+def _damaged(doc, damage):
+    doc = copy.deepcopy(doc)
+    rule = doc["radial"]["0.6"]
+    if damage == "header":
+        doc["n_angular"] = 2
+    elif damage == "swapped":
+        doc["radial"]["0.6"], doc["radial"]["0.1"] = doc["radial"]["0.1"], rule
+    elif damage == "weight":
+        rule["weights"][5] *= 1.0 + 1e-9
+    elif damage == "negative":
+        rule["weights"][0] = -rule["weights"][0]
+    elif damage == "node":
+        rule["nodes"][-1] = 1.0
+    elif damage == "short":
+        del rule["nodes"][0], rule["weights"][0]
+    elif damage == "text":
+        rule["nodes"][0] = "x"
+    elif damage == "beta":
+        doc["radial"]["-1.0"] = rule
+    elif damage == "sphere":
+        doc["sphere"]["weights"][0] *= 2.0
+    elif damage == "no_sphere":
+        del doc["sphere"]
+    return doc
+
+
+@pytest.mark.parametrize("damage", ["header", "swapped", "weight", "negative", "node",
+                                    "short", "text", "beta", "sphere", "no_sphere"])
+def test_seed_rejects_a_damaged_store(damage):
+    """A store for another header, with a rule under another beta, a weight
+    off by 1e-9 relative, a weight <= 0, a node at |y| = 1, a rule of the
+    wrong size or of text, beta <= -1, or a sphere rule that is not one is
+    a ValueError (a TypeError for text), and the table takes no rule."""
+    fresh = RuleTable(2, n_radial=24, n_angular=16)
+    for beta in (0.1, 0.6):
+        fresh.rule(beta)
+    doc = json.loads(json.dumps(fresh.stored()))
+    table = RuleTable(2, n_radial=24, n_angular=16)
+    with pytest.raises((ValueError, TypeError)):
+        table.seed(_damaged(doc, damage))
+    assert not table._radial and table._sphere is None
+    table.seed(doc)     # the undamaged store seeds
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("n_radial", [4, 48, 256])
+def test_built_rules_pass_the_stored_rule_checks(N, n_radial):
+    """The read-back bounds hold for rules as the program builds them, from
+    weights near -1 to large beta and up to 256 radial nodes."""
+    for beta in (-0.99, -0.4, 0.0, 1.6, 10.0):
+        rule = sw.build_rule(N, beta, n_radial)
+        check_radial_rule(N, beta, n_radial, rule.radial_nodes, rule.radial_weights)
 
 
 def test_smooth_function_matches_adaptive_oracle():
