@@ -394,8 +394,10 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     exps_l2 = -(p - 1.0) * N / (p + 3.0)
     cone, bound_e, sl2, lower = [], [], [], []
     for j, (i, tau_i) in enumerate(zip(idx, tau_s)):
-        # (i) time integral over [t, (t+T0)/2] of the cone gradient energy
-        cone.append(logw[j] * float(np.trapezoid(Gt[lo[j]:hi[j]], ft[lo[j]:hi[j]])))
+        # (i) time integral over [t, (t+T0)/2] of the cone gradient energy;
+        # a window of fewer than two frames measures nothing: NaN, not 0
+        cone.append(logw[j] * float(np.trapezoid(Gt[lo[j]:hi[j]], ft[lo[j]:hi[j]]))
+                    if hi[j] - lo[j] >= 2 else math.nan)
         # (ii)-(iv) on B(0, tau): the boundary-energy expression and the
         # squared norms of u, u_t and u_r
         bound, u2, ut2, ur2 = _radial_integral(np.stack([

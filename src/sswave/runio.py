@@ -94,11 +94,11 @@ SCHEMA = {
 }
 
 
-def parse_config(path: str | None) -> dict:
+def parse_config(path: str | None) -> tuple[dict, dict]:
     """Resolve a config file over the defaults; None means pure defaults.
 
-    Returns the text of every value; a value its parser rejects is a
-    ConfigError here, before any stage runs.
+    Returns the text of every value and the values typed: a value its
+    parser rejects is a ConfigError here, before any stage runs.
     """
     cfg = {sec: {key: default for key, (default, _parse) in keys.items()}
            for sec, keys in SCHEMA.items()}
@@ -119,8 +119,7 @@ def parse_config(path: str | None) -> dict:
                     raise ConfigError(
                         f"unknown key '{key}' in section [{sec}] of {path}")
                 cfg[sec][key] = val
-    typed(cfg)
-    return cfg
+    return cfg, typed(cfg)
 
 
 def typed(cfg: dict) -> dict:
@@ -152,9 +151,8 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(config_text(cfg).encode()).hexdigest()
 
 
-def solver_config(cfg: dict) -> SolverConfig:
+def solver_config(vals: dict) -> SolverConfig:
     """The solver section is SolverConfig's fields, plus the grid's size."""
-    vals = typed(cfg)
     solver = dict(vals["solver"])
     r_max = solver.pop("r_max_factor") * solver["T"]
     try:
@@ -204,14 +202,13 @@ def replace_file(path: str, write) -> str:
     return path
 
 
-def _json(path: str):
+def _bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return json.load(fh)
+        return fh.read()
 
 
-def _read(path: str, load=_json):
-    """load(path) of the file at path, by default its JSON; a file that
-    cannot be read or parsed is a ConfigError."""
+def _read(path: str, load):
+    """load(path); a file it cannot read or parse is a ConfigError."""
     try:
         return load(path)
     except (OSError, ValueError, EOFError) as exc:
@@ -219,25 +216,57 @@ def _read(path: str, load=_json):
 
 
 def read_manifest(run_dir: str) -> dict | None:
-    """The run directory's manifest.json, None if it has none; anything but
-    an object with a "files" object is a ConfigError."""
+    """run_dir's manifest.json, None if it has none; anything but an
+    object with a "files" object of {"sha256", "bytes"} entries is a
+    ConfigError."""
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         return None
-    doc = _read(path)
-    if not (isinstance(doc, dict) and isinstance(doc.get("files"), dict)):
-        raise ConfigError(f'manifest {path} is not an object with a "files" object')
+    doc = _read(path, lambda p: json.loads(_bytes(p)))
+    files = doc.get("files") if isinstance(doc, dict) else None
+    if not (isinstance(files, dict) and all(
+            isinstance(e, dict) and {"sha256", "bytes"} <= e.keys()
+            for e in files.values())):
+        raise ConfigError(f'manifest {path} is not an object with a "files" '
+                          f'object of sha256 and byte-size entries')
     return doc
 
 
-def update_manifest(run_dir: str, config_hash: str, written: list[str]):
-    """Record the checksum and size of each file a stage wrote.
+def read_artifact(run_dir: str, manifest: dict, name: str):
+    """The file `name` of run_dir once it matches its manifest
+    entry, else a ConfigError.  A frame file (.npy) is checked by
+    its byte size, then mapped read-only: a stage touches only the
+    frames it reads.  A JSON file is checked by the sha256 of the
+    bytes it is parsed from."""
+    entry = manifest["files"].get(name)
+    if entry is None:
+        raise ConfigError(f"manifest of {run_dir} has no entry for {name}")
+    path = os.path.join(run_dir, name)
+    if not os.path.exists(path):
+        raise ConfigError(f"missing {name} in {run_dir}, which its "
+                          f"manifest lists")
+    if name.endswith(".npy"):
+        size = os.path.getsize(path)
+        if size != entry["bytes"]:
+            raise ConfigError(f"{name} in {run_dir} is {size} bytes, "
+                              f"but the manifest records {entry['bytes']}")
+        mapped = _read(path, lambda p: np.load(p, mmap_mode="r"))
+        return np.asarray(mapped)
+    # one read: the bytes hashed are the bytes parsed
+    blob = _read(path, _bytes)
+    if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
+        raise ConfigError(f"{name} in {run_dir} does not have the sha256 "
+                          f"its manifest records")
+    return _read(path, lambda _path: json.loads(blob))
 
-    Entries of other files keep the checksums their own stage recorded,
-    unless the manifest belongs to another config: then it starts afresh.
-    """
+
+def update_manifest(run_dir: str, old: dict | None, config_hash: str,
+                    written: list[str]):
+    """Write the manifest: old, the one the stage read (or
+    None), with the checksum and size of each file the stage wrote.
+    Other entries keep what their stage recorded, unless old is
+    another config's: then the manifest starts afresh."""
     path = os.path.join(run_dir, "manifest.json")
-    old = read_manifest(run_dir)
     files = old["files"] if old and old.get("config_hash") == config_hash else {}
     for p in written:
         files[os.path.relpath(p, run_dir)] = {"sha256": sha256_file(p),
@@ -271,12 +300,11 @@ def functional_specs(names: str, vals: dict) -> list:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_and_solve(cfg: dict, out_dir: str):
-    """Check the config, its [similarity] rule and [functionals] specs
-    included, and out_dir's manifest; run the solver on it, then echo the
-    config into out_dir (a solve that fails leaves out_dir as it was)."""
-    scfg = solver_config(cfg)
-    vals = typed(cfg)
+def check_solve(vals: dict, out_dir: str):
+    """(SolverConfig, out_dir's manifest or None) once the
+    typed config and out_dir's manifest pass every check that a
+    solve makes before it runs."""
+    scfg = solver_config(vals)
     sim, fun = vals["similarity"], vals["functionals"]
     try:
         check_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
@@ -293,19 +321,26 @@ def _resolve_and_solve(cfg: dict, out_dir: str):
         raise ConfigError(f"invalid [functionals] k = {fun['k']}: must be >= 1")
     if fun["k_max"] < 0:
         raise ConfigError(f"invalid [functionals] k_max = {fun['k_max']}: must be >= 0")
-    read_manifest(out_dir)
+    return scfg, read_manifest(out_dir)
+
+
+def _resolve_and_solve(cfg: dict, vals: dict, out_dir: str):
+    """(SolverConfig, Trajectory, manifest): check_solve,
+    the solve, then the config echoed into out_dir (a solve that
+    fails leaves out_dir as it was)."""
+    scfg, manifest = check_solve(vals, out_dir)
     traj = run_until_blowup(scfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved.ini"), "w",
               encoding="utf-8") as fh:
         fh.write(config_text(cfg))
-    return scfg, traj
+    return scfg, traj, manifest
 
 
 def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
                  verbose: bool = False) -> int:
-    cfg = parse_config(config_path)
-    scfg, traj = _resolve_and_solve(cfg, out_dir)
+    cfg, vals = parse_config(config_path)
+    scfg, traj, manifest = _resolve_and_solve(cfg, vals, out_dir)
     if verbose:
         print(f"simulate: status={traj.status} steps={traj.center_t.size} "
               f"frames={traj.frames_t.size} T_est={traj.T_est}")
@@ -330,39 +365,25 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
         written.append(write_csv(os.path.join(out_dir, "raw.csv"), ["t", "r", "u", "ut"], [
             np.repeat(traj.frames_t[idx], traj.grid.nr), np.tile(traj.grid.nodes, idx.size),
             traj.frames_u[idx].ravel(), traj.frames_ut[idx].ravel()]))
-    update_manifest(out_dir, config_hash(cfg), written)
+    update_manifest(out_dir, manifest, config_hash(cfg), written)
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
 
-def _mapped(path: str):
-    return np.load(path, mmap_mode="r")
-
-
 def load_run(run_dir: str):
-    """(cfg, Trajectory) of the blow-up a run directory holds, once its config
-    has the manifest's hash, its frame files and t_est.json the manifest's
-    byte sizes (a stat: the checksums wait for a full check) and its frames
-    one row of nr values per time; NoBlowupError for a run without blow-up.
-    The frames are read-only maps of their files."""
-    cfg = parse_config(os.path.join(run_dir, "config.resolved.ini"))
+    """(typed config, Trajectory, manifest) of the blow-up in
+    run_dir, once the config has the manifest's hash, the frames
+    and t_est.json pass read_artifact and the frames are one row of
+    nr values per time; NoBlowupError for a run without blow-up."""
+    cfg, vals = parse_config(os.path.join(run_dir, "config.resolved.ini"))
     manifest = read_manifest(run_dir)
     if manifest is None:
         raise ConfigError(f"missing manifest.json in {run_dir}")
     if manifest.get("config_hash") != config_hash(cfg):
         raise ConfigError(f"config.resolved.ini in {run_dir} does not have the "
                           f"config_hash its manifest records")
-    for name in [f"{n}.npy" for n in FRAMES] + ["t_est.json"]:
-        path = os.path.join(run_dir, name)
-        if not os.path.exists(path):
-            raise ConfigError(f"missing trajectory artifact {name} in {run_dir}")
-        entry = manifest["files"].get(name)
-        recorded = entry.get("bytes") if isinstance(entry, dict) else None
-        if recorded is None:
-            raise ConfigError(f"manifest of {run_dir} has no entry for {name}")
-        if os.path.getsize(path) != recorded:
-            raise ConfigError(f"{name} in {run_dir} is {os.path.getsize(path)} bytes, "
-                              f"but the manifest records {recorded}")
-    status = _read(os.path.join(run_dir, "t_est.json"))
+    frames = {n: read_artifact(run_dir, manifest, f"{n}.npy")
+              for n in FRAMES}
+    status = read_artifact(run_dir, manifest, "t_est.json")
     if not (isinstance(status, dict) and status.get("status") in STATUSES):
         raise ConfigError(f"t_est.json in {run_dir} is not an object with a "
                           f'"status" in {STATUSES}')
@@ -373,10 +394,7 @@ def load_run(run_dir: str):
     if not (isinstance(T_est, float) and 0.0 < T_est < math.inf):
         raise ConfigError(f"t_est.json in {run_dir} records the blow-up time "
                           f"{T_est!r}, not a finite positive number")
-    scfg = solver_config(cfg)
-    # mapped, not read: a stage touches only the frames its window needs
-    frames = {name: np.asarray(_read(os.path.join(run_dir, f"{name}.npy"), _mapped))
-              for name in FRAMES}
+    scfg = solver_config(vals)
     n = frames["frames_t"].size
     want = [(n,), (n, scfg.grid.nr), (n, scfg.grid.nr)]
     got = [frames[name].shape for name in FRAMES]
@@ -386,30 +404,23 @@ def load_run(run_dir: str):
         e=scfg.e, grid=scfg.grid, **frames,
         center_t=np.array([]), center_u=np.array([]), max_u=np.array([]),
         status=status["status"], T_est=T_est)
-    return cfg, traj
+    return vals, traj, manifest
 
 
-def seed_rules(run_dir: str, rules: RuleTable):
-    """Seed the table from the run's rule store when its manifest lists one;
-    an unlisted store is another config's, ignored and rebuilt.  A listed
-    store that is missing, whose sha256 is not the manifest's, or whose
-    header or rules the table rejects is a ConfigError."""
-    manifest = read_manifest(run_dir)
-    entry = manifest["files"].get(RULES) if manifest else None
-    if entry is None:
+def seed_rules(run_dir: str, manifest: dict, rules: RuleTable):
+    """Seed the table from the run's rule store if its manifest
+    lists one (an unlisted store is another config's, ignored and
+    rebuilt); a store that read_artifact or the table rejects is a
+    ConfigError."""
+    if RULES not in manifest["files"]:
         return
-    path = os.path.join(run_dir, RULES)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing {RULES} in {run_dir}, which its manifest lists")
-    if not (isinstance(entry, dict) and sha256_file(path) == entry.get("sha256")):
-        raise ConfigError(f"{RULES} in {run_dir} does not have the sha256 "
-                          f"its manifest records")
-    doc = _read(path)
+    doc = read_artifact(run_dir, manifest, RULES)
     try:
         if not isinstance(doc, dict):
             raise ValueError("not an object")
         rules.seed(doc)
     except (ValueError, TypeError) as exc:
+        path = os.path.join(run_dir, RULES)
         raise ConfigError(f"invalid rule store {path}: {exc}") from exc
 
 
@@ -422,19 +433,24 @@ def store_rules(run_dir: str, rules: RuleTable) -> list[str]:
     return [replace_file(os.path.join(run_dir, RULES), lambda fh: fh.write(blob))]
 
 
-def build_snapshots(cfg: dict, traj, run_dir: str | None = None,
-                    span: float | None = None):
-    """The [similarity] rules and the snapshots of its s-window, centred at
-    x0; the rules seeded from run_dir's rule store when given, and only the
-    snapshots of the window's first span of s (and the next one) transformed
-    when a span is given.  A window that the run cannot supply is a
-    ConfigError, whatever the span: one that is empty, reaches a time
-    outside the stored frames, or whose largest ball x0 + (T0 - t) y leaves
-    the radial grid."""
-    sim = typed(cfg)["similarity"]
+def build_snapshots(vals: dict, traj, run_dir: str | None,
+                    manifest: dict | None, span: float | None = None):
+    """The [similarity] rules and the snapshots of its
+    s-window, centred at x0: the rules seeded from run_dir's store
+    when given, only the window's first span of s (and the next
+    snapshot) transformed when a span is given.  A run of fewer
+    than 4 frames, and a window that is empty, reaches a time
+    outside the frames, or whose largest ball x0 + (T0 - t) y
+    leaves the radial grid, is a ConfigError whatever the span."""
+    frames_t = traj.frames_t
+    if frames_t.size < 4:
+        raise ConfigError(f"the run stores {frames_t.size} frames, fewer than "
+                          f"the 4 that interpolation in t needs: lower "
+                          f"[solver] store_ds")
+    sim = vals["similarity"]
     rules = RuleTable(traj.e.N, n_radial=sim["n_radial"], n_angular=sim["n_angular"])
     if run_dir is not None:
-        seed_rules(run_dir, rules)
+        seed_rules(run_dir, manifest, rules)
     s_lo = -math.log(traj.T_est) + 0.75 if sim["s_lo"] == "auto" else sim["s_lo"]
     s_hi = traj.s_max_covered - 0.5 if sim["s_hi"] == "auto" else sim["s_hi"]
     if s_hi <= s_lo:
@@ -443,7 +459,6 @@ def build_snapshots(cfg: dict, traj, run_dir: str | None = None,
     T0 = traj.T_est if sim["T0"] == "auto" else sim["T0"]
     # T0 - e^(-s) increases with s: the window's ends bound its times
     t_first, t_last = T0 - math.exp(-s_grid[0]), T0 - math.exp(-s_grid[-1])
-    frames_t = traj.frames_t
     if not (frames_t[0] <= t_first and t_last <= frames_t[-1]):
         raise ConfigError(
             f"[similarity] s_lo, s_hi, T0: the window s in [{s_grid[0]}, {s_grid[-1]}] "
@@ -477,16 +492,18 @@ def export_snapshots(run_dir: str, snaps) -> str:
 
 def cmd_functionals(run_dir: str, selection: str | None = None,
                     dump_snapshots: bool = False, verbose: bool = False) -> int:
-    cfg, traj = load_run(run_dir)
-    vals = typed(cfg)["functionals"]
-    specs = functional_specs(selection or vals["names"], vals)
+    vals, traj, manifest = load_run(run_dir)
+    fun = vals["functionals"]
+    names = selection or fun["names"]
+    specs = functional_specs(names, fun)
     if not specs:
-        raise ConfigError(f"no functional selected by {selection or vals['names']!r}")
-    rules, snaps = build_snapshots(cfg, traj, run_dir)
+        raise ConfigError(f"no functional selected by {names!r}")
+    rules, snaps = build_snapshots(vals, traj, run_dir, manifest)
     provenance = {
         "run_dir": os.path.abspath(run_dir),
-        "frames_sha256": sha256_file(os.path.join(run_dir, "frames_u.npy")),
-        **{key: vals[key] for key in ("eps", "k", "sigma")},
+        # the checksum simulate recorded
+        "frames_sha256": manifest["files"]["frames_u.npy"]["sha256"],
+        **{key: fun[key] for key in ("eps", "k", "sigma")},
     }
     written = []
     for spec in specs:
@@ -497,7 +514,7 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
     if dump_snapshots:
         written.append(export_snapshots(run_dir, snaps))
     written += store_rules(run_dir, rules)
-    update_manifest(run_dir, config_hash(cfg), written)
+    update_manifest(run_dir, manifest, manifest["config_hash"], written)
     return EXIT_OK
 
 
@@ -520,19 +537,19 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     if suite in ("identities", "all"):
         reports += verify.identity_suite(seed)
 
-    cfg = None
+    manifest = None
     if suite != "identities" and run_dir is not None:
-        cfg, traj = load_run(run_dir)
+        vals, traj, manifest = load_run(run_dir)
         # the lemma suite alone reads only the window's first LEMMA_SPAN
-        rules, snaps = build_snapshots(
-            cfg, traj, run_dir, verify.LEMMA_SPAN if suite == "lemmas" else None)
-        vals = typed(cfg)
+        span = verify.LEMMA_SPAN if suite == "lemmas" else None
+        rules, snaps = build_snapshots(vals, traj, run_dir, manifest, span)
+        fun = vals["functionals"]
         if suite in ("lemmas", "all"):
-            reports += verify.lemma_suite(snaps, rules, traj.e, vals["functionals"]["eps"],
+            reports += verify.lemma_suite(snaps, rules, traj.e, fun["eps"],
                                           vals["similarity"]["ds"], traj.grid.dr)
         if suite in ("monotone", "all"):
             reports += verify.monotone_suite(snaps, rules, traj.e,
-                                             vals["functionals"]["k_max"])
+                                             fun["k_max"])
         if suite in ("decay", "all"):
             reports += verify.check_decay_suite(
                 verify.build_decay_bundle(snaps, rules, traj.e))
@@ -547,9 +564,9 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     written = [write_json(out_path + ".json", reports), out_path + ".txt"]
     with open(written[1], "w", encoding="utf-8") as fh:
         fh.write(text)
-    if cfg is not None:
+    if manifest is not None:
         written += store_rules(run_dir, rules)
-        update_manifest(run_dir, config_hash(cfg), written)
+        update_manifest(run_dir, manifest, manifest["config_hash"], written)
     if verbose:
         print(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -558,14 +575,18 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
 def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
     if not (math.isfinite(q) and q >= 0.0):
         raise ConfigError(f"--q must be finite and >= 0, got {q}")
-    cfg, traj = load_run(run_dir)
-    rep = fu.theorem_quantities(traj, traj.e, traj.T_est, q=q)
+    _vals, traj, manifest = load_run(run_dir)
+    try:
+        rep = fu.theorem_quantities(traj, traj.e, traj.T_est, q=q)
+    except ValueError as exc:
+        raise ConfigError(f"cannot sample {run_dir}: "
+                          f"{exc}") from exc
     written = []
     for ser in rep.series.values():
         written += write_series(run_dir, ser, {"q": q})
     verdict = verify.rate_verdict(rep, q)
     written.append(write_json(os.path.join(run_dir, "rate_verdict.json"), verdict))
-    update_manifest(run_dir, config_hash(cfg), written)
+    update_manifest(run_dir, manifest, manifest["config_hash"], written)
     if verbose:
         print(json.dumps(verdict, indent=1, sort_keys=True, default=float))
     ok = all(verdict[key] for key in verify.RATE_VERDICTS)
@@ -575,17 +596,17 @@ def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
 def _sweep_one(args):
     """One sweep point: its run and `verify --suite monotone` on it.  A window
     that cannot be built fails both verdicts, with a note on stderr."""
-    cfg, out_dir = args
-    scfg, traj = _resolve_and_solve(cfg, out_dir)
+    cfg, vals, out_dir = args
+    scfg, traj, _ = _resolve_and_solve(cfg, vals, out_dir)
     row = {"p": scfg.e.p, "N": scfg.e.N, "status": traj.status,
            "T_est": traj.T_est if traj.T_est else math.nan,
            "exponent": traj.fit.exponent if traj.fit else math.nan,
            "F0_monotone": False, "ladder_monotone": False}
     if traj.status == "blowup":
         try:
-            rules, snaps = build_snapshots(cfg, traj)
-            f0_rep, *ladder = verify.monotone_suite(snaps, rules, traj.e,
-                                                    typed(cfg)["functionals"]["k_max"])
+            rules, snaps = build_snapshots(vals, traj, None, None)
+            k_max = vals["functionals"]["k_max"]
+            f0_rep, *ladder = verify.monotone_suite(snaps, rules, traj.e, k_max)
         except ValueError as exc:
             # ConfigError included: one point's window is not the sweep's usage error
             print(f"sweep: p={scfg.e.p} N={scfg.e.N}: window not checked: "
@@ -600,29 +621,33 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
               jobs: int = 1, verbose: bool = False) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    base = parse_config(config_path)
+    base, _vals = parse_config(config_path)
     pairs = [(p, N) for p in p_list for N in N_list]
     if not pairs:
         raise ConfigError(f"--p-list {p_list} and --N-list {N_list} "
                           f"select no (p, N) pair")
-    for flag, vals in (("--p-list", p_list), ("--N-list", N_list)):
-        repeated = sorted({v for v in vals if vals.count(v) > 1})
+    for flag, listed in (("--p-list", p_list), ("--N-list", N_list)):
+        repeated = sorted({v for v in listed if listed.count(v) > 1})
         if repeated:
             raise ConfigError(f"{flag} repeats {', '.join(map(repr, repeated))}: "
                               f"each (p, N) point is solved once, into its own directory")
-    bad = []
+    # every point's checks before OUT is made
+    tasks, bad = [], []
     for p, N in pairs:
+        cfg = {**base, "exponents": {"p": repr(p), "N": repr(N)}}
+        point = os.path.join(out_dir, f"p{p}_N{N}")
         try:
-            make_exponents(p, N)
-        except ValueError as exc:
+            vals = typed(cfg)
+            check_solve(vals, point)
+        except ConfigError as exc:
             bad.append(f"(p={p}, N={N}): {exc}")
+        else:
+            tasks.append((cfg, vals, point))
     if bad:
         raise ConfigError("invalid sweep pairs rejected before launch: "
                           + "; ".join(bad))
-    read_manifest(out_dir)
+    manifest = read_manifest(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [({**base, "exponents": {"p": repr(p), "N": repr(N)}},
-              os.path.join(out_dir, f"p{p}_N{N}")) for p, N in pairs]
     # a pool forks all its workers on the first submit: no more than points
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -637,6 +662,6 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     if verbose:
         for row in rows:
             print(row)
-    written += [os.path.join(d, "config.resolved.ini") for _cfg, d in tasks]
-    update_manifest(out_dir, config_hash(base), written)
+    written += [os.path.join(d, "config.resolved.ini") for *_, d in tasks]
+    update_manifest(out_dir, manifest, config_hash(base), written)
     return EXIT_OK

@@ -194,6 +194,9 @@ class Trajectory:
         at one time t or at each of an array of m times; u and ut are then
         (nr, m) blocks, column j being the state at t[j]."""
         ft = self.frames_t
+        if ft.size < 4:
+            raise ValueError(f"4-point interpolation in t needs at least 4 frames, "
+                             f"got {ft.size}")
         ts = np.atleast_1d(t)
         outside = ~((ft[0] <= ts) & (ts <= ft[-1]))
         if np.any(outside):

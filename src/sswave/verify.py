@@ -693,9 +693,12 @@ def check_decay_suite(bundle: dict) -> list[dict]:
 def rate_verdict(rep: fu.TheoremReport, q: float) -> dict:
     """The RATE_VERDICTS, which must all hold, and the numbers they rest on:
     scaled_l2 with its log weight divided out fits the expected power within
-    10% and decreases over the last decade of tau; the cone sup is finite."""
-    last_decade = rep.tau <= rep.tau[-1] * 10.0
-    decreasing = bool(np.all(np.diff(rep.pure_l2[last_decade]) < 0.0))
+    10% and decreases over the last decade of tau, which holds at least
+    MIN_SAMPLES samples; the cone sup is finite (NaN when a cone window was
+    not measured)."""
+    last_decade = rep.pure_l2[rep.tau <= rep.tau[-1] * 10.0]
+    decreasing = bool(last_decade.size >= MIN_SAMPLES
+                      and np.all(np.diff(last_decade) < 0.0))
     slope = rep.meta["power_fit_slope"]
     expected = rep.meta["expected_power"]
     return {

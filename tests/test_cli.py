@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -353,6 +354,103 @@ def test_sweep_rejects_invalid_pair(small_cfg, tmp_path):
     assert rc == 2
 
 
+def test_sweep_checks_every_point_before_it_creates_out(tmp_path, capsys):
+    """Each point's config gets every check its solve would make before the
+    first one runs, so a check that depends on N (here the tensor rule's)
+    fails the sweep in one ConfigError line that names each bad (p, N),
+    and OUT is never created."""
+    cfg = tmp_path / "tensor.ini"
+    cfg.write_text(CFG_SMALL + "n_angular = 2\n")
+    out = tmp_path / "S"
+    assert run_cli("sweep", "--config", str(cfg), "--p-list", "2.5,4.2",
+                   "--N-list", "3,4", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: invalid sweep pairs rejected before "
+                          "launch: ") and err.count("\n") == 1, err
+    assert "(p=2.5, N=4): invalid [similarity] rule: tensor angular grids" in err
+    assert "(p=2.5, N=3)" in err and "(p=4.2, N=4)" in err
+    assert "(p=4.2, N=3)" not in err
+    assert not out.exists()
+
+
+def test_a_run_of_fewer_than_4_frames_ends_in_one_line(tmp_path, capsys):
+    """Frames interpolate in t through 4 points: a run that stores fewer is
+    rejected by sample_state, and each later stage exits 2 with one
+    ConfigError line."""
+    cfg = tmp_path / "sparse.ini"
+    cfg.write_text(CFG_SMALL.replace("store_ds = 0.04", "store_ds = 50"))
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
+    traj = runio.load_run(out)[1]
+    assert traj.frames_t.size < 4
+    with pytest.raises(ValueError, match="needs at least 4 frames"):
+        traj.sample_state(traj.frames_t[0])
+    capsys.readouterr()
+    for argv, why in ((["functionals", "--out", out], "[solver] store_ds"),
+                      (["verify", "--suite", "monotone", "--out", out], "[solver] store_ds"),
+                      (["rate", "--out", out], "no sample time before the last frame")):
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+        assert why in err, err
+
+
+def test_rate_verdicts_fail_on_too_few_samples(tmp_path):
+    """With store_ds = 2.5 the rate layer takes two samples, one of them in
+    the last decade, and each cone window holds one frame: neither trend
+    nor bound is measured, so both verdicts fail (exit 1)."""
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text(CFG_SMALL.replace("store_ds = 0.04", "store_ds = 2.5"))
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
+    assert run_cli("rate", "--out", out) == 1
+    verdict = json.load(open(os.path.join(out, "rate_verdict.json")))
+    assert not verdict["scaled_l2_decreasing_last_decade"]
+    assert not verdict["cone_gradient_bounded"]
+    assert np.isnan(verdict["cone_gradient_sup"])
+
+
+def test_verbose_prints_what_each_command_did(small_cfg, tmp_path, capsys):
+    """--verbose prints simulate's status line, one line per functional
+    series, the verify report, the rate verdict and one row per sweep
+    point."""
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out, "--verbose") == 0
+    status = json.load(open(os.path.join(out, "t_est.json")))
+    assert capsys.readouterr().out == (
+        f"simulate: status=blowup steps={len(read_csv(os.path.join(out, 'center.csv'))[1][0])} "
+        f"frames={status['n_frames']} T_est={status['T_est']}\n")
+
+    assert run_cli("functionals", "--out", out, "--names", "F0,M", "--verbose") == 0
+    lines = capsys.readouterr().out.splitlines()
+    n = len(read_csv(os.path.join(out, "F0.csv"))[1][0])
+    assert lines == [f"functionals: wrote F0 ({n} samples)",
+                     f"functionals: wrote M ({n} samples)"]
+
+    assert run_cli("verify", "--suite", "monotone", "--out", out, "--verbose") == 0
+    printed = capsys.readouterr().out
+    assert printed == open(os.path.join(out, "verify_monotone.txt")).read() + "\n"
+    k = len(json.load(open(os.path.join(out, "verify_monotone.json"))))
+    assert printed.splitlines()[-2:] == [f"OK: {k}/{k} checks passed", ""]
+
+    assert run_cli("rate", "--out", out, "--verbose") == 0
+    assert json.loads(capsys.readouterr().out) == json.load(
+        open(os.path.join(out, "rate_verdict.json")))
+
+    sweep = str(tmp_path / "sweep")
+    assert run_cli("sweep", "--config", small_cfg, "--p-list", "3.6,4.2",
+                   "--N-list", "3", "--out", sweep, "--verbose") == 0
+    rows = capsys.readouterr().out.splitlines()
+    with open(os.path.join(sweep, "aggregate.csv")) as fh:
+        table = list(csv.DictReader(fh))
+    assert len(rows) == len(table) == 2
+    for row, rec in zip(rows, table):
+        row = ast.literal_eval(row)
+        assert list(row) == list(rec) and row["status"] == rec["status"]
+        assert (row["p"], row["N"]) == (float(rec["p"]), int(rec["N"]))
+        assert str(row["F0_monotone"]) == rec["F0_monotone"]
+
+
 def test_console_module_entry(small_cfg, tmp_path):
     out = str(tmp_path / "run")
     proc = subprocess.run([sys.executable, "-m", "sswave", "simulate",
@@ -408,9 +506,9 @@ def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
 
 
 def test_parse_config_pure_defaults():
-    cfg = runio.parse_config(None)
+    cfg, vals = runio.parse_config(None)
     assert cfg["exponents"]["p"] == "4.0"
-    assert runio.solver_config(cfg).grid.nr == 1024
+    assert runio.solver_config(vals).grid.nr == 1024
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -436,7 +534,7 @@ def test_config_text_round_trip(cfg):
         path = os.path.join(tmp, "c.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        parsed = runio.parse_config(path)
+        parsed, _vals = runio.parse_config(path)
     assert parsed == cfg
     assert runio.config_text(parsed) == text
 
@@ -552,7 +650,8 @@ def test_verify_short_snapshot_window_fails(small_cfg, tmp_path, suite):
 
 def test_manifest_lists_every_written_file(small_cfg, tmp_path, monkeypatch):
     """After the whole pipeline the manifest lists every file with its
-    checksum and size; later stages hash only what they wrote."""
+    checksum and size; later stages hash only what they wrote: the frames'
+    checksum in a sidecar's provenance is the one simulate recorded."""
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out, "--dump-raw") == 0
     hashed = []
@@ -567,13 +666,54 @@ def test_manifest_lists_every_written_file(small_cfg, tmp_path, monkeypatch):
                    "--export-snapshots") == 0
     assert run_cli("verify", "--suite", "monotone", "--out", out) == 0
     assert run_cli("rate", "--out", out) == 0
-    assert not {"frames_t.npy", "frames_ut.npy", "center.csv", "raw.csv"} & set(hashed)
+    assert not {"frames_t.npy", "frames_u.npy", "frames_ut.npy", "center.csv",
+                "raw.csv"} & set(hashed)
     files = json.load(open(os.path.join(out, "manifest.json")))["files"]
+    assert json.load(open(os.path.join(out, "F0.json")))["provenance"]["frames_sha256"] \
+        == files["frames_u.npy"]["sha256"]
     on_disk = {n for n in os.listdir(out) if n != "manifest.json"}
     assert set(files) == on_disk
     for name, entry in files.items():
         path = os.path.join(out, name)
         assert entry == {"sha256": sha256_file(path), "bytes": os.path.getsize(path)}
+
+
+def test_a_stage_reads_its_manifest_config_and_rule_store_once(small_cfg, tmp_path,
+                                                                monkeypatch):
+    """Every stage parses manifest.json once, on its read side, and types its
+    config once; a stage that seeds its rules opens rules.json once, and
+    hashes and parses the bytes of that one read."""
+    import builtins
+
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    opened, typings = [], []
+    real_open, real_typed = builtins.open, runio.typed
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wxa+"):
+            opened.append(os.path.basename(str(file)))
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting_typed(cfg):
+        typings.append(cfg)
+        return real_typed(cfg)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(runio, "typed", counting_typed)
+    for argv, seeds in ((["simulate", "--config", small_cfg, "--out", out], 0),
+                        # no store listed yet: it hashes the store it wrote
+                        (["functionals", "--out", out], 1),
+                        (["functionals", "--out", out, "--names", "F0"], 1),
+                        (["verify", "--suite", "monotone", "--out", out], 1),
+                        (["verify", "--suite", "lemmas", "--out", out], 1),
+                        (["rate", "--out", out], 0)):
+        opened.clear()
+        typings.clear()
+        assert run_cli(*argv) in (0, 1), argv
+        assert opened.count("manifest.json") == 1, (argv, opened)
+        assert opened.count("rules.json") == seeds, (argv, opened)
+        assert len(typings) == 1, argv
 
 
 def test_verify_creates_missing_out_dir(tmp_path, monkeypatch):
@@ -625,17 +765,20 @@ def _rehash(out, name):
 
 
 @pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry",
-                                    "not_an_object", "no_files", "config_edited",
-                                    "no_status", "frames_header", "frames_transposed",
+                                    "not_an_object", "no_files", "bad_entry",
+                                    "config_edited", "t_est_edited", "no_status",
+                                    "frames_header", "frames_transposed",
                                     "rules_weight_edited", "rules_swapped",
                                     "rules_header", "rules_stale"])
 def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, damage):
     """A truncated frame file, a missing manifest, a file the manifest does
-    not list, or a manifest that is not an object with a "files" object is
-    a one-line ConfigError (exit 2) at load time; a damaged manifest is one
-    too when `simulate` writes into its directory.  So are damages that keep
-    every byte size: a config whose hash is not the manifest's, a t_est.json
-    without a status, a frame file whose header is overwritten, and frames
+    not list, or a manifest that is not an object with a "files" object of
+    sha256 and byte-size entries is a one-line ConfigError (exit 2) at load
+    time; a damaged manifest is one too when `simulate` writes into its
+    directory.  So are damages that keep every byte size: a config whose
+    hash is not the manifest's, a t_est.json edited in place (its sha256 is
+    not the manifest's) or without a status (re-hashed, so the status check
+    must see it), a frame file whose header is overwritten, and frames
     stored as (nr, frames).  The rule store is read back the same way: a
     weight edited in place (its sha256 is not the manifest's), two weight
     exponents' rules swapped or n_radial changed in its header (re-hashed,
@@ -672,8 +815,10 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
             fh.truncate(os.path.getsize(fh.name) - 8)
     elif damage == "config_edited":
         _replace_same_size(os.path.join(out, "config.resolved.ini"), "nr = 256", "nr = 128")
-    elif damage == "no_status":
+    elif damage in ("t_est_edited", "no_status"):
         _replace_same_size(os.path.join(out, "t_est.json"), '"status"', '"statux"')
+        if damage == "no_status":
+            _rehash(out, "t_est.json")
     elif damage == "frames_header":
         with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
             fh.write(b"\0" * 10)
@@ -689,6 +834,8 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
             doc = json.load(fh)
         if damage == "no_entry":
             del doc["files"]["t_est.json"]
+        elif damage == "bad_entry":
+            del doc["files"]["frames_t.npy"]["sha256"]
         elif damage == "no_files":
             del doc["files"]   # the config hash still matches
         with open(manifest, "w") as fh:
@@ -703,14 +850,15 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
         return
     argvs = [["verify", "--suite", "monotone", "--out", out] if damage.startswith("rules")
              else ["rate", "--out", out]]
-    if damage in ("not_an_object", "no_files"):
+    if damage in ("not_an_object", "no_files", "bad_entry"):
         argvs.append(["simulate", "--config", small_cfg, "--out", out])
     for argv in argvs:
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
         assert {"rules_weight_edited": "sha256", "rules_swapped": "closed forms",
-                "rules_header": "'n_radial': 32"}.get(damage, "") in err, err
+                "rules_header": "'n_radial': 32", "t_est_edited": "sha256",
+                "no_status": '"status"', "bad_entry": "entries"}.get(damage, "") in err, err
 
 
 def test_mapped_frames_survive_a_rewrite(small_cfg, tmp_path):
@@ -719,7 +867,7 @@ def test_mapped_frames_survive_a_rewrite(small_cfg, tmp_path):
     after the directory is rewritten under another config."""
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
-    _cfg, traj = runio.load_run(out)
+    _vals, traj, _manifest = runio.load_run(out)
     assert all(isinstance(getattr(traj, name).base, np.memmap)
                for name in runio.FRAMES)
     before = {name: np.array(getattr(traj, name)) for name in runio.FRAMES}
@@ -751,11 +899,10 @@ def test_lemma_window_transform_is_bit_identical(tmp_path, window):
     cfg_path.write_text(CFG_SMALL + window)
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", str(cfg_path), "--out", out) == 0
-    cfg, traj = runio.load_run(out)
-    vals = runio.typed(cfg)
+    vals, traj, _manifest = runio.load_run(out)
     runs = {}
     for span in (verify.LEMMA_SPAN, None):
-        rules, snaps = runio.build_snapshots(cfg, traj, span=span)
+        rules, snaps = runio.build_snapshots(vals, traj, None, None, span=span)
         runs[span] = snaps, verify.lemma_suite(
             snaps, rules, traj.e, vals["functionals"]["eps"], vals["similarity"]["ds"],
             traj.grid.dr)

@@ -366,6 +366,10 @@ def test_rate_verdicts_fail_one_at_a_time():
         verdict = verify.rate_verdict(rep, q=1.0)
         assert {key for key in verify.RATE_VERDICTS if not verdict[key]} == (
             {failed} if failed else set()), failed
+    # a last decade of two falling samples is fewer than MIN_SAMPLES: no trend
+    few = _rate_report()
+    few.tau, few.pure_l2 = np.array([1e-1, 1e-2, 5e-4, 1e-4]), np.array([4.0, 3.0, 2.0, 1.0])
+    assert not verify.rate_verdict(few, q=1.0)["scaled_l2_decreasing_last_decade"]
     near = verify.rate_verdict(_rate_report(slope=-0.54), q=2.5)   # 8% off
     assert near["slope_within_10pct"] and near["q"] == 2.5
 
