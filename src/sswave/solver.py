@@ -205,17 +205,26 @@ class Trajectory:
         i0 = np.clip(np.searchsorted(ft, ts) - 2, 0, ft.size - 4)
         u = np.empty((self.grid.nr, ts.size))
         ut = np.empty((self.grid.nr, ts.size))
+        # one set of block buffers per call: the loop allocates nothing, so
+        # its page faults do not depend on what the allocator did before
+        block = min(ts.size, TIME_BLOCK)
+        acc = np.empty((2, block, self.grid.nr))
+        term = np.empty((block, self.grid.nr))
         for rows in (slice(i, i + TIME_BLOCK) for i in range(0, ts.size, TIME_BLOCK)):
             tb, tt = ts[rows], ft[i0[rows, None] + np.arange(4)].T
-            acc_u, acc_ut = np.zeros((2, tb.size, self.grid.nr))
+            acc_b, term_b = acc[:, :tb.size], term[:tb.size]
+            acc_b.fill(0.0)
             for j in range(4):
                 lam = 1.0
                 for m in range(4):
                     if m != j:
                         lam *= (tb - tt[m]) / (tt[j] - tt[m])
-                acc_u += lam[:, None] * self.frames_u[i0[rows] + j]
-                acc_ut += lam[:, None] * self.frames_ut[i0[rows] + j]
-            u[:, rows], ut[:, rows] = acc_u.T, acc_ut.T
+                # i0 is clipped to valid rows, so 'clip' never moves an index
+                for a, frames in zip(acc_b, (self.frames_u, self.frames_ut)):
+                    np.take(frames, i0[rows] + j, axis=0, out=term_b, mode="clip")
+                    term_b *= lam[:, None]
+                    a += term_b
+            u[:, rows], ut[:, rows] = acc_b[0].T, acc_b[1].T
         shape = (self.grid.nr,) + np.shape(t)
         return PhysicalState(t, u.reshape(shape), ut.reshape(shape))
 
