@@ -19,7 +19,8 @@ recorded as metadata.
 
 Every per-snapshot integral goes through _int, which takes one snapshot or
 a whole series (one value per snapshot); every selectable name is a key of
-SNAPSHOT_FUNCTIONALS or a ladder family of LADDERS.
+SNAPSHOT_FUNCTIONALS or a ladder family of LADDERS, and evaluate_series
+evaluates any selection of them block by block over a series.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import Exponents, FunctionalSeries, pointwise
 from .quadrature import RuleTable, surface_area
-from .similarity import SimilaritySnapshot
+from .similarity import ROW_BLOCK, SimilaritySnapshot
 
 EPS0 = 0.6   # the weight exponent 3/5 that M and the U ladder pin
 
@@ -146,15 +147,10 @@ def f0_series(snaps, rules, e: Exponents) -> FunctionalSeries:
     return FunctionalSeries("F0", snaps.s, F0(snaps, rules, e))
 
 
-def m_series(snaps, rules, e: Exponents) -> FunctionalSeries:
-    return FunctionalSeries("M", snaps.s, M_func(snaps, rules, e))
-
-
-def u_integrand_series(snaps, rules, e: Exponents) -> FunctionalSeries:
+def u_integrand(snap, rules, e: Exponents) -> float:
     """int |w|^(p+1) rho/(1-|y|^2) + int w^2 rho, the U-ladder integrand."""
-    return FunctionalSeries("U_integrand", snaps.s, (
-        _int(snaps, rules, EPS0 - 1.0, lambda wt, n: wt * _lp1(n, e))
-        + _int(snaps, rules, EPS0, _w2)))
+    return (_int(snap, rules, EPS0 - 1.0, lambda wt, n: wt * _lp1(n, e))
+            + _int(snap, rules, EPS0, _w2))
 
 
 def tail_trapezoid(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -246,29 +242,29 @@ SNAPSHOT_FUNCTIONALS = {
     "singularLp1": lambda sn, rules, e, eps: singular_Lp1(sn, rules, e, eps),
 }
 
-# ladder family -> its series at index k; each builds only what it needs
+# the per-snapshot values a ladder is assembled from: the registry and the
+# U-ladder integrand
+_PER_SNAPSHOT = {**SNAPSHOT_FUNCTIONALS,
+                 "U_integrand": lambda sn, rules, e, eps: u_integrand(sn, rules, e)}
+
+
+def _u(s, uint, e, k, sigma) -> FunctionalSeries:
+    return u_series(FunctionalSeries("U_integrand", s, uint), k, e)
+
+
+# ladder family -> (the per-snapshot values it reads, its series at index k
+# from s and those values)
 LADDERS = {
-    "F": lambda snaps, rules, e, k, sigma: f_ladder(f0_series(snaps, rules, e), k, e),
-    "U": lambda snaps, rules, e, k, sigma: u_series(
-        u_integrand_series(snaps, rules, e), k, e),
-    "scriptF": lambda snaps, rules, e, k, sigma: script_f_series(
-        m_series(snaps, rules, e), LADDERS["U"](snaps, rules, e, k, sigma),
-        k, sigma, e),
+    "F": (("F0",), lambda s, f0, e, k, sigma: f_ladder(
+        FunctionalSeries("F0", s, f0), k, e)),
+    "U": (("U_integrand",), _u),
+    "scriptF": (("M", "U_integrand"), lambda s, m, uint, e, k, sigma: script_f_series(
+        FunctionalSeries("M", s, m), _u(s, uint, e, k, sigma), k, sigma, e)),
 }
 
 # a ladder name is its family plus "1" (k = 1) or "k" (the spec's k)
 FUNCTIONAL_NAMES = tuple(SNAPSHOT_FUNCTIONALS) + tuple(
     family + index for family in LADDERS for index in "1k")
-
-
-def f_family(snaps, rules, e: Exponents, k: int) -> dict:
-    """F0 and M, and for k >= 1 the ladders F_k, U_k and scriptF_k (sigma = 1)."""
-    out = {name: FunctionalSeries(name, snaps.s, SNAPSHOT_FUNCTIONALS[name](
-        snaps, rules, e, EPS0)) for name in ("F0", "M")}
-    if k >= 1:
-        out.update({family + str(k): LADDERS[family](snaps, rules, e, k, 1.0)
-                    for family in LADDERS})
-    return out
 
 
 @dataclass(frozen=True)
@@ -294,13 +290,47 @@ class FunctionalSpec:
             raise ValueError("ladder index k must be >= 1")
 
 
-def evaluate_series(spec: FunctionalSpec, snaps, rules, e: Exponents) -> FunctionalSeries:
-    """Evaluate one named functional over a snapshot series."""
+def _inputs(spec: FunctionalSpec) -> list:
+    """The (name, eps) of each per-snapshot value spec's series reads."""
     if spec.name in SNAPSHOT_FUNCTIONALS:
-        return FunctionalSeries(spec.name, snaps.s, SNAPSHOT_FUNCTIONALS[spec.name](
-            snaps, rules, e, spec.eps))
-    family, index = spec.name[:-1], spec.name[-1]
-    return LADDERS[family](snaps, rules, e, 1 if index == "1" else spec.k, spec.sigma)
+        return [(spec.name, spec.eps)]
+    return [(name, spec.eps) for name in LADDERS[spec.name[:-1]][0]]
+
+
+def evaluate_series(specs, snaps, rules, e: Exponents) -> list:
+    """The series of each named functional in specs over a snapshot series.
+
+    Each per-snapshot value the specs read (a registered functional, or
+    the F0, M and U integrand a ladder is assembled from) is evaluated once,
+    ROW_BLOCK snapshots at a time: a rule other than the series' own is
+    sampled on one block and dropped with it.  The ladders are assembled
+    from the whole series of their values.
+    """
+    keys = list(dict.fromkeys(key for spec in specs for key in _inputs(spec)))
+    parts: dict = {key: [] for key in keys}
+    for i in range(0, snaps.s.size, ROW_BLOCK):
+        block = snaps[i:i + ROW_BLOCK]
+        for name, eps in keys:
+            parts[name, eps].append(_PER_SNAPSHOT[name](block, rules, e, eps))
+    values = {key: np.concatenate(vals) for key, vals in parts.items()}
+    out = []
+    for spec in specs:
+        args = [values[key] for key in _inputs(spec)]
+        if spec.name in SNAPSHOT_FUNCTIONALS:
+            out.append(FunctionalSeries(spec.name, snaps.s, args[0]))
+            continue
+        family, index = spec.name[:-1], spec.name[-1]
+        out.append(LADDERS[family][1](snaps.s, *args, e, 1 if index == "1" else spec.k,
+                                      spec.sigma))
+    return out
+
+
+def f_family(snaps, rules, e: Exponents, k: int) -> dict:
+    """F0 and M, and for k >= 1 the ladders F_k, U_k and scriptF_k (sigma = 1)."""
+    specs = [FunctionalSpec("F0"), FunctionalSpec("M")]
+    if k >= 1:
+        specs += [FunctionalSpec(family + "k", k=k) for family in LADDERS]
+    return {ser.name: ser for ser in evaluate_series(specs, snaps, rules, e)}
 
 
 # ---------------------------------------------------------------------------

@@ -506,8 +506,7 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
         **{key: fun[key] for key in ("eps", "k", "sigma")},
     }
     written = []
-    for spec in specs:
-        ser = fu.evaluate_series(spec, snaps, rules, traj.e)
+    for ser in fu.evaluate_series(specs, snaps, rules, traj.e):
         written += write_series(run_dir, ser, provenance)
         if verbose:
             print(f"functionals: wrote {ser.name} ({len(ser)} samples)")
@@ -568,7 +567,7 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
         written += store_rules(run_dir, rules)
         update_manifest(run_dir, manifest, manifest["config_hash"], written)
     if verbose:
-        print(text)
+        print(text, end="")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

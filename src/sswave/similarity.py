@@ -9,7 +9,11 @@ Two sources of profiles on the unit ball:
   the chain-rule formula is validated against a finite-difference-in-s
   oracle in the test suite before anything downstream trusts it; u and
   dt u between the radial nodes come from RadialSpline, scipy's
-  CubicSpline arithmetic in numpy, batched over all snapshots of a series;
+  CubicSpline arithmetic in numpy, one spline over the columns of all
+  snapshots of a series; only the radial rows the series' largest ball
+  reads, and CONE_MARGIN rows beyond them, are interpolated and splined,
+  which leaves every value the balls read bit for bit that of the spline
+  over the whole grid;
 
 * static test fields w = (1-|y|^2)^a q(y) with polynomial q (optionally
   carrying a planar angular mode via the harmonic factor Re((y1+i y2)^m)),
@@ -35,6 +39,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,7 +416,9 @@ class RadialSpline:
         # cubic = t / dx, quadratic = (slope - dydx[:-1]) / dx - t
         cubic = scratch
         np.add(b[:-1], b[1:], out=cubic)
-        cubic -= 2 * slope
+        # 2 * slope is exact; taken 64 rows at a time, its temporary stays small
+        for i in range(0, n - 1, 64):
+            cubic[i:i + 64] -= 2 * slope[i:i + 64]
         cubic /= dxc
         slope -= b[:-1]
         slope /= dxc
@@ -500,6 +507,27 @@ def _solve_tridiagonal(dx: np.ndarray, d_end: float, b: np.ndarray, tmp: np.ndar
 # ---------------------------------------------------------------------------
 # transform of physical data
 
+# Rows of a spline's grid kept past those its values are read from.  On a
+# uniform grid the end condition at the last row reaches a row k rows away
+# damped by rho^k, rho = 2 - sqrt(3) (de Boor).  Cutting the grid changes
+# the last row's slope by at most 4 DBL_MAX for finite data, and
+# rho^CONE_MARGIN of that is below half the smallest subnormal, 2^-1075:
+# a spline cut CONE_MARGIN rows past the last row read has the whole
+# grid's values there, bit for bit.
+CONE_MARGIN = math.ceil((math.log(4.0) + math.log(sys.float_info.max)
+                         + 1075.0 * math.log(2.0)) / -math.log(2.0 - math.sqrt(3.0)))
+
+
+def _cone_rows(grid, x0, tau) -> int:
+    """How many leading rows of the radial grid a spline needs for balls of
+    radii tau at x0: the rows read by the intervals up to the largest reach
+    |x0| + max(tau), one more for the rounding of |x0 + tau y|, then
+    CONE_MARGIN more, at most nr."""
+    reach = float(np.sqrt(np.sum(np.square(x0))) + np.max(tau))
+    need = int(np.searchsorted(grid.nodes, reach, side="right")) + 2
+    return min(grid.nr, need + CONE_MARGIN)
+
+
 class TransformSnapshot(SimilaritySnapshot):
     """Snapshots of physical states: (w, ds w, grad w) from columns cols of
     the radial (u, ut) splines, evaluated at x0 + tau y."""
@@ -564,11 +592,15 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float,
 
     Every t must be before T0, with the closed ball {x0 + y (T0 - t) : |y| <= 1}
     inside the radial grid.  Two RadialSplines, over u's and ut's columns and
-    clamped to u_r(0) = 0 (smooth even data), evaluate off the nodes.
+    clamped to u_r(0) = 0 (smooth even data), evaluate off the nodes; they
+    span the leading rows the balls need (_cone_rows), which the state may
+    hold alone.
     """
     x0v, tau = _ball(e, grid, x0, state.t, T0)
-    u_spline = RadialSpline(grid.nodes, np.reshape(state.u, (grid.nr, -1)))
-    ut_spline = RadialSpline(grid.nodes, np.reshape(state.ut, (grid.nr, -1)))
+    rows = _cone_rows(grid, x0v, tau)
+    u_spline, ut_spline = (
+        RadialSpline(grid.nodes[:rows], np.reshape(f, (np.shape(f)[0], -1))[:rows])
+        for f in (state.u, state.ut))
     cols = np.arange(np.size(tau)).reshape(np.shape(tau))
     return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, cols, rule)
 
@@ -579,11 +611,12 @@ def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
 
     Every T0 - e^(-s) must be bracketed by stored trajectory frames
     (cubic interpolation in t); otherwise the uncovered time is reported.
+    Only the leading rows the transform splines are interpolated.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t = T0 - pointwise(lambda s: math.exp(-s), s_grid)
     try:
-        batch = traj.sample_state(t)
+        batch = traj.sample_state(t, rows=_cone_rows(traj.grid, x0, T0 - t))
     except ValueError as exc:
         raise ValueError(f"s in [{s_grid[0]}, {s_grid[-1]}] reaches a time "
                          f"outside coverage: {exc}") from exc

@@ -12,7 +12,10 @@ for the whole march, and carries it into the next step.
 
 Frames are archived at (approximately) uniform spacing in s using the
 amplitude-based proxy for T-t, and the accumulated time uses compensated
-summation so frame times stay meaningful down to T-t ~ 1e-12.
+summation so frame times stay meaningful down to T-t ~ 1e-12.  The archive
+is held once: each frame is written into preallocated u and ut arrays,
+each doubled on its own when full, and the trajectory keeps their leading
+rows.  Interpolation reads only the leading radial rows a caller asks for.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class SolverError(RuntimeError):
 FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
 STATUSES = ("blowup", "no-blowup")
 TIME_BLOCK = 64   # times interpolated at once, whose sums stay in cache
+FRAME_CAPACITY = 64   # frames the archive holds before its first doubling
 
 
 @dataclass
@@ -189,10 +193,11 @@ class Trajectory:
     T_est: float | None = None
     fit: BlowupFit | None = None
 
-    def sample_state(self, t) -> PhysicalState:
+    def sample_state(self, t, rows: int | None = None) -> PhysicalState:
         """Cubic (4-point Lagrange in t) interpolation of the stored frames,
         at one time t or at each of an array of m times; u and ut are then
-        (nr, m) blocks, column j being the state at t[j]."""
+        (rows, m) blocks, column j being the state at t[j].  Only the first
+        rows radial rows (all nr by default) are read and interpolated."""
         ft = self.frames_t
         if ft.size < 4:
             raise ValueError(f"4-point interpolation in t needs at least 4 frames, "
@@ -202,30 +207,40 @@ class Trajectory:
         if np.any(outside):
             raise ValueError(f"t={ts[outside][0]} outside stored range "
                              f"[{ft[0]}, {ft[-1]}]")
+        n = self.grid.nr if rows is None else rows
+        if not 0 < n <= self.grid.nr:
+            raise ValueError(f"rows must be in [1, {self.grid.nr}], got {n}")
         i0 = np.clip(np.searchsorted(ft, ts) - 2, 0, ft.size - 4)
-        u = np.empty((self.grid.nr, ts.size))
-        ut = np.empty((self.grid.nr, ts.size))
+        u = np.empty((n, ts.size))
+        ut = np.empty((n, ts.size))
         # one set of block buffers per call: the loop allocates nothing, so
-        # its page faults do not depend on what the allocator did before
+        # its page faults do not depend on what the allocator did before.
+        # The first n values of a frame are gathered from the flat archive
+        # by index: np.take on a row-sliced view would copy the whole
+        # (mapped) archive
         block = min(ts.size, TIME_BLOCK)
-        acc = np.empty((2, block, self.grid.nr))
-        term = np.empty((block, self.grid.nr))
-        for rows in (slice(i, i + TIME_BLOCK) for i in range(0, ts.size, TIME_BLOCK)):
-            tb, tt = ts[rows], ft[i0[rows, None] + np.arange(4)].T
-            acc_b, term_b = acc[:, :tb.size], term[:tb.size]
+        acc = np.empty((2, block, n))
+        term = np.empty((block, n))
+        flat_idx = np.empty((block, n), dtype=np.intp)
+        flat = [f.reshape(-1) for f in (self.frames_u, self.frames_ut)]
+        offsets = np.arange(n)
+        for cols in (slice(i, i + TIME_BLOCK) for i in range(0, ts.size, TIME_BLOCK)):
+            tb, tt = ts[cols], ft[i0[cols, None] + np.arange(4)].T
+            acc_b, term_b, idx_b = acc[:, :tb.size], term[:tb.size], flat_idx[:tb.size]
             acc_b.fill(0.0)
             for j in range(4):
                 lam = 1.0
                 for m in range(4):
                     if m != j:
                         lam *= (tb - tt[m]) / (tt[j] - tt[m])
-                # i0 is clipped to valid rows, so 'clip' never moves an index
-                for a, frames in zip(acc_b, (self.frames_u, self.frames_ut)):
-                    np.take(frames, i0[rows] + j, axis=0, out=term_b, mode="clip")
+                np.add(((i0[cols] + j) * self.grid.nr)[:, None], offsets, out=idx_b)
+                # the indices lie inside the archive, so 'clip' never moves one
+                for a, frames in zip(acc_b, flat):
+                    np.take(frames, idx_b, out=term_b, mode="clip")
                     term_b *= lam[:, None]
                     a += term_b
-            u[:, rows], ut[:, rows] = acc_b[0].T, acc_b[1].T
-        shape = (self.grid.nr,) + np.shape(t)
+            u[:, cols], ut[:, cols] = acc_b[0].T, acc_b[1].T
+        shape = (n,) + np.shape(t)
         return PhysicalState(t, u.reshape(shape), ut.reshape(shape))
 
     @property
@@ -233,6 +248,13 @@ class Trajectory:
         if self.T_est is None:
             raise ValueError("no blow-up time estimate")
         return -math.log(max(self.T_est - self.frames_t[-1], 1e-300))
+
+
+def _doubled(frames: np.ndarray) -> np.ndarray:
+    """frames copied into the leading rows of an array of twice as many."""
+    out = np.empty((2 * frames.shape[0],) + frames.shape[1:])
+    out[:frames.shape[0]] = frames
+    return out
 
 
 def run_until_blowup(cfg: SolverConfig) -> Trajectory:
@@ -250,7 +272,10 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
     march = _Leapfrog(initial_state(cfg), cfg)
     t_hi, t_lo = 0.0, 0.0          # compensated time accumulator
 
-    frames_t, frames_u, frames_ut = [0.0], [march.u.copy()], [march.ut.copy()]
+    frames_t = [0.0]
+    frames_u = np.empty((FRAME_CAPACITY, cfg.grid.nr))
+    frames_ut = np.empty((FRAME_CAPACITY, cfg.grid.nr))
+    frames_u[0], frames_ut[0] = march.u, march.ut
     center_t, center_u, max_u = [0.0], [float(march.u[0])], [float(np.max(np.abs(march.u)))]
     s_accum = 0.0
     status = "no-blowup"
@@ -277,18 +302,23 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
         s_accum += dt / tau_proxy
         hit_cap = amax >= cfg.u_cap
         if s_accum >= cfg.store_ds or hit_cap:
+            n = len(frames_t)
+            # one array at a time, so a doubling holds one old array beside its copy
+            if n == frames_u.shape[0]:
+                frames_u = _doubled(frames_u)
+                frames_ut = _doubled(frames_ut)
+            frames_u[n], frames_ut[n] = march.u, march.ut
             frames_t.append(t_hi)
-            frames_u.append(march.u.copy())
-            frames_ut.append(march.ut.copy())
             s_accum = 0.0
         if hit_cap:
             status = "blowup"
             break
 
+    n = len(frames_t)
     traj = Trajectory(e=e, grid=cfg.grid,
                       frames_t=np.array(frames_t),
-                      frames_u=np.array(frames_u),
-                      frames_ut=np.array(frames_ut),
+                      frames_u=frames_u[:n],
+                      frames_ut=frames_ut[:n],
                       center_t=np.array(center_t),
                       center_u=np.array(center_u),
                       max_u=np.array(max_u),

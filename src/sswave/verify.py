@@ -693,9 +693,9 @@ def check_decay_suite(bundle: dict) -> list[dict]:
 def rate_verdict(rep: fu.TheoremReport, q: float) -> dict:
     """The RATE_VERDICTS, which must all hold, and the numbers they rest on:
     scaled_l2 with its log weight divided out fits the expected power within
-    10% and decreases over the last decade of tau, which holds at least
-    MIN_SAMPLES samples; the cone sup is finite (NaN when a cone window was
-    not measured)."""
+    10% over at least MIN_SAMPLES samples, and decreases over the last
+    decade of tau, which holds at least MIN_SAMPLES samples; the cone sup is
+    finite (NaN when a cone window was not measured)."""
     last_decade = rep.pure_l2[rep.tau <= rep.tau[-1] * 10.0]
     decreasing = bool(last_decade.size >= MIN_SAMPLES
                       and np.all(np.diff(last_decade) < 0.0))
@@ -705,7 +705,8 @@ def rate_verdict(rep: fu.TheoremReport, q: float) -> dict:
         "q": q,
         "power_fit_slope": slope,
         "expected_power": expected,
-        "slope_within_10pct": bool(abs(slope - expected) <= 0.1 * abs(expected)),
+        "slope_within_10pct": bool(rep.tau.size >= MIN_SAMPLES
+                                   and abs(slope - expected) <= 0.1 * abs(expected)),
         "scaled_l2_decreasing_last_decade": decreasing,
         "cone_gradient_sup": rep.sup["cone_gradient"],
         "cone_gradient_bounded": bool(np.isfinite(rep.sup["cone_gradient"])),

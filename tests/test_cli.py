@@ -397,17 +397,19 @@ def test_a_run_of_fewer_than_4_frames_ends_in_one_line(tmp_path, capsys):
 
 def test_rate_verdicts_fail_on_too_few_samples(tmp_path):
     """With store_ds = 2.5 the rate layer takes two samples, one of them in
-    the last decade, and each cone window holds one frame: neither trend
-    nor bound is measured, so both verdicts fail (exit 1)."""
+    the last decade, and each cone window holds one frame: neither power
+    fit, trend nor bound is measured, so all three verdicts fail (exit 1)."""
     cfg = tmp_path / "coarse.ini"
     cfg.write_text(CFG_SMALL.replace("store_ds = 0.04", "store_ds = 2.5"))
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", str(cfg), "--out", out) == 0
     assert run_cli("rate", "--out", out) == 1
     verdict = json.load(open(os.path.join(out, "rate_verdict.json")))
+    assert not verdict["slope_within_10pct"]
     assert not verdict["scaled_l2_decreasing_last_decade"]
     assert not verdict["cone_gradient_bounded"]
     assert np.isnan(verdict["cone_gradient_sup"])
+    assert len(read_csv(os.path.join(out, "scaled_l2.csv"))[1][0]) == 2
 
 
 def test_verbose_prints_what_each_command_did(small_cfg, tmp_path, capsys):
@@ -429,9 +431,9 @@ def test_verbose_prints_what_each_command_did(small_cfg, tmp_path, capsys):
 
     assert run_cli("verify", "--suite", "monotone", "--out", out, "--verbose") == 0
     printed = capsys.readouterr().out
-    assert printed == open(os.path.join(out, "verify_monotone.txt")).read() + "\n"
+    assert printed == open(os.path.join(out, "verify_monotone.txt")).read()
     k = len(json.load(open(os.path.join(out, "verify_monotone.json"))))
-    assert printed.splitlines()[-2:] == [f"OK: {k}/{k} checks passed", ""]
+    assert printed.endswith(f"\nOK: {k}/{k} checks passed\n")
 
     assert run_cli("rate", "--out", out, "--verbose") == 0
     assert json.loads(capsys.readouterr().out) == json.load(

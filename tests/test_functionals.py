@@ -172,7 +172,7 @@ def test_f_ladder_constant_solution_oracle():
     assert np.max(np.abs(f1.values - oracle) / np.abs(oracle)) < 1e-6
     assert np.all(f1.tail_bound >= 0)
     # U1 tail oracle on the constant profile
-    uint = fu.u_integrand_series(snaps, rules, e)
+    uint = FunctionalSeries("U_integrand", s, fu.u_integrand(snaps, rules, e))
     u1 = fu.u_series(uint, 1, e)
     u_const = (k ** (e.p + 1.0) * ball_weight_volume(3, -0.4)
                + k ** 2 * ball_weight_volume(3, 0.6))
@@ -382,12 +382,50 @@ def test_functional_spec_validation_and_dispatch(plateau_1024, exp43, radial_rul
             fu.FunctionalSpec(name="Fk", k=k)
     snaps = sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
                                np.arange(2.0, 4.01, 0.1), radial_rules.plain)
-    ser = fu.evaluate_series(fu.FunctionalSpec(name="F0"), snaps,
-                             radial_rules, exp43)
+    ser, f2, sf = fu.evaluate_series(
+        [fu.FunctionalSpec(name="F0"), fu.FunctionalSpec(name="Fk", k=2),
+         fu.FunctionalSpec(name="scriptF1", sigma=2.0)], snaps, radial_rules, exp43)
     assert ser.name == "F0" and len(ser) == snaps.s.size
-    f2 = fu.evaluate_series(fu.FunctionalSpec(name="Fk", k=2), snaps,
-                            radial_rules, exp43)
     assert f2.name == "F2" and f2.meta["k"] == 2
-    sf = fu.evaluate_series(fu.FunctionalSpec(name="scriptF1", sigma=2.0),
-                            snaps, radial_rules, exp43)
     assert sf.name == "scriptF1" and sf.meta["sigma"] == 2.0
+
+
+def test_block_wise_series_are_the_whole_series(plateau_1024, exp43):
+    """evaluate_series, which samples every rule but the series' own one
+    block of ROW_BLOCK snapshots at a time, gives every name in
+    FUNCTIONAL_NAMES bit for bit as evaluating it on the whole series at
+    once, on a series of two full blocks and a partial one."""
+    rules = RuleTable(3, n_radial=12, n_angular=3)
+    s_grid = 2.0 + 0.02 * np.arange(2 * fu.ROW_BLOCK + 9)
+
+    def series():
+        return sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
+                                  s_grid, rules.plain)
+
+    eps, k, sigma = 0.7, 2, 1.5
+    specs = [fu.FunctionalSpec(name, eps, k, sigma) for name in fu.FUNCTIONAL_NAMES]
+    got = fu.evaluate_series(specs, series(), rules, exp43)
+    snaps = series()
+    s = snaps.s
+
+    def per_snapshot(name):
+        return FunctionalSeries(name, s, fu.SNAPSHOT_FUNCTIONALS[name](snaps, rules, exp43, eps))
+
+    def u_ladder(kk):
+        return fu.u_series(FunctionalSeries("U_integrand", s, fu.u_integrand(snaps, rules, exp43)),
+                           kk, exp43)
+
+    want = [per_snapshot(name) for name in fu.SNAPSHOT_FUNCTIONALS]
+    for kk in (1, k):
+        want.append(fu.f_ladder(per_snapshot("F0"), kk, exp43))
+    want += [u_ladder(1), u_ladder(k)]
+    want += [fu.script_f_series(per_snapshot("M"), u_ladder(kk), kk, sigma, exp43)
+             for kk in (1, k)]
+    assert [ser.name for ser in got] == [ser.name for ser in want] == [
+        *fu.SNAPSHOT_FUNCTIONALS, "F1", "F2", "U1", "U2", "scriptF1", "scriptF2"]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.s, b.s) and a.values.tobytes() == b.values.tobytes(), a.name
+        assert (a.tail_bound is None) == (b.tail_bound is None), a.name
+        if a.tail_bound is not None:
+            assert a.tail_bound.tobytes() == b.tail_bound.tobytes(), a.name
+        assert a.meta == b.meta, a.name

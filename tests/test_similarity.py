@@ -14,6 +14,7 @@ from sswave.similarity import (PolyField, RadialSpline, TestField, WeightedPoly,
                                harmonic_poly, make_test_field, to_similarity,
                                trajectory_to_w)
 from sswave import functionals as fu
+from sswave import similarity
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,56 @@ def test_radial_spline_rejects_non_finite_data():
     y[2, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         RadialSpline(np.arange(4.0), y)
+
+
+def test_cut_spline_is_bitwise_the_whole_grid_on_the_used_intervals():
+    """A spline over the first need + CONE_MARGIN rows has the whole grid's
+    coefficients on the need intervals a cone reads, bit for bit: for
+    smooth data, and for data of 1e-300 on the rows the cut keeps and 1e300
+    beyond them, where the cut's influence is largest against the values.
+    There fewer rows than CONE_MARGIN are not enough."""
+    rng = np.random.default_rng(11)
+    nr, need = 4096, 300
+    x = np.linspace(0.0, 1.5, nr)
+    smooth = np.cos(3.0 * x)[:, None] * np.linspace(1.0, 2.0, 5)
+
+    def adversarial(n):
+        y = rng.uniform(-1.0, 1.0, (nr, 5)) * 1e300
+        y[:n] = rng.uniform(-1.0, 1.0, (n, 5)) * 1e-300
+        return y
+
+    def same(y, n):
+        full, cut = RadialSpline(x, y), RadialSpline(x[:n], y[:n])
+        return all(np.array_equal(getattr(cut, name)[:need], getattr(full, name)[:need])
+                   for name in ("y", "dydx", "quadratic", "cubic"))
+
+    assert similarity.CONE_MARGIN == 1106
+    with np.errstate(over="ignore"):   # the huge rows' cubic terms overflow
+        assert same(smooth, need + similarity.CONE_MARGIN)
+        assert same(adversarial(need + similarity.CONE_MARGIN), need + similarity.CONE_MARGIN)
+        for margin in (600, 128):
+            assert not same(adversarial(need + margin), need + margin), margin
+
+
+def test_transform_splines_only_the_cone_rows(exp43, monkeypatch):
+    """On a grid of 4096 rows whose balls reach about 300 of them, the
+    transform splines need + CONE_MARGIN rows, and its node samples are
+    those of splining the whole grid, bit for bit."""
+    grid = sw.RadialGrid(r_max=1.5, nr=4096)
+    rules = RuleTable(3, n_radial=12, n_angular=3)
+    t = np.array([0.89, 0.9, 0.91])
+    bump = np.exp(-grid.nodes ** 2)[:, None]
+    state = PhysicalState(t, bump * (1.0 + 0.3 * t), bump * np.array([0.3, 0.2, 0.1]))
+    cut = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+    need = int(np.searchsorted(grid.nodes, 1.0 - t[0], side="right")) + 2
+    assert cut.u_spline.x.size == need + similarity.CONE_MARGIN < grid.nr
+    monkeypatch.setattr(similarity, "CONE_MARGIN", grid.nr)
+    whole = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+    assert whole.u_spline.x.size == grid.nr
+    for beta in (0.0, 0.6, -0.4):
+        a, b = cut.on(rules.rule(beta)), whole.on(rules.rule(beta))
+        for name in a.ROWS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (beta, name)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 import sswave as sw
 from sswave.core import kappa_value
 from sswave.ode import ode_exact
-from sswave.solver import SolverConfig, SolverError, initial_state, run_until_blowup, step
+from sswave.solver import (FRAME_CAPACITY, SolverConfig, SolverError, Trajectory,
+                           initial_state, run_until_blowup, step)
 
 
 def make_cfg(nr=512, family="ode_constant", r_max=1.5, **kw):
@@ -155,6 +156,8 @@ def test_march_is_bitwise_the_two_acceleration_step(p, N):
     states, capped = _march_reference(cfg)
     assert capped >= 300
     traj = run_until_blowup(cfg)
+    # so the archive was doubled at least twice on the way
+    assert traj.frames_t.size > 4 * FRAME_CAPACITY
     assert traj.frames_t.size == len(states) + 1
     for n, (t, u, ut) in enumerate(states, start=1):
         assert traj.frames_t[n] == traj.center_t[n] == t, n
@@ -220,6 +223,66 @@ def test_sample_state_batch_is_the_per_time_loop(plateau_1024):
         assert np.array_equal(batch.u[:, j], u) and np.array_equal(batch.ut[:, j], ut)
         one = traj.sample_state(t)
         assert np.array_equal(one.u, u) and np.array_equal(one.ut, ut)
+
+
+def test_archive_is_held_once():
+    """Each frame is written into one buffer per field, doubled when full:
+    the frames are the buffers' leading rows, which are more than half of
+    them, and the march's traced peak stays within 1.5x the buffers' bytes
+    plus 64 rows of nr, where per-frame copies stacked at the end would
+    hold the archive twice."""
+    import tracemalloc
+
+    nr = 512
+    cfg = make_cfg(nr=nr, family="ode_plateau", u_cap=1e8)
+    tracemalloc.start()
+    try:
+        traj = run_until_blowup(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = traj.frames_t.size
+    buffers = [f.base for f in (traj.frames_u, traj.frames_ut)]
+    assert all(b is not None and b.shape[1] == nr and n <= b.shape[0] < 2 * n
+               for b in buffers)
+    assert all(np.shares_memory(f, b) and f.shape == (n, nr) for f, b in
+               zip((traj.frames_u, traj.frames_ut), buffers))
+    assert peak <= 1.5 * sum(b.nbytes for b in buffers) + 64 * nr * 8
+
+
+def test_sample_state_reads_only_the_rows_asked_for(plateau_1024, tmp_path):
+    """sample_state(t, rows=n) is the first n rows of the full call, bit for
+    bit; on a mapped archive it gathers those rows alone, so its traced
+    peak stays below the size of one field's n rows over all frames, which
+    copying the row-sliced archive would allocate."""
+    import tracemalloc
+
+    traj, ft = plateau_1024, plateau_1024.frames_t
+    ts = np.linspace(ft[10], ft[-10], 150)
+    full = traj.sample_state(ts)
+    for n in (3, 200, traj.grid.nr):
+        part = traj.sample_state(ts, rows=n)
+        assert part.u.shape == part.ut.shape == (n, ts.size)
+        assert np.array_equal(part.u, full.u[:n]) and np.array_equal(part.ut, full.ut[:n])
+    for n in (0, traj.grid.nr + 1):
+        with pytest.raises(ValueError, match="rows must be in"):
+            traj.sample_state(ts, rows=n)
+    one = traj.sample_state(ts[7], rows=200)
+    assert np.array_equal(one.u, full.u[:200, 7]) and np.array_equal(one.ut, full.ut[:200, 7])
+    for name in ("frames_u", "frames_ut"):
+        np.save(tmp_path / f"{name}.npy", getattr(traj, name))
+    mapped = Trajectory(e=traj.e, grid=traj.grid, frames_t=ft,
+                        **{name: np.load(tmp_path / f"{name}.npy", mmap_mode="r")
+                           for name in ("frames_u", "frames_ut")},
+                        center_t=ft, center_u=ft, max_u=ft, status=traj.status)
+    tracemalloc.start()
+    try:
+        part = mapped.sample_state(ts, rows=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(part.u, full.u[:200]) and np.array_equal(part.ut, full.ut[:200])
+    assert peak < traj.frames_u[:, :200].nbytes
 
 
 def test_overflow_guard_raises_before_nonfinite():

@@ -370,6 +370,10 @@ def test_rate_verdicts_fail_one_at_a_time():
     few = _rate_report()
     few.tau, few.pure_l2 = np.array([1e-1, 1e-2, 5e-4, 1e-4]), np.array([4.0, 3.0, 2.0, 1.0])
     assert not verify.rate_verdict(few, q=1.0)["scaled_l2_decreasing_last_decade"]
+    # two samples fit any power exactly: fewer than MIN_SAMPLES, no slope
+    two = _rate_report()
+    two.tau, two.pure_l2 = np.array([1e-1, 1e-4]), np.array([1e-1, 1e-4]) ** 0.5
+    assert not verify.rate_verdict(two, q=1.0)["slope_within_10pct"]
     near = verify.rate_verdict(_rate_report(slope=-0.54), q=2.5)   # 8% off
     assert near["slope_within_10pct"] and near["q"] == 2.5
 
