@@ -7,10 +7,11 @@
     sswave sweep       [--config run.ini] --p-list 3.5,4.5 --N-list 3 --out runs/sweep [--jobs 2]
 
 Every command also takes --verbose.  Exit codes: 0 all good, 1 check
-failures, 2 usage, config or solver error, 3 no blow-up where one was
-required (or no fit of one).  An error ends in one `error: <Class>:
-<message>` line on stderr.  SSWAVE_OUT selects the default output root;
-everything else comes from flags and the config file.
+failures, 2 usage, config or solver error (or scipy's QUADPACK extension
+missing), 3 no blow-up where one was required (or no fit of one).  An
+error ends in one `error: <Class>: <message>` line on stderr.
+SSWAVE_OUT selects the default output root; everything else comes from
+flags and the config file.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import os
 import sys
 
 from . import runio
+from .functionals import QuadpackError
 from .ode import FitError
 from .runio import EXIT_NO_BLOWUP, EXIT_USAGE, ConfigError, NoBlowupError
 from .solver import SolverError
 
 EXIT_CODES = {ConfigError: EXIT_USAGE, SolverError: EXIT_USAGE,
+              QuadpackError: EXIT_USAGE,
               NoBlowupError: EXIT_NO_BLOWUP, FitError: EXIT_NO_BLOWUP}
 
 

@@ -25,7 +25,12 @@ evaluates any selection of them block by block over a series.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,11 +166,76 @@ def tail_trapezoid(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integral_to_inf(f) -> float:
-    """int_0^inf f(x) dx by scipy's quad, imported only where a tail needs it."""
-    from scipy.integrate import quad
+class QuadpackError(ImportError):
+    """scipy's compiled QUADPACK extension could not be found or loaded."""
 
-    return quad(f, 0.0, np.inf)[0]
+
+# quad's messages for the codes qagie returns (its own text, limit = 50); an
+# exception the integrand raises propagates as it does through quad
+_QUADPACK_MSGS = {
+    1: "The maximum number of subdivisions (50) has been achieved.\n  "
+       "If increasing the limit yields no improvement it is advised to "
+       "analyze \n  the integrand in order to determine the difficulties.  "
+       "If the position of a \n  local difficulty can be determined "
+       "(singularity, discontinuity) one will \n  probably gain from "
+       "splitting up the interval and calling the integrator \n  on the "
+       "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+       "the requested tolerance from being achieved.  "
+       "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+       "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+       "in the extrapolation table.  It is assumed that the requested "
+       "tolerance\n  cannot be achieved, and that the returned result "
+       "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    6: "Invalid 'limit' argument. There must be at least one subinterval",
+    7: "Abnormal termination of the routine.  The estimates for result\n  "
+       "and error are less reliable.  It is assumed that the requested "
+       "accuracy\n  has not been achieved.",
+}
+
+
+def _scipy_roots() -> list[str]:
+    """The directories of the scipy package; find_spec of a top-level
+    package imports nothing."""
+    spec = importlib.util.find_spec("scipy")
+    return list(spec.submodule_search_locations or ()) if spec else []
+
+
+@functools.cache
+def _qagie():
+    """QUADPACK's qagie, the routine scipy.integrate.quad calls on [a, inf).
+
+    The extension is loaded from its file in scipy's tree, so the
+    scipy.integrate package, which imports sparse, linalg, optimize and
+    special, never runs; a missing or unloadable file is a QuadpackError."""
+    dirs = [os.path.join(root, "integrate") for root in _scipy_roots()]
+    for path in (os.path.join(d, "_quadpack" + suffix) for d in dirs
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if not os.path.isfile(path):
+            continue
+        spec = importlib.util.spec_from_file_location("scipy.integrate._quadpack", path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError) as exc:
+            raise QuadpackError(f"cannot load {path}: {exc}") from exc
+        return module._qagie
+    raise QuadpackError("scipy's QUADPACK extension _quadpack is not in "
+                        + (", ".join(dirs) or "any scipy package (scipy not found)"))
+
+
+def _integral_to_inf(f) -> float:
+    """int_0^inf f(x) dx: qagie with quad(f, 0.0, np.inf)'s arguments and
+    quad's handling of the error code (warn on 1-5 and 7, raise otherwise)."""
+    value, _abserr, ier = _qagie()(f, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 50)
+    if ier in (1, 2, 3, 4, 5, 7):
+        warnings.warn(_QUADPACK_MSGS[ier], RuntimeWarning, stacklevel=2)
+    elif ier:
+        raise ValueError(_QUADPACK_MSGS.get(ier, "Unknown error."))
+    return value
 
 
 def exp_tail_factor(gamma: float, alpha: float, s_max: float) -> float:

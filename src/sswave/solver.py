@@ -215,29 +215,25 @@ class Trajectory:
         ut = np.empty((n, ts.size))
         # one set of block buffers per call: the loop allocates nothing, so
         # its page faults do not depend on what the allocator did before.
-        # The first n values of a frame are gathered from the flat archive
-        # by index: np.take on a row-sliced view would copy the whole
-        # (mapped) archive
+        # Each frame's first n values are read by row, a view of the
+        # (mapped) archive, straight into the buffer: np.take on a
+        # row-sliced view would copy the whole archive, and a (block, n)
+        # index array costs more than the rows it gathers
         block = min(ts.size, TIME_BLOCK)
         acc = np.empty((2, block, n))
         term = np.empty((block, n))
-        flat_idx = np.empty((block, n), dtype=np.intp)
-        flat = [f.reshape(-1) for f in (self.frames_u, self.frames_ut)]
-        offsets = np.arange(n)
         for cols in (slice(i, i + TIME_BLOCK) for i in range(0, ts.size, TIME_BLOCK)):
             tb, tt = ts[cols], ft[i0[cols, None] + np.arange(4)].T
-            acc_b, term_b, idx_b = acc[:, :tb.size], term[:tb.size], flat_idx[:tb.size]
+            acc_b, term_b = acc[:, :tb.size], term[:tb.size]
             acc_b.fill(0.0)
             for j in range(4):
                 lam = 1.0
                 for m in range(4):
                     if m != j:
                         lam *= (tb - tt[m]) / (tt[j] - tt[m])
-                np.add(((i0[cols] + j) * self.grid.nr)[:, None], offsets, out=idx_b)
-                # the indices lie inside the archive, so 'clip' never moves one
-                for a, frames in zip(acc_b, flat):
-                    np.take(frames, idx_b, out=term_b, mode="clip")
-                    term_b *= lam[:, None]
+                for a, frames in zip(acc_b, (self.frames_u, self.frames_ut)):
+                    for r, k in enumerate(i0[cols] + j):
+                        np.multiply(frames[k, :n], lam[r], out=term_b[r])
                     a += term_b
             u[:, cols], ut[:, cols] = acc_b[0].T, acc_b[1].T
         shape = (n,) + np.shape(t)

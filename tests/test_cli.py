@@ -479,32 +479,60 @@ def scipy_modules(*argv):
 
 def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
     """Importing the CLI loads no scipy, nor do `simulate` and `rate`, and no
-    stage loads scipy.interpolate.  A stage loads scipy.special only to
-    build rules its run does not store: `verify --suite monotone` on a run
-    without a store builds them and writes rules.json; once `functionals`
-    has stored them, `monotone` and `decay` load no scipy and `lemmas` only
-    what `import scipy.integrate` (the F1 tail) loads, and none of them
-    rewrites the store."""
+    stage loads scipy.integrate, scipy.sparse, scipy.optimize or
+    scipy.interpolate.  A stage loads scipy.special only to build rules its
+    run does not store: `verify --suite monotone` on a run without a store
+    builds them and writes rules.json, and `functionals` builds and stores
+    them.  Once they are stored, `monotone` and `decay` load no scipy and
+    `lemmas` only QUADPACK's extension scipy.integrate._quadpack (the F1
+    tail), without its parent package, and what the extension imports on
+    its first call to check for a LowLevelCallable (scipy._lib._ccallback
+    and the top-level scipy package); none of them rewrites the store."""
+    never = {"scipy.integrate", "scipy.sparse", "scipy.optimize", "scipy.interpolate"}
     fresh, out = str(tmp_path / "fresh"), str(tmp_path / "run")
     assert scipy_modules() == (0, [])
     for run in (fresh, out):
         assert scipy_modules("simulate", "--config", small_cfg, "--out", run) == (0, [])
     code, mods = scipy_modules("verify", "--suite", "monotone", "--out", fresh)
-    assert code == 0 and "scipy.special" in mods and "scipy.interpolate" not in mods
+    assert code == 0 and "scipy.special" in mods and not never & set(mods)
     assert "rules.json" in json.load(open(os.path.join(fresh, "manifest.json")))["files"]
     code, mods = scipy_modules("functionals", "--out", out)
-    assert code == 0 and "scipy.integrate" in mods and "scipy.interpolate" not in mods
+    assert code == 0 and "scipy.special" in mods and not never & set(mods), mods
     store = open(os.path.join(out, "rules.json"), "rb").read()
     for suite in ("monotone", "decay"):
         assert scipy_modules("verify", "--suite", suite, "--out", out) == (0, []), suite
-    proc = subprocess.run([sys.executable, "-c", "import json, sys, scipy.integrate; "
+    proc = subprocess.run([sys.executable, "-c", "import json, sys, scipy._lib._ccallback; "
                            "print(json.dumps(sorted(sys.modules)))"],
                           capture_output=True, text=True, check=True)
-    by_integrate = set(json.loads(proc.stdout))
-    code, mods = scipy_modules("verify", "--suite", "lemmas", "--out", out)
-    assert code == 0 and "scipy.integrate" in mods and set(mods) <= by_integrate
+    by_callback = {m for m in json.loads(proc.stdout) if m.split(".")[0] == "scipy"}
+    assert scipy_modules("verify", "--suite", "lemmas", "--out", out) == (
+        0, sorted(by_callback | {"scipy.integrate._quadpack"}))
     assert open(os.path.join(out, "rules.json"), "rb").read() == store
     assert scipy_modules("rate", "--out", out) == (0, [])
+
+
+def test_missing_quadpack_exits_2_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):
+    """Without scipy's QUADPACK extension the F1 tail cannot be computed:
+    `functionals` exits 2 with one line naming the directory it searched,
+    and records nothing in the manifest."""
+    from sswave import functionals as fu
+
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    manifest = open(os.path.join(out, "manifest.json")).read()
+    empty = tmp_path / "scipy"
+    empty.mkdir()
+    monkeypatch.setattr(fu, "_scipy_roots", lambda: [str(empty)])
+    fu._qagie.cache_clear()
+    capsys.readouterr()
+    try:
+        assert run_cli("functionals", "--out", out) == 2
+    finally:
+        fu._qagie.cache_clear()
+    assert capsys.readouterr().err == (
+        "error: QuadpackError: scipy's QUADPACK extension _quadpack is not in "
+        f"{empty / 'integrate'}\n")
+    assert open(os.path.join(out, "manifest.json")).read() == manifest
 
 
 def test_parse_config_pure_defaults():

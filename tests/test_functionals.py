@@ -220,6 +220,53 @@ def test_f_ladder_short_series_records_its_tail():
     assert np.all(np.isfinite(f1.values))
 
 
+def _cli_tail_integrands(monkeypatch, p, N, s_max):
+    """The integrands of the tails the CLI computes (F1, F2 and U1) on a
+    series ending at s_max, as _integral_to_inf receives them."""
+    seen = []
+    real = fu._integral_to_inf
+    monkeypatch.setattr(fu, "_integral_to_inf", lambda f: seen.append(f) or real(f))
+    e = sw.make_exponents(p, N)
+    s = np.linspace(s_max - 0.5, s_max, 6)
+    ones = FunctionalSeries("F0", s, np.ones_like(s))
+    for k in (1, 2):
+        fu.f_ladder(ones, k, e)
+    fu.u_series(ones, 1, e)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("N,p_grid", [(3, (3.05, 3.5, 4.0, 4.5, 4.95)),
+                                      (2, (5.05, 6.0, 7.0, 9.0, 12.0))])
+def test_qagie_binding_is_quad_bit_for_bit(monkeypatch, N, p_grid):
+    """The loaded qagie returns quad(f, 0, inf)'s value exactly, on every
+    tail the CLI computes, over p in (p_c, p_S) and the s_max both
+    pipelines reach (a lemma window's ~1 to a full run's ~31)."""
+    from scipy.integrate import quad
+
+    for p in p_grid:
+        for s_max in (0.6, 1.0, 2.0, 5.0, 10.0, 20.0, 27.0, 31.0):
+            tails = _cli_tail_integrands(monkeypatch, p, N, s_max)
+            assert len(tails) == 3
+            for f in tails:
+                assert fu._integral_to_inf(f) == quad(f, 0.0, np.inf)[0], (p, s_max)
+
+
+def test_qagie_binding_warns_as_quad():
+    """A divergent integral stops at quad's 50 subdivisions (ier 1): the same
+    value, and quad's message as a RuntimeWarning."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    def f(x):
+        return 1.0 / (1.0 + x)
+
+    with pytest.warns(IntegrationWarning) as want:
+        value = quad(f, 0.0, np.inf)[0]
+    with pytest.warns(RuntimeWarning) as got:
+        assert fu._integral_to_inf(f) == value
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
 def test_m_bound_inequality_reported():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=32)
