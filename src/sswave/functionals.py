@@ -332,75 +332,59 @@ LADDERS = {
         FunctionalSeries("M", s, m), _u(s, uint, e, k, sigma), k, sigma, e)),
 }
 
-# a ladder name is its family plus "1" (k = 1) or "k" (the spec's k)
+# a ladder name is its family plus "1" (k = 1) or "k" (the evaluation's k)
 FUNCTIONAL_NAMES = tuple(SNAPSHOT_FUNCTIONALS) + tuple(
     family + index for family in LADDERS for index in "1k")
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
-    """Named functional selector: which functional, at which eps and k.
+def _inputs(name: str) -> tuple:
+    """The per-snapshot values the series of name reads."""
+    return (name,) if name in SNAPSHOT_FUNCTIONALS else LADDERS[name[:-1]][0]
+
+
+def evaluate_series(names, snaps, rules, e: Exponents, eps: float, k: int,
+                    sigma: float) -> list:
+    """The series of each functional in names over a snapshot series, at the
+    weight exponent eps, the ladder index k and the scriptF weight sigma.
 
     The singular first component of L_eps always runs at exponent 1/2+eps,
-    and M and the U/scriptF ladders pin EPS0 = 3/5.
+    and M and the U/scriptF ladders pin EPS0 = 3/5.  Each per-snapshot value
+    the names read (a registered functional, or the F0, M and U integrand a
+    ladder is assembled from) is evaluated once, ROW_BLOCK snapshots at a
+    time: a rule other than the series' own is sampled on one block and
+    dropped with it.  The ladders are assembled from the whole series of
+    their values.
     """
-
-    name: str
-    eps: float = 0.6
-    k: int = 1
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.name not in FUNCTIONAL_NAMES:
-            raise ValueError(f"unknown functional '{self.name}', "
+    for name in names:
+        if name not in FUNCTIONAL_NAMES:
+            raise ValueError(f"unknown functional '{name}', "
                              f"expected one of {FUNCTIONAL_NAMES}")
-        if self.eps <= 0:
-            raise ValueError("the weight exponent eps must be positive")
-        if self.k < 1:
-            raise ValueError("ladder index k must be >= 1")
-
-
-def _inputs(spec: FunctionalSpec) -> list:
-    """The (name, eps) of each per-snapshot value spec's series reads."""
-    if spec.name in SNAPSHOT_FUNCTIONALS:
-        return [(spec.name, spec.eps)]
-    return [(name, spec.eps) for name in LADDERS[spec.name[:-1]][0]]
-
-
-def evaluate_series(specs, snaps, rules, e: Exponents) -> list:
-    """The series of each named functional in specs over a snapshot series.
-
-    Each per-snapshot value the specs read (a registered functional, or
-    the F0, M and U integrand a ladder is assembled from) is evaluated once,
-    ROW_BLOCK snapshots at a time: a rule other than the series' own is
-    sampled on one block and dropped with it.  The ladders are assembled
-    from the whole series of their values.
-    """
-    keys = list(dict.fromkeys(key for spec in specs for key in _inputs(spec)))
+    if eps <= 0:
+        raise ValueError("the weight exponent eps must be positive")
+    if k < 1:
+        raise ValueError("ladder index k must be >= 1")
+    keys = list(dict.fromkeys(key for name in names for key in _inputs(name)))
     parts: dict = {key: [] for key in keys}
     for i in range(0, snaps.s.size, ROW_BLOCK):
         block = snaps[i:i + ROW_BLOCK]
-        for name, eps in keys:
-            parts[name, eps].append(_PER_SNAPSHOT[name](block, rules, e, eps))
+        for key in keys:
+            parts[key].append(_PER_SNAPSHOT[key](block, rules, e, eps))
     values = {key: np.concatenate(vals) for key, vals in parts.items()}
     out = []
-    for spec in specs:
-        args = [values[key] for key in _inputs(spec)]
-        if spec.name in SNAPSHOT_FUNCTIONALS:
-            out.append(FunctionalSeries(spec.name, snaps.s, args[0]))
+    for name in names:
+        args = [values[key] for key in _inputs(name)]
+        if name in SNAPSHOT_FUNCTIONALS:
+            out.append(FunctionalSeries(name, snaps.s, args[0]))
             continue
-        family, index = spec.name[:-1], spec.name[-1]
-        out.append(LADDERS[family][1](snaps.s, *args, e, 1 if index == "1" else spec.k,
-                                      spec.sigma))
+        family, index = name[:-1], name[-1]
+        out.append(LADDERS[family][1](snaps.s, *args, e, 1 if index == "1" else k, sigma))
     return out
 
 
 def f_family(snaps, rules, e: Exponents, k: int) -> dict:
-    """F0 and M, and for k >= 1 the ladders F_k, U_k and scriptF_k (sigma = 1)."""
-    specs = [FunctionalSpec("F0"), FunctionalSpec("M")]
-    if k >= 1:
-        specs += [FunctionalSpec(family + "k", k=k) for family in LADDERS]
-    return {ser.name: ser for ser in evaluate_series(specs, snaps, rules, e)}
+    """F0 and M, and the ladders F_k, U_k and scriptF_k (sigma = 1)."""
+    names = ["F0", "M"] + [family + "k" for family in LADDERS]
+    return {ser.name: ser for ser in evaluate_series(names, snaps, rules, e, EPS0, k, 1.0)}
 
 
 # ---------------------------------------------------------------------------

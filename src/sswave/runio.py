@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .core import FunctionalSeries, RadialGrid, make_exponents
 from .quadrature import RuleTable, check_rule
-from .solver import FAMILIES, STATUSES, SolverConfig, Trajectory, run_until_blowup
+from .solver import (FAMILIES, R_MAX_FACTOR, STATUSES, SolverConfig, Trajectory,
+                     run_until_blowup)
 from .similarity import trajectory_to_w
 from . import functionals as fu
 from . import verify
@@ -73,13 +74,9 @@ def _family(val: str) -> str:
 SCHEMA = {
     "exponents": {"p": ("4.0", _finite), "N": ("3", int)},
     "solver": {
-        "nr": ("1024", int), "r_max_factor": ("1.5", _finite),
-        "cfl": ("0.45", _finite), "amp_safety": ("0.02", _finite),
-        "u_cap": ("1e8", _finite), "max_steps": ("2000000", int),
+        "nr": ("1024", int), "u_cap": ("1e8", _finite), "max_steps": ("2000000", int),
         "store_ds": ("0.02", _finite), "family": ("ode_plateau", _family),
-        "T": ("1.0", _finite), "core_frac": ("1.15", _finite),
-        "taper_frac": ("1.4", _finite), "amplitude": ("5.0", _finite),
-        "width": ("0.35", _finite), "fit_amp_min": ("1e3", _finite),
+        "T": ("1.0", _finite), "amplitude": ("5.0", _finite), "width": ("0.35", _finite),
     },
     "similarity": {
         "x0": ("0.0", _finite), "T0": ("auto", _auto_or_float),
@@ -154,10 +151,10 @@ def config_hash(cfg: dict) -> str:
 def solver_config(vals: dict) -> SolverConfig:
     """The solver section is SolverConfig's fields, plus the grid's size."""
     solver = dict(vals["solver"])
-    r_max = solver.pop("r_max_factor") * solver["T"]
     try:
         return SolverConfig(e=make_exponents(**vals["exponents"]),
-                            grid=RadialGrid(r_max=r_max, nr=solver.pop("nr")),
+                            grid=RadialGrid(r_max=R_MAX_FACTOR * solver["T"],
+                                            nr=solver.pop("nr")),
                             **solver)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -289,15 +286,15 @@ def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict) -> list[
 # ---------------------------------------------------------------------------
 # commands
 
-def functional_specs(names: str, vals: dict) -> list:
-    """The FunctionalSpec of each name in the comma list, at the eps, k and
-    sigma of the [functionals] values; a name or value that the spec
-    rejects is a ConfigError."""
-    try:
-        return [fu.FunctionalSpec(n.strip(), vals["eps"], vals["k"], vals["sigma"])
-                for n in names.split(",") if n.strip()]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def functional_names(names: str) -> list:
+    """The names in the comma list; one that is not in FUNCTIONAL_NAMES is
+    a ConfigError."""
+    out = [n.strip() for n in names.split(",") if n.strip()]
+    unknown = [n for n in out if n not in fu.FUNCTIONAL_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown functional '{unknown[0]}', "
+                          f"expected one of {fu.FUNCTIONAL_NAMES}")
+    return out
 
 
 def check_solve(vals: dict, out_dir: str):
@@ -312,7 +309,7 @@ def check_solve(vals: dict, out_dir: str):
         raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
     if not sim["ds"] > 0.0:
         raise ConfigError(f"invalid [similarity] ds = {sim['ds']}: must be positive")
-    functional_specs(fun["names"], fun)
+    functional_names(fun["names"])
     # whatever the names: the lemma and monotone suites read eps and k_max,
     # and `functionals --names` may select a ladder at k
     if not fun["eps"] > 0.0:
@@ -494,10 +491,10 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
                     dump_snapshots: bool = False, verbose: bool = False) -> int:
     vals, traj, manifest = load_run(run_dir)
     fun = vals["functionals"]
-    names = selection or fun["names"]
-    specs = functional_specs(names, fun)
-    if not specs:
-        raise ConfigError(f"no functional selected by {names!r}")
+    selection = fun["names"] if selection is None else selection
+    names = functional_names(selection)
+    if not names:
+        raise ConfigError(f"no functional selected by {selection!r}")
     rules, snaps = build_snapshots(vals, traj, run_dir, manifest)
     provenance = {
         "run_dir": os.path.abspath(run_dir),
@@ -506,7 +503,8 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
         **{key: fun[key] for key in ("eps", "k", "sigma")},
     }
     written = []
-    for ser in fu.evaluate_series(specs, snaps, rules, traj.e):
+    for ser in fu.evaluate_series(names, snaps, rules, traj.e,
+                                  fun["eps"], fun["k"], fun["sigma"]):
         written += write_series(run_dir, ser, provenance)
         if verbose:
             print(f"functionals: wrote {ser.name} ({len(ser)} samples)")

@@ -2,11 +2,11 @@
 
 Explicit second-order leapfrog in velocity (Verlet) form, so a step maps
 (u, ut) -> (u, ut) directly; the u-sequence is identical to three-level
-leapfrog with the nonlinearity at the current level.  dt = cfl*dr away from
+leapfrog with the nonlinearity at the current level.  dt = CFL*dr away from
 blow-up; once the amplitude makes the local ODE time scale
 (kappa/max|u|)^((p-1)/2) ~ T-t smaller than that, the step is capped at a
 fixed fraction of it, which also makes consecutive steps advance s by a
-fixed ~amp_safety, exactly what the similarity resampling needs.  Each
+fixed ~AMP_SAFETY, exactly what the similarity resampling needs.  Each
 step evaluates the acceleration once, at the new level, into buffers held
 for the whole march, and carries it into the next step.
 
@@ -37,33 +37,29 @@ FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
 STATUSES = ("blowup", "no-blowup")
 TIME_BLOCK = 64   # times interpolated at once, whose sums stay in cache
 FRAME_CAPACITY = 64   # frames the archive holds before its first doubling
+CFL = 0.45            # dt = CFL*dr away from blow-up
+AMP_SAFETY = 0.02     # near blow-up dt ~ AMP_SAFETY*(T-t)
+CORE_FRAC = 1.15      # plateau: exact-ODE core out to CORE_FRAC*T
+TAPER_FRAC = 1.4      # plateau: data vanishes beyond TAPER_FRAC*T
+R_MAX_FACTOR = 1.5    # a configured grid's radius / T, beyond TAPER_FRAC
+FIT_AMP_MIN = 1e3     # lower edge of the rate-fit window
 
 
 @dataclass
 class SolverConfig:
     e: Exponents
     grid: RadialGrid
-    cfl: float = 0.45
     u_cap: float = 1e8
-    amp_safety: float = 0.02
     max_steps: int = 2_000_000
     store_ds: float = 0.02
     family: str = "ode_plateau"   # one of FAMILIES
     T: float = 1.0                # seeded ODE blow-up time (plateau families)
-    core_frac: float = 1.15       # plateau: exact-ODE core out to core_frac*T
-    taper_frac: float = 1.4       # plateau: data vanishes beyond taper_frac*T
     amplitude: float = 5.0        # gaussian/plateau amplitude
     width: float = 0.35           # gaussian width
-    fit_amp_min: float = 1e3
 
     def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError(f"cfl must be in (0,1), got {self.cfl}")
-        if self.family == "ode_plateau" and self.grid.r_max <= self.taper_frac * self.T:
-            raise ValueError("grid too small: need r_max > taper_frac*T")
-        if self.family in ("ode_plateau", "plateau") and not self.core_frac < self.taper_frac:
-            raise ValueError(f"the {self.family} family needs core_frac < taper_frac, got "
-                             f"core_frac = {self.core_frac}, taper_frac = {self.taper_frac}")
+        if self.family == "ode_plateau" and self.grid.r_max <= TAPER_FRAC * self.T:
+            raise ValueError("grid too small: need r_max > TAPER_FRAC*T")
 
 
 def _smoothstep(x):
@@ -85,10 +81,10 @@ def initial_state(cfg: SolverConfig) -> PhysicalState:
         return PhysicalState(0.0, np.full_like(r, u0), np.full_like(r, u1))
     if cfg.family == "ode_plateau":
         u0, u1 = ode_exact(cfg.e, cfg.T, 0.0)
-        chi = plateau_profile(r, cfg.core_frac * cfg.T, cfg.taper_frac * cfg.T)
+        chi = plateau_profile(r, CORE_FRAC * cfg.T, TAPER_FRAC * cfg.T)
         return PhysicalState(0.0, u0 * chi, u1 * chi)
     if cfg.family == "plateau":
-        chi = plateau_profile(r, cfg.core_frac * cfg.T, cfg.taper_frac * cfg.T)
+        chi = plateau_profile(r, CORE_FRAC * cfg.T, TAPER_FRAC * cfg.T)
         return PhysicalState(0.0, cfg.amplitude * chi, np.zeros_like(r))
     if cfg.family == "gaussian":
         u = cfg.amplitude * np.exp(-((r / cfg.width) ** 2))
@@ -171,7 +167,7 @@ class _Leapfrog:
 def step(state: PhysicalState, cfg: SolverConfig, dt: float | None = None) -> PhysicalState:
     """One leapfrog (velocity form) step; homogeneous Dirichlet outer boundary."""
     if dt is None:
-        dt = cfg.cfl * cfg.grid.dr
+        dt = CFL * cfg.grid.dr
     march = _Leapfrog(state, cfg)
     march.step(dt)
     return PhysicalState(state.t + dt, march.u, march.ut)
@@ -257,11 +253,11 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
     """March until max|u| >= u_cap (or the step budget runs out).
 
     The blow-up time is fitted from the center-value series restricted to
-    the asymptotic window [fit_amp_min, u_cap].
+    the asymptotic window [FIT_AMP_MIN, u_cap].
     """
     e = cfg.e
     dr = cfg.grid.dr
-    dt_spatial = cfg.cfl * dr
+    dt_spatial = CFL * dr
     k = kappa_value(e.p)
     pow_ = (e.p - 1.0) / 2.0
 
@@ -280,7 +276,7 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
         amax = max_u[-1]
         dt = dt_spatial
         if amax > k:
-            dt = min(dt, cfg.amp_safety * (k / amax) ** pow_)
+            dt = min(dt, AMP_SAFETY * (k / amax) ** pow_)
             if dt < 1e-306:
                 raise SolverError("time step underflow; lower u_cap")
         amax = march.step(dt)
@@ -320,7 +316,7 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
                       max_u=np.array(max_u),
                       status=status)
     if status == "blowup":
-        amp_min = min(cfg.fit_amp_min, cfg.u_cap / 100.0)
+        amp_min = min(FIT_AMP_MIN, cfg.u_cap / 100.0)
         # keep the fit clear of float64 exhaustion in T-t: beyond the
         # amplitude where T-t ~ 1e-11 * t, log(T-t) is ulp-noise dominated
         tau_floor = 1e-11 * max(t_hi, 1.0)

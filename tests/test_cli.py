@@ -89,18 +89,13 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  "[similarity]\ns_lo = early\n", "[similarity]\nT0 = 1.0.0\n",
                  "[solver]\nfamily = gausian\n", "[exponents]\np = 3.0\n",
                  "[functionals]\nq = 2.0\n", "[output]\nseed = 0\n",
-                 # a value that parses but that the solver grid rejects
-                 "[solver]\nr_max_factor = 1.3\n",
-                 # [functionals] values that parse but that a FunctionalSpec rejects
+                 # [functionals] values that parse but that the series reject
                  "[functionals]\neps = -1.0\n", "[functionals]\nk_max = -3\n",
                  "[functionals]\nnames = Fk,F0\nk = 0\n", "[functionals]\nnames =\nk = 0\n",
                  "[functionals]\nnames = F0,nope\n",
                  "[functionals]\nnames =\neps = 0.0\n",   # eps drives the lemma suite
-                 # a snapshot spacing that selects no window, and plateau data
-                 # whose core does not end before its taper
+                 # a snapshot spacing that selects no window
                  "[similarity]\nds = 0\n", "[similarity]\nds = -0.05\n",
-                 "[solver]\ncore_frac = 1.4\n",
-                 "[solver]\nfamily = plateau\ncore_frac = 2.0\n",
                  # a float that parses but is not finite
                  "[similarity]\nx0 = nan\n"):
         cfg.write_text(text)
@@ -118,6 +113,13 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
         cfg.write_text(text)
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
         assert capsys.readouterr().err == f"error: ConfigError: invalid [similarity] rule: {why}\n"
+    # the solver's step and data shape are constants of sswave.solver, not keys
+    for key in ("cfl", "amp_safety", "core_frac", "taper_frac", "r_max_factor",
+                "fit_amp_min"):
+        cfg.write_text(f"[solver]\n{key} = 1.0\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err == (f"error: ConfigError: unknown key '{key}' in "
+                                           f"section [solver] of {cfg}\n")
     # rejected before anything was written
     assert not os.path.exists(tmp_path / "r")
 
@@ -153,6 +155,7 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
                  ("rate", "--out", runs["base"], "--q", "inf"),
                  ("verify", "--suite", "identities", "--seed", "-1", "--out", fresh),
                  ("functionals", "--out", runs["base"], "--names", " , "),
+                 ("functionals", "--out", runs["base"], "--names", ""),
                  ("sweep", "--config", small_cfg, "--p-list", "", "--N-list", "3",
                   "--out", fresh),
                  ("sweep", "--config", small_cfg, "--p-list", "3.6,4.2,3.6",
@@ -182,6 +185,25 @@ def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):
     assert err.startswith("error: SolverError: amplitude overflow") and err.count("\n") == 1
     assert file_hashes(out, (".ini", ".json", ".npy")) == before
     assert run_cli("functionals", "--out", out, "--names", "F0") == 0
+
+
+def test_run_dir_with_a_removed_solver_key_exits_2(small_cfg, tmp_path, capsys):
+    """A run directory whose config still sets a solver key that is now a
+    constant (as an older version wrote it) is rejected as an unknown key,
+    in one line, before the manifest is touched: it must be simulated again."""
+    out = str(tmp_path / "r")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    ini = os.path.join(out, "config.resolved.ini")
+    with open(ini, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(ini, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("[solver]\n", "[solver]\ncfl = 0.45\n", 1))
+    manifest = open(os.path.join(out, "manifest.json"), "rb").read()
+    capsys.readouterr()
+    assert run_cli("functionals", "--out", out) == 2
+    assert capsys.readouterr().err == (f"error: ConfigError: unknown key 'cfl' in "
+                                       f"section [solver] of {ini}\n")
+    assert open(os.path.join(out, "manifest.json"), "rb").read() == manifest
 
 
 def test_fit_error_exits_3_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):

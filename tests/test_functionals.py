@@ -419,19 +419,17 @@ def test_h_norm_finite_on_suite(radial_rules, plateau_1024, exp43):
         assert np.isfinite(fu.h_norm(sn, radial_rules))
 
 
-def test_functional_spec_validation_and_dispatch(plateau_1024, exp43, radial_rules):
-    with pytest.raises(ValueError, match="unknown functional"):
-        fu.FunctionalSpec(name="nope")
-    with pytest.raises(ValueError, match="positive"):
-        fu.FunctionalSpec(name="E_eps", eps=-0.1)
-    for k in (0, -1):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            fu.FunctionalSpec(name="Fk", k=k)
+def test_evaluate_series_validation_and_dispatch(plateau_1024, exp43, radial_rules):
     snaps = sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
                                np.arange(2.0, 4.01, 0.1), radial_rules.plain)
-    ser, f2, sf = fu.evaluate_series(
-        [fu.FunctionalSpec(name="F0"), fu.FunctionalSpec(name="Fk", k=2),
-         fu.FunctionalSpec(name="scriptF1", sigma=2.0)], snaps, radial_rules, exp43)
+    for names, eps, k, match in ((["F0", "nope"], 0.6, 1, "unknown functional 'nope'"),
+                                 (["E_eps"], -0.1, 1, "positive"),
+                                 (["Fk"], 0.6, 0, "k must be >= 1"),
+                                 (["Fk"], 0.6, -1, "k must be >= 1")):
+        with pytest.raises(ValueError, match=match):
+            fu.evaluate_series(names, snaps, radial_rules, exp43, eps, k, 1.0)
+    ser, f2 = fu.evaluate_series(["F0", "Fk"], snaps, radial_rules, exp43, 0.6, 2, 1.0)
+    sf, = fu.evaluate_series(["scriptF1"], snaps, radial_rules, exp43, 0.6, 1, 2.0)
     assert ser.name == "F0" and len(ser) == snaps.s.size
     assert f2.name == "F2" and f2.meta["k"] == 2
     assert sf.name == "scriptF1" and sf.meta["sigma"] == 2.0
@@ -450,8 +448,7 @@ def test_block_wise_series_are_the_whole_series(plateau_1024, exp43):
                                   s_grid, rules.plain)
 
     eps, k, sigma = 0.7, 2, 1.5
-    specs = [fu.FunctionalSpec(name, eps, k, sigma) for name in fu.FUNCTIONAL_NAMES]
-    got = fu.evaluate_series(specs, series(), rules, exp43)
+    got = fu.evaluate_series(fu.FUNCTIONAL_NAMES, series(), rules, exp43, eps, k, sigma)
     snaps = series()
     s = snaps.s
 

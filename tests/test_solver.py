@@ -6,7 +6,8 @@ import pytest
 import sswave as sw
 from sswave.core import kappa_value
 from sswave.ode import ode_exact
-from sswave.solver import (FRAME_CAPACITY, SolverConfig, SolverError, Trajectory,
+from sswave.solver import (AMP_SAFETY, CFL, CORE_FRAC, FRAME_CAPACITY, R_MAX_FACTOR,
+                           TAPER_FRAC, SolverConfig, SolverError, Trajectory,
                            initial_state, run_until_blowup, step)
 
 
@@ -36,7 +37,7 @@ def test_center_tracks_ode_before_boundary_influence():
     # boundary's cone arrives (t = r_max at unit speed)
     cfg = make_cfg(nr=512, family="ode_constant", T=1.0)
     st = initial_state(cfg)
-    dt = cfg.cfl * cfg.grid.dr
+    dt = CFL * cfg.grid.dr
     t_stop = 0.8
     while st.t < t_stop:
         st = step(st, cfg)
@@ -52,7 +53,7 @@ def test_second_order_convergence_at_center():
         while st.t < 0.6:
             st = step(st, cfg)
         # land exactly on t* with one fractional step
-        st = step(st, cfg, dt=0.6 + cfg.cfl * cfg.grid.dr - st.t)
+        st = step(st, cfg, dt=0.6 + CFL * cfg.grid.dr - st.t)
         u_exact, _ = ode_exact(cfg.e, 1.0, st.t)
         errs.append(abs(st.u[0] - u_exact) / u_exact)
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -93,7 +94,7 @@ def test_causality_of_exterior_perturbation():
     for _ in range(n_steps):
         base = step(base, cfg)
         pert = step(pert, cfg)
-    t = n_steps * cfg.cfl * cfg.grid.dr
+    t = n_steps * CFL * cfg.grid.dr
     diff = np.abs(pert.u - base.u)
     # strict stencil cone: one cell per step, bitwise-unchanged inside it
     stencil_edge = R - n_steps * cfg.grid.dr
@@ -118,17 +119,17 @@ def _accel_reference(u, dr, N, p):
 def _march_reference(cfg):
     """run_until_blowup's steps with two accelerations per step, each
     evaluated afresh: the (t, u, ut) after every step, and how many steps
-    ran with dt capped below cfl*dr."""
+    ran with dt capped below CFL*dr."""
     dr, N, p = cfg.grid.dr, cfg.e.N, cfg.e.p
     k, pow_ = kappa_value(p), (p - 1.0) / 2.0
     st = initial_state(cfg)
     u, ut, t_hi, t_lo = st.u, st.ut, 0.0, 0.0
     amax, capped, states = float(np.max(np.abs(u))), 0, []
     while amax < cfg.u_cap:
-        dt = cfg.cfl * dr
+        dt = CFL * dr
         if amax > k:
-            dt = min(dt, cfg.amp_safety * (k / amax) ** pow_)
-        capped += dt < cfg.cfl * dr
+            dt = min(dt, AMP_SAFETY * (k / amax) ** pow_)
+        capped += dt < CFL * dr
         a0 = _accel_reference(u, dr, N, p)
         u = u + dt * ut + 0.5 * dt * dt * a0
         u[-1] = 0.0
@@ -300,12 +301,19 @@ def test_cap_triggers_with_finite_fields(plateau_1024):
 def test_initial_family_validation():
     with pytest.raises(ValueError, match="unknown initial-data family"):
         initial_state(make_cfg(family="nope"))
-    with pytest.raises(ValueError, match="cfl"):
-        make_cfg(cfl=1.5)
     with pytest.raises(ValueError, match="grid too small"):
         grid = sw.RadialGrid(r_max=1.0, nr=64)
         initial_state(SolverConfig(e=sw.make_exponents(4.0, 3), grid=grid,
                                    family="ode_plateau", T=1.0))
+
+
+def test_solver_constants_order():
+    """The plateau core ends before its taper, and a configured grid reaches
+    past the taper: so a config can give neither a plateau without a core
+    nor an ode_plateau grid too small for its data.  The step is a CFL
+    fraction of dr."""
+    assert CORE_FRAC < TAPER_FRAC < R_MAX_FACTOR
+    assert 0.0 < CFL < 1.0
 
 
 def test_plateau_profile_shape():

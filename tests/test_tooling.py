@@ -168,7 +168,7 @@ def test_cli_usage_matches_parser():
 def test_schema_defaults_are_the_library_defaults():
     """Each config default, after its parser, is the default of the library
     parameter it sets, so a library run and a CLI run with no config agree:
-    SolverConfig's fields, the rules' sizes, FunctionalSpec's values."""
+    SolverConfig's fields and the rules' sizes."""
     parsed = {sec: {key: parse(default) for key, (default, parse) in keys.items()}
               for sec, keys in SCHEMA.items()}
 
@@ -177,17 +177,14 @@ def test_schema_defaults_are_the_library_defaults():
                 if f.default is not dataclasses.MISSING}
 
     solver = field_defaults(SolverConfig)
-    # nr and r_max_factor size the RadialGrid, which has no defaults
-    assert set(parsed["solver"]) - set(solver) == {"nr", "r_max_factor"}
+    # nr sizes the RadialGrid, which has no defaults
+    assert set(parsed["solver"]) - set(solver) == {"nr"}
     for key in set(parsed["solver"]) & set(solver):
         assert parsed["solver"][key] == solver[key], key
     for fn in (RuleTable, build_rule):
         params = inspect.signature(fn).parameters
         for key in ("n_radial", "n_angular"):
             assert parsed["similarity"][key] == params[key].default, (fn, key)
-    spec = field_defaults(functionals.FunctionalSpec)
-    for key in ("eps", "k", "sigma"):
-        assert parsed["functionals"][key] == spec[key], key
 
 
 def _parsed(*tops):
