@@ -34,8 +34,7 @@ def main():
         traj = sw.run_until_blowup(cfg)
         s_lo = math.ceil((-math.log(traj.T_est) + 0.35) / 0.1) * 0.1
         s_grid = np.arange(s_lo, s_lo + 1.0 + ds / 2, ds)
-        series.append(sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid,
-                                         rules.plain))
+        series.append(sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid))
     print(f"  window [{series[0][0].s:.2f}, {series[0][-1].s:.2f}], eps = 3/5")
     print(f"  {'lemma':>8} {'residual (coarse)':>18} {'residual (fine)':>16} {'order':>6}")
     for name in verify.LEMMA_NAMES:

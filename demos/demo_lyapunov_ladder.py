@@ -18,7 +18,7 @@ def main():
     traj = sw.run_until_blowup(sw.SolverConfig(e=e, grid=grid, u_cap=1e8))
     rules = RuleTable(3, n_radial=48)
     s_grid = np.arange(2.0, 24.0, 0.05)
-    snaps = sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid, rules.plain)
+    snaps = sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid)
 
     f0 = fu.f0_series(snaps, rules, e)
     mon = verify.monitor_monotone(f0, require_nonneg=True)

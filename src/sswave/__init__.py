@@ -10,9 +10,8 @@ from .quadrature import (BallQuadrature, RuleTable, ball_volume,
 from .ode import BlowupFit, FitError, OdeTrajectory, fit_blowup, ode_exact, ode_integrate
 from .solver import (SolverConfig, SolverError, Trajectory, initial_state,
                      run_until_blowup, step)
-from .similarity import (PolyField, SimilaritySnapshot, StaticSnapshot,
-                         TestField, constant_field, harmonic_poly,
-                         make_test_field, to_similarity, trajectory_to_w)
+from .similarity import (PolyField, SimilaritySnapshot, StaticSnapshot, TestField,
+                         constant_field, harmonic_poly, to_similarity, trajectory_to_w)
 from .verify import hardy_ratio
 from . import functionals, verify
 

@@ -351,9 +351,9 @@ def evaluate_series(names, snaps, rules, e: Exponents, eps: float, k: int,
     and M and the U/scriptF ladders pin EPS0 = 3/5.  Each per-snapshot value
     the names read (a registered functional, or the F0, M and U integrand a
     ladder is assembled from) is evaluated once, ROW_BLOCK snapshots at a
-    time: a rule other than the series' own is sampled on one block and
-    dropped with it.  The ladders are assembled from the whole series of
-    their values.
+    time: each rule is sampled on one block and dropped with it, so the
+    series itself holds no sample.  The ladders are assembled from the
+    whole series of their values.
     """
     for name in names:
         if name not in FUNCTIONAL_NAMES:
@@ -445,6 +445,8 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     # the frames before T0 are a prefix of the archive
     taus = T0 - ft
     n = int(np.count_nonzero(taus > 0))
+    if n < 3:
+        raise ValueError(f"{n} frames precede T0 = {T0}; the sample times need 3")
     ft, taus = ft[:n], taus[:n]
 
     # stay a few cells above the grid scale: the cone integral is meaningless

@@ -297,6 +297,14 @@ def functional_names(names: str) -> list:
     return out
 
 
+def check_centre(sim: dict):
+    """ConfigError for x0 != 0 on the one-ray rule, exact for radial profiles only."""
+    if sim["x0"] != 0.0 and sim["n_angular"] == 1:
+        raise ConfigError(f"[similarity] x0 = {sim['x0']} needs n_angular >= 2: "
+                          f"n_angular = 1 integrates along one ray, which is exact "
+                          f"only for a ball centred at the origin")
+
+
 def check_solve(vals: dict, out_dir: str):
     """(SolverConfig, out_dir's manifest or None) once the
     typed config and out_dir's manifest pass every check that a
@@ -307,6 +315,7 @@ def check_solve(vals: dict, out_dir: str):
         check_rule(scfg.e.N, 0.0, sim["n_radial"], sim["n_angular"])
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f"invalid [similarity] rule: {exc}") from exc
+    check_centre(sim)
     if not sim["ds"] > 0.0:
         raise ConfigError(f"invalid [similarity] ds = {sim['ds']}: must be positive")
     functional_names(fun["names"])
@@ -438,13 +447,15 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
     snapshot) transformed when a span is given.  A run of fewer
     than 4 frames, and a window that is empty, reaches a time
     outside the frames, or whose largest ball x0 + (T0 - t) y
-    leaves the radial grid, is a ConfigError whatever the span."""
+    leaves the radial grid, is a ConfigError whatever the span, and so
+    is an x0 off the origin with n_angular = 1 (check_centre)."""
     frames_t = traj.frames_t
     if frames_t.size < 4:
         raise ConfigError(f"the run stores {frames_t.size} frames, fewer than "
                           f"the 4 that interpolation in t needs: lower "
                           f"[solver] store_ds")
     sim = vals["similarity"]
+    check_centre(sim)
     rules = RuleTable(traj.e.N, n_radial=sim["n_radial"], n_angular=sim["n_angular"])
     if run_dir is not None:
         seed_rules(run_dir, manifest, rules)
@@ -470,14 +481,14 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
         # the next snapshot too: a window [s0, s0 + span] taken from the
         # transformed s then selects the same rows as from the whole series
         s_grid = s_grid[:np.count_nonzero(s_grid <= s_grid[0] + span) + 1]
-    snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid, rules.plain)
+    snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid)
     return rules, snaps
 
 
-def export_snapshots(run_dir: str, snaps) -> str:
-    """Snapshot node data: s, node coordinates, w, ws, |gw|, |gw_r|, |gw_th|,
-    one row per snapshot and node."""
-    ns, pts = snaps.base, snaps.rule.points
+def export_snapshots(run_dir: str, snaps, rule) -> str:
+    """Snapshot node data on rule: s, node coordinates, w, ws, |gw|, |gw_r|,
+    |gw_th|, one row per snapshot and node."""
+    ns, pts = snaps.on(rule), rule.points
     m, K = ns.w.shape
     cols = {"s": np.repeat(snaps.s, K)}
     cols.update({f"y{d}": np.tile(pts[:, d], m) for d in range(pts.shape[1])})
@@ -509,7 +520,7 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
         if verbose:
             print(f"functionals: wrote {ser.name} ({len(ser)} samples)")
     if dump_snapshots:
-        written.append(export_snapshots(run_dir, snaps))
+        written.append(export_snapshots(run_dir, snaps, rules.plain))
     written += store_rules(run_dir, rules)
     update_manifest(run_dir, manifest, manifest["config_hash"], written)
     return EXIT_OK

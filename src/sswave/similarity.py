@@ -25,7 +25,7 @@ Two sources of profiles on the unit ball:
 
 Both are SimilaritySnapshot subclasses with one fields(pts) -> (w, ds w,
 grad w).  That is the only sampling path: SimilaritySnapshot.on samples
-every rule through it, the snapshot's primary rule included, and caches
+a rule through it when an integral first asks for that rule, and caches
 the node samples per rule; the boundary trace is fields on a sphere rule.
 A polynomial is evaluated only through PolyField.jet, one routine for its
 value, gradient and Hessian, which differentiates each monomial along an
@@ -205,20 +205,18 @@ class SimilaritySnapshot:
 
     A subclass supplies fields(pts) -> (w, ds w, grad w) anywhere on the
     closed ball, shaped s.shape + (K,) and s.shape + (K, N), and names its
-    per-snapshot attributes in ROWS.  Every rule's node samples, the primary
-    rule's included, come from it through on(), which caches them by
-    id(rule); each sample holds its rule, so no other rule can take that id
-    while the entry exists.  The boundary trace is the same evaluation on a
-    sphere rule.
+    per-snapshot attributes in ROWS.  No rule is sampled when a snapshot is
+    built: on(rule) samples a rule the first time it is asked for and caches
+    the sample by id(rule); each sample holds its rule, so no other rule can
+    take that id while the entry exists.  The boundary trace is the same
+    evaluation on a sphere rule.
     """
 
     ROWS = ("s",)
 
-    def __init__(self, s, rule: BallQuadrature):
+    def __init__(self, s):
         self.s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
-        self.rule = rule
         self._samples: dict = {}
-        self.on(rule)
 
     def __getitem__(self, idx) -> "SimilaritySnapshot":
         if np.ndim(self.s) == 0:
@@ -228,18 +226,6 @@ class SimilaritySnapshot:
             setattr(out, name, getattr(self, name)[idx])
         out._samples = {key: ns.rows(idx) for key, ns in self._samples.items()}
         return out
-
-    @property
-    def base(self) -> NodeSample:
-        return self._samples[id(self.rule)]
-
-    @property
-    def w(self):
-        return self.base.w
-
-    @property
-    def ws(self):
-        return self.base.ws
 
     def on(self, rule: BallQuadrature) -> NodeSample:
         key = id(rule)
@@ -306,14 +292,18 @@ class TestField:
 
 class StaticSnapshot(SimilaritySnapshot):
     """Snapshot backed by closed forms; also exposes Hessian-level data.
-    With an (m,) array s it is the series of the same field at m times."""
+    With an (m,) array s it is the series of the same field at m times;
+    fields rejects the points of a rule or sphere of another dimension."""
 
-    def __init__(self, tf: TestField, rule: BallQuadrature, s=0.0):
+    def __init__(self, tf: TestField, s=0.0):
         self.field_spec = tf
         self.w_part, self.ws_part = tf.parts()
-        super().__init__(s, rule)
+        super().__init__(s)
 
     def fields(self, pts: np.ndarray):
+        if np.shape(pts)[-1] != self.field_spec.N:
+            raise ValueError(f"rule dimension {np.shape(pts)[-1]} != "
+                             f"field dimension {self.field_spec.N}")
         w, grad = self.w_part.jet(pts, (0, 1))
         return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape)
                      for f in (w, self.ws_part.value(pts), grad))
@@ -350,13 +340,6 @@ class StaticSnapshot(SimilaritySnapshot):
         return (self.pohozaev_div_over_rho(pts, al)
                 - 2.0 * g1 * w + np.abs(w) ** (p - 1.0) * w
                 - (N + 2.0 * al) * ws - 2.0 * ydgs)
-
-
-def make_test_field(tf: TestField, rule: BallQuadrature, s=0.0) -> StaticSnapshot:
-    """Instantiate a test field as a snapshot with analytic derivatives."""
-    if rule.N != tf.N:
-        raise ValueError(f"rule dimension {rule.N} != field dimension {tf.N}")
-    return StaticSnapshot(tf, rule, s=s)
 
 
 def constant_field(N: int, value: float) -> TestField:
@@ -535,14 +518,14 @@ class TransformSnapshot(SimilaritySnapshot):
     ROWS = ("s", "tau", "cols")
 
     def __init__(self, e: Exponents, x0: np.ndarray, tau, u_spline: RadialSpline,
-                 ut_spline: RadialSpline, cols, rule: BallQuadrature):
+                 ut_spline: RadialSpline, cols):
         self.e = e
         self.x0 = x0
         self.tau = tau
         self.u_spline = u_spline
         self.ut_spline = ut_spline
         self.cols = cols
-        super().__init__(pointwise(lambda t: -math.log(t), tau), rule)
+        super().__init__(pointwise(lambda t: -math.log(t), tau))
 
     def fields(self, pts: np.ndarray):
         pts = np.atleast_2d(pts)
@@ -585,8 +568,7 @@ def _ball(e: Exponents, grid, x0, t, T0: float):
     return x0v, tau
 
 
-def to_similarity(state, grid, e: Exponents, x0, T0: float,
-                  rule: BallQuadrature) -> TransformSnapshot:
+def to_similarity(state, grid, e: Exponents, x0, T0: float) -> TransformSnapshot:
     """Transform a PhysicalState into a snapshot, or a batch of states (t of
     m times, u and ut (nr, m) blocks, column j at t[j]) into a series.
 
@@ -602,11 +584,10 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float,
         RadialSpline(grid.nodes[:rows], np.reshape(f, (np.shape(f)[0], -1))[:rows])
         for f in (state.u, state.ut))
     cols = np.arange(np.size(tau)).reshape(np.shape(tau))
-    return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, cols, rule)
+    return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, cols)
 
 
-def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
-                    rule: BallQuadrature) -> TransformSnapshot:
+def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSnapshot:
     """The series of time-interpolated snapshots at the requested s values.
 
     Every T0 - e^(-s) must be bracketed by stored trajectory frames
@@ -620,4 +601,4 @@ def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid,
     except ValueError as exc:
         raise ValueError(f"s in [{s_grid[0]}, {s_grid[-1]}] reaches a time "
                          f"outside coverage: {exc}") from exc
-    return to_similarity(batch, traj.grid, e, x0, T0, rule)
+    return to_similarity(batch, traj.grid, e, x0, T0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Exponents, FunctionalSeries, pointwise
 from .quadrature import RuleTable
-from .similarity import PolyField, StaticSnapshot, TestField, make_test_field
+from .similarity import PolyField, StaticSnapshot, TestField
 from . import functionals as fu
 
 FLOOR = 1e-14
@@ -374,8 +374,7 @@ def run_identity_battery(N: int, eps: float, n_fields: int = 50,
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_fields):
-        tf = random_test_field(N, rng)
-        snap = make_test_field(tf, rules.rule(eps))
+        snap = StaticSnapshot(random_test_field(N, rng))
         out.append(check_pohozaev_A(snap, eps, rules))
         out.append(check_pohozaev_E(snap, eps, rules))
     return out

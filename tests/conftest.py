@@ -56,18 +56,18 @@ def radial_rules():
 
 
 @pytest.fixture(scope="session")
-def plateau_snaps(plateau_2048, exp43, radial_rules):
+def plateau_snaps(plateau_2048, exp43):
     """Master snapshot series on the plateau run, s in [2, 26], ds = 0.05."""
     s_grid = np.arange(2.0, 26.0 + 1e-9, 0.05)
     return sw.trajectory_to_w(plateau_2048, exp43, 0.0, plateau_2048.T_est,
-                              s_grid, radial_rules.plain)
+                              s_grid)
 
 
-def lemma_window_snaps(traj, e, rules, ds, length=1.0, offset=0.35):
+def lemma_window_snaps(traj, e, ds, length=1.0, offset=0.35):
     """Snapshot series over one unit s-window starting just after -log T0."""
     s_lo = math.ceil((-math.log(traj.T_est) + offset) / 0.1) * 0.1
     s_grid = np.arange(s_lo, s_lo + length + ds / 2.0, ds)
-    return sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid, rules.plain)
+    return sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid)
 
 
 def read_csv(path):

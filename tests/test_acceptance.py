@@ -13,7 +13,7 @@ import pytest
 import sswave as sw
 from sswave.core import FunctionalSeries
 from sswave.quadrature import RuleTable, ball_volume, ball_weight_volume
-from sswave.similarity import PolyField, TestField, constant_field, make_test_field
+from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
 from sswave import verify
 from sswave.verify import hardy_ratio
@@ -22,15 +22,15 @@ from sswave import runio
 from conftest import make_plateau_run, lemma_window_snaps
 
 
-def const_snap(e, value, rules, s=0.0):
-    return make_test_field(constant_field(e.N, value), rules.rule(0.6), s=s)
+def const_snap(e, value, s=0.0):
+    return StaticSnapshot(constant_field(e.N, value), s=s)
 
 
 def test_criterion_1_constant_solution_exactness():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=48, n_angular=1)
     k = sw.kappa(e)
-    snap = const_snap(e, k, rules, s=0.7)
+    snap = const_snap(e, k, s=0.7)
 
     # profile-equation residual of the constant solution
     resid = np.max(np.abs(snap.eq_rhs(rules.plain.points, e)))
@@ -69,7 +69,7 @@ def test_criterion_2_dissipation_closed_form(p, N):
     k, al = sw.kappa(e), e.alpha
     B = ball_volume(N)
     s0, h = 0.9, 1e-4
-    f0 = {d: fu.F0(const_snap(e, k, rules, s=s0 + d), rules, e) for d in (-h, h)}
+    f0 = {d: fu.F0(const_snap(e, k, s=s0 + d), rules, e) for d in (-h, h)}
     fd = (f0[h] - f0[-h]) / (2 * h)
     expected = math.exp(2 * al * s0) * (-al ** 2 * k ** 2 * N * B
                                         + al * (p - 1) / (p + 1) * k ** (p + 1) * B)
@@ -97,8 +97,8 @@ def test_criterion_3_appendix_identities():
 @pytest.fixture(scope="module")
 def lemma_series_pair(gauss_2048, gauss_4096, exp43):
     rules = RuleTable(3, n_radial=48, n_angular=1)
-    coarse = lemma_window_snaps(gauss_2048, exp43, rules, ds=0.025)
-    fine = lemma_window_snaps(gauss_4096, exp43, rules, ds=0.0125)
+    coarse = lemma_window_snaps(gauss_2048, exp43, ds=0.025)
+    fine = lemma_window_snaps(gauss_4096, exp43, ds=0.0125)
     return rules, coarse, fine
 
 
@@ -180,7 +180,7 @@ def coarse_snaps(plateau_1024, exp43):
     rules = RuleTable(3, n_radial=48, n_angular=1)
     s_grid = np.arange(2.0, 9.2 + 1e-9, 0.05)
     return rules, sw.trajectory_to_w(plateau_1024, exp43, 0.0,
-                                     plateau_1024.T_est, s_grid, rules.plain)
+                                     plateau_1024.T_est, s_grid)
 
 
 def test_criterion_9_inequality_calibrations(plateau_snaps, coarse_snaps,
@@ -191,12 +191,10 @@ def test_criterion_9_inequality_calibrations(plateau_snaps, coarse_snaps,
     cal = {}
     for label, rules, snaps in [("fine", radial_rules, snaps_f),
                                 ("coarse", rules_c, snaps_c)]:
-        fields = [make_test_field(
-            TestField(N=3, a=a, poly=PolyField(3, {(0, 0, 0): 1.0})),
-            rules.rule(eps)) for a in (0.5, 1.0, 2.0)]
+        fields = [StaticSnapshot(TestField(N=3, a=a, poly=PolyField(3, {(0, 0, 0): 1.0})))
+                  for a in (0.5, 1.0, 2.0)]
         rng = np.random.default_rng(77)
-        fields += [make_test_field(verify.random_test_field(3, rng),
-                                   rules.rule(eps)) for _ in range(10)]
+        fields += [StaticSnapshot(verify.random_test_field(3, rng)) for _ in range(10)]
         ch = verify.calibrate_hardy(fields + [snaps[::20]], eps, rules)
         c_w1 = verify.calibrate_singular_average(snaps, rules, exp43, eps, s_lo=5.0)
         c3 = verify.calibrate_m_bound(snaps[::10], rules, exp43)

@@ -97,12 +97,16 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
                  # a snapshot spacing that selects no window
                  "[similarity]\nds = 0\n", "[similarity]\nds = -0.05\n",
                  # a float that parses but is not finite
-                 "[similarity]\nx0 = nan\n"):
+                 "[similarity]\nx0 = nan\n",
+                 # a ball off the origin on the one-ray (radial-collapse) rule
+                 "[similarity]\nx0 = 0.02\n", "[similarity]\nx0 = -0.5\nn_angular = 1\n"):
         cfg.write_text(text)
         rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2, text
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+        if "x0 = " in text and "nan" not in text:
+            assert "x0 = " in err and "n_angular" in err, err
     # values that parse but that a rule rejects: checked without building
     # the rule, in build_rule's words
     for text, why in (("[similarity]\nn_radial = 0\n", "need n_radial >= 4, got 0"),
@@ -132,7 +136,7 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
     value that is not a number.  Each exits 2 with one ConfigError line
     before it writes a file."""
     runs = {}
-    for name, extra in (("base", ""), ("far", "x0 = 5.0\n"),
+    for name, extra in (("base", ""), ("far", "x0 = 5.0\nn_angular = 2\n"),
                         ("long", "s_lo = 1.0\ns_hi = 100.0\n")):
         cfg = tmp_path / f"{name}.ini"
         cfg.write_text(open(small_cfg).read() + extra)
@@ -169,6 +173,12 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
         assert written() == before and not os.path.exists(fresh), args
     assert not os.path.exists(os.path.join(runs["base"], "rate_verdict.json"))
+    # a run whose config holds an off-centre ball on the one-ray rule (one
+    # that simulate no longer writes) is rejected before any snapshot
+    vals, traj, manifest = runio.load_run(runs["base"])
+    vals["similarity"]["x0"] = 0.02
+    with pytest.raises(runio.ConfigError, match=r"x0 = 0\.02 needs n_angular >= 2"):
+        runio.build_snapshots(vals, traj, runs["base"], manifest)
 
 
 def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):
@@ -410,11 +420,25 @@ def test_a_run_of_fewer_than_4_frames_ends_in_one_line(tmp_path, capsys):
     capsys.readouterr()
     for argv, why in ((["functionals", "--out", out], "[solver] store_ds"),
                       (["verify", "--suite", "monotone", "--out", out], "[solver] store_ds"),
-                      (["rate", "--out", out], "no sample time before the last frame")):
+                      (["rate", "--out", out], "2 frames precede T0")):
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
         assert why in err, err
+    # with nr = 32 the grid floor 10 dr lies above 0.45 of the first frame's
+    # tau, so `rate` would start its sample times at a third frame
+    cfg.write_text(CFG_SMALL.replace("store_ds = 0.04", "store_ds = 50")
+                   .replace("nr = 256", "nr = 32"))
+    two = str(tmp_path / "two")
+    assert run_cli("simulate", "--config", str(cfg), "--out", two) == 0
+    assert runio.load_run(two)[1].frames_t.size == 2
+    capsys.readouterr()
+    assert run_cli("rate", "--out", two) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+    assert "2 frames precede T0" in err, err
+    for run in (out, two):
+        assert not os.path.exists(os.path.join(run, "rate_verdict.json"))
 
 
 def test_rate_verdicts_fail_on_too_few_samples(tmp_path):
@@ -955,14 +979,15 @@ def test_lemma_window_transform_is_bit_identical(tmp_path, window):
     runs = {}
     for span in (verify.LEMMA_SPAN, None):
         rules, snaps = runio.build_snapshots(vals, traj, None, None, span=span)
-        runs[span] = snaps, verify.lemma_suite(
+        reports = verify.lemma_suite(
             snaps, rules, traj.e, vals["functionals"]["eps"], vals["similarity"]["ds"],
             traj.grid.dr)
+        runs[span] = snaps.on(rules.plain), reports
     (cut, cut_reports), (full, full_reports) = runs[verify.LEMMA_SPAN], runs[None]
-    m = cut.s.size
-    assert m < full.s.size
+    m = cut.w.shape[0]
+    assert m < full.w.shape[0]
     for name in ("w", "ws", "g2"):
-        assert getattr(cut.base, name).tobytes() == getattr(full.base, name)[:m].tobytes()
+        assert getattr(cut, name).tobytes() == getattr(full, name)[:m].tobytes()
     assert cut_reports == full_reports
 
 

@@ -7,13 +7,13 @@ from scipy.special import gammaincc, gamma as gamma_fn
 import sswave as sw
 from sswave.core import FunctionalSeries
 from sswave.quadrature import RuleTable, ball_weight_volume, ball_volume
-from sswave.similarity import PolyField, TestField, constant_field, make_test_field
+from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
 from sswave.solver import Trajectory
 
 
-def const_snap(e, value, rules, s=0.0):
-    return make_test_field(constant_field(e.N, value), rules.rule(0.6), s=s)
+def const_snap(e, value, s=0.0):
+    return StaticSnapshot(constant_field(e.N, value), s=s)
 
 
 def exp_tail_closed_form(gamma_exp, alpha, s):
@@ -31,7 +31,7 @@ def test_constant_profile_closed_forms(p, N, n_ang):
     e = sw.make_exponents(p, N)
     rules = RuleTable(N, n_radial=48, n_angular=n_ang)
     k = sw.kappa(e)
-    snap = const_snap(e, k, rules, s=1.3)
+    snap = const_snap(e, k, s=1.3)
     al = e.alpha
     eps = 0.6
     V = ball_weight_volume(N, eps)
@@ -73,7 +73,7 @@ def test_constant_dissipation_closed_form(p, N):
     al = e.alpha
     B = ball_volume(N)
     s0, h = 1.0, 1e-4
-    f0 = {ds: fu.F0(const_snap(e, k, rules, s=s0 + ds), rules, e)
+    f0 = {ds: fu.F0(const_snap(e, k, s=s0 + ds), rules, e)
           for ds in (-h, 0.0, h)}
     fd = (f0[h] - f0[-h]) / (2.0 * h)
     expected = (-math.exp(2.0 * al * s0) * al ** 2 * k ** 2 * N * B
@@ -90,7 +90,7 @@ def test_constant_dissipation_closed_form(p, N):
 def test_zero_profile_gives_zero_everywhere():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=16)
-    snap = const_snap(e, 0.0, rules)
+    snap = const_snap(e, 0.0)
     for val in (fu.E0(snap, rules, e), fu.F0(snap, rules, e),
                 fu.E_eps(snap, rules, e, 0.6), fu.J_eps(snap, rules, e, 0.6),
                 fu.G_eps(snap, rules, e, 0.6), fu.N_eps(snap, rules, e, 0.6),
@@ -104,8 +104,7 @@ def test_e0_linear_field_matches_symbolic_oracle():
     import sympy
     e = sw.make_exponents(6.0, 2)
     rules = RuleTable(2, n_radial=48, n_angular=32)
-    snap = make_test_field(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0})),
-                           rules.plain)
+    snap = StaticSnapshot(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0})))
     r, th = sympy.symbols("r theta", positive=True)
     w = 1 - r ** 2
     wr = sympy.diff(w, r)
@@ -131,7 +130,7 @@ def test_scaling_homogeneity():
                            poly=PolyField(3, {k: lam * c for k, c in tf.poly.coeffs.items()}),
                            ws_a=tf.ws_a,
                            ws_poly=PolyField(3, {k: lam * c for k, c in tf.ws_poly.coeffs.items()}))
-        snap = make_test_field(scaled, rules.plain)
+        snap = StaticSnapshot(scaled)
         ns = snap.on(rules.plain)
         quad = float(np.sum(rules.plain.weights * (
             0.5 * ns.ws ** 2 + 0.5 * (ns.g2 - ns.ydg ** 2)
@@ -147,7 +146,7 @@ def test_composition_L_from_N_and_I():
     rules = RuleTable(3, n_radial=32)
     rng = np.random.default_rng(9)
     from sswave.verify import random_test_field
-    snap = make_test_field(random_test_field(3, rng, with_ws=True), rules.plain)
+    snap = StaticSnapshot(random_test_field(3, rng, with_ws=True))
     eps = 0.6
     lhs = fu.L_eps(snap, rules, e, eps)
     rhs = fu.N_eps(snap, rules, e, 0.5 + eps) + (0.5 + eps) * fu.I_eps(snap, rules, e, eps)
@@ -161,7 +160,7 @@ def test_f_ladder_constant_solution_oracle():
     k = sw.kappa(e)
     al = e.alpha
     s = np.arange(2.0, 14.0 + 1e-9, 0.01)
-    snaps = const_snap(e, k, rules, s=s)
+    snaps = const_snap(e, k, s=s)
     f0 = fu.f0_series(snaps, rules, e)
     E_exact = k ** 2 * ball_volume(3) * (1.0 / (e.p - 1.0) - al * 3 / 2.0)
     assert np.allclose(f0.values, np.exp(2 * al * s) * E_exact, rtol=1e-10)
@@ -272,7 +271,7 @@ def test_m_bound_inequality_reported():
     rules = RuleTable(3, n_radial=32)
     from sswave.verify import calibrate_m_bound, random_test_field
     rng = np.random.default_rng(12)
-    snaps = [make_test_field(random_test_field(3, rng, with_ws=True), rules.plain)
+    snaps = [StaticSnapshot(random_test_field(3, rng, with_ws=True))
              for _ in range(12)]
     C3 = max(calibrate_m_bound(sn, rules, e) for sn in snaps)
     assert np.isfinite(C3) and C3 > 0
@@ -414,14 +413,14 @@ def test_theorem_quantities_read_only_their_windows(plateau_1024, exp43, q):
 
 def test_h_norm_finite_on_suite(radial_rules, plateau_1024, exp43):
     snaps = sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
-                               [2.0, 4.0], radial_rules.plain)
+                               [2.0, 4.0])
     for sn in snaps:
         assert np.isfinite(fu.h_norm(sn, radial_rules))
 
 
 def test_evaluate_series_validation_and_dispatch(plateau_1024, exp43, radial_rules):
     snaps = sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
-                               np.arange(2.0, 4.01, 0.1), radial_rules.plain)
+                               np.arange(2.0, 4.01, 0.1))
     for names, eps, k, match in ((["F0", "nope"], 0.6, 1, "unknown functional 'nope'"),
                                  (["E_eps"], -0.1, 1, "positive"),
                                  (["Fk"], 0.6, 0, "k must be >= 1"),
@@ -436,8 +435,8 @@ def test_evaluate_series_validation_and_dispatch(plateau_1024, exp43, radial_rul
 
 
 def test_block_wise_series_are_the_whole_series(plateau_1024, exp43):
-    """evaluate_series, which samples every rule but the series' own one
-    block of ROW_BLOCK snapshots at a time, gives every name in
+    """evaluate_series, which samples every rule one block of ROW_BLOCK
+    snapshots at a time, gives every name in
     FUNCTIONAL_NAMES bit for bit as evaluating it on the whole series at
     once, on a series of two full blocks and a partial one."""
     rules = RuleTable(3, n_radial=12, n_angular=3)
@@ -445,7 +444,7 @@ def test_block_wise_series_are_the_whole_series(plateau_1024, exp43):
 
     def series():
         return sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
-                                  s_grid, rules.plain)
+                                  s_grid)
 
     eps, k, sigma = 0.7, 2, 1.5
     got = fu.evaluate_series(fu.FUNCTIONAL_NAMES, series(), rules, exp43, eps, k, sigma)
@@ -473,3 +472,14 @@ def test_block_wise_series_are_the_whole_series(plateau_1024, exp43):
         if a.tail_bound is not None:
             assert a.tail_bound.tobytes() == b.tail_bound.tobytes(), a.name
         assert a.meta == b.meta, a.name
+
+
+def test_evaluate_series_leaves_the_series_unsampled(plateau_1024, exp43):
+    """No rule's (m, K) samples outlive the block they were taken for: after
+    evaluate_series over every name, the transform series it was given
+    holds no node sample."""
+    rules = RuleTable(3, n_radial=12, n_angular=3)
+    snaps = sw.trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
+                               2.0 + 0.05 * np.arange(fu.ROW_BLOCK + 5))
+    fu.evaluate_series(fu.FUNCTIONAL_NAMES, snaps, rules, exp43, 0.6, 1, 1.0)
+    assert snaps._samples == {}

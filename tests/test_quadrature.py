@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sswave as sw
 from sswave.quadrature import RuleTable, check_radial_rule, check_rule
 from sswave.verify import hardy_ratio
-from sswave.similarity import PolyField, TestField, make_test_field
+from sswave.similarity import PolyField, StaticSnapshot, TestField
 
 
 def mp_radial_oracle(f, N, beta, digits=30):
@@ -241,8 +241,7 @@ def test_grad_decompose_subnormal_radius():
 
 def test_hardy_ratio_constant_field():
     rules = RuleTable(3, n_radial=48)
-    snap = make_test_field(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 1.0})),
-                           rules.rule(0.6))
+    snap = StaticSnapshot(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 1.0})))
     ratio = hardy_ratio(snap, 0.6, rules)
     expected = sw.ball_weight_volume(3, -0.4) / sw.ball_weight_volume(3, 0.6)
     assert ratio == pytest.approx(expected, rel=1e-10)
@@ -250,8 +249,7 @@ def test_hardy_ratio_constant_field():
 
 def test_hardy_ratio_zero_field():
     rules = RuleTable(3, n_radial=16)
-    snap = make_test_field(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 0.0})),
-                           rules.rule(0.6))
+    snap = StaticSnapshot(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 0.0})))
     assert hardy_ratio(snap, 0.6, rules) == 0.0
 
 
@@ -260,12 +258,10 @@ def test_hardy_family_below_calibrated_constant():
     rules = RuleTable(3, n_radial=48)
     fields = []
     for a in (0.5, 1.0, 2.0):
-        fields.append(make_test_field(
-            TestField(N=3, a=a, poly=PolyField(3, {(0, 0, 0): 1.0})),
-            rules.rule(0.6)))
+        fields.append(StaticSnapshot(
+            TestField(N=3, a=a, poly=PolyField(3, {(0, 0, 0): 1.0}))))
     rng = np.random.default_rng(2)
-    pool = fields + [make_test_field(verify.random_test_field(3, rng),
-                                     rules.rule(0.6)) for _ in range(8)]
+    pool = fields + [StaticSnapshot(verify.random_test_field(3, rng)) for _ in range(8)]
     CH = verify.calibrate_hardy(pool, 0.6, rules)
     assert np.isfinite(CH) and CH > 0
     for f in fields:

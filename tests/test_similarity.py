@@ -10,8 +10,8 @@ from scipy.interpolate import CubicSpline
 import sswave as sw
 from sswave.core import PhysicalState
 from sswave.quadrature import RuleTable
-from sswave.similarity import (PolyField, RadialSpline, TestField, WeightedPoly,
-                               harmonic_poly, make_test_field, to_similarity,
+from sswave.similarity import (PolyField, RadialSpline, StaticSnapshot, TestField,
+                               WeightedPoly, harmonic_poly, to_similarity,
                                trajectory_to_w)
 from sswave import functionals as fu
 from sswave import similarity
@@ -41,9 +41,8 @@ def sympy_field(tf: TestField):
 
 def test_constant_field_is_flat():
     rules = RuleTable(3, n_radial=12)
-    snap = make_test_field(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 1.0})),
-                           rules.rule(0.6))
-    assert np.allclose(snap.w, 1.0)
+    snap = StaticSnapshot(TestField(N=3, a=0.0, poly=PolyField(3, {(0, 0, 0): 1.0})))
+    assert np.allclose(snap.on(rules.rule(0.6)).w, 1.0)
     assert np.allclose(snap.fields(rules.rule(0.6).points)[2], 0.0)
     assert np.allclose(snap.pohozaev_div_over_rho(rules.rule(0.6).points, 0.6), 0.0)
 
@@ -61,8 +60,7 @@ def test_constant_field_is_flat():
 ], ids=["N2", "N3"])
 def test_field_derivatives_match_sympy_oracle(tf):
     N = tf.N
-    rules = RuleTable(N, n_radial=16, n_angular=16 if N == 2 else 4)
-    snap = make_test_field(tf, rules.rule(0.6))
+    snap = StaticSnapshot(tf)
     ys, w, ws = sympy_field(tf)
     q = sympy_poly(ys, tf.poly)
     rng = np.random.default_rng(1)
@@ -96,7 +94,7 @@ def test_field_derivatives_match_sympy_oracle(tf):
 def test_angular_mode_gives_nonzero_angular_gradient():
     tf = TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0}), m=2)
     rules = RuleTable(2, n_radial=12, n_angular=16)
-    snap = make_test_field(tf, rules.rule(0.6))
+    snap = StaticSnapshot(tf)
     pts = rules.rule(0.6).points
     grad_theta = sw.grad_decompose(pts, snap.fields(pts)[2])[1]
     assert float(np.max(np.abs(grad_theta))) > 0.1
@@ -113,7 +111,7 @@ def test_snapshot_decomposition_identities():
     rules = RuleTable(2, n_radial=16, n_angular=32)
     rng = np.random.default_rng(0)
     from sswave.verify import random_test_field
-    snap = make_test_field(random_test_field(2, rng), rules.rule(0.6))
+    snap = StaticSnapshot(random_test_field(2, rng))
     ns = snap.on(rules.rule(0.6))
     g2 = ns.g2
     scale = np.maximum(g2, 1e-12)
@@ -123,6 +121,17 @@ def test_snapshot_decomposition_identities():
                   <= 1e-12 * np.maximum(scale, 1.0))
 
 
+def test_static_snapshot_rejects_a_rule_of_another_dimension():
+    """A planar field sampled on a ball or sphere rule of N = 3 names both
+    dimensions, and caches nothing."""
+    snap = StaticSnapshot(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0})))
+    rules = RuleTable(3, n_radial=4, n_angular=2)
+    for sample in (lambda: snap.on(rules.plain), lambda: snap.boundary(rules.sphere())):
+        with pytest.raises(ValueError, match="rule dimension 3 != field dimension 2"):
+            sample()
+    assert snap._samples == {}
+
+
 def test_freed_rules_never_lend_their_samples():
     """Node samples are cached by id(rule).  Rules of 200 temporary
     RuleTables, each dropped and collected before the next is built, so
@@ -130,7 +139,7 @@ def test_freed_rules_never_lend_their_samples():
     their own nodes.  A collection of the youngest generation suffices:
     rules hold no cycles, and a full one per rule would cost seconds."""
     tf = TestField(N=2, a=1.0, poly=PolyField(2, {(1, 0): 1.0, (0, 2): 0.5}))
-    snap = make_test_field(tf, RuleTable(2, n_radial=4, n_angular=4).plain)
+    snap = StaticSnapshot(tf)
     for i in range(200):
         rule = RuleTable(2, n_radial=4 + i % 5, n_angular=4).rule(0.6)
         ns = snap.on(rule)
@@ -144,7 +153,7 @@ def test_boundary_vanishing_for_weighted_fields():
     # a >= 1 kills w and the (1-|y|^2)-weighted gradient at the boundary
     rules = RuleTable(2, n_radial=64, n_angular=8)
     tf = TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0, (2, 0): -0.5}))
-    snap = make_test_field(tf, rules.rule(0.6))
+    snap = StaticSnapshot(tf)
     pts = rules.rule(-0.9).points          # nodes hugging the boundary
     r2 = np.sum(pts ** 2, axis=1)
     near = r2 > 0.995
@@ -313,11 +322,11 @@ def test_transform_splines_only_the_cone_rows(exp43, monkeypatch):
     t = np.array([0.89, 0.9, 0.91])
     bump = np.exp(-grid.nodes ** 2)[:, None]
     state = PhysicalState(t, bump * (1.0 + 0.3 * t), bump * np.array([0.3, 0.2, 0.1]))
-    cut = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+    cut = to_similarity(state, grid, exp43, 0.0, 1.0)
     need = int(np.searchsorted(grid.nodes, 1.0 - t[0], side="right")) + 2
     assert cut.u_spline.x.size == need + similarity.CONE_MARGIN < grid.nr
     monkeypatch.setattr(similarity, "CONE_MARGIN", grid.nr)
-    whole = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+    whole = to_similarity(state, grid, exp43, 0.0, 1.0)
     assert whole.u_spline.x.size == grid.nr
     for beta in (0.0, 0.6, -0.4):
         a, b = cut.on(rules.rule(beta)), whole.on(rules.rule(beta))
@@ -341,10 +350,11 @@ def test_transform_of_exact_ode_branch_is_constant(exp43):
     for t in (0.0, 0.5, 0.9):
         u, ut = sw.ode_exact(exp43, 1.0, t)
         state = PhysicalState(t, np.full(grid.nr, u), np.full(grid.nr, ut))
-        snap = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+        snap = to_similarity(state, grid, exp43, 0.0, 1.0)
+        ns = snap.on(rules.plain)
         k = sw.kappa(exp43)
-        assert np.max(np.abs(snap.w - k)) < 1e-12 * k
-        assert np.max(np.abs(snap.ws)) < 1e-10
+        assert np.max(np.abs(ns.w - k)) < 1e-12 * k
+        assert np.max(np.abs(ns.ws)) < 1e-10
         assert np.max(np.abs(snap.fields(rules.plain.points)[2])) < 1e-10
         assert snap.s == pytest.approx(-math.log(1.0 - t))
 
@@ -353,19 +363,18 @@ def test_transform_of_zero_is_zero(exp43):
     grid = sw.RadialGrid(r_max=1.5, nr=128)
     rules = RuleTable(3, n_radial=16)
     state = PhysicalState(0.2, np.zeros(grid.nr), np.zeros(grid.nr))
-    snap = to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
-    assert np.all(snap.w == 0) and np.all(snap.ws == 0)
+    ns = to_similarity(state, grid, exp43, 0.0, 1.0).on(rules.plain)
+    assert np.all(ns.w == 0) and np.all(ns.ws == 0)
 
 
 def test_transform_guards(exp43):
     grid = sw.RadialGrid(r_max=0.5, nr=64)
-    rules = RuleTable(3, n_radial=8)
     state = PhysicalState(0.0, np.zeros(64), np.zeros(64))
     with pytest.raises(ValueError, match="exits the grid"):
-        to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+        to_similarity(state, grid, exp43, 0.0, 1.0)
     state = PhysicalState(1.5, np.zeros(64), np.zeros(64))
     with pytest.raises(ValueError, match="not before"):
-        to_similarity(state, grid, exp43, 0.0, 1.0, rules.plain)
+        to_similarity(state, grid, exp43, 0.0, 1.0)
 
 
 def test_transform_matches_symbolic_chain_rule(exp43):
@@ -385,9 +394,7 @@ def test_transform_matches_symbolic_chain_rule(exp43):
     wr_sym = sympy.diff(w_sym, rho)
     for sval in (0.5, 1.5):
         t = T0 - math.exp(-sval)
-        snap = to_similarity(analytic_state(grid, t), grid, exp43, 0.0, T0,
-                             rules.plain)
-        ns = snap.base
+        ns = to_similarity(analytic_state(grid, t), grid, exp43, 0.0, T0).on(rules.plain)
         rho_nodes = np.sqrt(ns.r2)
         for i in range(0, rho_nodes.size, 5):
             sub = {ssym: sval, rho: float(rho_nodes[i])}
@@ -412,24 +419,24 @@ def test_chain_rule_ws_matches_fd_oracle_on_solver_data():
     errs = []
     for h in (0.02, 0.01):
         sm, s_, sp = s0 - h, s0, s0 + h
-        snaps = trajectory_to_w(traj, e, 0.0, traj.T_est, [sm, s_, sp],
-                                rules.plain)
-        fd = (snaps[2].w - snaps[0].w) / (2.0 * h)
-        errs.append(float(np.max(np.abs(fd - snaps[1].ws))))
+        ns = trajectory_to_w(traj, e, 0.0, traj.T_est, [sm, s_, sp]).on(rules.plain)
+        fd = (ns.w[2] - ns.w[0]) / (2.0 * h)
+        errs.append(float(np.max(np.abs(fd - ns.ws[1]))))
     order = math.log2(errs[0] / errs[1])
     assert order > 1.5, (errs, order)
-    assert errs[1] < 1e-3 * max(1.0, float(np.max(np.abs(snaps[1].ws))))
+    assert errs[1] < 1e-3 * max(1.0, float(np.max(np.abs(ns.ws[1]))))
 
 
 def test_trajectory_to_w_single_s_consistency(exp43, plateau_1024, radial_rules):
     traj = plateau_1024
     s = 3.0
-    snaps = trajectory_to_w(traj, exp43, 0.0, traj.T_est, [s], radial_rules.plain)
+    rule = radial_rules.plain
+    row = trajectory_to_w(traj, exp43, 0.0, traj.T_est, [s])[0].on(rule)
     t = traj.T_est - math.exp(-s)
     direct = to_similarity(traj.sample_state(t), traj.grid, exp43, 0.0,
-                           traj.T_est, radial_rules.plain)
-    assert np.allclose(snaps[0].w, direct.w, rtol=0, atol=1e-14)
-    assert np.allclose(snaps[0].ws, direct.ws, rtol=0, atol=1e-14)
+                           traj.T_est).on(rule)
+    assert np.allclose(row.w, direct.w, rtol=0, atol=1e-14)
+    assert np.allclose(row.ws, direct.ws, rtol=0, atol=1e-14)
 
 
 def test_series_rows_are_the_states_transformed_alone(exp43, plateau_1024, monkeypatch):
@@ -445,10 +452,10 @@ def test_series_rows_are_the_states_transformed_alone(exp43, plateau_1024, monke
     traj, T0 = plateau_1024, plateau_1024.T_est
     rules = RuleTable(3, n_radial=12, n_angular=3)
     s_grid = np.arange(2.0, 4.0, 0.05)
-    series = trajectory_to_w(traj, exp43, 0.0, T0, s_grid, rules.plain)
+    series = trajectory_to_w(traj, exp43, 0.0, T0, s_grid)
     picked = series[[3, 17, 38]]
     singles = [to_similarity(traj.sample_state(T0 - math.exp(-s)), traj.grid, exp43,
-                             0.0, T0, rules.plain) for s in s_grid]
+                             0.0, T0) for s in s_grid]
     for view, rows in ((series, range(s_grid.size)), (picked, (3, 17, 38))):
         assert np.array_equal(view.s, [singles[j].s for j in rows])
         samples = [(view.on(rules.rule(beta)), [sn.on(rules.rule(beta)) for sn in singles])
@@ -473,36 +480,35 @@ def test_series_rows_are_the_states_transformed_alone(exp43, plateau_1024, monke
                                                                 exp43, 0.6))
                        for i, j in enumerate(rows)), name
     # the node samples are the np.sum forms of the fields, bit for bit
-    planar = make_test_field(verify.random_test_field(2, np.random.default_rng(5)),
-                             RuleTable(2, n_radial=12, n_angular=16).plain)
-    for sn in singles[:3] + [planar]:
-        pts = sn.rule.points
+    planar = StaticSnapshot(verify.random_test_field(2, np.random.default_rng(5)))
+    planar_rule = RuleTable(2, n_radial=12, n_angular=16).plain
+    for sn, rule in [(sn, rules.plain) for sn in singles[:3]] + [(planar, planar_rule)]:
+        pts, ns = rule.points, sn.on(rule)
         grad = sn.fields(pts)[2]
-        assert np.array_equal(sn.base.ydg, np.sum(pts * grad, axis=1))
+        assert np.array_equal(ns.ydg, np.sum(pts * grad, axis=1))
         for name, g in zip(("g2", "gr2", "gth2"), (grad,) + sw.grad_decompose(pts, grad)):
-            assert np.array_equal(getattr(sn.base, name), np.sum(g ** 2, axis=1)), name
+            assert np.array_equal(getattr(ns, name), np.sum(g ** 2, axis=1)), name
 
 
-def test_trajectory_to_w_reports_uncovered_s(exp43, plateau_1024, radial_rules):
+def test_trajectory_to_w_reports_uncovered_s(exp43, plateau_1024):
     with pytest.raises(ValueError, match="outside coverage"):
-        trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
-                        [-5.0], radial_rules.plain)
+        trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est, [-5.0])
 
 
-def profile_equation_residual(snaps, e, h):
+def profile_equation_residual(snaps, rule, e, h):
     """Second-difference-in-s discretization of the profile equation at the
-    middle snapshot, using radial splines of the sampled profiles."""
+    middle of three snapshots, using radial splines of their samples on rule."""
     from scipy.interpolate import CubicSpline
-    sm, s0, sp = snaps
-    ns = s0.base
+    three = snaps.on(rule)
+    ns = three.rows(1)
     rho = np.sqrt(ns.r2)
     order = np.argsort(rho)
     rho_s = rho[order]
-    wss = (sm.w + sp.w - 2.0 * s0.w) / h ** 2
+    wss = (three.w[0] + three.w[2] - 2.0 * ns.w) / h ** 2
     w_r = np.where(rho > 0, ns.ydg / np.maximum(rho, 1e-300), 0.0)
     spl_wr = CubicSpline(rho_s, w_r[order])
     w_rr = spl_wr.derivative()(rho)
-    ws_r = CubicSpline(rho_s, s0.ws[order]).derivative()(rho)
+    ws_r = CubicSpline(rho_s, ns.ws[order]).derivative()(rho)
     p, N, al = e.p, e.N, e.alpha
     g1 = (p + 1.0) / (p - 1.0) ** 2
     lap = w_rr + (N - 1.0) / np.maximum(rho, 1e-300) * w_r
@@ -524,8 +530,8 @@ def test_profile_equation_discrete_residual_converges():
         rules = RuleTable(3, n_radial=40)
         s0 = -math.log(traj.T_est) + 0.7
         snaps = trajectory_to_w(traj, e, 0.0, traj.T_est,
-                                [s0 - h, s0, s0 + h], rules.plain)
-        res.append(profile_equation_residual(snaps, e, h))
+                                [s0 - h, s0, s0 + h])
+        res.append(profile_equation_residual(snaps, rules.plain, e, h))
     assert res[1] < res[0] / 2.5, res
 
 
@@ -537,7 +543,7 @@ def test_uniform_center_family_h_membership(exp43, plateau_1024):
     delta0 = 0.5
     rules = RuleTable(3, n_radial=24, n_angular=10)
     s = 2.5
-    center = trajectory_to_w(traj, exp43, 0.0, T0, [s], rules.plain)[0]
+    center = trajectory_to_w(traj, exp43, 0.0, T0, [s])[0]
     h_center = fu.h_norm(center, rules)
     tau = math.exp(-s)
     for frac in (0.25, 0.9):
@@ -545,7 +551,7 @@ def test_uniform_center_family_h_membership(exp43, plateau_1024):
         T_star = T0 - delta0 * float(np.linalg.norm(x))
         t = T_star - tau
         snap = to_similarity(traj.sample_state(t), traj.grid, exp43, x,
-                             T_star, rules.plain)
+                             T_star)
         hx = fu.h_norm(snap, rules)
         assert np.isfinite(hx)
         assert hx <= 4.0 * h_center + 1e-12

@@ -8,7 +8,7 @@ from sswave.core import kappa_value
 from sswave.ode import ode_exact
 from sswave.solver import (AMP_SAFETY, CFL, CORE_FRAC, FRAME_CAPACITY, R_MAX_FACTOR,
                            TAPER_FRAC, SolverConfig, SolverError, Trajectory,
-                           initial_state, run_until_blowup, step)
+                           initial_state, plateau_profile, run_until_blowup, step)
 
 
 def make_cfg(nr=512, family="ode_constant", r_max=1.5, **kw):
@@ -175,6 +175,30 @@ def test_plateau_blowup_time_and_rate(plateau_1024):
     assert abs(traj.T_est - 1.0) < 0.005
     q = 2.0 / 3.0
     assert abs(traj.fit.exponent + q) < 0.02 * q
+
+
+def test_plateau_family_blows_up_as_its_flat_core():
+    """family = plateau is the amplitude times the plateau cut-off, at
+    rest.  The core stays flat until the taper's influence reaches the
+    center, so the center follows u'' = u^p from (amplitude, 0): blow-up at
+    amplitude^(-(p-1)/2) int_1^inf dv / sqrt(2 (v^(p+1) - 1) / (p+1)) and
+    the rate (T - t)^(-2/(p-1))."""
+    from scipy.integrate import quad
+
+    cfg = make_cfg(nr=256, family="plateau", u_cap=1e5)
+    state = initial_state(cfg)
+    chi = plateau_profile(cfg.grid.nodes, CORE_FRAC * cfg.T, TAPER_FRAC * cfg.T)
+    assert state.t == 0.0
+    assert np.array_equal(state.u, cfg.amplitude * chi)
+    assert np.array_equal(state.ut, np.zeros(cfg.grid.nr))
+    traj = run_until_blowup(cfg)
+    p = cfg.e.p
+    T_ode = cfg.amplitude ** (-(p - 1.0) / 2.0) * quad(
+        lambda v: 1.0 / math.sqrt(2.0 * (v ** (p + 1.0) - 1.0) / (p + 1.0)), 1.0, math.inf)[0]
+    assert traj.status == "blowup"
+    assert traj.T_est == pytest.approx(0.1288, abs=1e-4)
+    assert traj.T_est == pytest.approx(T_ode, rel=1e-4)
+    assert traj.fit.exponent == pytest.approx(-cfg.e.two_over_pm1, rel=1e-6)
 
 
 def test_gaussian_blowup_grid_stability():

@@ -2,8 +2,9 @@
 tracer stay in step with the package, and every parameter default has a caller
 that overrides it.
 
-demo_identities is left out: everything it calls is covered by
-test_verify, and it takes longer than the other three together.
+demo_identities is not run: everything it calls is covered by test_verify,
+and it takes longer than the other three together.  Its calls into sswave,
+like every demo's, are bound to their signatures without running them.
 """
 
 import argparse
@@ -26,8 +27,8 @@ from sswave.core import PhysicalState, RadialGrid, make_exponents
 from sswave.quadrature import RuleTable, build_rule
 from sswave.runio import SCHEMA
 from sswave.solver import SolverConfig
-from sswave.similarity import (SimilaritySnapshot, WeightedPoly, constant_field,
-                               make_test_field, to_similarity)
+from sswave.similarity import (SimilaritySnapshot, StaticSnapshot, WeightedPoly,
+                               constant_field, to_similarity)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,6 +49,50 @@ def test_demo_runs(demo, tmp_path):
         assert (tmp_path / "profile_s6.csv").exists()
 
 
+def _sswave_calls(path: Path):
+    """(line, callee, call node) for each call in the file whose callee is
+    a name or attribute chain rooted at an sswave import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update({a.asname or a.name: importlib.import_module(a.name)
+                          for a in node.names if a.name.split(".")[0] == "sswave"})
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sswave":
+            mod = importlib.import_module(node.module)
+            roots.update({a.asname or a.name: getattr(mod, a.name) for a in node.names})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in roots:
+            callee = roots[func.id]
+            for attr in chain:
+                callee = getattr(callee, attr)
+            yield node.lineno, callee, node
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in (ROOT / "demos").glob("*.py")))
+def test_demo_calls_bind_to_sswave_signatures(demo):
+    """Every call a demo makes to an sswave function or class passes
+    arguments its signature accepts, so an API change cannot leave a demo
+    behind unseen, demo_identities, which the suite does not run, included."""
+    path = ROOT / "demos" / f"{demo}.py"
+    checked = 0
+    for line, callee, call in _sswave_calls(path):
+        assert not any(isinstance(a, ast.Starred) for a in call.args), line
+        assert all(k.arg is not None for k in call.keywords), line
+        try:
+            inspect.signature(callee).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{path.name}:{line}: {callee.__qualname__}: {exc}")
+        checked += 1
+    assert checked >= 5, checked
+
+
 def test_tracer_targets_resolve(monkeypatch):
     """Every function the benchmark tracer wraps exists under its name, and
     both integral paths sample a transform series through the wrapped
@@ -63,19 +108,20 @@ def test_tracer_targets_resolve(monkeypatch):
             assert owner is not None, f"sswave.{modname}.{target}"
         assert callable(owner), f"sswave.{modname}.{target}"
     # the tracer's SimilaritySnapshot.on wrapper counts cache hits by
-    # reading snap._samples, keyed by id(rule)
+    # reading snap._samples, keyed by id(rule): a snapshot is built with no
+    # sample, and the first on(rule) caches that rule's
     rules = RuleTable(2, n_radial=4, n_angular=4)
-    snap = make_test_field(constant_field(2, 1.0), rules.plain)
+    snap = StaticSnapshot(constant_field(2, 1.0))
+    assert snap._samples == {}
     rule = rules.rule(0.6)
-    assert id(rules.plain) in snap._samples and id(rule) not in snap._samples
     snap.on(rule)
-    assert id(rule) in snap._samples
+    assert list(snap._samples) == [id(rule)]
     # a three-snapshot transform series: functionals._int and
     # verify._raw_int reach on(), as the tracer's wrapper would see them
     grid = RadialGrid(r_max=1.5, nr=16)
     state = PhysicalState(np.array([0.1, 0.2, 0.3]), np.ones((16, 3)), np.zeros((16, 3)))
     e = make_exponents(6.0, 2)
-    series = to_similarity(state, grid, e, 0.0, 1.0, rules.plain)
+    series = to_similarity(state, grid, e, 0.0, 1.0)
     seen = []
     on = SimilaritySnapshot.on
     monkeypatch.setattr(SimilaritySnapshot, "on",

@@ -6,7 +6,7 @@ import pytest
 import sswave as sw
 from sswave.core import FunctionalSeries
 from sswave.quadrature import RuleTable
-from sswave.similarity import PolyField, TestField, constant_field, make_test_field
+from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
 from sswave import verify
 
@@ -49,7 +49,7 @@ def test_lemma_rhs_certified_by_frozen_flow(p, N, n_ang, name):
     e = sw.make_exponents(p, N)
     rules = RuleTable(N, n_radial=40, n_angular=n_ang)
     rng = np.random.default_rng(hash((p, N)) % 2 ** 31)
-    snap = make_test_field(positive_field(N, rng), rules.rule(0.6), s=3.0)
+    snap = StaticSnapshot(positive_field(N, rng), s=3.0)
     for eps in (0.6, 1.0):
         oracle = verify.flow_derivative(name, snap, rules, e, eps)
         rhs = verify.lemma_rhs(name, snap, rules, e, eps)
@@ -65,7 +65,7 @@ def test_dm_composite_equals_collected_form():
     rules = RuleTable(3, n_radial=40, n_angular=16)
     rng = np.random.default_rng(31)
     for _ in range(5):
-        snap = make_test_field(positive_field(3, rng), rules.rule(0.6), s=2.0)
+        snap = StaticSnapshot(positive_field(3, rng), s=2.0)
         a = verify.lemma_rhs("dM", snap, rules, e, 0.6)
         b = verify.dm_collected_rhs(snap, rules, e)
         assert a == pytest.approx(b, rel=1e-12)
@@ -79,7 +79,7 @@ def test_every_rhs_vanishes_on_stationary_profile():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=24)
     k = sw.kappa(e)
-    snap = make_test_field(constant_field(3, k), rules.rule(0.6), s=1.0)
+    snap = StaticSnapshot(constant_field(3, k), s=1.0)
     for name in verify.LEMMA_NAMES:
         if name in ("dF0", "dF1"):
             continue  # these decay like e^(2 alpha s) even on the constant
@@ -104,28 +104,25 @@ def test_identity_battery(N, eps):
 
 def test_pohozaev_trivial_and_examples():
     rules3 = RuleTable(3, n_radial=40, n_angular=12)
-    one = make_test_field(constant_field(3, 1.0), rules3.rule(0.6))
+    one = StaticSnapshot(constant_field(3, 1.0))
     rA = verify.check_pohozaev_A(one, 0.6, rules3)
     assert rA.lhs == pytest.approx(0.0, abs=1e-14)
     assert rA.passed
     rE = verify.check_pohozaev_E(one, 0.6, rules3)
     assert rE.lhs == pytest.approx(0.0, abs=1e-14)
 
-    radial = make_test_field(TestField(N=3, a=2.0, poly=PolyField(3, {(0, 0, 0): 1.0})),
-                             rules3.rule(0.6))
+    radial = StaticSnapshot(TestField(N=3, a=2.0, poly=PolyField(3, {(0, 0, 0): 1.0})))
     for eps in (0.6, 1.0):
         assert verify.check_pohozaev_A(radial, eps, rules3).rel_residual < 1e-8
         assert verify.check_pohozaev_E(radial, eps, rules3).rel_residual < 1e-8
 
     rules2 = RuleTable(2, n_radial=40, n_angular=48)
-    ang = make_test_field(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0}), m=2),
-                          rules2.rule(0.6))
+    ang = StaticSnapshot(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0}), m=2))
     rA = verify.check_pohozaev_A(ang, 0.6, rules2)
     assert rA.rel_residual < 1e-8
     # the angular-gradient term really is exercised
     assert verify._raw(ang, rules2, None, 0.6, "Q1") > 1e-3
-    ang1 = make_test_field(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0}), m=1),
-                           rules2.rule(0.6))
+    ang1 = StaticSnapshot(TestField(N=2, a=1.0, poly=PolyField(2, {(0, 0): 1.0}), m=1))
     rE = verify.check_pohozaev_E(ang1, 0.6, rules2)
     assert rE.rel_residual < 1e-8
     assert (verify._raw(ang1, rules2, None, 0.6, "Thh") > 1e-3
@@ -147,7 +144,7 @@ def small_gauss_pair():
     out = []
     for nr, ds in [(512, 0.04), (1024, 0.02)]:
         traj = make_gaussian_run(nr, u_cap=1e3, store_ds=ds / 2)
-        snaps = lemma_window_snaps(traj, e, rules, ds, length=0.8)
+        snaps = lemma_window_snaps(traj, e, ds, length=0.8)
         out.append(snaps)
     return e, rules, out
 
@@ -165,8 +162,7 @@ def test_derivative_lemma_converges_on_trajectory(small_gauss_pair, name):
 def test_zero_series_lemmas_read_zero():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=16)
-    snaps = make_test_field(constant_field(3, 0.0), rules.plain,
-                            s=np.array([1.0, 1.1, 1.2]))
+    snaps = StaticSnapshot(constant_field(3, 0.0), s=np.array([1.0, 1.1, 1.2]))
     for name in verify.LEMMA_NAMES:
         rep = verify.check_derivative_lemma(name, snaps, rules, e, eps=0.6)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
@@ -178,8 +174,7 @@ def test_constant_profile_dF0_closed_form():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=32)
     k = sw.kappa(e)
-    snaps = make_test_field(constant_field(3, k), rules.plain,
-                            s=np.arange(1.0, 2.0001, 0.005))
+    snaps = StaticSnapshot(constant_field(3, k), s=np.arange(1.0, 2.0001, 0.005))
     rep = verify.check_derivative_lemma("dF0", snaps, rules, e)
     # trapezoid of a smooth exponential: residual ~ (ds^2/12) (2 alpha)^2
     assert rep.rel_residual < 1e-6
@@ -277,8 +272,7 @@ def test_sigma_bound_constant_profile_closed_form():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=40)
     k = sw.kappa(e)
-    snaps = make_test_field(constant_field(3, k), rules.plain,
-                            s=np.arange(1.0, 2.0001, 0.05))
+    snaps = StaticSnapshot(constant_field(3, k), s=np.arange(1.0, 2.0001, 0.05))
     c1 = verify.calibrate_sigma_bound(snaps, rules, e)
     parts = verify.sigma_parts(snaps[0], rules, e)
     assert parts["Sigma1"] == 0.0 and parts["Sigma2"] == 0.0
@@ -300,8 +294,7 @@ def test_sigma_bound_constant_profile_closed_form():
 def test_sigma_bound_zero_series():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=16)
-    snaps = make_test_field(constant_field(3, 0.0), rules.plain,
-                            s=np.array([1.0, 1.5, 2.0]))
+    snaps = StaticSnapshot(constant_field(3, 0.0), s=np.array([1.0, 1.5, 2.0]))
     assert all(np.all(part == 0.0) for part in verify.sigma_parts(snaps, rules, e).values())
     assert verify.calibrate_sigma_bound(snaps, rules, e) == 0.0
 
@@ -315,13 +308,13 @@ def test_singular_average_constant_profile_and_zero_series():
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=24)
     k, eps, s = sw.kappa(e), 0.6, np.arange(0.0, 5.0001, 0.25)
-    const = make_test_field(constant_field(3, k), rules.plain, s=s)
+    const = StaticSnapshot(constant_field(3, k), s=s)
     C = verify.calibrate_singular_average(const, rules, e, eps, s_lo=2.0)
     lp1 = k ** (e.p + 1.0)
     want = (lp1 * sw.ball_weight_volume(3, eps - 0.5)
             / (5.0 * (k ** 2 + lp1) * sw.ball_weight_volume(3, eps)))
     assert C == pytest.approx(want, rel=1e-10)
-    zero = make_test_field(constant_field(3, 0.0), rules.plain, s=s)
+    zero = StaticSnapshot(constant_field(3, 0.0), s=s)
     assert verify.calibrate_singular_average(zero, rules, e, eps, s_lo=2.0) == 0.0
     with pytest.raises(ValueError, match="need coverage"):
         verify.calibrate_singular_average(const, rules, e, eps, s_lo=2.5)
@@ -384,7 +377,7 @@ def test_decay_windows_are_per_window_trapezoids(exp43, plateau_1024):
     different numbers of samples."""
     traj, rules = plateau_1024, RuleTable(3, n_radial=12, n_angular=3)
     s_grid = 2.0 + np.cumsum(np.random.default_rng(8).uniform(0.02, 0.08, 50))
-    snaps = sw.trajectory_to_w(traj, exp43, 0.0, traj.T_est, s_grid, rules.plain)
+    snaps = sw.trajectory_to_w(traj, exp43, 0.0, traj.T_est, s_grid)
     s = snaps.s
     gradient = verify.build_decay_bundle(snaps, rules, exp43)["window_gradient"]
     g2 = verify._raw_int(snaps, rules, exp43, "g2", 0.0)
