@@ -29,9 +29,13 @@ a rule through it when an integral first asks for that rule, and caches
 the node samples per rule; the boundary trace is fields on a sphere rule.
 A polynomial is evaluated only through PolyField.jet, one routine for its
 value, gradient and Hessian, which differentiates each monomial along an
-ordered list of coordinates; WeightedPoly.jet builds all requested degrees
-of (1-|y|^2)^a q from one PolyField.jet, and WeightedPoly.value, grad and
-hess each take one degree of it.
+ordered list of coordinates; it reads the coordinate powers y_d^e from a
+table built once per points array and dropped with it, so every field
+evaluated on one rule shares that rule's table.  WeightedPoly.jet builds
+all requested degrees of (1-|y|^2)^a q from one PolyField.jet, taking per
+call only the powers of 1-|y|^2 those degrees need and filling the Hessian
+entry by entry; WeightedPoly.value, grad and hess each take one degree of
+it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import copy
 import itertools
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +55,26 @@ from .quadrature import BallQuadrature, SphereRule, grad_decompose
 
 # ---------------------------------------------------------------------------
 # polynomial machinery
+
+# id(pts) -> per coordinate d, the list of pts[:, d] ** e for e = 2, 3, ...
+# An entry lives exactly as long as its points array: a finalizer drops it
+# when the array dies, before its id can be reused.  It holds no view of
+# the array, which would keep the array alive.  Points arrays are never
+# written after they are built.
+_POWER_TABLES: dict = {}
+
+
+def _powers(pts: np.ndarray, top) -> list:
+    """powers[d][e] = pts[:, d] ** e for 1 <= e <= top[d]; e = 1 is the
+    column view, e >= 2 comes from the table of pts, extended on demand."""
+    table = _POWER_TABLES.get(id(pts))
+    if table is None:
+        table = _POWER_TABLES[id(pts)] = [[] for _ in range(pts.shape[1])]
+        weakref.finalize(pts, _POWER_TABLES.pop, id(pts), None)
+    for d, col in enumerate(table):
+        col.extend(pts[:, d] ** e for e in range(len(col) + 2, top[d] + 1))
+    return [[None, pts[:, d]] + col for d, col in enumerate(table)]
+
 
 class PolyField:
     """Multivariate polynomial sum_k c_k y^k with closed-form derivatives."""
@@ -67,18 +92,18 @@ class PolyField:
         return max((sum(k) for k in self.coeffs), default=0)
 
     def _partials(self, pts: np.ndarray, orders) -> np.ndarray:
-        """Column j: sum_k d/dy_o[0] ... d/dy_o[-1] (c_k y^k) at pts, for the
+        """Row j: sum_k d/dy_o[0] ... d/dy_o[-1] (c_k y^k) at pts, for the
         j-th ordered coordinate tuple o in orders.
 
-        Each y_d^e is taken from a power table built once for the call.
+        Each y_d^e comes from the power table of pts (_powers); a term is
+        its factor times its first power, times the others in place.
         """
         pts = np.atleast_2d(pts)
-        K = pts.shape[0]
         top = [max((k[d] for k in self.coeffs), default=0) for d in range(self.N)]
-        powers = [[None] + [pts[:, d] ** e for e in range(1, top[d] + 1)]
-                  for d in range(self.N)]
-        out = np.zeros((K, len(orders)))
-        for j, order in enumerate(orders):
+        powers = _powers(pts, top)
+        out = np.zeros((len(orders), pts.shape[0]))
+        buf = np.empty(pts.shape[0])
+        for row, order in zip(out, orders):
             for k, c in self.coeffs.items():
                 kk = list(k)
                 fac = c
@@ -88,20 +113,26 @@ class PolyField:
                     fac = fac * kk[d]
                     kk[d] -= 1
                 else:
-                    term = np.full(K, fac)
+                    term = None
                     for d, e in enumerate(kk):
-                        if e:
-                            term = term * powers[d][e]
-                    out[:, j] += term
+                        if e == 0:
+                            continue
+                        if term is None:
+                            term = np.multiply(powers[d][e], fac, out=buf)
+                        else:
+                            term *= powers[d][e]
+                    row += fac if term is None else term
         return out
 
     def jet(self, pts: np.ndarray, degrees) -> list:
         """The value (degree 0), gradient (1) or Hessian (2) for each entry
-        of degrees, all from one power table."""
+        of degrees, all from one power table.  Each is a (K, N, ...) view of
+        contiguous (orders, K) rows, so every column [:, i] or [:, i, j] is
+        contiguous."""
         orders = [list(itertools.product(range(self.N), repeat=g)) for g in degrees]
-        cols = self._partials(pts, [o for group in orders for o in group])
-        parts = np.split(cols, np.cumsum([len(group) for group in orders])[:-1], axis=1)
-        return [c.reshape((-1,) + (self.N,) * g) for g, c in zip(degrees, parts)]
+        rows = self._partials(pts, [o for group in orders for o in group])
+        parts = np.split(rows, np.cumsum([len(group) for group in orders])[:-1])
+        return [r.T.reshape((-1,) + (self.N,) * g) for g, r in zip(degrees, parts)]
 
     def times(self, other: "PolyField") -> "PolyField":
         coeffs: dict = {}
@@ -134,8 +165,20 @@ class WeightedPoly:
 
     def jet(self, pts: np.ndarray, degrees) -> list:
         """The value (degree 0), gradient (1) or Hessian (2) for each entry
-        of degrees, from one |y|^2, one set of powers of 1-|y|^2 and one
-        PolyField.jet.  The value clips 1-|y|^2 at 0; the derivatives do not."""
+        of degrees, from one |y|^2, the powers of 1-|y|^2 those degrees
+        need and one PolyField.jet.  The value clips 1-|y|^2 at 0; the
+        derivatives do not.
+
+        With a > 0 the gradient (K, N) and Hessian (K, N, N) are C-contiguous
+        arrays filled entry by entry from contiguous (K,) columns, with the
+        operations in this order:
+            grad_i = P_0 g_i - (2a (P_1 q)) y_i,
+            H_ij = (P_0 Hq_ij - (2a P_1) ((y_i g_j + g_i y_j) + q d_ij))
+                   + (4a(a-1) (P_2 q)) (y_i y_j),
+        where P_k = (1-|y|^2)^(a-k), g and Hq are the gradient and Hessian
+        of q, q d_ij is q * 0.0 off the diagonal, and the last term is
+        absent for a = 1.  With a = 0 they are PolyField.jet's.
+        """
         pts = np.atleast_2d(pts)
         a = self.a
         if a == 0.0:
@@ -144,18 +187,42 @@ class WeightedPoly:
         om = 1.0 - sum_last(pts ** 2)
         out = {0: np.clip(om, 0.0, None) ** a * q} if 0 in degrees else {}
         if dq:
-            P, Pm1, gq = om ** a, om ** (a - 1.0), dq[0]
+            P, Pm1 = om ** a, om ** (a - 1.0)
+            ys = [pts[:, i].copy() for i in range(self.N)]
+            gs = [dq[0][:, i] for i in range(self.N)]
+            x, h = np.empty_like(q), np.empty_like(q)
         if 1 in degrees:
-            out[1] = P[:, None] * gq - (2.0 * a) * (Pm1 * q)[:, None] * pts
+            G = out[1] = np.empty((q.size, self.N))
+            r = Pm1 * q
+            r *= 2.0 * a
+            for i in range(self.N):
+                np.multiply(P, gs[i], out=h)
+                np.multiply(r, ys[i], out=x)
+                np.subtract(h, x, out=G[:, i])
         if len(dq) == 2:
-            H = P[:, None, None] * dq[1]
-            H -= (2.0 * a) * Pm1[:, None, None] * (
-                pts[:, :, None] * gq[:, None, :] + gq[:, :, None] * pts[:, None, :]
-                + q[:, None, None] * np.eye(self.N)[None, :, :])
-            if a != 1.0:
-                H += (4.0 * a * (a - 1.0)) * (om ** (a - 2.0) * q)[:, None, None] * (
-                    pts[:, :, None] * pts[:, None, :])
-            out[2] = H
+            s = (2.0 * a) * Pm1
+            t = (4.0 * a * (a - 1.0)) * (om ** (a - 2.0) * q) if a != 1.0 else None
+            qz = q * 0.0
+            H = out[2] = np.empty((q.size, self.N, self.N))
+            yy = np.empty_like(q)
+            # x = s ((y_i g_j + g_i y_j) + q d_ij) and yy = t (y_i y_j) are
+            # symmetric in (i, j): each is formed once for both entries
+            for i, j in itertools.combinations_with_replacement(range(self.N), 2):
+                np.multiply(ys[i], gs[j], out=x)
+                np.multiply(gs[i], ys[j], out=h)
+                x += h
+                x += q if i == j else qz
+                x *= s
+                if t is not None:
+                    np.multiply(ys[i], ys[j], out=yy)
+                    yy *= t
+                for u, v in {(i, j), (j, i)}:
+                    np.multiply(P, dq[1][:, u, v], out=h)
+                    if t is None:
+                        np.subtract(h, x, out=H[:, u, v])
+                    else:
+                        h -= x
+                        np.add(h, yy, out=H[:, u, v])
         return [out[g] for g in degrees]
 
     def value(self, pts: np.ndarray) -> np.ndarray:
@@ -321,7 +388,7 @@ class StaticSnapshot(SimilaritySnapshot):
         grad, H = self.w_part.jet(pts, (1, 2))
         lap = np.trace(H, axis1=1, axis2=2)
         yHy = np.einsum("ki,kij,kj->k", pts, H, pts)
-        ydg = np.sum(pts * grad, axis=1)
+        ydg = sum_last(pts * grad)
         return lap - yHy - (self.field_spec.N + 1.0 + 2.0 * eps) * ydg
 
     def eq_rhs(self, pts: np.ndarray, e: Exponents) -> np.ndarray:
@@ -334,7 +401,7 @@ class StaticSnapshot(SimilaritySnapshot):
         pts = np.atleast_2d(pts)
         w = self.w_part.value(pts)
         ws = self.ws_part.value(pts)
-        ydgs = np.sum(pts * self.ws_part.grad(pts), axis=1)
+        ydgs = sum_last(pts * self.ws_part.grad(pts))
         p, N, al = e.p, e.N, e.alpha
         g1 = (p + 1.0) / (p - 1.0) ** 2
         return (self.pohozaev_div_over_rho(pts, al)

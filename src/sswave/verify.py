@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Exponents, FunctionalSeries, pointwise
+from .core import Exponents, FunctionalSeries, pointwise, sum_last
 from .quadrature import RuleTable
 from .similarity import PolyField, StaticSnapshot, TestField
 from . import functionals as fu
@@ -415,9 +415,9 @@ def _flow(name: str, field, rules: RuleTable, e: Exponents, eps: float) -> float
     pts = rule.points
     w, ws, grad = field.fields(pts)
     gws = field.ws_part.grad(pts)
-    g = SimpleNamespace(w=w, ws=ws, v=field.eq_rhs(pts, e), ydg=np.sum(pts * grad, axis=1),
-                        ydgs=np.sum(pts * gws, axis=1), gdot=np.sum(grad * gws, axis=1),
-                        r2=np.sum(pts ** 2, axis=1))
+    g = SimpleNamespace(w=w, ws=ws, v=field.eq_rhs(pts, e), ydg=sum_last(pts * grad),
+                        ydgs=sum_last(pts * gws), gdot=sum_last(grad * gws),
+                        r2=sum_last(pts ** 2))
     return float(np.sum(rule.weights * integrand(g, e)))
 
 

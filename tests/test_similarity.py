@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from sswave.similarity import (PolyField, RadialSpline, StaticSnapshot, TestFiel
                                WeightedPoly, harmonic_poly, to_similarity,
                                trajectory_to_w)
 from sswave import functionals as fu
-from sswave import similarity
+from sswave import similarity, verify
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,103 @@ def test_boundary_vanishing_for_weighted_fields():
     om = 1.0 - r2[near]
     assert np.all(np.abs(w[near]) < 10.0 * om)
     assert np.all((1.0 - r2[near]) * np.sum(grad[near] ** 2, axis=1) < 50.0 * om)
+
+
+def _poly_jet(poly, pts, degrees):
+    """PolyField.jet as a loop over columns, each term an np.full of its
+    factor times its powers, from a power table built for the call; kept as
+    the reference."""
+    pts = np.atleast_2d(pts)
+    K = pts.shape[0]
+    top = [max((k[d] for k in poly.coeffs), default=0) for d in range(poly.N)]
+    powers = [[None] + [pts[:, d] ** e for e in range(1, top[d] + 1)]
+              for d in range(poly.N)]
+    orders = [list(itertools.product(range(poly.N), repeat=g)) for g in degrees]
+    flat = [o for group in orders for o in group]
+    cols = np.zeros((K, len(flat)))
+    for j, order in enumerate(flat):
+        for k, c in poly.coeffs.items():
+            kk = list(k)
+            fac = c
+            for d in order:
+                if kk[d] == 0:
+                    break
+                fac = fac * kk[d]
+                kk[d] -= 1
+            else:
+                term = np.full(K, fac)
+                for d, e in enumerate(kk):
+                    if e:
+                        term = term * powers[d][e]
+                cols[:, j] += term
+    parts = np.split(cols, np.cumsum([len(group) for group in orders])[:-1], axis=1)
+    return [c.reshape((-1,) + (poly.N,) * g) for g, c in zip(degrees, parts)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_poly_jet_is_the_full_term_loop(N):
+    """PolyField.jet, whose coordinate powers are tabulated once per points
+    array, equals the np.full loop bit for bit: random polynomials with
+    exponents up to 6, every degree alone or requested together, at Gauss
+    nodes, on the unit sphere and at a strided view of points, each points
+    array evaluated by every polynomial in turn, so later ones reuse and
+    extend the table earlier ones built."""
+    rng = np.random.default_rng(20 + N)
+    if N == 1:
+        gauss = np.polynomial.legendre.leggauss(12)[0][:, None]
+    else:
+        gauss = RuleTable(N, n_radial=6, n_angular={2: 8, 3: 4, 4: 1}[N]).rule(0.6).points
+    sphere = rng.standard_normal((100, N))
+    sphere /= np.sqrt(np.sum(sphere ** 2, axis=1))[:, None]
+    sphere = np.vstack([sphere, np.eye(N), -np.eye(N)])
+    strided = rng.uniform(-1.0, 1.0, (150, 2 * N))[:, ::2]
+    assert not strided.flags.c_contiguous
+    polys = [PolyField(N, {}), PolyField(N, {(0,) * N: 0.75})]
+    polys += [PolyField(N, {tuple(int(v) for v in rng.integers(0, 7, size=N)):
+                            float(rng.uniform(-1.0, 1.0)) for _ in range(n)})
+              for n in (1, 3, 6, 9)]
+    for pts in (gauss, sphere, strided):
+        for poly in polys:
+            for degrees in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)):
+                got, want = poly.jet(pts, degrees), _poly_jet(poly, pts, degrees)
+                for g, x, y in zip(degrees, got, want):
+                    assert np.array_equal(x, y), (poly.coeffs, degrees, g)
+
+
+def test_power_tables_live_as_long_as_their_points():
+    """A power table is dropped with its points array: none outlives the
+    rule tables of an identity suite once they are collected, and a new
+    points array at a freed one's address is tabulated afresh.  The suite
+    raises no RuntimeWarning, so no weight power is taken where the degrees
+    asked for do not need it (the sphere points, where 1-|y|^2 = 0)."""
+    gc.collect()
+    before = set(similarity._POWER_TABLES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verify.identity_suite(0)
+    gc.collect()
+    assert set(similarity._POWER_TABLES) <= before
+    poly = PolyField(2, {(3, 1): 0.7, (0, 2): -0.4})
+    rng = np.random.default_rng(0)
+    reused = 0
+    for _ in range(20):
+        src = rng.uniform(-1.0, 1.0, (40, 2))
+        pts = src.copy()
+        key = id(pts)
+        poly.jet(pts, (0,))
+        assert key in similarity._POWER_TABLES
+        del pts
+        assert key not in similarity._POWER_TABLES
+        keep = []
+        for _ in range(100):
+            fresh = src * 0.5
+            if id(fresh) == key:
+                reused += 1
+                assert np.array_equal(poly.jet(fresh, (0, 1, 2))[2],
+                                      _poly_jet(poly, fresh, (2,))[0])
+                break
+            keep.append(fresh)
+    assert reused
 
 
 def _weighted_poly_value(wp, pts):
