@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Exponents, FunctionalSeries, pointwise
+from .ode import power_fit
 from .quadrature import RuleTable, surface_area
 from .similarity import ROW_BLOCK, SimilaritySnapshot
 
@@ -428,8 +429,8 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
       boundary_energy: |log tau|^q (tau/2) int_{B(0,tau)} (weighted energy terms)
       scaled_l2: |log tau|^q tau^(-(p-1)N/(p+3)) int_{B(0,tau)} u^2
       lower_bound: the scaling-invariant norm combination with its empirical floor
-    plus suprema and a power fit of scaled_l2 after removing the log weight
-    (that pure power part is returned too, with the sample taus).
+    plus suprema and the power of scaled_l2 in tau by ode.power_fit over all
+    samples, log weight removed (that pure part is returned too, with the taus).
     40 sample times run geometrically in tau from 0.45 of the first frame's
     tau to a few grid cells.  Radial center x0 = 0 (the solver is radial).
     """
@@ -506,7 +507,7 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
 
     # slope of the pure power part of (iii): remove the known log weight
     pure = np.array(sl2) / np.where(logw > 0, logw, 1.0)
-    slope = float(np.polyfit(log_tau, np.log(pure), 1)[0]) if np.all(pure > 0) else 0.0
+    slope = power_fit(log_tau, np.log(pure)).slope if np.all(pure > 0) else 0.0
     expected = 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0))
     meta = {"q": q, "power_fit_slope": slope, "expected_power": expected,
             "lower_bound_floor": float(np.min(lower))}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,18 +102,21 @@ class BlowupFit:
     n_samples: int
 
 
-def _loglog_sse(T: float, t: np.ndarray, la: np.ndarray):
-    """Least-squares fit la ~ a + b log(T - t); returns (sse, b, r2)."""
-    x = np.log(T - t)
-    xm, lm = x.mean(), la.mean()
-    dx = x - xm
-    denom = np.sum(dx * dx)
-    b = np.sum(dx * (la - lm)) / denom
-    resid = la - lm - b * dx
-    sse = float(np.sum(resid ** 2))
-    sst = float(np.sum((la - lm) ** 2))
-    r2 = 1.0 - sse / sst if sst > 0 else 0.0
-    return sse, b, r2
+class PowerFit(NamedTuple):
+    slope: float
+    sse: float
+    r2: float
+
+
+def power_fit(x: np.ndarray, y: np.ndarray) -> PowerFit:
+    """Least-squares line y ~ a + slope x from centred sums, the one fit of
+    the package: fit_blowup's T search, the rate stage's scaled-L2 power and
+    the decay suite's log-slopes all read it.  r2 is 0 when y is constant."""
+    dx, dy = x - x.mean(), y - y.mean()
+    b = np.sum(dx * dy) / np.sum(dx * dx)
+    sse = float(np.sum((dy - b * dx) ** 2))
+    sst = float(np.sum(dy ** 2))
+    return PowerFit(float(b), sse, 1.0 - sse / sst if sst > 0 else 0.0)
 
 
 def fit_blowup(t, amp, amp_window=(1e3, None)):
@@ -120,7 +124,7 @@ def fit_blowup(t, amp, amp_window=(1e3, None)):
 
     T is located by a deterministic golden-section search on the one-sided
     bracket (t_last, t_last + span]; for each candidate T the inner fit is
-    a closed-form linear least square.  The asymptotic window keeps only
+    power_fit of log|amp| against log(T - t).  The asymptotic window keeps only
     samples with |amp| in [amp_window[0], amp_window[1]].
     """
     t = np.asarray(t, dtype=float)
@@ -143,20 +147,20 @@ def fit_blowup(t, amp, amp_window=(1e3, None)):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _loglog_sse(c, t, la)[0]
-    fd = _loglog_sse(d, t, la)[0]
+    fc = power_fit(np.log(c - t), la).sse
+    fd = power_fit(np.log(d - t), la).sse
     for _ in range(200):
         if b - a <= 1e-13 * max(1.0, abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = _loglog_sse(c, t, la)[0]
+            fc = power_fit(np.log(c - t), la).sse
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = _loglog_sse(d, t, la)[0]
+            fd = power_fit(np.log(d - t), la).sse
     T = 0.5 * (a + b)
-    _, slope, r2 = _loglog_sse(T, t, la)
-    return BlowupFit(T_est=float(T), exponent=float(slope), r2=float(r2),
+    fit = power_fit(np.log(T - t), la)
+    return BlowupFit(T_est=float(T), exponent=fit.slope, r2=fit.r2,
                      n_samples=int(t.size))

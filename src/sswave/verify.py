@@ -26,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import Exponents, FunctionalSeries, pointwise, sum_last
+from .ode import power_fit
 from .quadrature import RuleTable
 from .similarity import PolyField, StaticSnapshot, TestField
 from . import functionals as fu
@@ -606,15 +607,14 @@ def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
 
 def decay_report(series: FunctionalSeries) -> dict:
     """Trend over the last half of the window: passes if the final/initial
-    ratio is at most 0.1 and the fitted log-slope is negative.  A series
-    with fewer than MIN_SAMPLES samples cannot show a trend and fails."""
+    ratio is at most 0.1 and the log-slope (ode.power_fit) is negative.  A
+    series with fewer than MIN_SAMPLES samples cannot show a trend and fails."""
     s, v = series.s, np.abs(series.values)
     if s.size < MIN_SAMPLES:
         return {"name": series.name, "passed": False, "n": int(s.size)}
     sel = s >= 0.5 * (s[0] + s[-1])
-    s, v = s[sel], v[sel]
-    v = np.maximum(v, 1e-300)
-    slope = float(np.polyfit(s, np.log(v), 1)[0])
+    s, v = s[sel], np.maximum(v[sel], 1e-300)
+    slope = power_fit(s, np.log(v)).slope
     ratio = float(v[-1] / v[0]) if v[0] > 0 else 0.0
     return {"name": series.name, "initial": float(v[0]), "final": float(v[-1]),
             "ratio": ratio, "log_slope": slope,
@@ -651,37 +651,29 @@ def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
     e2 = np.exp(2.0 * al * s)
     e2h = np.exp(2.0 * al * sh)
     e8 = np.exp(8.0 * al * s / (p + 3.0))
+    energy = win_int(ws2 + grad2)
+    f0_gain = {k: s ** (k / 18.0) * f0 for k in (1, 2)}
 
-    bundle = {
+    series = {   # name -> (s, values)
         # e^(8 alpha s/(p+3)) int w^2, plain and with the s-power gain
-        "l2_weighted": FunctionalSeries("l2_weighted", s, e8 * w2),
-        "l2_weighted_gain": FunctionalSeries(
-            "l2_weighted_gain", s, s ** (2.0 / (9.0 * (p + 3.0))) * e8 * w2),
+        "l2_weighted": (s, e8 * w2),
+        "l2_weighted_gain": (s, s ** (2.0 / (9.0 * (p + 3.0))) * e8 * w2),
         # s^(1/18) e^(2 alpha s) int |w|^((p+3)/2)
-        "lp32_weighted": FunctionalSeries(
-            "lp32_weighted", s, s ** (1.0 / 18.0) * e2 * wp32),
-        "f0_gain": FunctionalSeries("f0_gain", s, s ** (1.0 / 18.0) * f0),
+        "lp32_weighted": (s, s ** (1.0 / 18.0) * e2 * wp32),
+        "f0_gain": (s, f0_gain[1]),
         # e^(2 alpha s) int_s^(s+1) int (ds w)^2 + |grad w|^2
-        "window_energy": FunctionalSeries(
-            "window_energy", sh, e2h * win_int(ws2 + grad2)),
-        "window_gradient": FunctionalSeries(
-            "window_gradient", sh, sh ** (1.0 / 18.0) * e2h * win_int(grad2)),
+        "window_energy": (sh, e2h * energy),
+        "window_gradient": (sh, sh ** (1.0 / 18.0) * e2h * win_int(grad2)),
+        # tail of the space-time L^(p+1) bound
+        "lp1_spacetime_tail": (s[:-1], fu.tail_trapezoid(s, e2 * wp1)[:-1]),
     }
-    # tail of the space-time L^(p+1) bound
-    tail = fu.tail_trapezoid(s, e2 * wp1)
-    bundle["lp1_spacetime_tail"] = FunctionalSeries(
-        "lp1_spacetime_tail", s[:-1], tail[:-1])
     for k in (1, 2):
-        bundle[f"window_energy_k{k}"] = FunctionalSeries(
-            f"window_energy_k{k}", sh, sh ** (k / 18.0) * e2h * win_int(ws2 + grad2))
-        bundle[f"lp32_weighted_k{k}"] = FunctionalSeries(
-            f"lp32_weighted_k{k}", s, s ** ((k + 1.0) / 18.0) * e2 * wp32)
-        bundle[f"l2_weighted_gain_k{k}"] = FunctionalSeries(
-            f"l2_weighted_gain_k{k}", s,
-            s ** ((2.0 * k + 2.0) / (9.0 * (p + 3.0))) * e8 * w2)
-        bundle[f"f0_gain_k{k}"] = FunctionalSeries(
-            f"f0_gain_k{k}", s, s ** (k / 18.0) * f0)
-    return bundle
+        series[f"window_energy_k{k}"] = (sh, sh ** (k / 18.0) * e2h * energy)
+        series[f"lp32_weighted_k{k}"] = (s, s ** ((k + 1.0) / 18.0) * e2 * wp32)
+        series[f"l2_weighted_gain_k{k}"] = (
+            s, s ** ((2.0 * k + 2.0) / (9.0 * (p + 3.0))) * e8 * w2)
+        series[f"f0_gain_k{k}"] = (s, f0_gain[k])
+    return {name: FunctionalSeries(name, *sv) for name, sv in series.items()}
 
 
 def check_decay_suite(bundle: dict) -> list[dict]:

@@ -70,6 +70,12 @@ def lemma_window_snaps(traj, e, ds, length=1.0, offset=0.35):
     return sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid)
 
 
+def observed_order(coarse, fine):
+    """log2 of the error ratio between a run and its twice-refined one: the
+    observed order of convergence (an exact refined run reads as a huge order)."""
+    return math.log2(coarse / max(fine, 1e-300))
+
+
 def read_csv(path):
     """(header, columns) of a CSV the CLI wrote, every value as a float."""
     with open(path, newline="", encoding="utf-8") as fh:

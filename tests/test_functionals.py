@@ -9,6 +9,7 @@ from sswave.core import FunctionalSeries
 from sswave.quadrature import RuleTable, ball_weight_volume, ball_volume
 from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
+from sswave.ode import power_fit
 from sswave.solver import Trajectory
 
 
@@ -385,8 +386,7 @@ def _theorem_quantities_whole_archive(traj, e, T0, q):
     sup = {k: float(np.max(np.abs(v.values))) for k, v in series.items()}
     tau_sel = taus[idx]
     pure = np.array(sl2) / np.where(logw > 0, logw, 1.0)
-    slope = (float(np.polyfit(np.log(tau_sel), np.log(pure), 1)[0])
-             if np.all(pure > 0) else 0.0)
+    slope = power_fit(np.log(tau_sel), np.log(pure)).slope if np.all(pure > 0) else 0.0
     meta = {"q": q, "power_fit_slope": slope,
             "expected_power": 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0)),
             "lower_bound_floor": float(np.min(lower))}

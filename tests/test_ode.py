@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import sswave as sw
-from sswave.ode import FitError, fit_blowup, ode_exact, ode_integrate
+from sswave.ode import FitError, fit_blowup, ode_exact, ode_integrate, power_fit
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,52 @@ def test_fit_recovers_blowup_from_noisy_exact_series(p, T, noise, seed):
     fit = fit_blowup(t, u, amp_window=(u[100], None))
     assert abs(fit.T_est - T) <= 4.0 * noise * (T - t[-1]) + 1e-12 * max(1.0, T)
     assert abs(fit.exponent + e.two_over_pm1) <= e.two_over_pm1 * (0.25 * noise + 1e-6)
+
+
+@pytest.mark.parametrize("slope", [-2.0 / 3.0, 8.0 / 21.0, -2.66, 0.0])
+def test_power_fit_recovers_exact_power_law(slope):
+    """tau^slope sampled like the rate stage's 40 times gives back its slope
+    and r2 = 1 to rounding; a constant series has r2 = 0."""
+    x = np.log(np.geomspace(0.45, 1e-3, 40))
+    fit = power_fit(x, 0.75 + slope * x)
+    assert fit.slope == pytest.approx(slope, rel=1e-13, abs=1e-14)
+    assert fit.sse < 1e-26
+    assert fit.r2 == (0.0 if slope == 0.0 else pytest.approx(1.0, abs=1e-14))
+
+
+@pytest.mark.parametrize("shape", ["rate", "decay"])
+def test_power_fit_agrees_with_polyfit(shape):
+    """On noisy log-log data shaped like the rate series (at most 40 tau
+    samples) and the decay series (hundreds of samples of log|v| ~ -250 over
+    a stretch of s), the slope is np.polyfit's to 1e-13."""
+    rng = np.random.default_rng(0 if shape == "rate" else 1)
+    for _ in range(200):
+        if shape == "rate":
+            n = int(rng.integers(3, 41))
+            x = np.log(np.geomspace(rng.uniform(0.05, 0.5), rng.uniform(1e-4, 1e-2), n))
+            y = rng.uniform(-5.0, 5.0) + rng.uniform(-1.0, 1.0) * x
+            y += rng.uniform(0.0, 0.05) * rng.standard_normal(n)
+        else:
+            n = int(rng.integers(3, 301))
+            s0 = rng.uniform(5.0, 15.0)
+            x = np.linspace(s0, s0 + rng.uniform(2.0, 15.0), n)
+            y = rng.uniform(-250.0, 5.0) - rng.uniform(0.1, 3.0) * x
+            y += rng.uniform(0.0, 0.5) * rng.standard_normal(n)
+        want = np.polyfit(x, y, 1)[0]
+        assert abs(power_fit(x, y).slope - want) <= 1e-13 * max(abs(want), 1.0), (n, want)
+
+
+def test_fit_blowup_exponent_is_power_fit_on_its_window(e43):
+    """The fitted exponent and r2 are power_fit's, bit for bit, on the
+    amplitude window at the fitted T."""
+    t = 1.0 - np.geomspace(0.5, 1e-8, 400)
+    u, _ = ode_exact(e43, 1.0, t)
+    u = u * (1.0 + 1e-4 * np.random.default_rng(3).uniform(-1.0, 1.0, t.size))
+    fit = fit_blowup(t, u, amp_window=(1e3, None))
+    win = u >= 1e3
+    direct = power_fit(np.log(fit.T_est - t[win]), np.log(u[win]))
+    assert (fit.exponent, fit.r2) == (direct.slope, direct.r2)
+    assert fit.n_samples == int(np.count_nonzero(win))
 
 
 def test_fit_rejects_constant_data():

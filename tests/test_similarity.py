@@ -18,6 +18,8 @@ from sswave.similarity import (PolyField, RadialSpline, StaticSnapshot, TestFiel
 from sswave import functionals as fu
 from sswave import similarity, verify
 
+from conftest import observed_order
+
 
 # ---------------------------------------------------------------------------
 # closed-form test fields
@@ -521,7 +523,7 @@ def test_chain_rule_ws_matches_fd_oracle_on_solver_data():
         ns = trajectory_to_w(traj, e, 0.0, traj.T_est, [sm, s_, sp]).on(rules.plain)
         fd = (ns.w[2] - ns.w[0]) / (2.0 * h)
         errs.append(float(np.max(np.abs(fd - ns.ws[1]))))
-    order = math.log2(errs[0] / errs[1])
+    order = observed_order(errs[0], errs[1])
     assert order > 1.5, (errs, order)
     assert errs[1] < 1e-3 * max(1.0, float(np.max(np.abs(ns.ws[1]))))
 

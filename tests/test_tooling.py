@@ -323,3 +323,12 @@ def test_every_table_row_has_a_reader():
                   and node.left.id == "name" and isinstance(node.ops[0], ast.Eq)}
     unanswered = set(verify.LEMMA_NAMES) - composites - set(verify._FLOW_TABLE)
     assert not unanswered, f"lemmas without a frozen-flow oracle: {sorted(unanswered)}"
+
+
+def test_one_least_squares_fit():
+    """Every observed rate is a slope of ode.power_fit: no other
+    least-squares fit (np.polyfit, np.linalg.lstsq) appears in src/sswave."""
+    hits = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"polyfit|lstsq", line)]
+    assert not hits, f"least-squares fits outside ode.power_fit: {hits}"

@@ -10,7 +10,7 @@ from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_fie
 from sswave import functionals as fu
 from sswave import verify
 
-from conftest import lemma_window_snaps, make_gaussian_run
+from conftest import lemma_window_snaps, make_gaussian_run, observed_order
 
 
 def radial_quadratic(N, c0, c2):
@@ -155,7 +155,7 @@ def test_derivative_lemma_converges_on_trajectory(small_gauss_pair, name):
     r1 = verify.check_derivative_lemma(name, coarse, rules, e, eps=0.6)
     r2 = verify.check_derivative_lemma(name, fine, rules, e, eps=0.6)
     assert r2.abs_residual < r1.abs_residual
-    order = math.log2(r1.abs_residual / max(r2.abs_residual, 1e-300))
+    order = observed_order(r1.abs_residual, r2.abs_residual)
     assert order >= 1.5, (name, r1.abs_residual, r2.abs_residual)
 
 
