@@ -111,7 +111,9 @@ class PowerFit(NamedTuple):
 def power_fit(x: np.ndarray, y: np.ndarray) -> PowerFit:
     """Least-squares line y ~ a + slope x from centred sums, the one fit of
     the package: fit_blowup's T search, the rate stage's scaled-L2 power and
-    the decay suite's log-slopes all read it.  r2 is 0 when y is constant."""
+    the decay suite's log-slopes all read it.  A constant y gives PowerFit(0, 0, 0)."""
+    if np.all(y == y[0]):
+        return PowerFit(0.0, 0.0, 0.0)
     dx, dy = x - x.mean(), y - y.mean()
     b = np.sum(dx * dy) / np.sum(dx * dx)
     sse = float(np.sum((dy - b * dx) ** 2))

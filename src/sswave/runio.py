@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import sys
 import time
@@ -208,8 +209,23 @@ def _read(path: str, load):
     """load(path); a file it cannot read or parse is a ConfigError."""
     try:
         return load(path)
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError, TypeError, EOFError) as exc:
         raise ConfigError(f"unreadable {path}: {exc}") from exc
+
+
+def _map_npy(path: str) -> np.ndarray:
+    """A .npy file's array over a read-only shared map of the file (its base)."""
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        version = fmt.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported .npy format version {version}")
+        read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran, dtype = read(fh)
+        if dtype.hasobject:
+            raise ValueError("an array of Python objects cannot be mapped")
+        return np.ndarray(shape, dtype, offset=fh.tell(), order="F" if fortran else "C",
+                          buffer=mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
 def read_manifest(run_dir: str) -> dict | None:
@@ -232,9 +248,9 @@ def read_manifest(run_dir: str) -> dict | None:
 def read_artifact(run_dir: str, manifest: dict, name: str):
     """The file `name` of run_dir once it matches its manifest
     entry, else a ConfigError.  A frame file (.npy) is checked by
-    its byte size, then mapped read-only: a stage touches only the
-    frames it reads.  A JSON file is checked by the sha256 of the
-    bytes it is parsed from."""
+    its byte size, then mapped read-only (_map_npy): a stage holds
+    only the frames of the block sample_state reads.  A JSON file
+    is checked by the sha256 of the bytes it is parsed from."""
     entry = manifest["files"].get(name)
     if entry is None:
         raise ConfigError(f"manifest of {run_dir} has no entry for {name}")
@@ -247,8 +263,7 @@ def read_artifact(run_dir: str, manifest: dict, name: str):
         if size != entry["bytes"]:
             raise ConfigError(f"{name} in {run_dir} is {size} bytes, "
                               f"but the manifest records {entry['bytes']}")
-        mapped = _read(path, lambda p: np.load(p, mmap_mode="r"))
-        return np.asarray(mapped)
+        return _read(path, _map_npy)
     # one read: the bytes hashed are the bytes parsed
     blob = _read(path, _bytes)
     if hashlib.sha256(blob).hexdigest() != entry["sha256"]:

@@ -13,14 +13,15 @@ for the whole march, and carries it into the next step.
 Frames are archived at (approximately) uniform spacing in s using the
 amplitude-based proxy for T-t, and the accumulated time uses compensated
 summation so frame times stay meaningful down to T-t ~ 1e-12.  The archive
-is held once: each frame is written into preallocated u and ut arrays,
-each doubled on its own when full, and the trajectory keeps their leading
-rows.  Interpolation reads only the leading radial rows a caller asks for.
+is held once: preallocated u and ut arrays, grown in place when full,
+whose leading rows the trajectory keeps.  Interpolation reads only the
+leading radial rows asked for, and drops a mapped archive's pages per block.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class SolverError(RuntimeError):
 FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
 STATUSES = ("blowup", "no-blowup")
 TIME_BLOCK = 64   # times interpolated at once, whose sums stay in cache
-FRAME_CAPACITY = 64   # frames the archive holds before its first doubling
+FRAME_CAPACITY = 64   # rows the archive starts with and grows by when full
 CFL = 0.45            # dt = CFL*dr away from blow-up
 AMP_SAFETY = 0.02     # near blow-up dt ~ AMP_SAFETY*(T-t)
 CORE_FRAC = 1.15      # plateau: exact-ODE core out to CORE_FRAC*T
@@ -193,7 +194,8 @@ class Trajectory:
         """Cubic (4-point Lagrange in t) interpolation of the stored frames,
         at one time t or at each of an array of m times; u and ut are then
         (rows, m) blocks, column j being the state at t[j].  Only the first
-        rows radial rows (all nr by default) are read and interpolated."""
+        rows radial rows (all nr by default) are read and interpolated.
+        A read-only file-mapped archive drops its pages after each block."""
         ft = self.frames_t
         if ft.size < 4:
             raise ValueError(f"4-point interpolation in t needs at least 4 frames, "
@@ -232,6 +234,9 @@ class Trajectory:
                         np.multiply(frames[k, :n], lam[r], out=term_b[r])
                     a += term_b
             u[:, cols], ut[:, cols] = acc_b[0].T, acc_b[1].T
+            for f in (self.frames_u, self.frames_ut):
+                if isinstance(f.base, mmap.mmap) and not f.flags.writeable:
+                    f.base.madvise(mmap.MADV_DONTNEED)
         shape = (n,) + np.shape(t)
         return PhysicalState(t, u.reshape(shape), ut.reshape(shape))
 
@@ -240,13 +245,6 @@ class Trajectory:
         if self.T_est is None:
             raise ValueError("no blow-up time estimate")
         return -math.log(max(self.T_est - self.frames_t[-1], 1e-300))
-
-
-def _doubled(frames: np.ndarray) -> np.ndarray:
-    """frames copied into the leading rows of an array of twice as many."""
-    out = np.empty((2 * frames.shape[0],) + frames.shape[1:])
-    out[:frames.shape[0]] = frames
-    return out
 
 
 def run_until_blowup(cfg: SolverConfig) -> Trajectory:
@@ -295,10 +293,10 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
         hit_cap = amax >= cfg.u_cap
         if s_accum >= cfg.store_ds or hit_cap:
             n = len(frames_t)
-            # one array at a time, so a doubling holds one old array beside its copy
+            # realloc remaps a large block's pages, no copy; it zero-fills new rows
             if n == frames_u.shape[0]:
-                frames_u = _doubled(frames_u)
-                frames_ut = _doubled(frames_ut)
+                frames_u.resize((n + FRAME_CAPACITY, cfg.grid.nr))
+                frames_ut.resize((n + FRAME_CAPACITY, cfg.grid.nr))
             frames_u[n], frames_ut[n] = march.u, march.ut
             frames_t.append(t_hi)
             s_accum = 0.0

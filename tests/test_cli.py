@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -843,7 +844,8 @@ def _rehash(out, name):
 @pytest.mark.parametrize("damage", ["truncate", "no_manifest", "no_entry",
                                     "not_an_object", "no_files", "bad_entry",
                                     "config_edited", "t_est_edited", "no_status",
-                                    "frames_header", "frames_transposed",
+                                    "frames_header", "frames_rows", "frames_objects",
+                                    "frames_transposed",
                                     "rules_weight_edited", "rules_swapped",
                                     "rules_header", "rules_stale"])
 def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, damage):
@@ -854,7 +856,8 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
     directory.  So are damages that keep every byte size: a config whose
     hash is not the manifest's, a t_est.json edited in place (its sha256 is
     not the manifest's) or without a status (re-hashed, so the status check
-    must see it), a frame file whose header is overwritten, and frames
+    must see it), a frame file whose header is overwritten or rewritten to
+    claim more rows than the file holds or Python objects, and frames
     stored as (nr, frames).  The rule store is read back the same way: a
     weight edited in place (its sha256 is not the manifest's), two weight
     exponents' rules swapped or n_radial changed in its header (re-hashed,
@@ -898,6 +901,15 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
     elif damage == "frames_header":
         with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
             fh.write(b"\0" * 10)
+    elif damage in ("frames_rows", "frames_objects"):
+        rows = str(np.load(os.path.join(out, "frames_t.npy")).size).encode()
+        old, new = ((b"(" + rows, b"(" + b"9" * len(rows)) if damage == "frames_rows"
+                    else (b"'<f8'", b"'|O8'"))
+        with open(os.path.join(out, "frames_u.npy"), "r+b") as fh:
+            head = fh.read(128)
+            assert head.count(old) == 1 and old != new
+            fh.seek(0)
+            fh.write(head.replace(old, new))
     elif damage == "frames_transposed":
         path = os.path.join(out, "frames_ut.npy")
         size = os.path.getsize(path)
@@ -934,19 +946,22 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
         assert {"rules_weight_edited": "sha256", "rules_swapped": "closed forms",
                 "rules_header": "'n_radial': 32", "t_est_edited": "sha256",
-                "no_status": '"status"', "bad_entry": "entries"}.get(damage, "") in err, err
+                "no_status": '"status"', "bad_entry": "entries", "frames_rows": "too small",
+                "frames_objects": "Python objects"}.get(damage, "") in err, err
 
 
 def test_mapped_frames_survive_a_rewrite(small_cfg, tmp_path):
     """load_run maps the frame files, and `simulate` renames each new frame
     file over the old one: a reader keeps the frames it mapped, whole,
-    after the directory is rewritten under another config."""
+    after the directory is rewritten under another config, also once
+    sample_state has dropped their pages and reads fault them in again."""
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
     _vals, traj, _manifest = runio.load_run(out)
-    assert all(isinstance(getattr(traj, name).base, np.memmap)
+    assert all(isinstance(getattr(traj, name).base, mmap.mmap)
                for name in runio.FRAMES)
     before = {name: np.array(getattr(traj, name)) for name in runio.FRAMES}
+    sampled = traj.sample_state(traj.frames_t)
     inodes = {name: os.stat(os.path.join(out, f"{name}.npy")).st_ino
               for name in runio.FRAMES}
     other = tmp_path / "other.ini"
@@ -958,8 +973,56 @@ def test_mapped_frames_survive_a_rewrite(small_cfg, tmp_path):
                for name, ino in inodes.items())
     for name, old in before.items():
         assert np.array_equal(getattr(traj, name), old), name
+    again = traj.sample_state(traj.frames_t)
+    assert np.array_equal(again.u, sampled.u) and np.array_equal(again.ut, sampled.ut)
+    assert np.array_equal(sampled.u, before["frames_u"].T)
     assert runio.load_run(out)[1].frames_u.shape[1] == 128
     assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+def _resident_file_kb() -> int | None:
+    """This process's resident pages of mapped files (RssFile, plus RssShmem
+    for a tmpfs), in kB; None where /proc/self/status has no RssFile."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+    except OSError:
+        return None
+    if "RssFile" not in fields:
+        return None
+    return sum(int(fields[k].split()[0]) for k in ("RssFile", "RssShmem") if k in fields)
+
+
+def test_mapped_reads_keep_one_block_resident(tmp_path):
+    """sample_state on frames that read_artifact mapped drops their pages
+    after each block of times: sampling at every one of 512 frame times
+    reads all 32 MB of both fields, but leaves less than a quarter of them
+    resident, where keeping every page read would hold them all."""
+    if _resident_file_kb() is None:
+        pytest.skip("/proc/self/status reports no RssFile")
+    from sswave.core import RadialGrid, make_exponents
+    from sswave.solver import TIME_BLOCK, Trajectory
+
+    n, nr = 8 * TIME_BLOCK, 4096
+    ft = np.linspace(0.0, 1.0, n)
+    files = {}
+    for k, name in enumerate(("frames_u", "frames_ut")):
+        path = tmp_path / f"{name}.npy"
+        np.save(path, np.add.outer(ft, np.linspace(k, k + 1.0, nr)))
+        files[f"{name}.npy"] = {"sha256": "", "bytes": path.stat().st_size}
+    frames = {name: runio.read_artifact(str(tmp_path), {"files": files}, f"{name}.npy")
+              for name in ("frames_u", "frames_ut")}
+    mapped_kb = sum(f.nbytes for f in frames.values()) // 1024
+    assert mapped_kb >= 32 * 1024
+    traj = Trajectory(e=make_exponents(7.0, 2), grid=RadialGrid(r_max=1.5, nr=nr),
+                      frames_t=ft, **frames, center_t=ft, center_u=ft, max_u=ft,
+                      status="blowup")
+    before = _resident_file_kb()
+    got = traj.sample_state(ft)
+    grown = _resident_file_kb() - before
+    assert np.array_equal(got.u, frames["frames_u"].T)
+    assert np.array_equal(got.ut, frames["frames_ut"].T)
+    assert grown < mapped_kb / 4, (grown, mapped_kb)
 
 
 @pytest.mark.parametrize("window", ["", "s_lo = 1.0\n"])

@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 import sympy
@@ -131,6 +132,16 @@ def test_power_fit_recovers_exact_power_law(slope):
     assert fit.slope == pytest.approx(slope, rel=1e-13, abs=1e-14)
     assert fit.sse < 1e-26
     assert fit.r2 == (0.0 if slope == 0.0 else pytest.approx(1.0, abs=1e-14))
+
+
+@pytest.mark.parametrize("value", [0.3, math.log(1e-300)])
+def test_power_fit_of_a_constant_is_exactly_flat(value):
+    """A constant series, such as the decay suite's log of a series held at
+    its 1e-300 clamp, fits with slope, sse and r2 exactly 0, although the
+    mean of 35 copies of either value rounds off it."""
+    y = np.full(35, value)
+    assert np.mean(y) != value
+    assert power_fit(np.linspace(2.0, 6.0, 35), y) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("shape", ["rate", "decay"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sswave as sw
+from sswave import solver
 from sswave.core import kappa_value
 from sswave.ode import ode_exact
 from sswave.solver import (AMP_SAFETY, CFL, CORE_FRAC, FRAME_CAPACITY, R_MAX_FACTOR,
@@ -159,7 +160,7 @@ def test_march_is_bitwise_the_two_acceleration_step(p, N):
     states, capped = _march_reference(cfg)
     assert capped >= 300
     traj = run_until_blowup(cfg)
-    # so the archive was doubled at least twice on the way
+    # so the archive grew past its first FRAME_CAPACITY rows at least thrice
     assert traj.frames_t.size > 4 * FRAME_CAPACITY
     assert traj.frames_t.size == len(states) + 1
     for n, (t, u, ut) in enumerate(states, start=1):
@@ -253,7 +254,7 @@ def test_sample_state_batch_is_the_per_time_loop(plateau_1024):
 
 
 def test_archive_is_held_once():
-    """Each frame is written into one buffer per field, doubled when full:
+    """Each frame is written into one buffer per field, grown when full:
     the frames are the buffers' leading rows, which are more than half of
     them, and the march's traced peak stays within 1.5x the buffers' bytes
     plus 64 rows of nr, where per-frame copies stacked at the end would
@@ -275,6 +276,35 @@ def test_archive_is_held_once():
     assert all(np.shares_memory(f, b) and f.shape == (n, nr) for f, b in
                zip((traj.frames_u, traj.frames_ut), buffers))
     assert peak <= 1.5 * sum(b.nbytes for b in buffers) + 64 * nr * 8
+
+
+def test_archive_grows_in_place(monkeypatch):
+    """The archive grows in place by FRAME_CAPACITY rows at a time: the
+    frames are bit for bit the same whatever that capacity, and the march's
+    traced peak stays below the frames plus two growths of both fields,
+    plus the march's buffers and per-step series.  Growing by a copy into
+    a doubled array holds the old array beside the new one and exceeds it."""
+    import tracemalloc
+
+    nr = 512
+    cfg = make_cfg(nr=nr, family="ode_plateau", u_cap=1e8)
+    ref = None
+    for capacity in (1, 5, FRAME_CAPACITY):
+        monkeypatch.setattr(solver, "FRAME_CAPACITY", capacity)
+        tracemalloc.start()
+        try:
+            traj = run_until_blowup(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, steps = traj.frames_t.size, traj.center_t.size
+        # the march's 16 rows of nr, and three per-step lists of floats
+        # turned into arrays, at most 48 bytes a step each
+        buffers = 16 * nr * 8 + 3 * steps * 48
+        assert peak < (n + 2 * capacity) * nr * 8 * 2 + buffers, capacity
+        ref = ref or traj
+        for name in ("frames_t", "frames_u", "frames_ut"):
+            assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 def test_sample_state_reads_only_the_rows_asked_for(plateau_1024, tmp_path):
