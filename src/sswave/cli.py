@@ -8,8 +8,9 @@
 
 Every command also takes --verbose.  Exit codes: 0 all good, 1 check
 failures, 2 usage, config or solver error (or scipy's QUADPACK extension
-missing), 3 no blow-up where one was required (or no fit of one).  An
-error ends in one `error: <Class>: <message>` line on stderr.
+missing), 3 no blow-up where one was required (or no fit of one), 4 a
+worker process of `verify --suite identities|all` or `sweep --jobs` died.
+An error ends in one `error: <Class>: <message>` line on stderr.
 SSWAVE_OUT selects the default output root; everything else comes from
 flags and the config file.
 """
@@ -21,14 +22,17 @@ import os
 import sys
 
 from . import runio
+from .core import WorkerError
 from .functionals import QuadpackError
 from .ode import FitError
-from .runio import EXIT_NO_BLOWUP, EXIT_USAGE, ConfigError, NoBlowupError
+from .runio import (EXIT_NO_BLOWUP, EXIT_USAGE, EXIT_WORKER_LOST, ConfigError,
+                    NoBlowupError)
 from .solver import SolverError
 
 EXIT_CODES = {ConfigError: EXIT_USAGE, SolverError: EXIT_USAGE,
               QuadpackError: EXIT_USAGE,
-              NoBlowupError: EXIT_NO_BLOWUP, FitError: EXIT_NO_BLOWUP}
+              NoBlowupError: EXIT_NO_BLOWUP, FitError: EXIT_NO_BLOWUP,
+              WorkerError: EXIT_WORKER_LOST}
 
 
 def _default_out(sub: str) -> str:

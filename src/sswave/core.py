@@ -1,4 +1,5 @@
-"""Exponent bookkeeping, grids, and the containers shared by the whole package.
+"""Exponent bookkeeping, grids, the containers shared by the whole package,
+and its one fan-out of independent tasks over worker processes.
 
 The object of study is the radial semilinear wave equation
 
@@ -91,6 +92,39 @@ def pointwise(fn, x):
 def sum_last(x: np.ndarray) -> np.ndarray:
     """x summed over its short last axis left to right, as np.sum adds it, but faster."""
     return functools.reduce(np.add, (x[..., d] for d in range(x.shape[-1])))
+
+
+class WorkerError(RuntimeError):
+    """A worker process of fan_out died before it returned its result."""
+
+
+def fan_out(fn, tasks: list, workers: int, cost=None) -> list:
+    """[fn(task) for task in tasks], on min(workers, len(tasks)) worker
+    processes: a pool forks all its workers on the first submit, so never
+    more than tasks.  One worker runs them in this process, with no pool.
+    In a pool the tasks are submitted costliest first by cost(task), so the
+    long ones do not start last; the results come back in task order.  An
+    exception fn raises reaches the caller as itself; a worker killed
+    mid-task (out of memory, os._exit) raises WorkerError."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    order = list(range(len(tasks)))
+    if cost is not None:
+        order.sort(key=lambda i: cost(tasks[i]), reverse=True)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            done = list(ex.map(fn, [tasks[i] for i in order]))
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a worker process died before it returned; "
+                          f"{len(tasks)} tasks on {workers} workers: {exc}") from exc
+    out = [None] * len(tasks)
+    for i, result in zip(order, done):
+        out[i] = result
+    return out
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .core import Exponents, FunctionalSeries, pointwise
 from .ode import power_fit
 from .quadrature import RuleTable, surface_area
 from .similarity import ROW_BLOCK, SimilaritySnapshot
+from .solver import TIME_BLOCK
 
 EPS0 = 0.6   # the weight exponent 3/5 that M and the U ladder pin
 
@@ -467,16 +468,27 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     logw = np.abs(log_tau) ** q
 
     # sample j's window [t, (t+T0)/2] holds the frames lo[j]:hi[j]; only the
-    # frames from the first window's start to the last one's end are read
+    # frames from the first window's start to the last one's end are read,
+    # TIME_BLOCK at a time: each block's radial gradients (np.gradient works
+    # row by row) give its cone energies G(t) = int_{B(0,T0-t)}(...), the
+    # sample times' rows of u, u_t and u_r are kept, and a mapped archive's
+    # pages are dropped before the next block
     lo = np.searchsorted(ft, ft[idx], side="left")
     hi = np.searchsorted(ft, 0.5 * (ft[idx] + T0), side="right")
-    blk = slice(lo[0], hi[-1])
-    ft, fu, fut = ft[blk], traj.frames_u[blk], traj.frames_ut[blk]
-    idx, lo, hi = idx - blk.start, lo - blk.start, hi - blk.start
-    # their radial gradients and the cone energy G(t) = int_{B(0,T0-t)}(...)
-    fur = np.gradient(fu, grid.dr, axis=1)
-    Gt = np.array([sa * _radial_integral(fur[k] ** 2 + fut[k] ** 2, grid, tau, N)
-                   for k, tau in enumerate(taus[blk])])
+    start, stop = lo[0], hi[-1]
+    Gt = np.empty(stop - start)
+    kept = {}
+    for b in range(start, stop, TIME_BLOCK):
+        rows = slice(b, min(b + TIME_BLOCK, stop))
+        fu, fut = traj.frames_u[rows], traj.frames_ut[rows]
+        fur = np.gradient(fu, grid.dr, axis=1)
+        for k, tau in enumerate(taus[rows]):
+            Gt[b - start + k] = sa * _radial_integral(fur[k] ** 2 + fut[k] ** 2,
+                                                      grid, tau, N)
+        for i in idx[(b <= idx) & (idx < rows.stop)]:
+            kept[i] = fu[i - b].copy(), fut[i - b].copy(), fur[i - b].copy()
+        traj.drop_pages()
+    ft, lo, hi = ft[start:stop], lo - start, hi - start
 
     exps_l2 = -(p - 1.0) * N / (p + 3.0)
     cone, bound_e, sl2, lower = [], [], [], []
@@ -487,10 +499,11 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
                     if hi[j] - lo[j] >= 2 else math.nan)
         # (ii)-(iv) on B(0, tau): the boundary-energy expression and the
         # squared norms of u, u_t and u_r
+        u, ut, ur = kept[i]
         bound, u2, ut2, ur2 = _radial_integral(np.stack([
-            fur[i] ** 2 * (1.0 - np.minimum(grid.nodes / tau_i, 1.0) ** 2)
-            + fut[i] ** 2 - np.abs(fu[i]) ** (p + 1.0) / (p + 1.0),
-            fu[i] ** 2, fut[i] ** 2, fur[i] ** 2]), grid, tau_i, N)
+            ur ** 2 * (1.0 - np.minimum(grid.nodes / tau_i, 1.0) ** 2)
+            + ut ** 2 - np.abs(u) ** (p + 1.0) / (p + 1.0),
+            u ** 2, ut ** 2, ur ** 2]), grid, tau_i, N)
         bound_e.append(logw[j] * 0.5 * tau_i * sa * bound)
         l2 = sa * u2
         sl2.append(logw[j] * tau_i ** exps_l2 * l2)

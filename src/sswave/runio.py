@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import FunctionalSeries, RadialGrid, make_exponents
+from .core import FunctionalSeries, RadialGrid, fan_out, make_exponents
 from .quadrature import RuleTable, check_rule
 from .solver import (FAMILIES, R_MAX_FACTOR, STATUSES, SolverConfig, Trajectory,
                      run_until_blowup)
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_BLOWUP = 3
+EXIT_WORKER_LOST = 4
 
 
 class ConfigError(ValueError):
@@ -671,14 +672,7 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
                           + "; ".join(bad))
     manifest = read_manifest(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    # a pool forks all its workers on the first submit: no more than points
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_sweep_one, tasks))
-    else:
-        rows = [_sweep_one(t) for t in tasks]
+    rows = fan_out(_sweep_one, tasks, jobs)
     cols = ["p", "N", "status", "T_est", "exponent", "F0_monotone", "ladder_monotone"]
     written = [write_csv(os.path.join(out_dir, "aggregate.csv"), cols,
                          [[row[c] for row in rows] for c in cols])]

@@ -234,11 +234,18 @@ class Trajectory:
                         np.multiply(frames[k, :n], lam[r], out=term_b[r])
                     a += term_b
             u[:, cols], ut[:, cols] = acc_b[0].T, acc_b[1].T
-            for f in (self.frames_u, self.frames_ut):
-                if isinstance(f.base, mmap.mmap) and not f.flags.writeable:
-                    f.base.madvise(mmap.MADV_DONTNEED)
+            self.drop_pages()
         shape = (n,) + np.shape(t)
         return PhysicalState(t, u.reshape(shape), ut.reshape(shape))
+
+    def drop_pages(self) -> None:
+        """Drop the resident pages of a read-only file-mapped frame archive,
+        so that a reader walking it block by block keeps only its block; a
+        later read faults the bytes in again.  An in-memory archive is left
+        as it is."""
+        for f in (self.frames_u, self.frames_ut):
+            if isinstance(f.base, mmap.mmap) and not f.flags.writeable:
+                f.base.madvise(mmap.MADV_DONTNEED)
 
     @property
     def s_max_covered(self) -> float:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Exponents, FunctionalSeries, pointwise, sum_last
+from .core import Exponents, FunctionalSeries, fan_out, pointwise, sum_last
 from .ode import power_fit
 from .quadrature import RuleTable
 from .similarity import PolyField, StaticSnapshot, TestField
@@ -381,11 +382,26 @@ def run_identity_battery(N: int, eps: float, n_fields: int = 50,
     return out
 
 
+def identity_group(args: tuple) -> list[dict]:
+    """run_identity_battery(N, eps, n_fields, seed) = args, as dicts: one
+    task of fan_out."""
+    return [asdict(r) for r in run_identity_battery(*args)]
+
+
+def identity_groups(groups: list[tuple]) -> list[list[dict]]:
+    """identity_group of each (N, eps, n_fields, seed), in order.  The groups
+    are independent: they run on one worker process per available CPU (one
+    per group at most), the N = 3 ones, each about ten times an N = 2 one,
+    submitted first."""
+    return fan_out(identity_group, groups, len(os.sched_getaffinity(0)),
+                   cost=lambda args: args[0])
+
+
 def identity_suite(seed: int) -> list[dict]:
     """Both Pohozaev identities on 10 seeded fields for each N in (2, 3)
-    and eps in (0.6, 1.0, 1.1)."""
-    return [asdict(r) for N in (2, 3) for eps in (0.6, 1.0, 1.1)
-            for r in run_identity_battery(N, eps, n_fields=10, seed=seed)]
+    and eps in (0.6, 1.0, 1.1), N outer, by identity_groups."""
+    groups = [(N, eps, 10, seed) for N in (2, 3) for eps in (0.6, 1.0, 1.1)]
+    return [r for group in identity_groups(groups) for r in group]
 
 
 # ---------------------------------------------------------------------------

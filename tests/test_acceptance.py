@@ -80,15 +80,16 @@ def test_criterion_2_dissipation_closed_form(p, N):
 
 
 def test_criterion_3_appendix_identities():
+    """Six batteries of 50 fields, one per (N, eps), run as the identity
+    suite runs its groups: on one worker process per available CPU."""
+    groups = [(N, eps, 50, 100 * N + int(10 * eps)) for N in (2, 3)
+              for eps in (0.6, 1.0, 1.1)]
     worst = 0.0
     total = 0
-    for N in (2, 3):
-        for eps in (0.6, 1.0, 1.1):
-            reports = verify.run_identity_battery(N, eps, n_fields=50,
-                                                  seed=100 * N + int(10 * eps))
-            total += len(reports)
-            worst = max(worst, max(r.rel_residual for r in reports))
-            assert all(r.passed for r in reports), (N, eps)
+    for (N, eps, *_), reports in zip(groups, verify.identity_groups(groups)):
+        total += len(reports)
+        worst = max(worst, max(r["rel_residual"] for r in reports))
+        assert all(r["passed"] for r in reports), (N, eps)
     assert worst < 1e-8
     print(f"\nPASS criterion 3: {total} identity checks over "
           f"(N, eps) in {{2,3}}x{{3/5,1,11/10}}, worst residual {worst:.2e} < 1e-8")

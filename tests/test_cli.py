@@ -406,6 +406,32 @@ def test_sweep_checks_every_point_before_it_creates_out(tmp_path, capsys):
     assert not out.exists()
 
 
+def _die(*task):
+    os._exit(1)
+
+
+def test_a_dead_worker_exits_4_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):
+    """A worker process killed mid-task (here by os._exit) ends `sweep --jobs 2`
+    and `verify --suite identities` on two CPUs in one WorkerError line,
+    exit code 4, and neither writes its report."""
+    from sswave import verify
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(runio, "_sweep_one", _die)
+    monkeypatch.setattr(verify, "run_identity_battery", _die)
+    sweep, ident = tmp_path / "sweep", tmp_path / "ident"
+    ident.mkdir()
+    for argv in (("sweep", "--config", small_cfg, "--p-list", "3.6,4.2",
+                  "--N-list", "3", "--out", str(sweep), "--jobs", "2"),
+                 ("verify", "--suite", "identities", "--out", str(ident))):
+        assert run_cli(*argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: WorkerError: a worker process died before "
+                              "it returned; ") and err.count("\n") == 1, err
+    assert not (sweep / "aggregate.csv").exists()
+    assert list(ident.iterdir()) == []
+
+
 def test_a_run_of_fewer_than_4_frames_ends_in_one_line(tmp_path, capsys):
     """Frames interpolate in t through 4 points: a run that stores fewer is
     rejected by sample_state, and each later stage exits 2 with one
@@ -993,18 +1019,13 @@ def _resident_file_kb() -> int | None:
     return sum(int(fields[k].split()[0]) for k in ("RssFile", "RssShmem") if k in fields)
 
 
-def test_mapped_reads_keep_one_block_resident(tmp_path):
-    """sample_state on frames that read_artifact mapped drops their pages
-    after each block of times: sampling at every one of 512 frame times
-    reads all 32 MB of both fields, but leaves less than a quarter of them
-    resident, where keeping every page read would hold them all."""
-    if _resident_file_kb() is None:
-        pytest.skip("/proc/self/status reports no RssFile")
+def _mapped_trajectory(tmp_path, ft, nr=4096):
+    """A p = 7, N = 2 blow-up Trajectory at frame times ft whose frames
+    (u = t + r-ramp, u_t = t + 1 + r-ramp) read_artifact maps from .npy
+    files, and the kB they map."""
     from sswave.core import RadialGrid, make_exponents
-    from sswave.solver import TIME_BLOCK, Trajectory
+    from sswave.solver import Trajectory
 
-    n, nr = 8 * TIME_BLOCK, 4096
-    ft = np.linspace(0.0, 1.0, n)
     files = {}
     for k, name in enumerate(("frames_u", "frames_ut")):
         path = tmp_path / f"{name}.npy"
@@ -1012,17 +1033,54 @@ def test_mapped_reads_keep_one_block_resident(tmp_path):
         files[f"{name}.npy"] = {"sha256": "", "bytes": path.stat().st_size}
     frames = {name: runio.read_artifact(str(tmp_path), {"files": files}, f"{name}.npy")
               for name in ("frames_u", "frames_ut")}
-    mapped_kb = sum(f.nbytes for f in frames.values()) // 1024
-    assert mapped_kb >= 32 * 1024
     traj = Trajectory(e=make_exponents(7.0, 2), grid=RadialGrid(r_max=1.5, nr=nr),
                       frames_t=ft, **frames, center_t=ft, center_u=ft, max_u=ft,
                       status="blowup")
+    return traj, sum(f.nbytes for f in frames.values()) // 1024
+
+
+def test_mapped_reads_keep_one_block_resident(tmp_path):
+    """sample_state on frames that read_artifact mapped drops their pages
+    after each block of times: sampling at every one of 512 frame times
+    reads all 32 MB of both fields, but leaves less than a quarter of them
+    resident, where keeping every page read would hold them all."""
+    if _resident_file_kb() is None:
+        pytest.skip("/proc/self/status reports no RssFile")
+    from sswave.solver import TIME_BLOCK
+
+    ft = np.linspace(0.0, 1.0, 8 * TIME_BLOCK)
+    traj, mapped_kb = _mapped_trajectory(tmp_path, ft)
+    assert mapped_kb >= 32 * 1024
     before = _resident_file_kb()
     got = traj.sample_state(ft)
     grown = _resident_file_kb() - before
-    assert np.array_equal(got.u, frames["frames_u"].T)
-    assert np.array_equal(got.ut, frames["frames_ut"].T)
+    assert np.array_equal(got.u, traj.frames_u.T)
+    assert np.array_equal(got.ut, traj.frames_ut.T)
     assert grown < mapped_kb / 4, (grown, mapped_kb)
+
+
+def test_rate_reads_keep_one_block_resident(tmp_path, monkeypatch):
+    """theorem_quantities walks its sample windows' frames TIME_BLOCK at a
+    time and drops a mapped archive's pages after each block: on 512 frames
+    geometric in T0 - t the windows span 7/8 of the 32 MB of both fields,
+    but less than a quarter of them stays resident.  Its report is bit for
+    bit the one it makes walking all the frames in one block."""
+    import dataclasses
+
+    from sswave import functionals
+    from sswave.solver import TIME_BLOCK
+
+    if _resident_file_kb() is None:
+        pytest.skip("/proc/self/status reports no RssFile")
+    n = 8 * TIME_BLOCK
+    traj, mapped_kb = _mapped_trajectory(tmp_path, 1.0 - np.geomspace(1.0, 1e-3, n))
+    before = _resident_file_kb()
+    got = functionals.theorem_quantities(traj, traj.e, 1.0, q=1.0)
+    grown = _resident_file_kb() - before
+    assert grown < mapped_kb / 4, (grown, mapped_kb)
+    monkeypatch.setattr(functionals, "TIME_BLOCK", n)
+    whole = functionals.theorem_quantities(traj, traj.e, 1.0, q=1.0)
+    np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(whole))
 
 
 @pytest.mark.parametrize("window", ["", "s_lo = 1.0\n"])

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -231,15 +232,18 @@ def test_poly_jet_is_the_full_term_loop(N):
 
 def test_power_tables_live_as_long_as_their_points():
     """A power table is dropped with its points array: none outlives the
-    rule tables of an identity suite once they are collected, and a new
-    points array at a freed one's address is tabulated afresh.  The suite
-    raises no RuntimeWarning, so no weight power is taken where the degrees
-    asked for do not need it (the sphere points, where 1-|y|^2 = 0)."""
+    rule tables of the identity suite's six batteries, run in this process,
+    once they are collected, and a new points array at a freed one's
+    address is tabulated afresh.  The batteries raise no RuntimeWarning, so
+    no weight power is taken where the degrees asked for do not need it
+    (the sphere points, where 1-|y|^2 = 0)."""
     gc.collect()
     before = set(similarity._POWER_TABLES)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verify.identity_suite(0)
+        for N in (2, 3):
+            for eps in (0.6, 1.0, 1.1):
+                verify.run_identity_battery(N, eps, n_fields=10, seed=0)
     gc.collect()
     assert set(similarity._POWER_TABLES) <= before
     poly = PolyField(2, {(3, 1): 0.7, (0, 2): -0.4})
@@ -263,6 +267,26 @@ def test_power_tables_live_as_long_as_their_points():
                 break
             keep.append(fresh)
     assert reused
+
+
+def test_a_warning_in_a_suite_worker_fails_the_suite(monkeypatch):
+    """identity_suite runs its batteries in worker processes, which inherit
+    the caller's warning filters: a weight power taken at a sphere point in
+    a worker, under simplefilter("error"), reaches the caller as the
+    RuntimeWarning, as it would from the battery run in process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+
+    def stray_power(N, eps, n_fields, seed):
+        assert os.getpid() != parent, "the battery ran in the calling process"
+        np.clip(1.0 - np.sum(np.eye(N) ** 2, axis=1), 0.0, None) ** (eps - 1.5)
+        return []
+
+    monkeypatch.setattr(verify, "run_identity_battery", stray_power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            verify.identity_suite(0)
 
 
 def _weighted_poly_value(wp, pts):

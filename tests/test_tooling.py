@@ -49,6 +49,18 @@ def test_demo_runs(demo, tmp_path):
         assert (tmp_path / "profile_s6.csv").exists()
 
 
+def test_cli_import_loads_no_process_pool():
+    """Importing the CLI loads neither concurrent.futures nor multiprocessing:
+    the fan-out over worker processes imports them when it starts a pool."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sswave.cli; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)},
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def _sswave_calls(path: Path):
     """(line, callee, call node) for each call in the file whose callee is
     a name or attribute chain rooted at an sswave import."""

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 import sswave as sw
-from sswave.core import FunctionalSeries
+from sswave.core import FunctionalSeries, fan_out
 from sswave.quadrature import RuleTable
 from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
@@ -100,6 +102,85 @@ def test_identity_battery(N, eps):
     worst = max(r.rel_residual for r in reports)
     assert all(r.passed for r in reports), worst
     assert worst < 1e-8
+
+
+@pytest.fixture()
+def pool_spy(monkeypatch):
+    """Two CPUs, whatever the machine has, and the max_workers of every
+    process pool started."""
+    import concurrent.futures
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return started
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_identity_suite_is_the_serial_battery(seed, pool_spy):
+    """The suite's six (N, eps) groups, run on worker processes, give
+    exactly the reports of the battery run group by group in this process,
+    in the same order: N outer, eps inner."""
+    serial = [dataclasses.asdict(r) for N in (2, 3) for eps in (0.6, 1.0, 1.1)
+              for r in verify.run_identity_battery(N, eps, n_fields=10, seed=seed)]
+    assert verify.identity_suite(seed) == serial
+    assert pool_spy == [2]
+
+
+def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
+    """With one CPU available the six groups run in this process, in order."""
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kw):
+            raise AssertionError("a process pool was started on one CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(verify, "run_identity_battery",
+                        lambda N, eps, n_fields, seed: [verify.report(
+                            "pohozaev_A", 1.0, 1.0, 1e-8, context=f"{N} {eps} {seed}")])
+    assert [r["context"] for r in verify.identity_suite(5)] == \
+        [f"{N} {eps} 5" for N in (2, 3) for eps in (0.6, 1.0, 1.1)]
+
+
+def test_fan_out_submits_costliest_first(monkeypatch):
+    """fan_out hands the pool its tasks costliest first, a tie in task
+    order, and returns the results in task order; one worker, or one task,
+    maps in this process.  A stand-in executor records what it is given."""
+    import concurrent.futures
+
+    started, submitted = [], []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            submitted.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    tasks = [-1, -5, -2, -5, -3]
+    assert fan_out(abs, tasks, 1, cost=abs) == [1, 5, 2, 5, 3]
+    assert fan_out(abs, tasks[:1], 4) == [1]
+    assert started == []
+    assert fan_out(abs, tasks, 8, cost=abs) == [1, 5, 2, 5, 3]
+    assert started == [5] and submitted == [-5, -5, -3, -2, -1]
+    submitted.clear()
+    assert fan_out(abs, tasks, 2) == [1, 5, 2, 5, 3] and submitted == tasks
 
 
 def test_pohozaev_trivial_and_examples():
