@@ -4,15 +4,16 @@
     sswave functionals --out runs/a [--names F0,M,F1] [--export-snapshots]
     sswave verify      [--out runs/a] --suite identities|lemmas|monotone|decay|all [--seed 0]
     sswave rate        --out runs/a [--q 1.0]
-    sswave sweep       [--config run.ini] --p-list 3.5,4.5 --N-list 3 --out runs/sweep [--jobs 2]
+    sswave sweep       [--config run.ini] --p-list 3.5,4.5 --N-list 3 --out runs/sweep
 
 Every command also takes --verbose.  Exit codes: 0 all good, 1 check
 failures, 2 usage, config or solver error (or scipy's QUADPACK extension
 missing), 3 no blow-up where one was required (or no fit of one), 4 a
-worker process of `verify --suite identities|all` or `sweep --jobs` died.
+worker process of `verify --suite identities|all` or `sweep` died.
 An error ends in one `error: <Class>: <message>` line on stderr.
 SSWAVE_OUT selects the default output root; everything else comes from
-flags and the config file.
+flags and the config file; `verify --suite identities|all` and `sweep`
+run one worker process per usable CPU, which CPU affinity (taskset) sets.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", "(p, N) sweep with aggregate table", config=True)
     p.add_argument("--p-list", required=True, help="comma list of p values")
     p.add_argument("--N-list", required=True, help="comma list of N values")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (>= 1), never more than points")
     return ap
 
 
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"bad --p-list/--N-list: {exc}") from exc
         return runio.cmd_sweep(ns.config, p_list, N_list,
                                ns.out or _default_out("sweep"),
-                               jobs=ns.jobs, verbose=ns.verbose)
+                               verbose=ns.verbose)
     except tuple(EXIT_CODES) as exc:
         msg = str(exc).replace("\n", " ")
         print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,15 +99,23 @@ class WorkerError(RuntimeError):
     """A worker process of fan_out died before it returned its result."""
 
 
-def fan_out(fn, tasks: list, workers: int, cost=None) -> list:
-    """[fn(task) for task in tasks], on min(workers, len(tasks)) worker
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (Linux), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fan_out(fn, tasks: list, cost=None) -> list:
+    """[fn(task) for task in tasks], on min(usable_cpus(), len(tasks)) worker
     processes: a pool forks all its workers on the first submit, so never
     more than tasks.  One worker runs them in this process, with no pool.
     In a pool the tasks are submitted costliest first by cost(task), so the
     long ones do not start last; the results come back in task order.  An
     exception fn raises reaches the caller as itself; a worker killed
     mid-task (out of memory, os._exit) raises WorkerError."""
-    workers = min(workers, len(tasks))
+    workers = min(usable_cpus(), len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor

@@ -30,7 +30,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,33 +171,6 @@ class QuadpackError(ImportError):
     """scipy's compiled QUADPACK extension could not be found or loaded."""
 
 
-# quad's messages for the codes qagie returns (its own text, limit = 50); an
-# exception the integrand raises propagates as it does through quad
-_QUADPACK_MSGS = {
-    1: "The maximum number of subdivisions (50) has been achieved.\n  "
-       "If increasing the limit yields no improvement it is advised to "
-       "analyze \n  the integrand in order to determine the difficulties.  "
-       "If the position of a \n  local difficulty can be determined "
-       "(singularity, discontinuity) one will \n  probably gain from "
-       "splitting up the interval and calling the integrator \n  on the "
-       "subranges.  Perhaps a special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  "
-       "the requested tolerance from being achieved.  "
-       "The error may be \n  underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  "
-       "integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  "
-       "in the extrapolation table.  It is assumed that the requested "
-       "tolerance\n  cannot be achieved, and that the returned result "
-       "(if full_output = 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
-    6: "Invalid 'limit' argument. There must be at least one subinterval",
-    7: "Abnormal termination of the routine.  The estimates for result\n  "
-       "and error are less reliable.  It is assumed that the requested "
-       "accuracy\n  has not been achieved.",
-}
-
-
 def _scipy_roots() -> list[str]:
     """The directories of the scipy package; find_spec of a top-level
     package imports nothing."""
@@ -230,13 +202,15 @@ def _qagie():
 
 
 def _integral_to_inf(f) -> float:
-    """int_0^inf f(x) dx: qagie with quad(f, 0.0, np.inf)'s arguments and
-    quad's handling of the error code (warn on 1-5 and 7, raise otherwise)."""
+    """int_0^inf f(x) dx: qagie with quad(f, 0.0, np.inf)'s arguments.  On a
+    nonzero error code quad itself repeats the same qagie call, so that its
+    IntegrationWarning or exception reports the failure in quad's words; an
+    exception the integrand raises propagates as it does through quad."""
     value, _abserr, ier = _qagie()(f, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 50)
-    if ier in (1, 2, 3, 4, 5, 7):
-        warnings.warn(_QUADPACK_MSGS[ier], RuntimeWarning, stacklevel=2)
-    elif ier:
-        raise ValueError(_QUADPACK_MSGS.get(ier, "Unknown error."))
+    if ier:
+        from scipy.integrate import quad
+
+        value = quad(f, 0.0, np.inf)[0]
     return value
 
 

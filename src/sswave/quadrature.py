@@ -265,32 +265,25 @@ class RuleTable:
 
     Functionals mix many weight exponents for one snapshot; the table hands
     out one immutable rule per beta so node samples can be cached per rule.
-    It keeps the radial rule of each beta and its sphere rule, so that
-    stored() gives them as JSON data and seed() takes them back into a new
-    table, which then assembles those rules without building them; `built`
-    says whether the table built a rule that it was not seeded with.
+    stored() gives the radial rule of each beta held and the sphere rule as
+    JSON data, and seed() takes them back into a new table, which assembles
+    those rules without building them; `built` says whether the table built
+    a rule that it was not seeded with.
     """
 
     def __init__(self, N: int, n_radial: int = 48, n_angular: int = 1):
         self.N = N
         self.n_radial = n_radial
         self.n_angular = n_angular
-        self._radial: dict = {}   # beta key -> (nodes, weights)
-        self._rules: dict = {}
+        self._rules: dict = {}   # beta key -> BallQuadrature
         self._sphere = None
         self.built = False
 
     def rule(self, beta: float) -> BallQuadrature:
         key = round(float(beta), 12)
         if key not in self._rules:
-            if key in self._radial:
-                self._rules[key] = _ball_rule(key, self.n_angular, *self._radial[key],
-                                              self.sphere())
-            else:
-                rule = build_rule(self.N, key, self.n_radial, self.n_angular)
-                self._radial[key] = rule.radial_nodes, rule.radial_weights
-                self._rules[key] = rule
-                self.built = True
+            self._rules[key] = build_rule(self.N, key, self.n_radial, self.n_angular)
+            self.built = True
         return self._rules[key]
 
     @property
@@ -309,8 +302,9 @@ class RuleTable:
         floats read back bit for bit."""
         sph = self.sphere()
         return {"N": self.N, "n_radial": self.n_radial, "n_angular": self.n_angular,
-                "radial": {repr(key): {"nodes": r.tolist(), "weights": W.tolist()}
-                           for key, (r, W) in sorted(self._radial.items())},
+                "radial": {repr(key): {"nodes": rule.radial_nodes.tolist(),
+                                       "weights": rule.radial_weights.tolist()}
+                           for key, rule in sorted(self._rules.items())},
                 "sphere": {"points": sph.points.tolist(), "weights": sph.weights.tolist()}}
 
     def seed(self, doc: dict):
@@ -325,13 +319,14 @@ class RuleTable:
         if not (isinstance(radial, dict) and isinstance(sph, dict)
                 and all(isinstance(v, dict) for v in radial.values())):
             raise ValueError('no "radial" object of rule objects and "sphere" object')
+        pts, wts = (np.array(sph.get(name), dtype=float) for name in ("points", "weights"))
+        check_sphere_rule(self.N, self.n_angular, pts, wts)
+        sphere = SphereRule(N=self.N, points=pts, weights=wts)
         rules = {}
         for text, rule in radial.items():
             key = round(float(text), 12)
             r, W = (np.array(rule.get(name), dtype=float) for name in ("nodes", "weights"))
             check_radial_rule(self.N, key, self.n_radial, r, W)
-            rules[key] = r, W
-        pts, wts = (np.array(sph.get(name), dtype=float) for name in ("points", "weights"))
-        check_sphere_rule(self.N, self.n_angular, pts, wts)
-        self._radial.update(rules)
-        self._sphere = SphereRule(N=self.N, points=pts, weights=wts)
+            rules[key] = _ball_rule(key, self.n_angular, r, W, sphere)
+        self._rules.update(rules)
+        self._sphere = sphere

@@ -524,7 +524,6 @@ def cmd_functionals(run_dir: str, selection: str | None = None,
         raise ConfigError(f"no functional selected by {selection!r}")
     rules, snaps = build_snapshots(vals, traj, run_dir, manifest)
     provenance = {
-        "run_dir": os.path.abspath(run_dir),
         # the checksum simulate recorded
         "frames_sha256": manifest["files"]["frames_u.npy"]["sha256"],
         **{key: fun[key] for key in ("eps", "k", "sigma")},
@@ -642,9 +641,7 @@ def _sweep_one(args):
 
 
 def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
-              jobs: int = 1, verbose: bool = False) -> int:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+              verbose: bool = False) -> int:
     base, _vals = parse_config(config_path)
     pairs = [(p, N) for p in p_list for N in N_list]
     if not pairs:
@@ -672,7 +669,7 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
                           + "; ".join(bad))
     manifest = read_manifest(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    rows = fan_out(_sweep_one, tasks, jobs)
+    rows = fan_out(_sweep_one, tasks)
     cols = ["p", "N", "status", "T_est", "exponent", "F0_monotone", "ladder_monotone"]
     written = [write_csv(os.path.join(out_dir, "aggregate.csv"), cols,
                          [[row[c] for row in rows] for c in cols])]

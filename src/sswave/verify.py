@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
@@ -390,11 +389,10 @@ def identity_group(args: tuple) -> list[dict]:
 
 def identity_groups(groups: list[tuple]) -> list[list[dict]]:
     """identity_group of each (N, eps, n_fields, seed), in order.  The groups
-    are independent: they run on one worker process per available CPU (one
+    are independent: they run on one worker process per usable CPU (one
     per group at most), the N = 3 ones, each about ten times an N = 2 one,
     submitted first."""
-    return fan_out(identity_group, groups, len(os.sched_getaffinity(0)),
-                   cost=lambda args: args[0])
+    return fan_out(identity_group, groups, cost=lambda args: args[0])
 
 
 def identity_suite(seed: int) -> list[dict]:

@@ -230,12 +230,19 @@ def test_fit_error_exits_3_with_one_line(small_cfg, tmp_path, capsys, monkeypatc
 
 
 def test_determinism_byte_identical(small_cfg, tmp_path):
+    """simulate and functionals into two directories write the same bytes
+    in every file, the manifest apart from its written_at: a run records no
+    path of its own, so it reads the same wherever it is moved."""
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (a, b):
         assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
         assert run_cli("functionals", "--out", out, "--names", "F0,E0,M") == 0
-    ha, hb = file_hashes(a), file_hashes(b)
-    assert ha and ha == hb
+    ha, hb = file_hashes(a, suffixes=("",)), file_hashes(b, suffixes=("",))
+    manifests = [json.load(open(os.path.join(d, "manifest.json"))) for d in (a, b)]
+    for manifest, hashes in zip(manifests, (ha, hb)):
+        del manifest["written_at"], hashes["manifest.json"]
+    assert manifests[0] == manifests[1]
+    assert "F0.json" in ha and ha == hb
 
 
 def test_functionals_outputs(small_cfg, tmp_path):
@@ -357,16 +364,18 @@ def test_sweep_honours_similarity_window(small_cfg, tmp_path):
     assert all(r["F0_monotone"] == r["ladder_monotone"] == "False" for r in rows)
 
 
-def test_sweep_point_outside_its_coverage_fails_alone(small_cfg, tmp_path, capsys):
+def test_sweep_point_outside_its_coverage_fails_alone(small_cfg, tmp_path, capfd):
     """s_hi = 16 lies beyond the p=3.6 run (covered to s ~ 14.8) but inside
     the p=4.2 run (s ~ 18.4): the first point fails its verdicts, the
-    second gets those of `verify --suite monotone`, and the sweep completes."""
+    second gets those of `verify --suite monotone`, and the sweep completes.
+    The note comes from whichever process ran the point, a forked worker
+    included, so it is read from file descriptor 2."""
     cfg = tmp_path / "long.ini"
     cfg.write_text(open(small_cfg).read() + "s_lo = 10.0\ns_hi = 16.0\n")
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--config", str(cfg), "--p-list", "3.6,4.2",
                    "--N-list", "3", "--out", str(out)) == 0
-    assert "p=3.6 N=3: window not checked: ValueError" in capsys.readouterr().err
+    assert "p=3.6 N=3: window not checked: ValueError" in capfd.readouterr().err
     with open(out / "aggregate.csv") as fh:
         p36, p42 = csv.DictReader(fh)
     assert p36["F0_monotone"] == p36["ladder_monotone"] == "False"
@@ -411,18 +420,18 @@ def _die(*task):
 
 
 def test_a_dead_worker_exits_4_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):
-    """A worker process killed mid-task (here by os._exit) ends `sweep --jobs 2`
-    and `verify --suite identities` on two CPUs in one WorkerError line,
-    exit code 4, and neither writes its report."""
-    from sswave import verify
+    """A worker process killed mid-task (here by os._exit) ends a 2-point
+    `sweep` and `verify --suite identities` on two CPUs in one WorkerError
+    line, exit code 4, and neither writes its report."""
+    from sswave import core, verify
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     monkeypatch.setattr(runio, "_sweep_one", _die)
     monkeypatch.setattr(verify, "run_identity_battery", _die)
     sweep, ident = tmp_path / "sweep", tmp_path / "ident"
     ident.mkdir()
     for argv in (("sweep", "--config", small_cfg, "--p-list", "3.6,4.2",
-                  "--N-list", "3", "--out", str(sweep), "--jobs", "2"),
+                  "--N-list", "3", "--out", str(sweep)),
                  ("verify", "--suite", "identities", "--out", str(ident))):
         assert run_cli(*argv) == 4, argv
         err = capsys.readouterr().err
@@ -1119,29 +1128,16 @@ def test_env_var_selects_output_root(small_cfg, tmp_path, monkeypatch):
     assert os.path.exists(str(tmp_path / "root" / "run" / "center.csv"))
 
 
-def test_sweep_parallel_jobs(small_cfg, tmp_path):
-    out = str(tmp_path / "sweepj")
-    rc = run_cli("sweep", "--config", small_cfg, "--p-list", "3.6,4.2",
-                 "--N-list", "3", "--out", out, "--jobs", "2")
-    assert rc == 0
-    with open(os.path.join(out, "aggregate.csv")) as fh:
-        assert len(fh.read().strip().splitlines()) == 3
-
-
-def test_sweep_jobs_rule(small_cfg, tmp_path, capsys, monkeypatch):
-    """--jobs below 1 exits 2 with one line before any directory is written,
-    and a sweep starts at most one worker per point: the fork start method
-    launches every worker of a pool on its first submit.  A stand-in
-    executor records max_workers and maps in process; no pool is started."""
+def test_sweep_runs_one_worker_per_cpu_and_point(small_cfg, tmp_path, capsys,
+                                                monkeypatch):
+    """A sweep starts min(usable CPUs, points) workers, and none for one
+    CPU or one point: the fork start method launches every worker of a pool
+    on its first submit.  A stand-in executor records max_workers and maps
+    in process.  The worker count is no option: --jobs is a usage error."""
     import concurrent.futures
 
-    for jobs in ("0", "-2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert run_cli("sweep", "--config", small_cfg, "--p-list", "3.6",
-                       "--N-list", "3", "--out", str(out), "--jobs", jobs) == 2
-        assert capsys.readouterr().err == \
-            f"error: ConfigError: --jobs must be >= 1, got {jobs}\n"
-        assert not out.exists()
+    from sswave import core
+
     started = []
 
     class InProcess:
@@ -1158,13 +1154,21 @@ def test_sweep_jobs_rule(small_cfg, tmp_path, capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-    for p_list, want in (("3.6,4.2", [2]), ("3.6", [2])):   # one point: no pool
-        out = str(tmp_path / f"sweep{p_list}")
+    for cpus, p_list, want in ((8, "3.6,4.2", [2]), (8, "3.6", []), (1, "3.6,4.2", []),
+                               (2, "3.6,4.2,4.5", [2])):
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        started.clear()
+        out = str(tmp_path / f"sweep{cpus}_{p_list}")
         assert run_cli("sweep", "--config", small_cfg, "--p-list", p_list,
-                       "--N-list", "3", "--out", out, "--jobs", "8") == 0
-        assert started == want, p_list
+                       "--N-list", "3", "--out", out) == 0
+        assert started == want, (cpus, p_list)
         with open(os.path.join(out, "aggregate.csv")) as fh:
             assert len(fh.read().strip().splitlines()) == 1 + len(p_list.split(","))
+    out = tmp_path / "jobs"
+    assert run_cli("sweep", "--config", small_cfg, "--p-list", "3.6",
+                   "--N-list", "3", "--out", str(out), "--jobs", "2") == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_suite_all(small_cfg, tmp_path):

@@ -131,7 +131,7 @@ def test_seed_rejects_a_damaged_store(damage):
     table = RuleTable(2, n_radial=24, n_angular=16)
     with pytest.raises((ValueError, TypeError)):
         table.seed(_damaged(doc, damage))
-    assert not table._radial and table._sphere is None
+    assert not table._rules and table._sphere is None
     table.seed(doc)     # the undamaged store seeds
 
 

@@ -17,7 +17,7 @@ from sswave.similarity import (PolyField, RadialSpline, StaticSnapshot, TestFiel
                                WeightedPoly, harmonic_poly, to_similarity,
                                trajectory_to_w)
 from sswave import functionals as fu
-from sswave import similarity, verify
+from sswave import core, similarity, verify
 
 from conftest import observed_order
 
@@ -274,7 +274,7 @@ def test_a_warning_in_a_suite_worker_fails_the_suite(monkeypatch):
     the caller's warning filters: a weight power taken at a sphere point in
     a worker, under simplefilter("error"), reaches the caller as the
     RuntimeWarning, as it would from the battery run in process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def stray_power(N, eps, n_fields, seed):

@@ -344,3 +344,15 @@ def test_one_least_squares_fit():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if re.search(r"polyfit|lstsq", line)]
     assert not hits, f"least-squares fits outside ode.power_fit: {hits}"
+
+
+def test_one_worker_policy():
+    """How many worker processes run is decided in core.fan_out alone:
+    sched_getaffinity, cpu_count and ProcessPoolExecutor appear in
+    src/sswave only in core.py."""
+    words = r"sched_getaffinity|cpu_count|ProcessPoolExecutor"
+    found = {path.name: [i for i, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1) if re.search(words, line)]
+             for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
+    assert found.pop("core.py")
+    assert not any(found.values()), f"worker policy outside core.fan_out: {found}"

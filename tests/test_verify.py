@@ -10,7 +10,7 @@ from sswave.core import FunctionalSeries, fan_out
 from sswave.quadrature import RuleTable
 from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
-from sswave import verify
+from sswave import core, verify
 
 from conftest import lemma_window_snaps, make_gaussian_run, observed_order
 
@@ -106,8 +106,7 @@ def test_identity_battery(N, eps):
 
 @pytest.fixture()
 def pool_spy(monkeypatch):
-    """Two CPUs, whatever the machine has, and the max_workers of every
-    process pool started."""
+    """The max_workers of every process pool started."""
     import concurrent.futures
 
     started = []
@@ -118,15 +117,15 @@ def pool_spy(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return started
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_identity_suite_is_the_serial_battery(seed, pool_spy):
-    """The suite's six (N, eps) groups, run on worker processes, give
-    exactly the reports of the battery run group by group in this process,
-    in the same order: N outer, eps inner."""
+def test_identity_suite_is_the_serial_battery(seed, pool_spy, monkeypatch):
+    """The suite's six (N, eps) groups, run on two worker processes whatever
+    the machine has, give exactly the reports of the battery run group by
+    group in this process, in the same order: N outer, eps inner."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     serial = [dataclasses.asdict(r) for N in (2, 3) for eps in (0.6, 1.0, 1.1)
               for r in verify.run_identity_battery(N, eps, n_fields=10, seed=seed)]
     assert verify.identity_suite(seed) == serial
@@ -142,7 +141,7 @@ def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
             raise AssertionError("a process pool was started on one CPU")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
     monkeypatch.setattr(verify, "run_identity_battery",
                         lambda N, eps, n_fields, seed: [verify.report(
                             "pohozaev_A", 1.0, 1.0, 1e-8, context=f"{N} {eps} {seed}")])
@@ -151,9 +150,10 @@ def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
 
 
 def test_fan_out_submits_costliest_first(monkeypatch):
-    """fan_out hands the pool its tasks costliest first, a tie in task
-    order, and returns the results in task order; one worker, or one task,
-    maps in this process.  A stand-in executor records what it is given."""
+    """fan_out starts min(usable CPUs, tasks) workers, hands the pool its
+    tasks costliest first, a tie in task order, and returns the results in
+    task order; one CPU, or one task, maps in this process.  A stand-in
+    executor records what it is given."""
     import concurrent.futures
 
     started, submitted = [], []
@@ -173,14 +173,37 @@ def test_fan_out_submits_costliest_first(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+
+    def cpus(n):
+        monkeypatch.setattr(core, "usable_cpus", lambda: n)
+
     tasks = [-1, -5, -2, -5, -3]
-    assert fan_out(abs, tasks, 1, cost=abs) == [1, 5, 2, 5, 3]
-    assert fan_out(abs, tasks[:1], 4) == [1]
+    cpus(1)
+    assert fan_out(abs, tasks, cost=abs) == [1, 5, 2, 5, 3]
+    cpus(4)
+    assert fan_out(abs, tasks[:1]) == [1]
     assert started == []
-    assert fan_out(abs, tasks, 8, cost=abs) == [1, 5, 2, 5, 3]
+    cpus(8)
+    assert fan_out(abs, tasks, cost=abs) == [1, 5, 2, 5, 3]
     assert started == [5] and submitted == [-5, -5, -3, -2, -1]
     submitted.clear()
-    assert fan_out(abs, tasks, 2) == [1, 5, 2, 5, 3] and submitted == tasks
+    cpus(2)
+    assert fan_out(abs, tasks) == [1, 5, 2, 5, 3] and submitted == tasks
+    assert started == [5, 2]
+
+
+def test_usable_cpus_without_sched_getaffinity(monkeypatch, pool_spy):
+    """Where os has no sched_getaffinity (macOS, Windows) the usable CPUs
+    are os.cpu_count(), and 1 when it cannot tell: identity_suite(0) runs
+    on that many workers and passes every check."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert core.usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert core.usable_cpus() == 2
+    reports = verify.identity_suite(0)
+    assert pool_spy == [2]
+    assert len(reports) == 120 and all(r["passed"] for r in reports)
 
 
 def test_pohozaev_trivial_and_examples():
