@@ -27,19 +27,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import FunctionalSeries, RadialGrid, fan_out, make_exponents
+from .core import FunctionalSeries, RadialGrid, WorkerError, fan_out, make_exponents
+from .ode import FitError
 from .quadrature import RuleTable, check_rule
-from .solver import (FAMILIES, R_MAX_FACTOR, STATUSES, SolverConfig, Trajectory,
+from .solver import (R_MAX_FACTOR, STATUSES, SolverConfig, SolverError, Trajectory,
                      run_until_blowup)
 from .similarity import trajectory_to_w
 from . import functionals as fu
 from . import verify
-
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
-EXIT_NO_BLOWUP = 3
-EXIT_WORKER_LOST = 4
 
 
 class ConfigError(ValueError):
@@ -49,6 +44,17 @@ class ConfigError(ValueError):
 class NoBlowupError(RuntimeError):
     """The run directory holds no blow-up trajectory to analyse."""
 
+
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
+EXIT_NO_BLOWUP = 3
+EXIT_WORKER_LOST = 4
+# the exceptions a command ends in, with one `error:` line, and their exit codes
+EXIT_CODES = {ConfigError: EXIT_USAGE, SolverError: EXIT_USAGE,
+              fu.QuadpackError: EXIT_USAGE,
+              NoBlowupError: EXIT_NO_BLOWUP, FitError: EXIT_NO_BLOWUP,
+              WorkerError: EXIT_WORKER_LOST}
 
 SUITES = ("identities", "lemmas", "monotone", "decay", "all")
 FRAMES = ("frames_t", "frames_u", "frames_ut")
@@ -66,18 +72,12 @@ def _auto_or_float(val: str):
     return val if val == "auto" else _finite(val)
 
 
-def _family(val: str) -> str:
-    if val not in FAMILIES:
-        raise ValueError(f"expected one of {FAMILIES}")
-    return val
-
-
 # section -> key -> (default text, parser of the text)
 SCHEMA = {
     "exponents": {"p": ("4.0", _finite), "N": ("3", int)},
     "solver": {
         "nr": ("1024", int), "u_cap": ("1e8", _finite), "max_steps": ("2000000", int),
-        "store_ds": ("0.02", _finite), "family": ("ode_plateau", _family),
+        "store_ds": ("0.02", _finite), "family": ("ode_plateau", str),
         "T": ("1.0", _finite), "amplitude": ("5.0", _finite), "width": ("0.35", _finite),
     },
     "similarity": {
@@ -359,23 +359,22 @@ def _resolve_and_solve(cfg: dict, vals: dict, out_dir: str):
     return scfg, traj, manifest
 
 
-def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
-                 verbose: bool = False) -> int:
-    cfg, vals = parse_config(config_path)
-    scfg, traj, manifest = _resolve_and_solve(cfg, vals, out_dir)
+def cmd_simulate(config: str | None, out: str, dump_raw: bool, verbose: bool) -> int:
+    cfg, vals = parse_config(config)
+    scfg, traj, manifest = _resolve_and_solve(cfg, vals, out)
     if verbose:
         print(f"simulate: status={traj.status} steps={traj.center_t.size} "
               f"frames={traj.frames_t.size} T_est={traj.T_est}")
 
-    written = [os.path.join(out_dir, "config.resolved.ini")]
+    written = [os.path.join(out, "config.resolved.ini")]
     for name in FRAMES:
         arr = getattr(traj, name)
-        written.append(replace_file(os.path.join(out_dir, f"{name}.npy"),
+        written.append(replace_file(os.path.join(out, f"{name}.npy"),
                                     lambda fh: np.save(fh, arr)))
-    written.append(write_csv(os.path.join(out_dir, "center.csv"),
+    written.append(write_csv(os.path.join(out, "center.csv"),
                              ["t", "u_center", "u_max"],
                              [traj.center_t, traj.center_u, traj.max_u]))
-    written.append(write_json(os.path.join(out_dir, "t_est.json"), {
+    written.append(write_json(os.path.join(out, "t_est.json"), {
         "status": traj.status,
         "T_est": traj.T_est,
         "exponent": traj.fit.exponent if traj.fit else None,
@@ -384,10 +383,10 @@ def cmd_simulate(config_path: str | None, out_dir: str, dump_raw: bool = False,
         "n_frames": int(traj.frames_t.size)}))
     if dump_raw:
         idx = np.arange(0, traj.frames_t.size, max(1, traj.frames_t.size // 50))
-        written.append(write_csv(os.path.join(out_dir, "raw.csv"), ["t", "r", "u", "ut"], [
+        written.append(write_csv(os.path.join(out, "raw.csv"), ["t", "r", "u", "ut"], [
             np.repeat(traj.frames_t[idx], traj.grid.nr), np.tile(traj.grid.nodes, idx.size),
             traj.frames_u[idx].ravel(), traj.frames_ut[idx].ravel()]))
-    update_manifest(out_dir, manifest, config_hash(cfg), written)
+    update_manifest(out, manifest, config_hash(cfg), written)
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
 
@@ -464,7 +463,9 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
     than 4 frames, and a window that is empty, reaches a time
     outside the frames, or whose largest ball x0 + (T0 - t) y
     leaves the radial grid, is a ConfigError whatever the span, and so
-    is an x0 off the origin with n_angular = 1 (check_centre)."""
+    is an x0 off the origin with n_angular = 1 (check_centre); so is a
+    window the transform rejects (e.g. frame times that no longer
+    resolve T0 - t), with the transform's ValueError in its message."""
     frames_t = traj.frames_t
     if frames_t.size < 4:
         raise ConfigError(f"the run stores {frames_t.size} frames, fewer than "
@@ -497,11 +498,16 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
         # the next snapshot too: a window [s0, s0 + span] taken from the
         # transformed s then selects the same rows as from the whole series
         s_grid = s_grid[:np.count_nonzero(s_grid <= s_grid[0] + span) + 1]
-    snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid)
+    try:
+        snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid)
+    except ValueError as exc:
+        raise ConfigError(
+            f"[similarity] s_lo, s_hi, T0: the window s in [{s_grid[0]}, {s_grid[-1]}] "
+            f"cannot be transformed from the run's frames: ValueError: {exc}") from exc
     return rules, snaps
 
 
-def export_snapshots(run_dir: str, snaps, rule) -> str:
+def write_snapshots(run_dir: str, snaps, rule) -> str:
     """Snapshot node data on rule: s, node coordinates, w, ws, |gw|, |gw_r|,
     |gw_th|, one row per snapshot and node."""
     ns, pts = snaps.on(rule), rule.points
@@ -514,40 +520,41 @@ def export_snapshots(run_dir: str, snaps, rule) -> str:
                      list(cols.values()))
 
 
-def cmd_functionals(run_dir: str, selection: str | None = None,
-                    dump_snapshots: bool = False, verbose: bool = False) -> int:
-    vals, traj, manifest = load_run(run_dir)
+def cmd_functionals(out: str, names: str | None, export_snapshots: bool,
+                    verbose: bool) -> int:
+    """The series of names, a comma list (None: the config's [functionals]
+    names), written into the run directory out."""
+    vals, traj, manifest = load_run(out)
     fun = vals["functionals"]
-    selection = fun["names"] if selection is None else selection
-    names = functional_names(selection)
-    if not names:
+    selection = fun["names"] if names is None else names
+    selected = functional_names(selection)
+    if not selected:
         raise ConfigError(f"no functional selected by {selection!r}")
-    rules, snaps = build_snapshots(vals, traj, run_dir, manifest)
+    rules, snaps = build_snapshots(vals, traj, out, manifest)
     provenance = {
         # the checksum simulate recorded
         "frames_sha256": manifest["files"]["frames_u.npy"]["sha256"],
         **{key: fun[key] for key in ("eps", "k", "sigma")},
     }
     written = []
-    for ser in fu.evaluate_series(names, snaps, rules, traj.e,
+    for ser in fu.evaluate_series(selected, snaps, rules, traj.e,
                                   fun["eps"], fun["k"], fun["sigma"]):
-        written += write_series(run_dir, ser, provenance)
+        written += write_series(out, ser, provenance)
         if verbose:
             print(f"functionals: wrote {ser.name} ({len(ser)} samples)")
-    if dump_snapshots:
-        written.append(export_snapshots(run_dir, snaps, rules.plain))
-    written += store_rules(run_dir, rules)
-    update_manifest(run_dir, manifest, manifest["config_hash"], written)
+    if export_snapshots:
+        written.append(write_snapshots(out, snaps, rules.plain))
+    written += store_rules(out, rules)
+    update_manifest(out, manifest, manifest["config_hash"], written)
     return EXIT_OK
 
 
-def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
-               verbose: bool = False) -> int:
+def cmd_verify(out: str | None, suite: str, seed: int, verbose: bool) -> int:
     """Verification suites; exit 1 iff any check fails.
 
     'identities' runs on static fields (no run dir needed); 'lemmas',
     'monotone' and 'decay' need a simulated run; 'all' runs whatever its
-    inputs allow.  The reports go to RUN_DIR/verify_<suite>.{json,txt}
+    inputs allow.  The reports go to out/verify_<suite>.{json,txt}
     (the working directory without a run dir), and into the manifest when
     a run was checked.
     """
@@ -561,11 +568,11 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
         reports += verify.identity_suite(seed)
 
     manifest = None
-    if suite != "identities" and run_dir is not None:
-        vals, traj, manifest = load_run(run_dir)
+    if suite != "identities" and out is not None:
+        vals, traj, manifest = load_run(out)
         # the lemma suite alone reads only the window's first LEMMA_SPAN
         span = verify.LEMMA_SPAN if suite == "lemmas" else None
-        rules, snaps = build_snapshots(vals, traj, run_dir, manifest, span)
+        rules, snaps = build_snapshots(vals, traj, out, manifest, span)
         fun = vals["functionals"]
         if suite in ("lemmas", "all"):
             reports += verify.lemma_suite(snaps, rules, traj.e, fun["eps"],
@@ -581,35 +588,35 @@ def cmd_verify(run_dir: str | None, suite: str, seed: int = 0,
     lines = [f"{'PASS' if r.get('passed') else 'FAIL'}  {r['name']}" for r in reports]
     text = "\n".join(lines) + f"\n{'OK' if ok else 'FAILURES'}: " \
         f"{sum(bool(r.get('passed')) for r in reports)}/{len(reports)} checks passed\n"
-    out_dir = run_dir or "."
+    out_dir = out or "."
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, f"verify_{suite}")
     written = [write_json(out_path + ".json", reports), out_path + ".txt"]
     with open(written[1], "w", encoding="utf-8") as fh:
         fh.write(text)
     if manifest is not None:
-        written += store_rules(run_dir, rules)
-        update_manifest(run_dir, manifest, manifest["config_hash"], written)
+        written += store_rules(out, rules)
+        update_manifest(out, manifest, manifest["config_hash"], written)
     if verbose:
         print(text, end="")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_rate(run_dir: str, q: float, verbose: bool = False) -> int:
+def cmd_rate(out: str, q: float, verbose: bool) -> int:
     if not (math.isfinite(q) and q >= 0.0):
         raise ConfigError(f"--q must be finite and >= 0, got {q}")
-    _vals, traj, manifest = load_run(run_dir)
+    _vals, traj, manifest = load_run(out)
     try:
         rep = fu.theorem_quantities(traj, traj.e, traj.T_est, q=q)
     except ValueError as exc:
-        raise ConfigError(f"cannot sample {run_dir}: "
+        raise ConfigError(f"cannot sample {out}: "
                           f"{exc}") from exc
     written = []
     for ser in rep.series.values():
-        written += write_series(run_dir, ser, {"q": q})
+        written += write_series(out, ser, {"q": q})
     verdict = verify.rate_verdict(rep, q)
-    written.append(write_json(os.path.join(run_dir, "rate_verdict.json"), verdict))
-    update_manifest(run_dir, manifest, manifest["config_hash"], written)
+    written.append(write_json(os.path.join(out, "rate_verdict.json"), verdict))
+    update_manifest(out, manifest, manifest["config_hash"], written)
     if verbose:
         print(json.dumps(verdict, indent=1, sort_keys=True, default=float))
     ok = all(verdict[key] for key in verify.RATE_VERDICTS)
@@ -640,14 +647,21 @@ def _sweep_one(args):
     return row
 
 
-def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
-              verbose: bool = False) -> int:
-    base, _vals = parse_config(config_path)
-    pairs = [(p, N) for p in p_list for N in N_list]
+def cmd_sweep(config: str | None, p_list: str, N_list: str, out: str,
+              verbose: bool) -> int:
+    """One run per (p, N) of the comma lists p_list and N_list, in
+    out/p<p>_N<N>, and their verdicts in out/aggregate.csv."""
+    try:
+        ps = [float(v) for v in p_list.split(",") if v]
+        Ns = [int(v) for v in N_list.split(",") if v]
+    except ValueError as exc:
+        raise ConfigError(f"bad --p-list/--N-list: {exc}") from exc
+    base, _vals = parse_config(config)
+    pairs = [(p, N) for p in ps for N in Ns]
     if not pairs:
-        raise ConfigError(f"--p-list {p_list} and --N-list {N_list} "
+        raise ConfigError(f"--p-list {ps} and --N-list {Ns} "
                           f"select no (p, N) pair")
-    for flag, listed in (("--p-list", p_list), ("--N-list", N_list)):
+    for flag, listed in (("--p-list", ps), ("--N-list", Ns)):
         repeated = sorted({v for v in listed if listed.count(v) > 1})
         if repeated:
             raise ConfigError(f"{flag} repeats {', '.join(map(repr, repeated))}: "
@@ -656,7 +670,7 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     tasks, bad = [], []
     for p, N in pairs:
         cfg = {**base, "exponents": {"p": repr(p), "N": repr(N)}}
-        point = os.path.join(out_dir, f"p{p}_N{N}")
+        point = os.path.join(out, f"p{p}_N{N}")
         try:
             vals = typed(cfg)
             check_solve(vals, point)
@@ -667,15 +681,15 @@ def cmd_sweep(config_path: str | None, p_list, N_list, out_dir: str,
     if bad:
         raise ConfigError("invalid sweep pairs rejected before launch: "
                           + "; ".join(bad))
-    manifest = read_manifest(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    manifest = read_manifest(out)
+    os.makedirs(out, exist_ok=True)
     rows = fan_out(_sweep_one, tasks)
     cols = ["p", "N", "status", "T_est", "exponent", "F0_monotone", "ladder_monotone"]
-    written = [write_csv(os.path.join(out_dir, "aggregate.csv"), cols,
+    written = [write_csv(os.path.join(out, "aggregate.csv"), cols,
                          [[row[c] for row in rows] for c in cols])]
     if verbose:
         for row in rows:
             print(row)
     written += [os.path.join(d, "config.resolved.ini") for *_, d in tasks]
-    update_manifest(out_dir, manifest, config_hash(base), written)
+    update_manifest(out, manifest, config_hash(base), written)
     return EXIT_OK

@@ -59,6 +59,9 @@ class SolverConfig:
     width: float = 0.35           # gaussian width
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown initial-data family '{self.family}', "
+                             f"expected one of {FAMILIES}")
         if self.family == "ode_plateau" and self.grid.r_max <= TAPER_FRAC * self.T:
             raise ValueError("grid too small: need r_max > TAPER_FRAC*T")
 
@@ -87,10 +90,9 @@ def initial_state(cfg: SolverConfig) -> PhysicalState:
     if cfg.family == "plateau":
         chi = plateau_profile(r, CORE_FRAC * cfg.T, TAPER_FRAC * cfg.T)
         return PhysicalState(0.0, cfg.amplitude * chi, np.zeros_like(r))
-    if cfg.family == "gaussian":
-        u = cfg.amplitude * np.exp(-((r / cfg.width) ** 2))
-        return PhysicalState(0.0, u, np.zeros_like(r))
-    raise ValueError(f"unknown initial-data family '{cfg.family}'")
+    # gaussian, the last of FAMILIES
+    u = cfg.amplitude * np.exp(-((r / cfg.width) ** 2))
+    return PhysicalState(0.0, u, np.zeros_like(r))
 
 
 class _Leapfrog:

@@ -552,16 +552,16 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
                      require_nonneg: bool = False) -> dict:
     """Indices where the series increases by more than slack*local-scale, or
     where either side is not finite; optionally also checks the claimed
-    nonnegativity (down to -1e-8 of the largest magnitude)."""
+    nonnegativity (down to -1e-8 of the largest magnitude).  A series of
+    fewer than MIN_SAMPLES samples cannot show monotonicity: it is not
+    monotone, whatever its violations."""
     v = series.values
-    if v.size < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     scale = np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
     scale = np.maximum(scale, FLOOR)
     finite = np.isfinite(v)
     bad = np.nonzero((v[1:] - v[:-1] > slack * scale) | ~(finite[1:] & finite[:-1]))[0]
     out = {"name": series.name, "violations": bad.tolist(),
-           "n": int(v.size), "monotone": bad.size == 0}
+           "n": int(v.size), "monotone": bad.size == 0 and v.size >= MIN_SAMPLES}
     if require_nonneg:
         gscale = max(float(np.max(np.abs(v))), FLOOR)
         out["min_value"] = float(np.min(v))
@@ -570,35 +570,23 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
 
 
 def check_f0_monotone(f0: FunctionalSeries) -> dict:
-    """F0 nonincreasing and nonnegative over the snapshot window.
-
-    A window with fewer than MIN_SAMPLES samples cannot show monotonicity
-    and fails.
-    """
-    if f0.values.size < MIN_SAMPLES:
-        return {"name": "F0_monotone", "passed": False, "violations": [],
-                "n": int(f0.values.size)}
+    """F0 nonincreasing and nonnegative over the snapshot window, which
+    fails with fewer than MIN_SAMPLES samples (monitor_monotone)."""
     mon = monitor_monotone(f0, slack=1e-6, require_nonneg=True)
     return {"name": "F0_monotone", "passed": mon["monotone"] and mon["nonnegative"],
             **{k: v for k, v in mon.items() if k != "name"}}
 
 
 def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
-    """Monotonicity of s^(k/18) F0 past ladder_start, for k = 1..k_max.
-
-    A window with fewer than MIN_SAMPLES samples cannot show monotonicity
-    and fails.
-    """
+    """Monotonicity of s^(k/18) F0 past ladder_start, for k = 1..k_max; a
+    window of fewer than MIN_SAMPLES samples fails (monitor_monotone)."""
     out = []
     for k in range(1, k_max + 1):
         sel = f0.s >= max(f0.s[0], ladder_start(e, k))
-        passed, violations = False, []
-        if np.count_nonzero(sel) >= MIN_SAMPLES:
-            mk = monitor_monotone(FunctionalSeries(
-                f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]))
-            passed, violations = mk["monotone"], mk["violations"]
-        out.append({"name": f"ladder_k{k}_monotone", "passed": passed,
-                    "violations": violations})
+        mk = monitor_monotone(FunctionalSeries(
+            f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]))
+        out.append({"name": f"ladder_k{k}_monotone", "passed": mk["monotone"],
+                    "violations": mk["violations"]})
     return out
 
 

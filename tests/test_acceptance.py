@@ -231,8 +231,9 @@ def test_criterion_10_determinism(tmp_path):
     hashes = []
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
-        assert runio.cmd_simulate(str(cfg), out) == 0
-        assert runio.cmd_functionals(out, selection="F0,E0,M,F1,singularLp1") == 0
+        assert runio.cmd_simulate(str(cfg), out, dump_raw=False, verbose=False) == 0
+        assert runio.cmd_functionals(out, names="F0,E0,M,F1,singularLp1",
+                                     export_snapshots=False, verbose=False) == 0
         hs = {}
         for root, _d, names in os.walk(out):
             for n in sorted(names):

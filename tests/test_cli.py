@@ -131,16 +131,21 @@ def test_simulate_bad_config_diagnostics(tmp_path, capsys):
 
 def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
     """Values that parse but that the run cannot supply, or that select
-    nothing: a snapshot window past the run's frames or grid, a --q that is
+    nothing: a snapshot window past the run's frames or grid, or one the
+    transform rejects (frames at t = T0 at p = 4.5 on the default config;
+    coincident frame times at p = 6, N = 2, nr = 4096), a --q that is
     negative or not finite, a negative --seed, a --names or --p-list that
     selects nothing, a --p-list or --N-list that repeats a value, a --p-list
     value that is not a number.  Each exits 2 with one ConfigError line
     before it writes a file."""
+    small = open(small_cfg).read()
     runs = {}
-    for name, extra in (("base", ""), ("far", "x0 = 5.0\nn_angular = 2\n"),
-                        ("long", "s_lo = 1.0\ns_hi = 100.0\n")):
+    for name, text in (("base", small), ("far", small + "x0 = 5.0\nn_angular = 2\n"),
+                       ("long", small + "s_lo = 1.0\ns_hi = 100.0\n"),
+                       ("late", "[exponents]\np = 4.5\n"),
+                       ("coincident", "[exponents]\np = 6.0\nN = 2\n[solver]\nnr = 4096\n")):
         cfg = tmp_path / f"{name}.ini"
-        cfg.write_text(open(small_cfg).read() + extra)
+        cfg.write_text(text)
         runs[name] = str(tmp_path / name)
         assert run_cli("simulate", "--config", str(cfg), "--out", runs[name]) == 0
     fresh = str(tmp_path / "fresh")
@@ -155,6 +160,9 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
                  ("verify", "--suite", "decay", "--out", runs["far"]),
                  ("functionals", "--out", runs["long"]),
                  ("verify", "--suite", "lemmas", "--out", runs["long"]),
+                 ("functionals", "--out", runs["late"]),
+                 ("verify", "--suite", "monotone", "--out", runs["late"]),
+                 ("functionals", "--out", runs["coincident"]),
                  ("rate", "--out", runs["base"], "--q", "-1"),
                  ("rate", "--out", runs["base"], "--q", "nan"),
                  ("rate", "--out", runs["base"], "--q", "inf"),
@@ -172,6 +180,8 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
         assert run_cli(*args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
+        if args[-1] in (runs["late"], runs["coincident"]):
+            assert "[similarity] s_lo, s_hi, T0: " in err and "ValueError: " in err, err
         assert written() == before and not os.path.exists(fresh), args
     assert not os.path.exists(os.path.join(runs["base"], "rate_verdict.json"))
     # a run whose config holds an off-centre ball on the one-ray rule (one
@@ -628,7 +638,6 @@ _VALUES = {
     runio._finite: _floats.map(repr),
     int: st.integers(-10**12, 10**12).map(str),
     runio._auto_or_float: st.one_of(st.just("auto"), _floats.map(repr)),
-    runio._family: st.sampled_from(runio.FAMILIES),
     str: st.lists(st.sampled_from(FUNCTIONAL_NAMES), min_size=1).map(",".join),
 }
 # in schema order, the order parse_config resolves into
@@ -652,8 +661,7 @@ def test_config_text_round_trip(cfg):
 
 
 @pytest.mark.parametrize("parse,bad", [
-    (runio._finite, "1.0.0"), (int, "1.5"), (runio._auto_or_float, "automatic"),
-    (runio._family, "gausian")] + [
+    (runio._finite, "1.0.0"), (int, "1.5"), (runio._auto_or_float, "automatic")] + [
     (parse, bad) for parse in (runio._finite, runio._auto_or_float)
     for bad in ("nan", "inf", "-inf")])
 def test_parse_config_rejects_malformed_value(tmp_path, parse, bad):
@@ -736,7 +744,8 @@ def test_k_max_zero_checks_f0_alone(small_cfg, tmp_path):
 
 def test_verify_monotone_short_snapshot_window_fails(small_cfg, tmp_path):
     """A snapshot window with fewer than 3 snapshots fails F0's own
-    monotonicity check (exit 1) instead of raising."""
+    monotonicity check (exit 1) instead of raising: it is reported as not
+    monotone, with the rest of monitor_monotone's report."""
     cfg = tmp_path / "short.ini"
     cfg.write_text(open(small_cfg).read() + "s_lo = 1.0\ns_hi = 1.15\n")
     out = str(tmp_path / "run")
@@ -744,7 +753,8 @@ def test_verify_monotone_short_snapshot_window_fails(small_cfg, tmp_path):
     assert run_cli("verify", "--suite", "monotone", "--out", out) == 1
     reports = json.load(open(os.path.join(out, "verify_monotone.json")))
     assert reports[0] == {"name": "F0_monotone", "passed": False,
-                          "violations": [], "n": 2}
+                          "violations": [], "n": 2, "monotone": False,
+                          "nonnegative": True, "min_value": reports[0]["min_value"]}
 
 
 @pytest.mark.parametrize("suite", ["lemmas", "decay"])

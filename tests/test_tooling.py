@@ -203,7 +203,9 @@ def _documented_commands(text: str) -> dict:
 def test_cli_usage_matches_parser():
     """The README's CLI block and the cli docstring list exactly the
     subcommands of cli.build_parser(), in order, each with its flags and
-    their choices; --verbose, which every command takes, is said once."""
+    their choices; --verbose, which every command takes, is said once.
+    Each subcommand's flags are, by dest, the parameters of the runio
+    function it calls."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     parsed = {}
@@ -211,6 +213,8 @@ def test_cli_usage_matches_parser():
         flags = {a.option_strings[-1]: a for a in parser._actions
                  if a.option_strings and a.option_strings[-1] != "--help"}
         assert "--verbose" in flags, name
+        assert {a.dest for a in flags.values()} == set(
+            inspect.signature(parser.get_default("run")).parameters), name
         parsed[name] = {flag: None if a.choices is None else list(a.choices)
                         for flag, a in flags.items() if flag != "--verbose"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -349,8 +349,11 @@ def test_monitor_monotone_flags_non_finite_steps():
 
 
 def test_monitor_requires_three_samples():
-    with pytest.raises(ValueError):
-        verify.monitor_monotone(FunctionalSeries("s", [0, 1], [1.0, 0.5]))
+    """Fewer than MIN_SAMPLES samples show no monotonicity: such a series,
+    falling or empty, is reported not monotone, with no violation."""
+    for s, v in (([0, 1], [1.0, 0.5]), ([], [])):
+        mon = verify.monitor_monotone(FunctionalSeries("s", s, v))
+        assert mon["violations"] == [] and not mon["monotone"], s
 
 
 def test_ladder_check_fails_short_windows():
