@@ -20,7 +20,7 @@ def main():
     for N in (2, 3):
         for eps in (0.6, 1.0, 1.1):
             reps = verify.run_identity_battery(N, eps, n_fields=20, seed=7)
-            worst = max(r.rel_residual for r in reps)
+            worst = max(r["rel_residual"] for r in reps)
             print(f"  N={N} eps={eps}: {len(reps)} checks, worst residual {worst:.2e}")
 
     print("\nd/ds lemmas on a Gaussian blow-up trajectory (two resolutions):")
@@ -40,8 +40,8 @@ def main():
     for name in verify.LEMMA_NAMES:
         r1 = verify.check_derivative_lemma(name, series[0], rules, e, eps=0.6)
         r2 = verify.check_derivative_lemma(name, series[1], rules, e, eps=0.6)
-        order = math.log2(r1.abs_residual / r2.abs_residual)
-        print(f"  {name:>8} {r1.abs_residual:18.3e} {r2.abs_residual:16.3e} "
+        order = math.log2(r1["abs_residual"] / r2["abs_residual"])
+        print(f"  {name:>8} {r1['abs_residual']:18.3e} {r2['abs_residual']:16.3e} "
               f"{order:6.2f}")
 
     c1 = verify.calibrate_sigma_bound(series[1], rules, e)

@@ -446,7 +446,8 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     # TIME_BLOCK at a time: each block's radial gradients (np.gradient works
     # row by row) give its cone energies G(t) = int_{B(0,T0-t)}(...), the
     # sample times' rows of u, u_t and u_r are kept, and a mapped archive's
-    # pages are dropped before the next block
+    # pages are dropped before the next block; each block is read as a plain
+    # ndarray view, as np.memmap indexes through Python
     lo = np.searchsorted(ft, ft[idx], side="left")
     hi = np.searchsorted(ft, 0.5 * (ft[idx] + T0), side="right")
     start, stop = lo[0], hi[-1]
@@ -454,7 +455,7 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     kept = {}
     for b in range(start, stop, TIME_BLOCK):
         rows = slice(b, min(b + TIME_BLOCK, stop))
-        fu, fut = traj.frames_u[rows], traj.frames_ut[rows]
+        fu, fut = np.asarray(traj.frames_u[rows]), np.asarray(traj.frames_ut[rows])
         fur = np.gradient(fu, grid.dr, axis=1)
         for k, tau in enumerate(taus[rows]):
             Gt[b - start + k] = sa * _radial_integral(fur[k] ** 2 + fut[k] ** 2,

@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import math
-import mmap
 import os
 import sys
 import time
@@ -214,21 +213,6 @@ def _read(path: str, load):
         raise ConfigError(f"unreadable {path}: {exc}") from exc
 
 
-def _map_npy(path: str) -> np.ndarray:
-    """A .npy file's array over a read-only shared map of the file (its base)."""
-    fmt = np.lib.format
-    with open(path, "rb") as fh:
-        version = fmt.read_magic(fh)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"unsupported .npy format version {version}")
-        read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-        shape, fortran, dtype = read(fh)
-        if dtype.hasobject:
-            raise ValueError("an array of Python objects cannot be mapped")
-        return np.ndarray(shape, dtype, offset=fh.tell(), order="F" if fortran else "C",
-                          buffer=mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
-
-
 def read_manifest(run_dir: str) -> dict | None:
     """run_dir's manifest.json, None if it has none; anything but an
     object with a "files" object of {"sha256", "bytes"} entries is a
@@ -249,9 +233,9 @@ def read_manifest(run_dir: str) -> dict | None:
 def read_artifact(run_dir: str, manifest: dict, name: str):
     """The file `name` of run_dir once it matches its manifest
     entry, else a ConfigError.  A frame file (.npy) is checked by
-    its byte size, then mapped read-only (_map_npy): a stage holds
-    only the frames of the block sample_state reads.  A JSON file
-    is checked by the sha256 of the bytes it is parsed from."""
+    its byte size, then mapped by np.load, read-only over an
+    mmap.mmap whose pages sample_state drops block by block.  A
+    JSON file is checked by the sha256 of the bytes it is parsed from."""
     entry = manifest["files"].get(name)
     if entry is None:
         raise ConfigError(f"manifest of {run_dir} has no entry for {name}")
@@ -264,7 +248,7 @@ def read_artifact(run_dir: str, manifest: dict, name: str):
         if size != entry["bytes"]:
             raise ConfigError(f"{name} in {run_dir} is {size} bytes, "
                               f"but the manifest records {entry['bytes']}")
-        return _read(path, _map_npy)
+        return _read(path, lambda p: np.load(p, mmap_mode="r"))
     # one read: the bytes hashed are the bytes parsed
     blob = _read(path, _bytes)
     if hashlib.sha256(blob).hexdigest() != entry["sha256"]:

@@ -261,14 +261,11 @@ class NodeSample:
     def r2(self) -> np.ndarray:
         return self.rule.r2
 
-    def rows(self, idx) -> "NodeSample":
-        return NodeSample(self.rule, *(getattr(self, name)[idx] for name in self.ROWS))
-
 
 class SimilaritySnapshot:
     """Profile (w, ds w, grad w) on the unit ball at similarity time s, or a
     series of profiles when s is an (m,) array; indexing a series selects
-    rows (an integer one snapshot), their samples included.
+    rows (an integer one snapshot), which start with no sample.
 
     A subclass supplies fields(pts) -> (w, ds w, grad w) anywhere on the
     closed ball, shaped s.shape + (K,) and s.shape + (K, N), and names its
@@ -291,7 +288,7 @@ class SimilaritySnapshot:
         out = copy.copy(self)
         for name in self.ROWS:
             setattr(out, name, getattr(self, name)[idx])
-        out._samples = {key: ns.rows(idx) for key, ns in self._samples.items()}
+        out._samples = {}
         return out
 
     def on(self, rule: BallQuadrature) -> NodeSample:
@@ -657,8 +654,8 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float) -> TransformSnapshot
 def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSnapshot:
     """The series of time-interpolated snapshots at the requested s values.
 
-    Every T0 - e^(-s) must be bracketed by stored trajectory frames
-    (cubic interpolation in t); otherwise the uncovered time is reported.
+    Every T0 - e^(-s) must be bracketed by stored frames of distinct times
+    (cubic interpolation in t); otherwise the failing time is reported.
     Only the leading rows the transform splines are interpolated.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
@@ -666,6 +663,6 @@ def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSnaps
     try:
         batch = traj.sample_state(t, rows=_cone_rows(traj.grid, x0, T0 - t))
     except ValueError as exc:
-        raise ValueError(f"s in [{s_grid[0]}, {s_grid[-1]}] reaches a time "
-                         f"outside coverage: {exc}") from exc
+        raise ValueError(f"s in [{s_grid[0]}, {s_grid[-1]}] reaches a time the "
+                         f"frames cannot supply: {exc}") from exc
     return to_similarity(batch, traj.grid, e, x0, T0)

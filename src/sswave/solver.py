@@ -196,7 +196,8 @@ class Trajectory:
         """Cubic (4-point Lagrange in t) interpolation of the stored frames,
         at one time t or at each of an array of m times; u and ut are then
         (rows, m) blocks, column j being the state at t[j].  Only the first
-        rows radial rows (all nr by default) are read and interpolated.
+        rows radial rows (all nr by default) are read and interpolated;
+        a stencil of 4 frames that holds one time twice is a ValueError.
         A read-only file-mapped archive drops its pages after each block."""
         ft = self.frames_t
         if ft.size < 4:
@@ -211,6 +212,12 @@ class Trajectory:
         if not 0 < n <= self.grid.nr:
             raise ValueError(f"rows must be in [1, {self.grid.nr}], got {n}")
         i0 = np.clip(np.searchsorted(ft, ts) - 2, 0, ft.size - 4)
+        stencils = ft[i0[:, None] + np.arange(4)]
+        same = stencils[:, 1:] == stencils[:, :-1]
+        if np.any(same):
+            r, j = np.argwhere(same)[0]
+            raise ValueError(f"two frames hold the time {stencils[r, j]}: 4-point "
+                             f"interpolation at t={ts[r]} needs distinct frame times")
         u = np.empty((n, ts.size))
         ut = np.empty((n, ts.size))
         # one set of block buffers per call: the loop allocates nothing, so
@@ -218,12 +225,13 @@ class Trajectory:
         # Each frame's first n values are read by row, a view of the
         # (mapped) archive, straight into the buffer: np.take on a
         # row-sliced view would copy the whole archive, and a (block, n)
-        # index array costs more than the rows it gathers
+        # index array costs more than the rows it gathers.  The rows come
+        # from a plain ndarray view: np.memmap indexes through Python
         block = min(ts.size, TIME_BLOCK)
         acc = np.empty((2, block, n))
         term = np.empty((block, n))
         for cols in (slice(i, i + TIME_BLOCK) for i in range(0, ts.size, TIME_BLOCK)):
-            tb, tt = ts[cols], ft[i0[cols, None] + np.arange(4)].T
+            tb, tt = ts[cols], stencils[cols].T
             acc_b, term_b = acc[:, :tb.size], term[:tb.size]
             acc_b.fill(0.0)
             for j in range(4):
@@ -231,7 +239,7 @@ class Trajectory:
                 for m in range(4):
                     if m != j:
                         lam *= (tb - tt[m]) / (tt[j] - tt[m])
-                for a, frames in zip(acc_b, (self.frames_u, self.frames_ut)):
+                for a, frames in zip(acc_b, map(np.asarray, (self.frames_u, self.frames_ut))):
                     for r, k in enumerate(i0[cols] + j):
                         np.multiply(frames[k, :n], lam[r], out=term_b[r])
                     a += term_b

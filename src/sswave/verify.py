@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,26 +42,18 @@ RATE_VERDICTS = ("slope_within_10pct", "scaled_l2_decreasing_last_decade",
                  "cone_gradient_bounded")
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    lhs: float
-    rhs: float
-    abs_residual: float
-    rel_residual: float
-    tolerance: float
-    passed: bool
-    context: str = ""
+class Report(dict):
+    """One check's record, the dict cmd_verify writes; perfbench reads r.passed."""
+    passed = property(lambda self: self["passed"])
 
 
-def report(name, lhs, rhs, tol, context="", scale=None) -> IdentityReport:
+def report(name, lhs, rhs, tol, context="", scale=None) -> Report:
     absr = abs(lhs - rhs)
     sc = max(abs(lhs), abs(rhs), FLOOR if scale is None else scale, FLOOR)
     rel = absr / sc
-    return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                          abs_residual=float(absr), rel_residual=float(rel),
-                          tolerance=float(tol), passed=bool(rel <= tol),
-                          context=context)
+    return Report(name=name, lhs=float(lhs), rhs=float(rhs), abs_residual=float(absr),
+                  rel_residual=float(rel), tolerance=float(tol), passed=bool(rel <= tol),
+                  context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +257,7 @@ def in_window(snaps, window):
 
 
 def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
-                           eps: float = 0.6, tol: float = math.inf) -> IdentityReport:
+                           eps: float = 0.6, tol: float = math.inf) -> Report:
     """Functional difference across the series vs trapezoid of the stated RHS.
 
     `snaps` must sample [s, s'] densely (trapezoid-in-s); tolerances are
@@ -305,14 +296,14 @@ def lemma_suite(snaps, rules, e: Exponents, eps: float, ds: float,
     s = snaps.s
     tol = 200.0 * (ds ** 2 + (dr / math.exp(-s[0])) ** 2)
     window = in_window(snaps, (s[0], min(s[0] + LEMMA_SPAN, s[-1])))
-    return [asdict(check_derivative_lemma(name, window, rules, e, eps=eps, tol=tol))
+    return [check_derivative_lemma(name, window, rules, e, eps=eps, tol=tol)
             for name in LEMMA_NAMES]
 
 
 # ---------------------------------------------------------------------------
 # static Pohozaev identities (appendix lemmas)
 
-def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> IdentityReport:
+def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> Report:
     """int y.gw div(rho_eps gw - rho_eps (y.gw) y) dy against its four-term
     expansion; the left side uses the field's analytic divergence."""
     rule = rules.rule(eps)
@@ -327,7 +318,7 @@ def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> Ide
                           f"m={field.field_spec.m}")
 
 
-def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable) -> IdentityReport:
+def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable) -> Report:
     """-int div(rho_eps gw - rho_eps (y.gw) y) w / sqrt(1-|y|^2) dy against
     the angular/radial split with the singular weights."""
     mu = rules.rule(eps - 0.5)
@@ -369,7 +360,7 @@ def random_test_field(N: int, rng: np.random.Generator,
 
 
 def run_identity_battery(N: int, eps: float, n_fields: int = 50,
-                         seed: int = 0) -> list[IdentityReport]:
+                         seed: int = 0) -> list[Report]:
     """Both appendix identities on a seeded random suite of test fields."""
     rules = RuleTable(N, n_radial=48, n_angular=64 if N == 2 else 20)
     rng = np.random.default_rng(seed)
@@ -381,25 +372,19 @@ def run_identity_battery(N: int, eps: float, n_fields: int = 50,
     return out
 
 
-def identity_group(args: tuple) -> list[dict]:
-    """run_identity_battery(N, eps, n_fields, seed) = args, as dicts: one
-    task of fan_out."""
-    return [asdict(r) for r in run_identity_battery(*args)]
-
-
-def identity_groups(groups: list[tuple]) -> list[list[dict]]:
-    """identity_group of each (N, eps, n_fields, seed), in order.  The groups
-    are independent: they run on one worker process per usable CPU (one
-    per group at most), the N = 3 ones, each about ten times an N = 2 one,
-    submitted first."""
-    return fan_out(identity_group, groups, cost=lambda args: args[0])
+def identity_group(args: tuple) -> list[Report]:
+    """run_identity_battery(*args), looked up when fan_out runs the task."""
+    return run_identity_battery(*args)
 
 
 def identity_suite(seed: int) -> list[dict]:
     """Both Pohozaev identities on 10 seeded fields for each N in (2, 3)
-    and eps in (0.6, 1.0, 1.1), N outer, by identity_groups."""
+    and eps in (0.6, 1.0, 1.1), N outer.  The groups are independent: they
+    run on one worker process per usable CPU (one per group at most), the
+    N = 3 ones, each about ten times an N = 2 one, submitted first."""
     groups = [(N, eps, 10, seed) for N in (2, 3) for eps in (0.6, 1.0, 1.1)]
-    return [r for group in identity_groups(groups) for r in group]
+    return [r for group in fan_out(identity_group, groups, cost=lambda args: args[0])
+            for r in group]
 
 
 # ---------------------------------------------------------------------------

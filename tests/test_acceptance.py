@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sswave as sw
-from sswave.core import FunctionalSeries
+from sswave.core import FunctionalSeries, fan_out
 from sswave.quadrature import RuleTable, ball_volume, ball_weight_volume
 from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
@@ -86,7 +86,8 @@ def test_criterion_3_appendix_identities():
               for eps in (0.6, 1.0, 1.1)]
     worst = 0.0
     total = 0
-    for (N, eps, *_), reports in zip(groups, verify.identity_groups(groups)):
+    for (N, eps, *_), reports in zip(groups, fan_out(verify.identity_group, groups,
+                                                     cost=lambda args: args[0])):
         total += len(reports)
         worst = max(worst, max(r["rel_residual"] for r in reports))
         assert all(r["passed"] for r in reports), (N, eps)
@@ -109,9 +110,9 @@ def test_criterion_4_derivative_lemmas(lemma_series_pair, exp43):
     for name in verify.LEMMA_NAMES:
         r1 = verify.check_derivative_lemma(name, coarse, rules, exp43, eps=0.6)
         r2 = verify.check_derivative_lemma(name, fine, rules, exp43, eps=0.6)
-        order = observed_order(r1.abs_residual, r2.abs_residual)
+        order = observed_order(r1["abs_residual"], r2["abs_residual"])
         lines.append(f"{name}: order {order:.2f}")
-        assert order >= 1.7, (name, r1.abs_residual, r2.abs_residual, order)
+        assert order >= 1.7, (name, r1["abs_residual"], r2["abs_residual"], order)
     print("\nPASS criterion 4: nine d/ds lemmas converge on the blow-up "
           "trajectory (grid 2048->4096, ds 0.025->0.0125): " + "; ".join(lines))
 

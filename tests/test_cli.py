@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
     negative or not finite, a negative --seed, a --names or --p-list that
     selects nothing, a --p-list or --N-list that repeats a value, a --p-list
     value that is not a number.  Each exits 2 with one ConfigError line
-    before it writes a file."""
+    and no warning before it writes a file."""
     small = open(small_cfg).read()
     runs = {}
     for name, text in (("base", small), ("far", small + "x0 = 5.0\nn_angular = 2\n"),
@@ -177,7 +178,10 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
                   "--N-list", "3,3", "--out", fresh),
                  ("sweep", "--config", small_cfg, "--p-list", "nan",
                   "--N-list", "3", "--out", fresh)):
-        assert run_cli(*args) == 2, args
+        # a warning would be a line on stderr before the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
         if args[-1] in (runs["late"], runs["coincident"]):
@@ -991,7 +995,8 @@ def test_load_run_checks_sizes_against_manifest(small_cfg, tmp_path, capsys, dam
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1, err
         assert {"rules_weight_edited": "sha256", "rules_swapped": "closed forms",
                 "rules_header": "'n_radial': 32", "t_est_edited": "sha256",
-                "no_status": '"status"', "bad_entry": "entries", "frames_rows": "too small",
+                "no_status": '"status"', "bad_entry": "entries",
+                "frames_rows": "greater than file size",
                 "frames_objects": "Python objects"}.get(damage, "") in err, err
 
 

@@ -615,8 +615,31 @@ def test_series_rows_are_the_states_transformed_alone(exp43, plateau_1024, monke
             assert np.array_equal(getattr(ns, name), np.sum(g ** 2, axis=1)), name
 
 
+def test_row_selection_starts_unsampled(exp43, plateau_1024):
+    """Row selection keeps every guarantee but the samples: an index, slice,
+    mask or list selection of a sampled transform series, and of a sampled
+    StaticSnapshot series, holds no node sample, and on(rule) on it is the
+    same rows of the whole series' sample, bit for bit."""
+    rule = RuleTable(3, n_radial=12, n_angular=3).rule(0.6)
+    transform = trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est,
+                                np.arange(2.0, 3.0, 0.05))
+    static = StaticSnapshot(verify.random_test_field(3, np.random.default_rng(3)),
+                            s=np.arange(1.0, 2.0, 0.05))
+    for series in (transform, static):
+        whole = series.on(rule)
+        m = series.s.size
+        for idx in (1, slice(2, m, 3), series.s > series.s[m // 2], [0, -1]):
+            view = series[idx]
+            assert view._samples == {}
+            ns = view.on(rule)
+            assert ns.rule is rule
+            for name in ns.ROWS:
+                assert np.array_equal(getattr(ns, name), getattr(whole, name)[idx]), name
+        assert list(series._samples) == [id(rule)] and series.on(rule) is whole
+
+
 def test_trajectory_to_w_reports_uncovered_s(exp43, plateau_1024):
-    with pytest.raises(ValueError, match="outside coverage"):
+    with pytest.raises(ValueError, match="cannot supply: t=.* outside stored range"):
         trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est, [-5.0])
 
 
@@ -625,7 +648,7 @@ def profile_equation_residual(snaps, rule, e, h):
     middle of three snapshots, using radial splines of their samples on rule."""
     from scipy.interpolate import CubicSpline
     three = snaps.on(rule)
-    ns = three.rows(1)
+    ns = snaps[1].on(rule)
     rho = np.sqrt(ns.r2)
     order = np.argsort(rho)
     rho_s = rho[order]

@@ -253,6 +253,25 @@ def test_sample_state_batch_is_the_per_time_loop(plateau_1024):
         assert np.array_equal(one.u, u) and np.array_equal(one.ut, ut)
 
 
+def test_sample_state_rejects_a_repeated_frame_time(plateau_1024):
+    """A 4-frame stencil that holds one time twice is a ValueError naming
+    that time, raised before any Lagrange weight divides by zero; a time
+    whose stencil avoids the repeat interpolates as before."""
+    import dataclasses
+    import warnings
+
+    ft = plateau_1024.frames_t.copy()
+    ft[20] = ft[19]
+    traj = dataclasses.replace(plateau_1024, frames_t=ft)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"two frames hold the time {ft[19]}: "):
+            traj.sample_state(np.array([ft[5], 0.5 * (ft[19] + ft[21])]))
+        got = traj.sample_state(ft[5])
+    want = plateau_1024.sample_state(ft[5])
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.ut, want.ut)
+
+
 def test_archive_is_held_once():
     """Each frame is written into one buffer per field, grown when full:
     the frames are the buffers' leading rows, which are more than half of

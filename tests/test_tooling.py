@@ -350,6 +350,15 @@ def test_one_least_squares_fit():
     assert not hits, f"least-squares fits outside ode.power_fit: {hits}"
 
 
+def test_one_npy_reader():
+    """Frame files are read by np.load alone: no hand-written .npy header
+    reader (np.lib.format) or file map (mmap.mmap()) appears in src/sswave."""
+    hits = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"np\.lib\.format|mmap\.mmap\(", line)]
+    assert not hits, f".npy reading outside np.load: {hits}"
+
+
 def test_one_worker_policy():
     """How many worker processes run is decided in core.fan_out alone:
     sched_getaffinity, cpu_count and ProcessPoolExecutor appear in
