@@ -44,6 +44,11 @@ class Exponents:
     def two_over_pm1(self) -> float:
         return 2.0 / (self.p - 1.0)
 
+    @property
+    def g1(self) -> float:
+        """(p+1)/(p-1)^2, the profile equation's coefficient of w."""
+        return (self.p + 1.0) / (self.p - 1.0) ** 2
+
 
 def make_exponents(p: float, N: int) -> Exponents:
     """Build Exponents, rejecting anything outside the superconformal window.

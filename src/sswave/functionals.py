@@ -1,7 +1,7 @@
 """Scalar functionals of a similarity profile, and the Lyapunov ladders.
 
 Per-snapshot functionals (all integrals over the unit ball, g1 denoting
-(p+1)/(p-1)^2 and rho_eps = (1-|y|^2)^eps):
+Exponents.g1 = (p+1)/(p-1)^2 and rho_eps = (1-|y|^2)^eps):
 
     E_eps = int (1/2 ws^2 + 1/2(|gw|^2 - (y.gw)^2) + g1 w^2 - |w|^(p+1)/(p+1)) rho_eps
     E0   = E_eps at eps = 0
@@ -41,10 +41,6 @@ from .similarity import ROW_BLOCK, SimilaritySnapshot
 from .solver import TIME_BLOCK
 
 EPS0 = 0.6   # the weight exponent 3/5 that M and the U ladder pin
-
-
-def _g1(e: Exponents) -> float:
-    return (e.p + 1.0) / (e.p - 1.0) ** 2
 
 
 def _int(snap: SimilaritySnapshot, rules: RuleTable, beta: float, weighted):
@@ -95,7 +91,7 @@ def J0(snap: SimilaritySnapshot, rules: RuleTable, e: Exponents) -> float:
 def E_eps(snap, rules, e: Exponents, eps: float) -> float:
     return _int(snap, rules, eps, lambda wt, n: wt * (
         0.5 * n.ws ** 2 + 0.5 * (n.g2 - n.ydg ** 2)
-        + _g1(e) * n.w ** 2 - _lp1(n, e) / (e.p + 1.0)))
+        + e.g1 * n.w ** 2 - _lp1(n, e) / (e.p + 1.0)))
 
 
 def J_eps(snap, rules, e: Exponents, eps: float) -> float:
@@ -105,7 +101,7 @@ def J_eps(snap, rules, e: Exponents, eps: float) -> float:
 
 def G_eps(snap, rules, e: Exponents, eps: float) -> float:
     return _int(snap, rules, eps, lambda wt, n: wt * (
-        n.g2 - _lp1(n, e) - (n.ws + n.ydg) ** 2 + 2.0 * _g1(e) * n.w ** 2))
+        n.g2 - _lp1(n, e) - (n.ws + n.ydg) ** 2 + 2.0 * e.g1 * n.w ** 2))
 
 
 def N_eps(snap, rules, e: Exponents, eps: float) -> float:

@@ -400,9 +400,8 @@ class StaticSnapshot(SimilaritySnapshot):
         ws = self.ws_part.value(pts)
         ydgs = sum_last(pts * self.ws_part.grad(pts))
         p, N, al = e.p, e.N, e.alpha
-        g1 = (p + 1.0) / (p - 1.0) ** 2
         return (self.pohozaev_div_over_rho(pts, al)
-                - 2.0 * g1 * w + np.abs(w) ** (p - 1.0) * w
+                - 2.0 * e.g1 * w + np.abs(w) ** (p - 1.0) * w
                 - (N + 2.0 * al) * ws - 2.0 * ydgs)
 
 

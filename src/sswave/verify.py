@@ -62,10 +62,6 @@ def report(name, lhs, rhs, tol, context="", scale=None) -> Report:
 EPS0 = 0.6   # the weight exponent 3/5 that M's d/ds law and Sigma pin
 
 
-def _g1(e: Exponents) -> float:
-    return (e.p + 1.0) / (e.p - 1.0) ** 2
-
-
 # the raw path's integrands, as functions of the node samples n and exponents e
 _INTEGRANDS = {
     "ws2": lambda n, e: n.ws ** 2,
@@ -134,7 +130,7 @@ def _Gfun(snap, rules: RuleTable, e: Exponents, eps: float):
     raw = functools.partial(_raw, snap, rules, e, eps)
     return (raw("S2") - raw("R2")
             - (raw("P2") + 2.0 * raw("P3") + raw("S3"))
-            + 2.0 * _g1(e) * raw("W3"))
+            + 2.0 * e.g1 * raw("W3"))
 
 
 def _boundary(snap, rules: RuleTable):
@@ -150,7 +146,6 @@ def _boundary(snap, rules: RuleTable):
 def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
     """Instantaneous d/ds of the named functional per its dissipation law."""
     al, N, p = e.alpha, e.N, e.p
-    g1 = _g1(e)
     raw = functools.partial(_raw, snap, rules, e, eps)
 
     if name == "dE_eps":
@@ -167,7 +162,7 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
                 - eps * raw("Q1") + (2.0 * eps / (p + 1.0)) * raw("R1")
                 - 0.5 * N * raw("P2") + eps * raw("P1")
                 + 0.5 * N * raw("S1") - raw("S2")
-                - 2.0 * g1 * raw("W1")
+                - 2.0 * e.g1 * raw("W1")
                 - (N + 2.0 * eps) / (p + 1.0) * raw("R2")
                 - N * raw("P3") + eps * raw("S3"))
 
@@ -175,7 +170,7 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
         return (-2.0 * al * _Ifun(snap, rules, e, eps) - raw("Ph") + raw("Thh")
                 + raw("Hr") - raw("Rh")
                 + (1.0 - 2.0 * eps - 2.0 * al) * raw("W1h")
-                + (2.0 * g1 - al * N) * raw("Bh")
+                + (2.0 * e.g1 - al * N) * raw("Bh")
                 - 2.0 * raw("P3h"))
 
     if name == "dL_eps":
@@ -205,7 +200,7 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
         wts, bw, bws = _boundary(snap, rules)
         return (al * raw("P2p") - al * raw("S1p") + al * raw("R2p")
                 - al ** 2 * np.sum(wts * bw ** 2, axis=-1)
-                + (al ** 2 * N - 2.0 * al * g1) * raw("W3p")
+                + (al ** 2 * N - 2.0 * al * e.g1) * raw("W3p")
                 - 2.0 * al * np.sum(wts * bw * bws, axis=-1)
                 + 2.0 * al * raw("P3p")
                 - 2.0 * al ** 2 * raw("W2p"))
@@ -233,14 +228,13 @@ def sigma_parts(snap, rules, e: Exponents) -> dict:
     """The junk terms of dM's dissipation budget, grouped as in
     dm_collected_rhs; each piece is absorbable by the gradient/L2 terms."""
     al, N = e.alpha, e.N
-    g1 = _g1(e)
     c = e.two_over_pm1 + 0.4
     raw = functools.partial(_raw, snap, rules, e, EPS0)
     return {
         "Sigma1": (-0.6 * raw("P1") + 0.6 * raw("S3") + 1.2 * raw("P3")),
         "Sigma2": (-0.1 * raw("P2") - 0.1 * raw("S3") - 0.2 * raw("P3")),
-        "Sigma3": ((-2.0 * g1 - c * (2.0 * al - 1.2)) * raw("W1")
-                   + (-2.0 * c * g1 + 2.0 * al * g1 + al * c * N
+        "Sigma3": ((-2.0 * e.g1 - c * (2.0 * al - 1.2)) * raw("W1")
+                   + (-2.0 * c * e.g1 + 2.0 * al * e.g1 + al * c * N
                       + 4.0 * c * al ** 2) * raw("W3")),
         "Sigma4": 2.4 * al * c * raw("A"),
         "Sigma5": 2.0 * c * (N + 2.0 * al) * raw("W2"),
@@ -258,7 +252,8 @@ def in_window(snaps, window):
 
 def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
                            eps: float = 0.6, tol: float = math.inf) -> Report:
-    """Functional difference across the series vs trapezoid of the stated RHS.
+    """Functional difference across the series vs trapezoid of the stated RHS;
+    the functional reads its values from the node samples the RHS made.
 
     `snaps` must sample [s, s'] densely (trapezoid-in-s); tolerances are
     resolution-indexed, so by default the report only records the residual
@@ -274,14 +269,10 @@ def check_derivative_lemma(name: str, snaps, rules, e: Exponents,
     rhs_vals = lemma_rhs(name, snaps, rules, e, eps)
     rhs = float(np.trapezoid(rhs_vals, s))
 
-    if name == "dF1":
-        f0 = fu.f0_series(snaps, rules, e)
-        f1 = fu.f_ladder(f0, 1, e)
-        lhs = f1.values[-1] - f1.values[0]
-    else:
-        # the functional X whose d/ds law is dX, at the first and last snapshot
-        first, last = fu.SNAPSHOT_FUNCTIONALS[name[1:]](snaps[[0, -1]], rules, e, eps)
-        lhs = last - first
+    # the functional X whose d/ds law is dX on the series (dF1: F1's ladder)
+    vals = (fu.f_ladder(fu.f0_series(snaps, rules, e), 1, e).values if name == "dF1"
+            else fu.SNAPSHOT_FUNCTIONALS[name[1:]](snaps, rules, e, eps))
+    lhs = vals[-1] - vals[0]
     scale = float(np.max(np.abs(rhs_vals))) * max(s[-1] - s[0], 1.0)
     return report(name, lhs, rhs, tol,
                   context=f"window=[{s[0]:.3f},{s[-1]:.3f}] eps={eps} n={s.size}",
@@ -393,7 +384,7 @@ def identity_suite(seed: int) -> list[dict]:
 # flow integral name -> (beta as in _RAW_TABLE, integrand of the Gateaux sample g)
 _FLOW_TABLE = {
     "dE_eps": (0.0, lambda g, e: g.ws * g.v + g.gdot - g.ydg * g.ydgs
-               + g.w * g.ws * (2.0 * _g1(e) - np.abs(g.w) ** (e.p - 1.0))),
+               + g.w * g.ws * (2.0 * e.g1 - np.abs(g.w) ** (e.p - 1.0))),
     "dJ_eps": (0.0, lambda g, e: -(g.ws ** 2) - g.w * g.v
                - (e.N + 2.0 * e.alpha) * g.w * g.ws),
     "dN_eps": (0.0, lambda g, e: g.ydgs * g.ws + g.ydg * g.v + 2.0 * g.ydg * g.ydgs),

@@ -2,12 +2,14 @@
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sswave as sw
 from sswave.quadrature import RuleTable
+from sswave.similarity import PolyField, StaticSnapshot, WeightedPoly
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +86,39 @@ def read_csv(path):
         rows = [[float(v) for v in row] for row in rd]
     cols = list(map(np.array, zip(*rows))) if rows else [np.array([]) for _ in header]
     return header, cols
+
+
+class BoostedProfile:
+    """w_d(y) = kappa (1-|d|^2)^(1/(p-1)) (1 - d.y)^(-a), a = 2/(p-1), for
+    |d| < 1: the similarity image of the Lorentz-boosted ODE blow-up
+    solution kappa_d (T - t - d.x)^(-a) (Merle-Zaag), a stationary,
+    non-radial, non-polynomial solution of the profile equation, smooth on
+    the closed ball.  Its jet is in closed form:
+        grad w = kappa_d a d (1 - d.y)^(-a-1),
+        H = kappa_d a (a+1) d d^T (1 - d.y)^(-a-2)."""
+
+    def __init__(self, p, d):
+        self.d = np.asarray(d, dtype=float)
+        self.a = 2.0 / (p - 1.0)
+        self.kd = sw.kappa_value(p) * (1.0 - self.d @ self.d) ** (1.0 / (p - 1.0))
+
+    def jet(self, pts, degrees):
+        a, d = self.a, self.d
+        base = 1.0 - np.atleast_2d(pts) @ d
+        forms = {0: lambda: self.kd * base ** -a,
+                 1: lambda: (self.kd * a * base ** (-a - 1.0))[:, None] * d,
+                 2: lambda: ((self.kd * a * (a + 1.0) * base ** (-a - 2.0))[:, None, None]
+                             * np.outer(d, d))}
+        return [forms[g]() for g in degrees]
+
+    def value(self, pts):
+        return self.jet(pts, (0,))[0]
+
+
+def boosted_snapshot(p, d, s=0.0):
+    """StaticSnapshot of the boosted profile with d = len(d) dimensions and
+    ds w = 0; the spec gives it only what it reads, N and parts()."""
+    N = len(d)
+    spec = SimpleNamespace(N=N, parts=lambda: (
+        BoostedProfile(p, d), WeightedPoly(N, 0.0, PolyField(N, {}))))
+    return StaticSnapshot(spec, s)

@@ -1136,6 +1136,55 @@ def test_lemma_window_transform_is_bit_identical(tmp_path, window):
     assert cut_reports == full_reports
 
 
+def test_lemma_suite_samples_each_rule_once_per_window(small_cfg, tmp_path, monkeypatch):
+    """The lemma suite samples its window alone, each rule once: every left
+    side reads its functional from the samples its right side made.  Each
+    report is, bit for bit, the reference below, whose left side evaluates
+    the functional on a fresh selection of the window's end rows."""
+    from sswave import functionals, verify
+    from sswave.similarity import SimilaritySnapshot
+
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    vals, traj, _manifest = runio.load_run(out)
+    rules, snaps = runio.build_snapshots(vals, traj, None, None, span=verify.LEMMA_SPAN)
+    e, eps = traj.e, vals["functionals"]["eps"]
+    sampled = []   # (snapshot, rule) of each sample made, not read from the cache
+    on = SimilaritySnapshot.on
+
+    def spy(snap, rule):
+        if id(rule) not in snap._samples:
+            sampled.append((snap, rule))
+        return on(snap, rule)
+
+    monkeypatch.setattr(SimilaritySnapshot, "on", spy)
+    reports = verify.lemma_suite(snaps, rules, e, eps, vals["similarity"]["ds"],
+                                 traj.grid.dr)
+    window = sampled[0][0]
+    s = window.s
+    assert all(snap is window for snap, _rule in sampled)
+    assert s.tobytes() == verify.in_window(
+        snaps, (snaps.s[0], min(snaps.s[0] + verify.LEMMA_SPAN, snaps.s[-1]))).s.tobytes()
+    rule_ids = [id(rule) for _snap, rule in sampled]
+    assert len(set(rule_ids)) == len(rule_ids)
+
+    for rep in reports:
+        name = rep["name"]
+        rhs_vals = verify.lemma_rhs(name, window, rules, e, eps)
+        if name == "dF1":
+            f1 = functionals.f_ladder(functionals.f0_series(window, rules, e), 1, e)
+            lhs = f1.values[-1] - f1.values[0]
+        else:
+            first, last = functionals.SNAPSHOT_FUNCTIONALS[name[1:]](
+                window[[0, -1]], rules, e, eps)
+            lhs = last - first
+        ref = verify.report(
+            name, lhs, float(np.trapezoid(rhs_vals, s)), rep["tolerance"],
+            context=f"window=[{s[0]:.3f},{s[-1]:.3f}] eps={eps} n={s.size}",
+            scale=float(np.max(np.abs(rhs_vals))) * max(s[-1] - s[0], 1.0))
+        assert rep == ref, name
+
+
 def test_env_var_selects_output_root(small_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("SSWAVE_OUT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)

@@ -12,6 +12,8 @@ from sswave import functionals as fu
 from sswave.ode import power_fit
 from sswave.solver import Trajectory
 
+from conftest import boosted_snapshot
+
 
 def const_snap(e, value, s=0.0):
     return StaticSnapshot(constant_field(e.N, value), s=s)
@@ -115,6 +117,33 @@ def test_e0_linear_field_matches_symbolic_oracle():
                  + g1 * w ** 2 - w ** p / p) * r
     exact = float(2 * sympy.pi * sympy.integrate(integrand, (r, 0, 1)))
     assert fu.E0(snap, rules, e) == pytest.approx(exact, rel=1e-10)
+
+
+def _boost_deviation(p, N, n_ang, d1):
+    """|E_eps - E_eps at d = 0| / |E_eps at d = 0| at eps = alpha on the
+    48-node radial rule, for the boost d = (d1, 0, ...)."""
+    e = sw.make_exponents(p, N)
+    rules = RuleTable(N, n_radial=48, n_angular=n_ang)
+    d = np.zeros(N)
+    ref = fu.E_eps(boosted_snapshot(p, d), rules, e, e.alpha)
+    d[0] = d1
+    return abs(fu.E_eps(boosted_snapshot(p, d), rules, e, e.alpha) - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("p,N,n_ang", [(4.0, 3, 8), (4.0, 3, 16), (7.0, 2, 16)])
+def test_boosted_energy_at_eps_alpha_does_not_depend_on_the_boost(p, N, n_ang):
+    """E_eps at the Antonini-Merle weight eps = alpha takes one value on
+    every boosted stationary profile: |d| = 0.2 reads d = 0's value to
+    1e-13 (4.3e-15 at most measured)."""
+    assert _boost_deviation(p, N, n_ang, 0.2) <= 1e-13
+
+
+def test_boosted_energy_converges_in_the_angular_rule():
+    """At |d| = 0.5 on N = 3 the angular rule resolves the boost
+    geometrically: the deviation from d = 0 falls by more than 1000x at
+    each doubling of n_angular (2.0e-4, 1.5e-8, 2.9e-14 measured)."""
+    dev = [_boost_deviation(4.0, 3, n_ang, 0.5) for n_ang in (4, 8, 16)]
+    assert dev[1] < 1e-3 * dev[0] and dev[2] < 1e-3 * dev[1], dev
 
 
 def test_scaling_homogeneity():

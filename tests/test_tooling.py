@@ -369,3 +369,16 @@ def test_one_worker_policy():
              for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
     assert found.pop("core.py")
     assert not any(found.values()), f"worker policy outside core.fan_out: {found}"
+
+
+def test_g1_stated_once():
+    """The profile equation's coefficient g1 = (p+1)/(p-1)^2 is stated once,
+    as Exponents.g1: the expression, with p spelled any way, appears in
+    src/sswave only in core.py, which holds Exponents.g1 and kappa_value."""
+    p = r"(?:\w+\.)*p"
+    g1 = rf"\(\s*{p}\s*\+\s*1(?:\.0)?\s*\)\s*/\s*\(\s*{p}\s*-\s*1(?:\.0)?\s*\)\s*\*\*\s*2"
+    found = {path.name: [i for i, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1) if re.search(g1, line)]
+             for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
+    assert found.pop("core.py")
+    assert not any(found.values()), f"g1 written out outside core.Exponents: {found}"

@@ -11,7 +11,8 @@ from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_fie
 from sswave import functionals as fu
 from sswave import core, runio, verify
 
-from conftest import lemma_window_snaps, make_gaussian_run, observed_order
+from conftest import (boosted_snapshot, lemma_window_snaps, make_gaussian_run,
+                      observed_order)
 
 
 def radial_quadratic(N, c0, c2):
@@ -88,6 +89,29 @@ def test_every_rhs_vanishes_on_stationary_profile():
         assert abs(val) < 1e-10, name
     V = sw.ball_weight_volume(3, 0.6)
     assert abs(4.0 * e.alpha * (1.5 + e.alpha) * k ** 2 * V) > 1e-2
+
+
+@pytest.mark.parametrize("p,d", [(4.0, (0.2, 0.1, 0.0)), (7.0, (0.2, 0.1))])
+def test_every_law_holds_on_a_boosted_profile(p, d):
+    """The boosted profile is stationary and non-radial, so every functional
+    is constant in s but F0 = e^(2 alpha s) E: each lemma_rhs and
+    flow_derivative vanishes to 1e-13 of the largest raw integral (2.4e-15
+    at most measured), dF0 is 2 alpha F0 to 1e-13 and dF1 is s^(1/18) dF0.
+    Unlike a radial run it reads the angular gradient: doubling gth2 in
+    SimilaritySnapshot._node_fields moves dN_eps, dI_eps, dL_eps and dM by
+    1.4e-3 to 6.3e-3 of that scale."""
+    N = len(d)
+    e = sw.make_exponents(p, N)
+    rules = RuleTable(N, n_radial=48, n_angular=16)
+    snap = boosted_snapshot(p, d, s=1.0)
+    scale = max(abs(verify._raw(snap, rules, e, 0.6, name)) for name in verify._RAW_TABLE)
+    df0 = 2.0 * e.alpha * fu.F0(snap, rules, e)
+    for law in (verify.lemma_rhs, verify.flow_derivative):
+        got = {name: law(name, snap, rules, e, 0.6) for name in verify.LEMMA_NAMES}
+        assert abs(got["dF0"] - df0) <= 1e-13 * abs(df0), law.__name__
+        assert got.pop("dF1") == snap.s ** (1.0 / 18.0) * got.pop("dF0"), law.__name__
+        for name, val in got.items():
+            assert abs(val) <= 1e-13 * scale, (law.__name__, name, val / scale)
 
 
 # ---------------------------------------------------------------------------
