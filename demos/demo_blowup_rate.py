@@ -5,9 +5,12 @@ rate kappa (T-t)^(-2/(p-1)); the solver + log-log fit should recover both.
 A Gaussian bump shows the same machinery on genuinely space-dependent data.
 """
 
+import tempfile
+
 import numpy as np
 
 import sswave as sw
+from sswave.runio import solve_into
 
 
 def main():
@@ -17,7 +20,9 @@ def main():
         e = sw.make_exponents(p, 3)
         grid = sw.RadialGrid(r_max=1.5, nr=1024)
         cfg = sw.SolverConfig(e=e, grid=grid, u_cap=1e8)
-        traj = sw.run_until_blowup(cfg)
+        # the trajectory maps the frames it streamed, which outlive the directory
+        with tempfile.TemporaryDirectory() as frames_dir:
+            traj = solve_into(cfg, frames_dir)
         print(f"{p:5.2f} {traj.T_est:12.8f} {traj.fit.exponent:12.7f} "
               f"{-2.0 / (p - 1.0):10.5f} {traj.fit.r2:10.7f}")
 
@@ -27,14 +32,16 @@ def main():
         grid = sw.RadialGrid(r_max=0.5, nr=nr)
         cfg = sw.SolverConfig(e=e, grid=grid, family="gaussian",
                               amplitude=5.0, width=0.35, u_cap=1e6)
-        traj = sw.run_until_blowup(cfg)
+        with tempfile.TemporaryDirectory() as frames_dir:
+            traj = solve_into(cfg, frames_dir)
         print(f"  nr={nr}: T_est={traj.T_est:.8f}  exponent={traj.fit.exponent:+.6f}"
               f"  (blow-up at the center: "
               f"{np.argmax(np.abs(traj.frames_u[-1])) == 0})")
 
     print("\nlog-weighted cone quantities near the blow-up surface (q = 1):")
     grid = sw.RadialGrid(r_max=1.5, nr=1024)
-    traj = sw.run_until_blowup(sw.SolverConfig(e=e, grid=grid, u_cap=1e8))
+    with tempfile.TemporaryDirectory() as frames_dir:
+        traj = solve_into(sw.SolverConfig(e=e, grid=grid, u_cap=1e8), frames_dir)
     rep = sw.functionals.theorem_quantities(traj, e, traj.T_est, q=1.0)
     print(f"  scaled-L2 power (log weight removed): "
           f"{rep.meta['power_fit_slope']:.4f}  expected 8/21 = {8 / 21:.4f}")

@@ -7,10 +7,12 @@ simultaneous (dr, ds) refinement.
 """
 
 import math
+import tempfile
 
 import numpy as np
 
 import sswave as sw
+from sswave.runio import solve_into
 from sswave.quadrature import RuleTable
 from sswave import verify
 
@@ -31,7 +33,9 @@ def main():
         grid = sw.RadialGrid(r_max=0.5, nr=nr)
         cfg = sw.SolverConfig(e=e, grid=grid, family="gaussian", amplitude=5.0,
                               width=0.35, u_cap=1e4, store_ds=ds * 0.8)
-        traj = sw.run_until_blowup(cfg)
+        # the trajectory maps the frames it streamed, which outlive the directory
+        with tempfile.TemporaryDirectory() as frames_dir:
+            traj = solve_into(cfg, frames_dir)
         s_lo = math.ceil((-math.log(traj.T_est) + 0.35) / 0.1) * 0.1
         s_grid = np.arange(s_lo, s_lo + 1.0 + ds / 2, ds)
         series.append(sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid))

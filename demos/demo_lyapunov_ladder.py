@@ -5,9 +5,12 @@ each ladder member s^(k/18) F0 past its transient window, and the companion
 scriptF_1 built from the weighted functional M and the tail U_1.
 """
 
+import tempfile
+
 import numpy as np
 
 import sswave as sw
+from sswave.runio import solve_into
 from sswave.quadrature import RuleTable
 from sswave import functionals as fu, verify
 
@@ -15,7 +18,9 @@ from sswave import functionals as fu, verify
 def main():
     e = sw.make_exponents(4.0, 3)
     grid = sw.RadialGrid(r_max=1.5, nr=1024)
-    traj = sw.run_until_blowup(sw.SolverConfig(e=e, grid=grid, u_cap=1e8))
+    # the trajectory maps the frames it streamed, which outlive the directory
+    with tempfile.TemporaryDirectory() as frames_dir:
+        traj = solve_into(sw.SolverConfig(e=e, grid=grid, u_cap=1e8), frames_dir)
     rules = RuleTable(3, n_radial=48)
     s_grid = np.arange(2.0, 24.0, 0.05)
     snaps = sw.trajectory_to_w(traj, e, 0.0, traj.T_est, s_grid)

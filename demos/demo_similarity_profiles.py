@@ -6,10 +6,12 @@ discretized residual vanishes under refinement.
 """
 
 import math
+import tempfile
 
 import numpy as np
 
 import sswave as sw
+from sswave.runio import solve_into
 from sswave.quadrature import RuleTable
 
 
@@ -17,7 +19,9 @@ def main():
     e = sw.make_exponents(4.0, 3)
     k = sw.kappa(e)
     grid = sw.RadialGrid(r_max=1.5, nr=1024)
-    traj = sw.run_until_blowup(sw.SolverConfig(e=e, grid=grid, u_cap=1e8))
+    # the trajectory maps the frames it streamed, which outlive the directory
+    with tempfile.TemporaryDirectory() as frames_dir:
+        traj = solve_into(sw.SolverConfig(e=e, grid=grid, u_cap=1e8), frames_dir)
     rules = RuleTable(3, n_radial=48)
     print(f"T_est = {traj.T_est:.8f}, trajectory covers s up to "
           f"{traj.s_max_covered:.2f}")

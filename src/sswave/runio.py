@@ -14,13 +14,16 @@ and the fully resolved config is echoed into the run directory.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -189,15 +192,44 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def replacing(*paths: str):
+    """Binary files open for reading and writing, one beside each path
+    (path + ".tmp"), renamed over the paths once the with block ends
+    without an error, so a reader that has opened or mapped an old file
+    keeps reading it whole; an error in the block removes them."""
+    tmps = [path + ".tmp" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w+b")) for tmp in tmps]
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)
+
+
 def replace_file(path: str, write) -> str:
-    """write(fh) into a temporary file beside path, opened in binary, then
-    rename it over path: a reader that has opened or mapped the old file
-    keeps reading it whole."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    """write(fh) into path by replacing: an error leaves path as it was."""
+    with replacing(path) as (fh,):
         write(fh)
-    os.replace(tmp, path)
     return path
+
+
+def make_dir(path: str) -> str | None:
+    """Make the directory path and its missing parents; the top-most
+    directory made, None if path was there.  A path that cannot be a
+    directory (a file, or under one) is a ConfigError."""
+    made, head = None, os.path.abspath(path)
+    while not os.path.lexists(head):
+        made, head = head, os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the directory {path}: {exc}") from exc
+    return made
 
 
 def _bytes(path: str) -> bytes:
@@ -330,31 +362,44 @@ def check_solve(vals: dict, out_dir: str):
     return scfg, read_manifest(out_dir)
 
 
-def _resolve_and_solve(cfg: dict, vals: dict, out_dir: str):
-    """(SolverConfig, Trajectory, manifest): check_solve,
-    the solve, then the config echoed into out_dir (a solve that
-    fails leaves out_dir as it was)."""
-    scfg, manifest = check_solve(vals, out_dir)
-    traj = run_until_blowup(scfg)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved.ini"), "w",
-              encoding="utf-8") as fh:
+def write_config(cfg: dict, out_dir: str) -> str:
+    """The resolved config echoed into out_dir."""
+    path = os.path.join(out_dir, "config.resolved.ini")
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(config_text(cfg))
-    return scfg, traj, manifest
+    return path
+
+
+def solve_into(scfg: SolverConfig, run_dir: str) -> Trajectory:
+    """The solve of scfg, its frames streamed into run_dir's frames_u.npy
+    and frames_ut.npy by replacing: a solve or fit that fails leaves
+    them as they were.  The trajectory maps the files, which it keeps
+    whole once they are replaced or removed."""
+    with replacing(*(os.path.join(run_dir, f"{name}.npy")
+                     for name in FRAMES[1:])) as files:
+        return run_until_blowup(scfg, *files)
 
 
 def cmd_simulate(config: str | None, out: str, dump_raw: bool, verbose: bool) -> int:
+    """The solve of config into the run directory out; a solve that fails
+    leaves out as it was, and removes it if this call made it."""
     cfg, vals = parse_config(config)
-    scfg, traj, manifest = _resolve_and_solve(cfg, vals, out)
+    scfg, manifest = check_solve(vals, out)
+    made = make_dir(out)
+    try:
+        traj = solve_into(scfg, out)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made)
+        raise
     if verbose:
         print(f"simulate: status={traj.status} steps={traj.center_t.size} "
               f"frames={traj.frames_t.size} T_est={traj.T_est}")
 
-    written = [os.path.join(out, "config.resolved.ini")]
-    for name in FRAMES:
-        arr = getattr(traj, name)
-        written.append(replace_file(os.path.join(out, f"{name}.npy"),
-                                    lambda fh: np.save(fh, arr)))
+    written = [write_config(cfg, out),
+               replace_file(os.path.join(out, "frames_t.npy"),
+                            lambda fh: np.save(fh, traj.frames_t))]
+    written += [os.path.join(out, f"{name}.npy") for name in FRAMES[1:]]
     written.append(write_csv(os.path.join(out, "center.csv"),
                              ["t", "u_center", "u_max"],
                              [traj.center_t, traj.center_u, traj.max_u]))
@@ -573,7 +618,7 @@ def cmd_verify(out: str | None, suite: str, seed: int, verbose: bool) -> int:
     text = "\n".join(lines) + f"\n{'OK' if ok else 'FAILURES'}: " \
         f"{sum(bool(r.get('passed')) for r in reports)}/{len(reports)} checks passed\n"
     out_dir = out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     out_path = os.path.join(out_dir, f"verify_{suite}")
     written = [write_json(out_path + ".json", reports), out_path + ".txt"]
     with open(written[1], "w", encoding="utf-8") as fh:
@@ -608,26 +653,31 @@ def cmd_rate(out: str, q: float, verbose: bool) -> int:
 
 
 def _sweep_one(args):
-    """One sweep point: its run and `verify --suite monotone` on it.  A window
-    that cannot be built fails both verdicts, with a note on stderr."""
-    cfg, vals, out_dir = args
-    scfg, traj, _ = _resolve_and_solve(cfg, vals, out_dir)
-    row = {"p": scfg.e.p, "N": scfg.e.N, "status": traj.status,
-           "T_est": traj.T_est if traj.T_est else math.nan,
-           "exponent": traj.fit.exponent if traj.fit else math.nan,
-           "F0_monotone": False, "ladder_monotone": False}
-    if traj.status == "blowup":
-        try:
-            rules, snaps = build_snapshots(vals, traj, None, None)
-            k_max = vals["functionals"]["k_max"]
-            f0_rep, *ladder = verify.monotone_suite(snaps, rules, traj.e, k_max)
-        except ValueError as exc:
-            # ConfigError included: one point's window is not the sweep's usage error
-            print(f"sweep: p={scfg.e.p} N={scfg.e.N}: window not checked: "
-                  f"ValueError: {exc}", file=sys.stderr)
-        else:
-            row["F0_monotone"] = f0_rep["passed"]
-            row["ladder_monotone"] = all(r["passed"] for r in ladder)
+    """One sweep point: its run, streamed into a temporary directory in the
+    point's directory and removed after its verdicts, and `verify --suite
+    monotone` on it.  A window that cannot be built fails both verdicts,
+    with a note on stderr."""
+    cfg, vals, scfg, point = args
+    make_dir(point)
+    with tempfile.TemporaryDirectory(dir=point) as frames_dir:
+        traj = solve_into(scfg, frames_dir)
+        write_config(cfg, point)
+        row = {"p": scfg.e.p, "N": scfg.e.N, "status": traj.status,
+               "T_est": traj.T_est if traj.T_est else math.nan,
+               "exponent": traj.fit.exponent if traj.fit else math.nan,
+               "F0_monotone": False, "ladder_monotone": False}
+        if traj.status == "blowup":
+            try:
+                rules, snaps = build_snapshots(vals, traj, None, None)
+                k_max = vals["functionals"]["k_max"]
+                f0_rep, *ladder = verify.monotone_suite(snaps, rules, traj.e, k_max)
+            except ValueError as exc:
+                # ConfigError included: one point's window is not the sweep's usage error
+                print(f"sweep: p={scfg.e.p} N={scfg.e.N}: window not checked: "
+                      f"ValueError: {exc}", file=sys.stderr)
+            else:
+                row["F0_monotone"] = f0_rep["passed"]
+                row["ladder_monotone"] = all(r["passed"] for r in ladder)
     return row
 
 
@@ -657,16 +707,16 @@ def cmd_sweep(config: str | None, p_list: str, N_list: str, out: str,
         point = os.path.join(out, f"p{p}_N{N}")
         try:
             vals = typed(cfg)
-            check_solve(vals, point)
+            scfg, _manifest = check_solve(vals, point)
         except ConfigError as exc:
             bad.append(f"(p={p}, N={N}): {exc}")
         else:
-            tasks.append((cfg, vals, point))
+            tasks.append((cfg, vals, scfg, point))
     if bad:
         raise ConfigError("invalid sweep pairs rejected before launch: "
                           + "; ".join(bad))
     manifest = read_manifest(out)
-    os.makedirs(out, exist_ok=True)
+    make_dir(out)
     rows = fan_out(_sweep_one, tasks)
     cols = ["p", "N", "status", "T_est", "exponent", "F0_monotone", "ladder_monotone"]
     written = [write_csv(os.path.join(out, "aggregate.csv"), cols,

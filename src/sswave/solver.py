@@ -12,10 +12,12 @@ for the whole march, and carries it into the next step.
 
 Frames are archived at (approximately) uniform spacing in s using the
 amplitude-based proxy for T-t, and the accumulated time uses compensated
-summation so frame times stay meaningful down to T-t ~ 1e-12.  The archive
-is held once: preallocated u and ut arrays, grown in place when full,
-whose leading rows the trajectory keeps.  Interpolation reads only the
-leading radial rows asked for, and drops a mapped archive's pages per block.
+summation so frame times stay meaningful down to T-t ~ 1e-12.  No process
+holds the archive: each frame's u and ut rows are appended to two .npy
+files as the march stores them, under a header whose shape is rewritten
+when it ends, and the trajectory maps the files read-only.  Interpolation
+reads only the leading radial rows asked for, and drops a mapped archive's
+pages per block.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class SolverError(RuntimeError):
 FAMILIES = ("ode_plateau", "plateau", "gaussian", "ode_constant", "zero")
 STATUSES = ("blowup", "no-blowup")
 TIME_BLOCK = 64   # times interpolated at once, whose sums stay in cache
-FRAME_CAPACITY = 64   # rows the archive starts with and grows by when full
 CFL = 0.45            # dt = CFL*dr away from blow-up
 AMP_SAFETY = 0.02     # near blow-up dt ~ AMP_SAFETY*(T-t)
 CORE_FRAC = 1.15      # plateau: exact-ODE core out to CORE_FRAC*T
@@ -264,14 +265,28 @@ class Trajectory:
         return -math.log(max(self.T_est - self.frames_t[-1], 1e-300))
 
 
-def run_until_blowup(cfg: SolverConfig) -> Trajectory:
+def _write_header(fh, shape: tuple) -> None:
+    """The .npy header np.save writes for a float64 array of shape, at the
+    start of fh.  numpy pads it for growth along axis 0, so its length does
+    not depend on shape[0] and rewriting it keeps the rows after it."""
+    fh.seek(0)
+    np.lib.format.write_array_header_1_0(fh, {
+        "descr": np.dtype(float).str, "fortran_order": False, "shape": shape})
+
+
+def run_until_blowup(cfg: SolverConfig, frames_u, frames_ut) -> Trajectory:
     """March until max|u| >= u_cap (or the step budget runs out).
 
+    frames_u and frames_ut are empty files on disk, open for reading and
+    writing in binary: each archived frame's u and ut rows are appended to
+    them as the march stores it, and they end as the bytes np.save writes
+    of the (n_frames, nr) arrays, which the trajectory maps read-only by
+    np.load, as it maps a run directory's frames.
     The blow-up time is fitted from the center-value series restricted to
     the asymptotic window [FIT_AMP_MIN, u_cap].
     """
     e = cfg.e
-    dr = cfg.grid.dr
+    dr, nr = cfg.grid.dr, cfg.grid.nr
     dt_spatial = CFL * dr
     k = kappa_value(e.p)
     pow_ = (e.p - 1.0) / 2.0
@@ -279,10 +294,16 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
     march = _Leapfrog(initial_state(cfg), cfg)
     t_hi, t_lo = 0.0, 0.0          # compensated time accumulator
 
+    files = (frames_u, frames_ut)
+    for fh in files:
+        _write_header(fh, (0, nr))
+
+    def store():
+        frames_u.write(march.u)
+        frames_ut.write(march.ut)
+
     frames_t = [0.0]
-    frames_u = np.empty((FRAME_CAPACITY, cfg.grid.nr))
-    frames_ut = np.empty((FRAME_CAPACITY, cfg.grid.nr))
-    frames_u[0], frames_ut[0] = march.u, march.ut
+    store()
     center_t, center_u, max_u = [0.0], [float(march.u[0])], [float(np.max(np.abs(march.u)))]
     s_accum = 0.0
     status = "no-blowup"
@@ -309,23 +330,20 @@ def run_until_blowup(cfg: SolverConfig) -> Trajectory:
         s_accum += dt / tau_proxy
         hit_cap = amax >= cfg.u_cap
         if s_accum >= cfg.store_ds or hit_cap:
-            n = len(frames_t)
-            # realloc remaps a large block's pages, no copy; it zero-fills new rows
-            if n == frames_u.shape[0]:
-                frames_u.resize((n + FRAME_CAPACITY, cfg.grid.nr))
-                frames_ut.resize((n + FRAME_CAPACITY, cfg.grid.nr))
-            frames_u[n], frames_ut[n] = march.u, march.ut
+            store()
             frames_t.append(t_hi)
             s_accum = 0.0
         if hit_cap:
             status = "blowup"
             break
 
-    n = len(frames_t)
+    for fh in files:
+        _write_header(fh, (len(frames_t), nr))
+        fh.flush()
     traj = Trajectory(e=e, grid=cfg.grid,
                       frames_t=np.array(frames_t),
-                      frames_u=frames_u[:n],
-                      frames_ut=frames_ut[:n],
+                      frames_u=np.load(frames_u.name, mmap_mode="r"),
+                      frames_ut=np.load(frames_ut.name, mmap_mode="r"),
                       center_t=np.array(center_t),
                       center_u=np.array(center_u),
                       max_u=np.array(max_u),

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,11 +18,18 @@ def exp43():
     return sw.make_exponents(4.0, 3)
 
 
+def solve(cfg):
+    """run_until_blowup with the frames streamed into two temporary files,
+    which the trajectory maps; the mappings outlive the files."""
+    with tempfile.NamedTemporaryFile() as fu, tempfile.NamedTemporaryFile() as fut:
+        return sw.run_until_blowup(cfg, fu, fut)
+
+
 def make_plateau_run(nr, u_cap=1e8, store_ds=0.02, p=4.0, N=3):
     e = sw.make_exponents(p, N)
     grid = sw.RadialGrid(r_max=1.5, nr=nr)
     cfg = sw.SolverConfig(e=e, grid=grid, u_cap=u_cap, store_ds=store_ds)
-    return sw.run_until_blowup(cfg)
+    return solve(cfg)
 
 
 def make_gaussian_run(nr, u_cap=1e4, store_ds=0.02, r_max=0.5):
@@ -29,7 +37,7 @@ def make_gaussian_run(nr, u_cap=1e4, store_ds=0.02, r_max=0.5):
     grid = sw.RadialGrid(r_max=r_max, nr=nr)
     cfg = sw.SolverConfig(e=e, grid=grid, family="gaussian", amplitude=5.0,
                           width=0.35, u_cap=u_cap, store_ds=store_ds)
-    return sw.run_until_blowup(cfg)
+    return solve(cfg)
 
 
 @pytest.fixture(scope="session")

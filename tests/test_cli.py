@@ -198,18 +198,64 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
 
 def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):
     """A solve that fails leaves the run directory it was pointed at as it
-    was: the earlier run's config echo still matches its manifest."""
+    was: the earlier run's config echo still matches its manifest, and the
+    frames it streamed are gone.  A run directory the failed solve made
+    itself is removed, with the parents it made."""
     out = str(tmp_path / "r")
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
-    before = file_hashes(out, (".ini", ".json", ".npy"))
+    before = file_hashes(out, ("",))
     cfg = tmp_path / "overflow.ini"
     cfg.write_text(open(small_cfg).read().replace("u_cap = 1e5", "u_cap = 1e60"))
     capsys.readouterr()
-    assert run_cli("simulate", "--config", str(cfg), "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: SolverError: amplitude overflow") and err.count("\n") == 1
-    assert file_hashes(out, (".ini", ".json", ".npy")) == before
+    for run in (out, str(tmp_path / "fresh" / "r")):
+        assert run_cli("simulate", "--config", str(cfg), "--out", run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SolverError: amplitude overflow") and err.count("\n") == 1
+    assert file_hashes(out, ("",)) == before
+    assert not (tmp_path / "fresh").exists()
     assert run_cli("functionals", "--out", out, "--names", "F0") == 0
+
+
+def test_out_that_cannot_be_a_directory_exits_2_before_the_solve(small_cfg, tmp_path,
+                                                                  capsys, monkeypatch):
+    """simulate makes --out before the solve streams its frames into it, and
+    sweep makes OUT before its points run: an --out that is a file, or
+    under one, ends in one ConfigError line, exit 2, and nothing is solved."""
+    def no_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(runio, "run_until_blowup", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (("simulate", "--config", small_cfg),
+                 ("sweep", "--config", small_cfg, "--p-list", "3.6", "--N-list", "3")):
+        for out in (blocker, blocker / "x"):
+            assert run_cli(*argv, "--out", str(out)) == 2, (argv, out)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ConfigError: cannot make the directory "
+                                  f"{out}: ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == ["file", "small.ini"]
+    assert blocker.read_text() == ""
+
+
+def test_simulate_never_holds_the_archive(tmp_path):
+    """simulate streams each frame into its file as the solver stores it:
+    on an nr = 2048 run the traced peak of the whole command stays below a
+    quarter of one field's bytes, which holding either field would exceed."""
+    import tracemalloc
+
+    cfg = tmp_path / "fine.ini"
+    cfg.write_text("[solver]\nnr = 2048\n")
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        assert runio.cmd_simulate(str(cfg), str(out), False, False) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = os.path.getsize(out / "frames_u.npy")
+    assert field > 20 * 2 ** 20
+    assert peak < field / 4, (peak, field)
 
 
 def test_run_dir_with_a_removed_solver_key_exits_2(small_cfg, tmp_path, capsys):
@@ -232,15 +278,23 @@ def test_run_dir_with_a_removed_solver_key_exits_2(small_cfg, tmp_path, capsys):
 
 
 def test_fit_error_exits_3_with_one_line(small_cfg, tmp_path, capsys, monkeypatch):
+    """A fit that fails ends the solve as a solver error does: the run
+    directory it was pointed at keeps every byte, and one it made is gone."""
     from sswave import solver
     from sswave.ode import FitError
 
     def no_fit(*args, **kwargs):
         raise FitError("fit-failed: stub")
 
+    out = tmp_path / "r"
+    assert run_cli("simulate", "--config", small_cfg, "--out", str(out)) == 0
+    before = file_hashes(out, ("",))
     monkeypatch.setattr(solver, "fit_blowup", no_fit)
-    assert run_cli("simulate", "--config", small_cfg, "--out", str(tmp_path / "r")) == 3
-    assert capsys.readouterr().err == "error: FitError: fit-failed: stub\n"
+    for run in (out, tmp_path / "fresh"):
+        assert run_cli("simulate", "--config", small_cfg, "--out", str(run)) == 3
+        assert capsys.readouterr().err == "error: FitError: fit-failed: stub\n"
+    assert file_hashes(out, ("",)) == before
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_determinism_byte_identical(small_cfg, tmp_path):

@@ -19,7 +19,7 @@ from sswave.similarity import (PolyField, RadialSpline, StaticSnapshot, TestFiel
 from sswave import functionals as fu
 from sswave import core, similarity, verify
 
-from conftest import boosted_snapshot, observed_order
+from conftest import boosted_snapshot, observed_order, solve
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +538,7 @@ def test_chain_rule_ws_matches_fd_oracle_on_solver_data():
     grid = sw.RadialGrid(r_max=0.5, nr=512)
     cfg = sw.SolverConfig(e=e, grid=grid, family="gaussian", amplitude=5.0,
                           width=0.35, u_cap=1e3, store_ds=0.01)
-    traj = sw.run_until_blowup(cfg)
+    traj = solve(cfg)
     rules = RuleTable(3, n_radial=24)
     s0 = -math.log(traj.T_est) + 0.6
     errs = []
@@ -674,7 +674,7 @@ def test_profile_equation_discrete_residual_converges():
         grid = sw.RadialGrid(r_max=0.5, nr=nr)
         cfg = sw.SolverConfig(e=e, grid=grid, family="gaussian", amplitude=5.0,
                               width=0.35, u_cap=1e3, store_ds=h / 2)
-        traj = sw.run_until_blowup(cfg)
+        traj = solve(cfg)
         rules = RuleTable(3, n_radial=40)
         s0 = -math.log(traj.T_est) + 0.7
         snaps = trajectory_to_w(traj, e, 0.0, traj.T_est,

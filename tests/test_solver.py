@@ -7,11 +7,11 @@ import sswave as sw
 from sswave import solver
 from sswave.core import kappa_value
 from sswave.ode import ode_exact
-from sswave.solver import (AMP_SAFETY, CFL, CORE_FRAC, FRAME_CAPACITY, R_MAX_FACTOR,
-                           TAPER_FRAC, SolverConfig, SolverError, Trajectory,
-                           initial_state, plateau_profile, run_until_blowup, step)
+from sswave.solver import (AMP_SAFETY, CFL, CORE_FRAC, R_MAX_FACTOR, TAPER_FRAC,
+                           SolverConfig, SolverError, initial_state, plateau_profile,
+                           run_until_blowup, step)
 
-from conftest import observed_order
+from conftest import observed_order, solve
 
 
 def make_cfg(nr=512, family="ode_constant", r_max=1.5, **kw):
@@ -30,7 +30,7 @@ def test_zero_data_stays_zero():
 
 def test_zero_data_reports_no_blowup():
     cfg = make_cfg(nr=128, family="zero", max_steps=200)
-    traj = run_until_blowup(cfg)
+    traj = solve(cfg)
     assert traj.status == "no-blowup"
     assert traj.T_est is None
 
@@ -159,9 +159,7 @@ def test_march_is_bitwise_the_two_acceleration_step(p, N):
                        store_ds=0.0)   # store a frame after every step
     states, capped = _march_reference(cfg)
     assert capped >= 300
-    traj = run_until_blowup(cfg)
-    # so the archive grew past its first FRAME_CAPACITY rows at least thrice
-    assert traj.frames_t.size > 4 * FRAME_CAPACITY
+    traj = solve(cfg)
     assert traj.frames_t.size == len(states) + 1
     for n, (t, u, ut) in enumerate(states, start=1):
         assert traj.frames_t[n] == traj.center_t[n] == t, n
@@ -194,7 +192,7 @@ def test_plateau_family_blows_up_as_its_flat_core():
     assert state.t == 0.0
     assert np.array_equal(state.u, cfg.amplitude * chi)
     assert np.array_equal(state.ut, np.zeros(cfg.grid.nr))
-    traj = run_until_blowup(cfg)
+    traj = solve(cfg)
     p = cfg.e.p
     T_ode = cfg.amplitude ** (-(p - 1.0) / 2.0) * quad(
         lambda v: 1.0 / math.sqrt(2.0 * (v ** (p + 1.0) - 1.0) / (p + 1.0)), 1.0, math.inf)[0]
@@ -211,7 +209,7 @@ def test_gaussian_blowup_grid_stability():
         grid = sw.RadialGrid(r_max=0.5, nr=nr)
         cfg = SolverConfig(e=e, grid=grid, family="gaussian", amplitude=5.0,
                            width=0.35, u_cap=1e5)
-        traj = run_until_blowup(cfg)
+        traj = solve(cfg)
         assert traj.status == "blowup"
         assert np.argmax(np.abs(traj.frames_u[-1])) == 0  # center blows up
         T_est.append(traj.T_est)
@@ -272,65 +270,11 @@ def test_sample_state_rejects_a_repeated_frame_time(plateau_1024):
     assert np.array_equal(got.u, want.u) and np.array_equal(got.ut, want.ut)
 
 
-def test_archive_is_held_once():
-    """Each frame is written into one buffer per field, grown when full:
-    the frames are the buffers' leading rows, which are more than half of
-    them, and the march's traced peak stays within 1.5x the buffers' bytes
-    plus 64 rows of nr, where per-frame copies stacked at the end would
-    hold the archive twice."""
-    import tracemalloc
-
-    nr = 512
-    cfg = make_cfg(nr=nr, family="ode_plateau", u_cap=1e8)
-    tracemalloc.start()
-    try:
-        traj = run_until_blowup(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    n = traj.frames_t.size
-    buffers = [f.base for f in (traj.frames_u, traj.frames_ut)]
-    assert all(b is not None and b.shape[1] == nr and n <= b.shape[0] < 2 * n
-               for b in buffers)
-    assert all(np.shares_memory(f, b) and f.shape == (n, nr) for f, b in
-               zip((traj.frames_u, traj.frames_ut), buffers))
-    assert peak <= 1.5 * sum(b.nbytes for b in buffers) + 64 * nr * 8
-
-
-def test_archive_grows_in_place(monkeypatch):
-    """The archive grows in place by FRAME_CAPACITY rows at a time: the
-    frames are bit for bit the same whatever that capacity, and the march's
-    traced peak stays below the frames plus two growths of both fields,
-    plus the march's buffers and per-step series.  Growing by a copy into
-    a doubled array holds the old array beside the new one and exceeds it."""
-    import tracemalloc
-
-    nr = 512
-    cfg = make_cfg(nr=nr, family="ode_plateau", u_cap=1e8)
-    ref = None
-    for capacity in (1, 5, FRAME_CAPACITY):
-        monkeypatch.setattr(solver, "FRAME_CAPACITY", capacity)
-        tracemalloc.start()
-        try:
-            traj = run_until_blowup(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n, steps = traj.frames_t.size, traj.center_t.size
-        # the march's 16 rows of nr, and three per-step lists of floats
-        # turned into arrays, at most 48 bytes a step each
-        buffers = 16 * nr * 8 + 3 * steps * 48
-        assert peak < (n + 2 * capacity) * nr * 8 * 2 + buffers, capacity
-        ref = ref or traj
-        for name in ("frames_t", "frames_u", "frames_ut"):
-            assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
-
-
-def test_sample_state_reads_only_the_rows_asked_for(plateau_1024, tmp_path):
+def test_sample_state_reads_only_the_rows_asked_for(plateau_1024):
     """sample_state(t, rows=n) is the first n rows of the full call, bit for
-    bit; on a mapped archive it gathers those rows alone, so its traced
-    peak stays below the size of one field's n rows over all frames, which
-    copying the row-sliced archive would allocate."""
+    bit; on the mapped archive the solver returns it gathers those rows
+    alone, so its traced peak stays below the size of one field's n rows
+    over all frames, which copying the row-sliced archive would allocate."""
     import tracemalloc
 
     traj, ft = plateau_1024, plateau_1024.frames_t
@@ -345,15 +289,9 @@ def test_sample_state_reads_only_the_rows_asked_for(plateau_1024, tmp_path):
             traj.sample_state(ts, rows=n)
     one = traj.sample_state(ts[7], rows=200)
     assert np.array_equal(one.u, full.u[:200, 7]) and np.array_equal(one.ut, full.ut[:200, 7])
-    for name in ("frames_u", "frames_ut"):
-        np.save(tmp_path / f"{name}.npy", getattr(traj, name))
-    mapped = Trajectory(e=traj.e, grid=traj.grid, frames_t=ft,
-                        **{name: np.load(tmp_path / f"{name}.npy", mmap_mode="r")
-                           for name in ("frames_u", "frames_ut")},
-                        center_t=ft, center_u=ft, max_u=ft, status=traj.status)
     tracemalloc.start()
     try:
-        part = mapped.sample_state(ts, rows=200)
+        part = traj.sample_state(ts, rows=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,10 +299,39 @@ def test_sample_state_reads_only_the_rows_asked_for(plateau_1024, tmp_path):
     assert peak < traj.frames_u[:, :200].nbytes
 
 
+@pytest.mark.parametrize("steps", [0, 3, 4, 100])
+def test_streamed_frames_are_the_bytes_np_save_writes(steps, tmp_path):
+    """run_until_blowup appends each stored frame's rows to its two files
+    and rewrites the header's shape when the march ends: for runs of 1, 4,
+    5 and 101 frames (one per step) each file holds, byte for byte, what
+    np.save writes of the rows step() gives, and the trajectory maps it
+    read-only."""
+    import io
+    import mmap
+
+    cfg = make_cfg(nr=96, family="gaussian", amplitude=0.5, max_steps=steps,
+                   store_ds=0.0)
+    paths = [tmp_path / "frames_u.npy", tmp_path / "frames_ut.npy"]
+    with open(paths[0], "w+b") as fu, open(paths[1], "w+b") as fut:
+        traj = run_until_blowup(cfg, fu, fut)
+    assert traj.status == "no-blowup" and traj.frames_t.size == steps + 1
+    states = [initial_state(cfg)]
+    for _ in range(steps):
+        states.append(step(states[-1], cfg))
+    for path, name in zip(paths, ("frames_u", "frames_ut")):
+        rows = np.array([getattr(st, name[7:]) for st in states])
+        buf = io.BytesIO()
+        np.save(buf, rows)
+        assert path.read_bytes() == buf.getvalue(), name
+        frames = getattr(traj, name)
+        assert isinstance(frames.base, mmap.mmap) and not frames.flags.writeable
+        assert np.array_equal(frames, rows), name
+
+
 def test_overflow_guard_raises_before_nonfinite():
     cfg = make_cfg(nr=128, family="ode_plateau", u_cap=np.inf, max_steps=10 ** 7)
     with pytest.raises(SolverError):
-        run_until_blowup(cfg)
+        solve(cfg)
 
 
 def test_cap_triggers_with_finite_fields(plateau_1024):

@@ -352,11 +352,25 @@ def test_one_least_squares_fit():
 
 def test_one_npy_reader():
     """Frame files are read by np.load alone: no hand-written .npy header
-    reader (np.lib.format) or file map (mmap.mmap()) appears in src/sswave."""
+    reader (np.lib.format), np.memmap or file map (mmap.mmap()) appears in
+    src/sswave.  Of np.lib.format, only the header writer the solver streams
+    the frames under is called."""
     hits = [f"{path.name}:{i}" for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-            if re.search(r"np\.lib\.format|mmap\.mmap\(", line)]
+            if re.search(r"np\.lib\.format(?!\.write_array_header_1_0\()|np\.memmap\("
+                         r"|mmap\.mmap\(", line)]
     assert not hits, f".npy reading outside np.load: {hits}"
+
+
+def test_frames_are_streamed_not_held():
+    """One archive path: the solver writes each frame into its file, so no
+    archive is grown in memory (ndarray.resize) in src/sswave, and np.save
+    writes frames_t.npy alone."""
+    found = {path.name: [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
+                         if re.search(r"\.resize\(|np\.save\(", line)]
+             for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
+    hits = [line for lines in found.values() for line in lines]
+    assert hits == ["lambda fh: np.save(fh, traj.frames_t))]"], hits
 
 
 def test_one_worker_policy():
