@@ -34,7 +34,7 @@ from .ode import FitError
 from .quadrature import RuleTable, check_rule
 from .solver import (R_MAX_FACTOR, STATUSES, SolverConfig, SolverError, Trajectory,
                      run_until_blowup)
-from .similarity import trajectory_to_w
+from .similarity import trajectory_to_w, window
 from . import functionals as fu
 from . import verify
 
@@ -485,16 +485,14 @@ def store_rules(run_dir: str, rules: RuleTable) -> list[str]:
 
 def build_snapshots(vals: dict, traj, run_dir: str | None,
                     manifest: dict | None, span: float | None = None):
-    """The [similarity] rules and the snapshots of its
-    s-window, centred at x0: the rules seeded from run_dir's store
-    when given, only the window's first span of s (and the next
-    snapshot) transformed when a span is given.  A run of fewer
-    than 4 frames, and a window that is empty, reaches a time
-    outside the frames, or whose largest ball x0 + (T0 - t) y
-    leaves the radial grid, is a ConfigError whatever the span, and so
-    is an x0 off the origin with n_angular = 1 (check_centre); so is a
-    window the transform rejects (e.g. frame times that no longer
-    resolve T0 - t), with the transform's ValueError in its message."""
+    """The [similarity] rules and the snapshots of its s-window, centred
+    at x0: the rules seeded from run_dir's store when given, only the
+    window's first span of s (and the next snapshot) transformed when a
+    span is given.  A run of fewer than 4 frames, an empty window, an x0
+    off the origin with n_angular = 1 (check_centre) and a window the
+    transform rejects are ConfigErrors, the last in one line with its
+    ValueError: similarity.window checks the whole window, whatever the
+    span, before any frame is read."""
     frames_t = traj.frames_t
     if frames_t.size < 4:
         raise ConfigError(f"the run stores {frames_t.size} frames, fewer than "
@@ -511,28 +509,18 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
         raise ConfigError(f"empty snapshot window [{s_lo}, {s_hi}]")
     s_grid = np.arange(s_lo, s_hi + 1e-9, sim["ds"])
     T0 = traj.T_est if sim["T0"] == "auto" else sim["T0"]
-    # T0 - e^(-s) increases with s: the window's ends bound its times
-    t_first, t_last = T0 - math.exp(-s_grid[0]), T0 - math.exp(-s_grid[-1])
-    if not (frames_t[0] <= t_first and t_last <= frames_t[-1]):
-        raise ConfigError(
-            f"[similarity] s_lo, s_hi, T0: the window s in [{s_grid[0]}, {s_grid[-1]}] "
-            f"needs t in [{t_first}, {t_last}], but the run stores t in "
-            f"[{frames_t[0]}, {frames_t[-1]}]")
-    reach = abs(sim["x0"]) + (T0 - t_first)
-    if reach > traj.grid.r_max * (1.0 + 1e-12):
-        raise ConfigError(
-            f"[similarity] x0, s_lo: the ball of radius {T0 - t_first} at |x0| = "
-            f"{abs(sim['x0'])} reaches r = {reach}, past r_max = {traj.grid.r_max}")
-    if span is not None:
-        # the next snapshot too: a window [s0, s0 + span] taken from the
-        # transformed s then selects the same rows as from the whole series
-        s_grid = s_grid[:np.count_nonzero(s_grid <= s_grid[0] + span) + 1]
     try:
+        window(traj, traj.e, sim["x0"], T0, s_grid)
+        if span is not None:
+            # the next snapshot too: a window [s0, s0 + span] taken from the
+            # transformed s then selects the same rows as from the whole series
+            s_grid = s_grid[:np.count_nonzero(s_grid <= s_grid[0] + span) + 1]
         snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid)
     except ValueError as exc:
         raise ConfigError(
             f"[similarity] s_lo, s_hi, T0: the window s in [{s_grid[0]}, {s_grid[-1]}] "
-            f"cannot be transformed from the run's frames: ValueError: {exc}") from exc
+            f"at x0 = {sim['x0']} cannot be transformed from the run's frames: "
+            f"ValueError: {exc}") from exc
     return rules, snaps
 
 
@@ -592,16 +580,17 @@ def cmd_verify(out: str | None, suite: str, seed: int, verbose: bool) -> int:
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     reports: list[dict] = []
-
-    if suite in ("identities", "all"):
-        reports += verify.identity_suite(seed)
-
     manifest = None
+    # the run is read and its window checked before the identity battery,
+    # whose reports still come first
     if suite != "identities" and out is not None:
         vals, traj, manifest = load_run(out)
         # the lemma suite alone reads only the window's first LEMMA_SPAN
         span = verify.LEMMA_SPAN if suite == "lemmas" else None
         rules, snaps = build_snapshots(vals, traj, out, manifest, span)
+    if suite in ("identities", "all"):
+        reports += verify.identity_suite(seed)
+    if manifest is not None:
         fun = vals["functionals"]
         if suite in ("lemmas", "all"):
             reports += verify.lemma_suite(snaps, rules, traj.e, fun["eps"],

@@ -650,18 +650,26 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float) -> TransformSnapshot
     return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, cols)
 
 
-def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSnapshot:
-    """The series of time-interpolated snapshots at the requested s values.
-
-    Every T0 - e^(-s) must be bracketed by stored frames of distinct times
-    (cubic interpolation in t); otherwise the failing time is reported.
-    Only the leading rows the transform splines are interpolated.
-    """
+def window(traj, e: Exponents, x0, T0: float, s_grid):
+    """(x0 as an N-vector, tau, t) at each t = T0 - e^(-s) of s_grid, once
+    the stored frames cover every t, every t is before T0 and each closed
+    ball {x0 + y tau : |y| <= 1} lies inside the radial grid; otherwise a
+    ValueError names a time that fails.  No frame is read."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t = T0 - pointwise(lambda s: math.exp(-s), s_grid)
-    try:
-        batch = traj.sample_state(t, rows=_cone_rows(traj.grid, x0, T0 - t))
-    except ValueError as exc:
-        raise ValueError(f"s in [{s_grid[0]}, {s_grid[-1]}] reaches a time the "
-                         f"frames cannot supply: {exc}") from exc
-    return to_similarity(batch, traj.grid, e, x0, T0)
+    ft = traj.frames_t
+    outside = ~((ft[0] <= t) & (t <= ft[-1]))
+    if np.any(outside):
+        raise ValueError(f"s={s_grid[outside][0]} needs t={t[outside][0]}, outside "
+                         f"the stored range [{ft[0]}, {ft[-1]}]")
+    return *_ball(e, traj.grid, x0, t, T0), t
+
+
+def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSnapshot:
+    """The series of time-interpolated snapshots at the requested s values,
+    once window accepts them, before any frame is read; sample_state also
+    needs frames of distinct times around each.  Only the leading rows the
+    transform splines are interpolated."""
+    x0v, tau, t = window(traj, e, x0, T0, s_grid)
+    batch = traj.sample_state(t, rows=_cone_rows(traj.grid, x0v, tau))
+    return to_similarity(batch, traj.grid, e, x0v, T0)

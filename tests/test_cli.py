@@ -17,6 +17,7 @@ from conftest import read_csv
 from sswave import runio
 from sswave.cli import main as cli_main
 from sswave.functionals import FUNCTIONAL_NAMES
+from sswave.solver import Trajectory
 
 
 CFG_SMALL = """\
@@ -194,6 +195,55 @@ def test_out_of_range_inputs_exit_2_before_writing(small_cfg, tmp_path, capsys):
     vals["similarity"]["x0"] = 0.02
     with pytest.raises(runio.ConfigError, match=r"x0 = 0\.02 needs n_angular >= 2"):
         runio.build_snapshots(vals, traj, runs["base"], manifest)
+
+
+def test_frames_at_T0_exit_2_before_a_frame_is_read(tmp_path, capsys, monkeypatch):
+    """The README sweep's p = 4.5 point on the default config stores its
+    last frames at t = T_est, so its `auto` window runs to s = 690, where
+    T0 - e^(-s) is T0.  `functionals`, `verify --suite monotone` and
+    `--suite decay` exit 2 in one ConfigError line, and `sweep` notes the
+    point, before any frame is read: Trajectory.sample_state fails the test."""
+    cfg = tmp_path / "late.ini"
+    cfg.write_text("[exponents]\np = 4.5\n")
+    run = str(tmp_path / "late")
+    assert run_cli("simulate", "--config", str(cfg), "--out", run) == 0
+
+    def sample_state(*args, **kwargs):
+        raise AssertionError("a frame was read")
+
+    monkeypatch.setattr(Trajectory, "sample_state", sample_state)
+    capsys.readouterr()
+    for args in (("functionals",), ("verify", "--suite", "monotone"),
+                 ("verify", "--suite", "decay")):
+        assert run_cli(*args, "--out", run) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: [similarity] s_lo, s_hi, T0: ")
+        assert err.count("\n") == 1 and "at x0 = 0.0 " in err, err
+        assert "ValueError: state time t=" in err and "is not before T0" in err, err
+    assert run_cli("sweep", "--p-list", "4.5", "--N-list", "3",
+                   "--out", str(tmp_path / "sweep")) == 0
+    err = capsys.readouterr().err
+    assert "p=4.5 N=3: window not checked: ValueError: " in err
+    assert "is not before T0" in err
+
+
+def test_verify_all_reads_the_run_before_the_identity_battery(tmp_path, capsys,
+                                                               monkeypatch):
+    """`verify --suite all` on a directory that holds no run exits 2 in one
+    line without running the identity battery, and writes nothing."""
+    from sswave import verify
+
+    def identity_suite(seed):
+        raise AssertionError("the identity battery ran")
+
+    monkeypatch.setattr(verify, "identity_suite", identity_suite)
+    out = tmp_path / "not_a_run"
+    out.mkdir()
+    assert run_cli("verify", "--suite", "all", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: config file not found: ") \
+        and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
 
 
 def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -639,8 +640,46 @@ def test_row_selection_starts_unsampled(exp43, plateau_1024):
 
 
 def test_trajectory_to_w_reports_uncovered_s(exp43, plateau_1024):
-    with pytest.raises(ValueError, match="cannot supply: t=.* outside stored range"):
+    with pytest.raises(ValueError, match=r"s=-5\.0 needs t=.* outside the stored range"):
         trajectory_to_w(plateau_1024, exp43, 0.0, plateau_1024.T_est, [-5.0])
+
+
+class Unread:
+    """A frame archive that fails the test on any read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a frame was read: .{name}")
+
+    def __getitem__(self, idx):
+        raise AssertionError(f"a frame was read: [{idx}]")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a frame was read: np.asarray")
+
+
+@pytest.mark.parametrize("x0,T0,s,match", [
+    (0.0, None, [2.0, -5.0], r"s=-5\.0 needs t=.* outside the stored range"),
+    (0.0, "last", [2.0, 745.0], r"state time t=.* is not before T0"),
+    (0.7, None, [2.0, 0.1], r"ball of radius 0\.90\d* at \|x0\|=0\.7 exits the grid"),
+], ids=["outside-frames", "at-T0", "off-grid"])
+def test_window_rejects_before_reading_a_frame(exp43, plateau_1024, x0, T0, s, match):
+    """similarity.window checks every time of the window against the
+    frames, T0 and the grid from frames_t alone: a time outside the frames,
+    one at T0 (T0 - e^(-745) rounds to T0), and a ball that leaves the
+    grid are each a ValueError with no frame read, from window and from
+    trajectory_to_w."""
+    traj = plateau_1024
+    T0 = traj.frames_t[-1] if T0 == "last" else traj.T_est
+    blind = dataclasses.replace(traj, frames_u=Unread(), frames_ut=Unread())
+    for check in (similarity.window, trajectory_to_w):
+        with pytest.raises(ValueError, match=match):
+            check(blind, exp43, x0, T0, s)
+    # the window's first time passes; only the transform reads the frames
+    x0v, tau, t = similarity.window(blind, exp43, 0.0, traj.T_est, s[:1])
+    assert x0v.tolist() == [0.0] * exp43.N
+    assert np.array_equal(tau, traj.T_est - t) and np.array_equal(t, [traj.T_est - math.exp(-2.0)])
+    with pytest.raises(AssertionError, match="a frame was read"):
+        trajectory_to_w(blind, exp43, 0.0, traj.T_est, s[:1])
 
 
 def profile_equation_residual(snaps, rule, e, h):

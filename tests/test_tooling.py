@@ -362,6 +362,40 @@ def test_one_npy_reader():
     assert not hits, f".npy reading outside np.load: {hits}"
 
 
+def test_one_window_check():
+    """Snapshot times are checked against the frames, T0 and the radial grid
+    by similarity.window alone, before a frame is read: runio.py compares no
+    frame time (frames_t[...]), T0 or r_max of its own; in similarity.py
+    only window reads frames_t, and it calls _ball for T0 and the grid;
+    runio.build_snapshots calls window, and trajectory_to_w calls it before
+    Trajectory.sample_state."""
+    def functions(name):
+        tree = ast.parse((ROOT / "src" / "sswave" / name).read_text(encoding="utf-8"))
+        return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def calls(fn):
+        found = sorted((n for n in ast.walk(fn) if isinstance(n, ast.Call)),
+                       key=lambda n: (n.lineno, n.col_offset))
+        return [ast.unparse(n.func).split(".")[-1] for n in found]
+
+    def own_check(node):
+        return isinstance(node, ast.Compare) and any(
+            (isinstance(n, ast.Subscript) and "frames_t" in ast.unparse(n.value))
+            or (isinstance(n, ast.Name) and n.id == "T0")
+            or (isinstance(n, ast.Attribute) and n.attr == "r_max")
+            for n in ast.walk(node))
+
+    runio, similarity = functions("runio.py"), functions("similarity.py")
+    hits = [f"{name}:{n.lineno}" for name, fn in runio.items()
+            for n in ast.walk(fn) if own_check(n)]
+    assert not hits, f"snapshot-time checks in runio.py: {hits}"
+    readers = [name for name, fn in similarity.items() if "frames_t" in ast.unparse(fn)]
+    assert readers == ["window"] and "_ball" in calls(similarity["window"]), readers
+    assert "window" in calls(runio["build_snapshots"])
+    order = calls(similarity["trajectory_to_w"])
+    assert order.index("window") < order.index("sample_state"), order
+
+
 def test_frames_are_streamed_not_held():
     """One archive path: the solver writes each frame into its file, so no
     archive is grown in memory (ndarray.resize) in src/sswave, and np.save
