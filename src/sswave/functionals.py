@@ -323,9 +323,9 @@ def evaluate_series(names, snaps, rules, e: Exponents, eps: float, k: int,
     and M and the U/scriptF ladders pin EPS0 = 3/5.  Each per-snapshot value
     the names read (a registered functional, or the F0, M and U integrand a
     ladder is assembled from) is evaluated once, ROW_BLOCK snapshots at a
-    time: each rule is sampled on one block and dropped with it, so the
-    series itself holds no sample.  The ladders are assembled from the
-    whole series of their values.
+    time (snaps.blockwise): each rule is sampled on one block and dropped
+    with it, so the series itself holds no sample.  The ladders are
+    assembled from the whole series of their values.
     """
     for name in names:
         if name not in FUNCTIONAL_NAMES:
@@ -336,12 +336,9 @@ def evaluate_series(names, snaps, rules, e: Exponents, eps: float, k: int,
     if k < 1:
         raise ValueError("ladder index k must be >= 1")
     keys = list(dict.fromkeys(key for name in names for key in _inputs(name)))
-    parts: dict = {key: [] for key in keys}
-    for i in range(0, snaps.s.size, ROW_BLOCK):
-        block = snaps[i:i + ROW_BLOCK]
-        for key in keys:
-            parts[key].append(_PER_SNAPSHOT[key](block, rules, e, eps))
-    values = {key: np.concatenate(vals) for key, vals in parts.items()}
+    parts = snaps.blockwise(lambda block: [_PER_SNAPSHOT[key](block, rules, e, eps)
+                                           for key in keys])
+    values = dict(zip(keys, map(np.concatenate, zip(*parts))))
     out = []
     for name in names:
         args = [values[key] for key in _inputs(name)]

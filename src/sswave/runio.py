@@ -18,6 +18,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .ode import FitError
 from .quadrature import RuleTable, check_rule
 from .solver import (R_MAX_FACTOR, STATUSES, SolverConfig, SolverError, Trajectory,
                      run_until_blowup)
-from .similarity import trajectory_to_w, window
+from .similarity import trajectory_to_w
 from . import functionals as fu
 from . import verify
 
@@ -167,12 +168,12 @@ def solver_config(vals: dict) -> SolverConfig:
 # ---------------------------------------------------------------------------
 # file helpers
 
-def write_csv(path: str, header: list[str], columns: list) -> str:
-    """RFC-4180 CSV, UTF-8, '.' decimal, %.17g round-trip precision."""
+def write_csv(path: str, header: list[str], rows) -> str:
+    """RFC-4180 CSV, UTF-8, '.' decimal, %.17g round-trip precision; rows as they come."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for row in zip(*columns):
+        for row in rows:
             wr.writerow([f"{v:.17g}" if isinstance(v, float) or isinstance(v, np.floating)
                          else str(v) for v in row])
     return path
@@ -310,7 +311,7 @@ def write_series(run_dir: str, ser: FunctionalSeries, provenance: dict) -> list[
     tail = (ser.tail_bound if ser.tail_bound is not None
             else np.zeros_like(ser.s))
     return [write_csv(os.path.join(run_dir, f"{ser.name}.csv"),
-                      ["s", "value", "tail_bound"], [ser.s, ser.values, tail]),
+                      ["s", "value", "tail_bound"], zip(ser.s, ser.values, tail)),
             write_json(os.path.join(run_dir, f"{ser.name}.json"),
                        {"name": ser.name, "meta": ser.meta, "provenance": provenance})]
 
@@ -402,7 +403,7 @@ def cmd_simulate(config: str | None, out: str, dump_raw: bool, verbose: bool) ->
     written += [os.path.join(out, f"{name}.npy") for name in FRAMES[1:]]
     written.append(write_csv(os.path.join(out, "center.csv"),
                              ["t", "u_center", "u_max"],
-                             [traj.center_t, traj.center_u, traj.max_u]))
+                             zip(traj.center_t, traj.center_u, traj.max_u)))
     written.append(write_json(os.path.join(out, "t_est.json"), {
         "status": traj.status,
         "T_est": traj.T_est,
@@ -412,9 +413,9 @@ def cmd_simulate(config: str | None, out: str, dump_raw: bool, verbose: bool) ->
         "n_frames": int(traj.frames_t.size)}))
     if dump_raw:
         idx = np.arange(0, traj.frames_t.size, max(1, traj.frames_t.size // 50))
-        written.append(write_csv(os.path.join(out, "raw.csv"), ["t", "r", "u", "ut"], [
+        written.append(write_csv(os.path.join(out, "raw.csv"), ["t", "r", "u", "ut"], zip(
             np.repeat(traj.frames_t[idx], traj.grid.nr), np.tile(traj.grid.nodes, idx.size),
-            traj.frames_u[idx].ravel(), traj.frames_ut[idx].ravel()]))
+            traj.frames_u[idx].ravel(), traj.frames_ut[idx].ravel())))
     update_manifest(out, manifest, config_hash(cfg), written)
     return EXIT_OK if traj.status == "blowup" else EXIT_NO_BLOWUP
 
@@ -483,16 +484,14 @@ def store_rules(run_dir: str, rules: RuleTable) -> list[str]:
     return [replace_file(os.path.join(run_dir, RULES), lambda fh: fh.write(blob))]
 
 
-def build_snapshots(vals: dict, traj, run_dir: str | None,
-                    manifest: dict | None, span: float | None = None):
-    """The [similarity] rules and the snapshots of its s-window, centred
-    at x0: the rules seeded from run_dir's store when given, only the
-    window's first span of s (and the next snapshot) transformed when a
-    span is given.  A run of fewer than 4 frames, an empty window, an x0
-    off the origin with n_angular = 1 (check_centre) and a window the
-    transform rejects are ConfigErrors, the last in one line with its
-    ValueError: similarity.window checks the whole window, whatever the
-    span, before any frame is read."""
+def build_snapshots(vals: dict, traj, run_dir: str | None, manifest: dict | None):
+    """The [similarity] rules, seeded from run_dir's store when given, and
+    the series of the s-window's snapshots centred at x0, which transforms
+    ROW_BLOCK snapshots at a time when its rows are read
+    (similarity.trajectory_to_w).  A run of fewer than 4 frames, an empty
+    window, an x0 off the origin with n_angular = 1 (check_centre) and a
+    window that similarity.window rejects before any frame is read are
+    ConfigErrors, the last in one line with its ValueError."""
     frames_t = traj.frames_t
     if frames_t.size < 4:
         raise ConfigError(f"the run stores {frames_t.size} frames, fewer than "
@@ -510,11 +509,6 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
     s_grid = np.arange(s_lo, s_hi + 1e-9, sim["ds"])
     T0 = traj.T_est if sim["T0"] == "auto" else sim["T0"]
     try:
-        window(traj, traj.e, sim["x0"], T0, s_grid)
-        if span is not None:
-            # the next snapshot too: a window [s0, s0 + span] taken from the
-            # transformed s then selects the same rows as from the whole series
-            s_grid = s_grid[:np.count_nonzero(s_grid <= s_grid[0] + span) + 1]
         snaps = trajectory_to_w(traj, traj.e, sim["x0"], T0, s_grid)
     except ValueError as exc:
         raise ConfigError(
@@ -526,15 +520,18 @@ def build_snapshots(vals: dict, traj, run_dir: str | None,
 
 def write_snapshots(run_dir: str, snaps, rule) -> str:
     """Snapshot node data on rule: s, node coordinates, w, ws, |gw|, |gw_r|,
-    |gw_th|, one row per snapshot and node."""
-    ns, pts = snaps.on(rule), rule.points
-    m, K = ns.w.shape
-    cols = {"s": np.repeat(snaps.s, K)}
-    cols.update({f"y{d}": np.tile(pts[:, d], m) for d in range(pts.shape[1])})
-    cols.update(w=ns.w.ravel(), ws=ns.ws.ravel(), grad=np.sqrt(ns.g2).ravel(),
-                grad_r=np.sqrt(ns.gr2).ravel(), grad_theta=np.sqrt(ns.gth2).ravel())
-    return write_csv(os.path.join(run_dir, "snapshots.csv"), list(cols),
-                     list(cols.values()))
+    |gw_th|, one row per snapshot and node, ROW_BLOCK snapshots at a time."""
+    pts = rule.points
+
+    def rows(block):
+        ns = block.on(rule)
+        fields = ns.w, ns.ws, *map(np.sqrt, (ns.g2, ns.gr2, ns.gth2))
+        return zip(np.repeat(block.s, len(pts)), *(np.tile(y, block.s.size) for y in pts.T),
+                   *(f.ravel() for f in fields))
+    header = ["s", *(f"y{d}" for d in range(pts.shape[1])),
+              "w", "ws", "grad", "grad_r", "grad_theta"]
+    return write_csv(os.path.join(run_dir, "snapshots.csv"), header,
+                     itertools.chain.from_iterable(snaps.blockwise(rows)))
 
 
 def cmd_functionals(out: str, names: str | None, export_snapshots: bool,
@@ -582,12 +579,10 @@ def cmd_verify(out: str | None, suite: str, seed: int, verbose: bool) -> int:
     reports: list[dict] = []
     manifest = None
     # the run is read and its window checked before the identity battery,
-    # whose reports still come first
+    # whose reports still come first; no frame is read until a suite reads rows
     if suite != "identities" and out is not None:
         vals, traj, manifest = load_run(out)
-        # the lemma suite alone reads only the window's first LEMMA_SPAN
-        span = verify.LEMMA_SPAN if suite == "lemmas" else None
-        rules, snaps = build_snapshots(vals, traj, out, manifest, span)
+        rules, snaps = build_snapshots(vals, traj, out, manifest)
     if suite in ("identities", "all"):
         reports += verify.identity_suite(seed)
     if manifest is not None:
@@ -709,7 +704,7 @@ def cmd_sweep(config: str | None, p_list: str, N_list: str, out: str,
     rows = fan_out(_sweep_one, tasks)
     cols = ["p", "N", "status", "T_est", "exponent", "F0_monotone", "ladder_monotone"]
     written = [write_csv(os.path.join(out, "aggregate.csv"), cols,
-                         [[row[c] for row in rows] for c in cols])]
+                         ([row[c] for c in cols] for row in rows))]
     if verbose:
         for row in rows:
             print(row)

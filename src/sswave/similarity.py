@@ -9,11 +9,11 @@ Two sources of profiles on the unit ball:
   the chain-rule formula is validated against a finite-difference-in-s
   oracle in the test suite before anything downstream trusts it; u and
   dt u between the radial nodes come from RadialSpline, scipy's
-  CubicSpline arithmetic in numpy, one spline over the columns of all
-  snapshots of a series; only the radial rows the series' largest ball
-  reads, and CONE_MARGIN rows beyond them, are interpolated and splined,
-  which leaves every value the balls read bit for bit that of the spline
-  over the whole grid;
+  CubicSpline arithmetic in numpy, one spline over the (u | dt u) columns
+  of ROW_BLOCK snapshots, transformed when their rows are read; only the
+  radial rows their largest ball reads, and CONE_MARGIN rows beyond them,
+  are interpolated and splined, which leaves every value the balls read
+  bit for bit that of the spline over the whole grid;
 
 * static test fields w = (1-|y|^2)^a q(y) with polynomial q (optionally
   carrying a planar angular mode via the harmonic factor Re((y1+i y2)^m)),
@@ -238,7 +238,7 @@ class WeightedPoly:
 # ---------------------------------------------------------------------------
 # snapshots
 
-ROW_BLOCK = 64   # snapshots sampled at once: bounds the (rows, K, N) temporaries
+ROW_BLOCK = 32   # snapshots transformed and sampled at once: bounds their memory
 
 
 @dataclass
@@ -273,7 +273,8 @@ class SimilaritySnapshot:
     built: on(rule) samples a rule the first time it is asked for and caches
     the sample by id(rule); each sample holds its rule, so no other rule can
     take that id while the entry exists.  The boundary trace is the same
-    evaluation on a sphere rule.
+    evaluation on a sphere rule.  on(rule) and blockwise take a series
+    ROW_BLOCK rows at a time, which a TransformSeries transforms as selected.
     """
 
     ROWS = ("s",)
@@ -290,6 +291,11 @@ class SimilaritySnapshot:
             setattr(out, name, getattr(self, name)[idx])
         out._samples = {}
         return out
+
+    def blockwise(self, fn):
+        """fn of each selection of ROW_BLOCK rows of the series in turn, as
+        an iterator; each block is dropped before the next is selected."""
+        return map(fn, (self[i:i + ROW_BLOCK] for i in range(0, self.s.size, ROW_BLOCK)))
 
     def on(self, rule: BallQuadrature) -> NodeSample:
         key = id(rule)
@@ -422,13 +428,13 @@ class RadialSpline:
     does, row interchanges included, and evaluation is PPoly's power sum.
     The interchanges and elimination factors depend only on x, so they are
     found once; each elimination step then runs over all m columns.  y is
-    kept, not copied.
+    kept, not copied, unless keep cuts all coefficients to the first keep rows.
 
     Per interval i and column j, with h = r - x[i], the spline is
         0 + y[i] + dydx[i] h + quadratic[i] h^2 + cubic[i] h^3.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, keep: int | None = None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n = x.size
@@ -458,6 +464,10 @@ class RadialSpline:
         b[-1] += scratch[0]
         b[-1] /= d
         _solve_tridiagonal(dx, d, b, scratch[0])
+        if keep is not None:   # the whole grid's rows are freed before the Hermite form
+            x, y, b, slope, dxc = (a[:keep].copy() for a in (
+                x, y, b, slope[:keep - 1], dxc[:keep - 1]))
+            n, scratch = x.size, np.empty_like(slope)
         # Hermite form: t = (dydx[:-1] + dydx[1:] - 2 slope) / dx,
         # cubic = t / dx, quadratic = (slope - dydx[:-1]) / dx - t
         cubic = scratch
@@ -564,29 +574,26 @@ CONE_MARGIN = math.ceil((math.log(4.0) + math.log(sys.float_info.max)
                          + 1075.0 * math.log(2.0)) / -math.log(2.0 - math.sqrt(3.0)))
 
 
-def _cone_rows(grid, x0, tau) -> int:
-    """How many leading rows of the radial grid a spline needs for balls of
-    radii tau at x0: the rows read by the intervals up to the largest reach
-    |x0| + max(tau), one more for the rounding of |x0 + tau y|, then
-    CONE_MARGIN more, at most nr."""
+def _cone_rows(grid, x0, tau):
+    """How many leading rows of the radial grid balls of radii tau at x0 read
+    (the intervals' up to the reach |x0| + max(tau), one more for the rounding
+    of |x0 + tau y|) and how many a spline of them needs: CONE_MARGIN more, <= nr."""
     reach = float(np.sqrt(np.sum(np.square(x0))) + np.max(tau))
     need = int(np.searchsorted(grid.nodes, reach, side="right")) + 2
-    return min(grid.nr, need + CONE_MARGIN)
+    return need, min(grid.nr, need + CONE_MARGIN)
 
 
 class TransformSnapshot(SimilaritySnapshot):
-    """Snapshots of physical states: (w, ds w, grad w) from columns cols of
-    the radial (u, ut) splines, evaluated at x0 + tau y."""
+    """Snapshots of physical states: (w, ds w, grad w) from columns cols (u)
+    and m + cols (ut) of a spline over m states' (u | ut), at x0 + tau y."""
 
     ROWS = ("s", "tau", "cols")
 
-    def __init__(self, e: Exponents, x0: np.ndarray, tau, u_spline: RadialSpline,
-                 ut_spline: RadialSpline, cols):
+    def __init__(self, e: Exponents, x0: np.ndarray, tau, spline: RadialSpline, cols):
         self.e = e
         self.x0 = x0
         self.tau = tau
-        self.u_spline = u_spline
-        self.ut_spline = ut_spline
+        self.spline = spline
         self.cols = cols
         super().__init__(pointwise(lambda t: -math.log(t), tau))
 
@@ -598,10 +605,11 @@ class TransformSnapshot(SimilaritySnapshot):
         e = self.e
         lam = np.expand_dims(pointwise(lambda t: t ** e.two_over_pm1, self.tau), -1)
         col = np.expand_dims(self.cols, -1)
-        at = self.u_spline.locate(R)   # the two splines share their nodes
-        uval = self.u_spline.value(at, col)
-        urval = self.u_spline.derivative(at, col)
-        utval = self.ut_spline.value(at, col)
+        sp = self.spline
+        at = sp.locate(R)
+        uval = sp.value(at, col)
+        urval = sp.derivative(at, col)
+        utval = sp.value(at, sp.y.shape[1] // 2 + col)
         # grad_x u = u_r(R) X / R; u_r(0) = 0 for smooth radial data
         coef = np.divide(urval, R, out=np.zeros_like(R), where=R > 1e-300)
         gradx = coef[..., None] * X
@@ -636,25 +644,25 @@ def to_similarity(state, grid, e: Exponents, x0, T0: float) -> TransformSnapshot
     m times, u and ut (nr, m) blocks, column j at t[j]) into a series.
 
     Every t must be before T0, with the closed ball {x0 + y (T0 - t) : |y| <= 1}
-    inside the radial grid.  Two RadialSplines, over u's and ut's columns and
-    clamped to u_r(0) = 0 (smooth even data), evaluate off the nodes; they
-    span the leading rows the balls need (_cone_rows), which the state may
-    hold alone.
+    inside the radial grid.  One RadialSpline over u's columns and then ut's,
+    clamped to u_r(0) = 0 (smooth even data), evaluates off the nodes; it
+    spans the leading rows a spline of the balls needs (_cone_rows), which
+    the state may hold alone, and keeps the rows the balls read.
     """
     x0v, tau = _ball(e, grid, x0, state.t, T0)
-    rows = _cone_rows(grid, x0v, tau)
-    u_spline, ut_spline = (
-        RadialSpline(grid.nodes[:rows], np.reshape(f, (np.shape(f)[0], -1))[:rows])
-        for f in (state.u, state.ut))
+    need, rows = _cone_rows(grid, x0v, tau)
+    y = np.hstack([np.reshape(f, (np.shape(f)[0], -1))[:rows] for f in (state.u, state.ut)])
+    del state   # a batch no caller holds is freed before the spline is solved
+    spline = RadialSpline(grid.nodes[:rows], y, need)
     cols = np.arange(np.size(tau)).reshape(np.shape(tau))
-    return TransformSnapshot(e, x0v, tau, u_spline, ut_spline, cols)
+    return TransformSnapshot(e, x0v, tau, spline, cols)
 
 
 def window(traj, e: Exponents, x0, T0: float, s_grid):
     """(x0 as an N-vector, tau, t) at each t = T0 - e^(-s) of s_grid, once
-    the stored frames cover every t, every t is before T0 and each closed
-    ball {x0 + y tau : |y| <= 1} lies inside the radial grid; otherwise a
-    ValueError names a time that fails.  No frame is read."""
+    the stored frames cover every t (Trajectory.stencils), every t is before
+    T0 and each closed ball {x0 + y tau : |y| <= 1} lies inside the radial
+    grid; otherwise a ValueError names a time that fails.  No frame is read."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t = T0 - pointwise(lambda s: math.exp(-s), s_grid)
     ft = traj.frames_t
@@ -662,14 +670,34 @@ def window(traj, e: Exponents, x0, T0: float, s_grid):
     if np.any(outside):
         raise ValueError(f"s={s_grid[outside][0]} needs t={t[outside][0]}, outside "
                          f"the stored range [{ft[0]}, {ft[-1]}]")
+    traj.stencils(t)
     return *_ball(e, traj.grid, x0, t, T0), t
 
 
-def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSnapshot:
+class TransformSeries(SimilaritySnapshot):
+    """A trajectory's snapshots at the times t = T0 - tau that window accepted,
+    holding only the times: a selection of at most ROW_BLOCK rows becomes the
+    TransformSnapshot of sample_state at its times on its own _cone_rows, bit for
+    bit those rows of the whole series'; on(rule) and fields go block by block."""
+
+    ROWS = ("s", "tau", "t")
+
+    def __init__(self, traj, e: Exponents, T0: float, x0: np.ndarray, tau, t):
+        self.traj, self.e, self.T0, self.x0, self.tau, self.t = traj, e, T0, x0, tau, t
+        super().__init__(pointwise(lambda t: -math.log(t), tau))
+
+    def __getitem__(self, idx) -> SimilaritySnapshot:
+        rows = super().__getitem__(idx)
+        if np.size(rows.s) > ROW_BLOCK:
+            return rows
+        return to_similarity(rows.traj.sample_state(rows.t, rows=_cone_rows(
+            rows.traj.grid, rows.x0, rows.tau)[1]), rows.traj.grid, rows.e, rows.x0, rows.T0)
+
+    def fields(self, pts: np.ndarray):
+        return tuple(map(np.concatenate, zip(*self.blockwise(lambda b: b.fields(pts)))))
+
+
+def trajectory_to_w(traj, e: Exponents, x0, T0: float, s_grid) -> TransformSeries:
     """The series of time-interpolated snapshots at the requested s values,
-    once window accepts them, before any frame is read; sample_state also
-    needs frames of distinct times around each.  Only the leading rows the
-    transform splines are interpolated."""
-    x0v, tau, t = window(traj, e, x0, T0, s_grid)
-    batch = traj.sample_state(t, rows=_cone_rows(traj.grid, x0v, tau))
-    return to_similarity(batch, traj.grid, e, x0v, T0)
+    once window accepts them; no frame is read until its rows are."""
+    return TransformSeries(traj, e, T0, *window(traj, e, x0, T0, s_grid))

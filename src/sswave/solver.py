@@ -193,25 +193,17 @@ class Trajectory:
     T_est: float | None = None
     fit: BlowupFit | None = None
 
-    def sample_state(self, t, rows: int | None = None) -> PhysicalState:
-        """Cubic (4-point Lagrange in t) interpolation of the stored frames,
-        at one time t or at each of an array of m times; u and ut are then
-        (rows, m) blocks, column j being the state at t[j].  Only the first
-        rows radial rows (all nr by default) are read and interpolated;
-        a stencil of 4 frames that holds one time twice is a ValueError.
-        A read-only file-mapped archive drops its pages after each block."""
+    def stencils(self, ts: np.ndarray):
+        """(first frame, 4 frame times) of each time's 4-point stencil, from frames_t
+        alone; fewer than 4 frames, a time outside them or a repeated time is a ValueError."""
         ft = self.frames_t
         if ft.size < 4:
             raise ValueError(f"4-point interpolation in t needs at least 4 frames, "
                              f"got {ft.size}")
-        ts = np.atleast_1d(t)
         outside = ~((ft[0] <= ts) & (ts <= ft[-1]))
         if np.any(outside):
             raise ValueError(f"t={ts[outside][0]} outside stored range "
                              f"[{ft[0]}, {ft[-1]}]")
-        n = self.grid.nr if rows is None else rows
-        if not 0 < n <= self.grid.nr:
-            raise ValueError(f"rows must be in [1, {self.grid.nr}], got {n}")
         i0 = np.clip(np.searchsorted(ft, ts) - 2, 0, ft.size - 4)
         stencils = ft[i0[:, None] + np.arange(4)]
         same = stencils[:, 1:] == stencils[:, :-1]
@@ -219,6 +211,19 @@ class Trajectory:
             r, j = np.argwhere(same)[0]
             raise ValueError(f"two frames hold the time {stencils[r, j]}: 4-point "
                              f"interpolation at t={ts[r]} needs distinct frame times")
+        return i0, stencils
+
+    def sample_state(self, t, rows: int | None = None) -> PhysicalState:
+        """Cubic (4-point Lagrange in t) interpolation of the stored frames,
+        at one time t or at each of an array of m times; u and ut are then
+        (rows, m) blocks, column j being the state at t[j].  Only the first
+        rows radial rows (all nr by default) are read and interpolated.  A
+        read-only file-mapped archive drops its pages after each block."""
+        ts = np.atleast_1d(t)
+        i0, stencils = self.stencils(ts)
+        n = self.grid.nr if rows is None else rows
+        if not 0 < n <= self.grid.nr:
+            raise ValueError(f"rows must be in [1, {self.grid.nr}], got {n}")
         u = np.empty((n, ts.size))
         ut = np.empty((n, ts.size))
         # one set of block buffers per call: the loop allocates nothing, so

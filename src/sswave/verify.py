@@ -568,7 +568,7 @@ def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
 
 def monotone_suite(snaps, rules, e: Exponents, k_max: int) -> list[dict]:
     """F0's own monotonicity report, then one per ladder index 1..k_max."""
-    f0 = fu.f0_series(snaps, rules, e)
+    f0, = fu.evaluate_series(["F0"], snaps, rules, e, EPS0, 1, 1.0)
     return [check_f0_monotone(f0)] + check_ladder(f0, e, k_max)
 
 
@@ -603,14 +603,14 @@ def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
     """Every quantity the decay suite monitors, from one snapshot series,
     with the s^(k/18)-type gains for k = 1, 2.
 
-    Per-snapshot quantities are sampled on the sub-grid that leaves room
-    for the [s, s+1] window integrals at the tail end.
+    Per-snapshot integrals are taken block by block (snaps.blockwise); the
+    window series sit on the sub-grid that leaves room for their [s, s+1].
     """
     p, al = e.p, e.alpha
     s = snaps.s
-    w2, wp1, wp32, grad2, ws2 = (_raw_int(snaps, rules, e, integrand, 0.0)
-                                 for integrand in ("w2", "lp1", "lp32", "g2", "ws2"))
-    f0 = fu.F0(snaps, rules, e)
+    w2, wp1, wp32, grad2, ws2, f0 = map(np.concatenate, zip(*snaps.blockwise(lambda b: [
+        _raw_int(b, rules, e, f, 0.0) for f in ("w2", "lp1", "lp32", "g2", "ws2")]
+        + [fu.F0(b, rules, e)])))
 
     sh = s[s <= s[-1] - 1.0 + 1e-9]
     # the window [s, s+1] of head sample i holds the n[i] samples from lo[i] on

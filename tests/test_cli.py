@@ -246,6 +246,31 @@ def test_verify_all_reads_the_run_before_the_identity_battery(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_verify_all_runs_the_identity_battery_before_any_transform(small_cfg, tmp_path,
+                                                                   monkeypatch):
+    """`verify --suite all` checks the run's snapshot window, then runs the
+    identity battery, whose forked workers would inherit the pages of any
+    series transformed before it, and only then reads frames:
+    Trajectory.sample_state is first called after verify.identity_suite
+    returns."""
+    from sswave import similarity, verify
+
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    events = []
+    window, sample_state = similarity.window, Trajectory.sample_state
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: events.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(similarity, "window", spy("window", window))
+    monkeypatch.setattr(Trajectory, "sample_state", spy("sample_state", sample_state))
+    monkeypatch.setattr(verify, "identity_suite", spy("identity_suite", lambda seed: []))
+    assert run_cli("verify", "--suite", "all", "--out", out) == 0
+    assert events[:3] == ["window", "identity_suite", "sample_state"], events[:3]
+    assert events.count("identity_suite") == 1
+
+
 def test_solver_error_exits_2_with_one_line(small_cfg, tmp_path, capsys):
     """A solve that fails leaves the run directory it was pointed at as it
     was: the earlier run's config echo still matches its manifest, and the
@@ -306,6 +331,34 @@ def test_simulate_never_holds_the_archive(tmp_path):
     field = os.path.getsize(out / "frames_u.npy")
     assert field > 20 * 2 ** 20
     assert peak < field / 4, (peak, field)
+
+
+def test_functionals_never_holds_the_series(tmp_path):
+    """functionals transforms its snapshot series one block of ROW_BLOCK
+    snapshots at a time and samples each rule on that block alone: the
+    traced peak of the whole command grows by less than a quarter when the
+    snapshot window doubles, which holding the transformed series, or a
+    rule's node samples over it, would exceed."""
+    import tracemalloc
+
+    runs = []
+    for s_hi in (7.0, 13.0):
+        cfg = tmp_path / f"window{s_hi}.ini"
+        cfg.write_text(CFG_SMALL.replace("ds = 0.1", "ds = 0.025")
+                       + f"s_lo = 1.0\ns_hi = {s_hi}\n")
+        runs.append(str(tmp_path / f"run{s_hi}"))
+        assert runio.cmd_simulate(str(cfg), runs[-1], False, False) == 0
+    # a process builds each rule once: an untraced first call builds them
+    assert runio.cmd_functionals(runs[0], None, False, False) == 0
+    peaks = []
+    for out in runs:
+        tracemalloc.start()
+        try:
+            assert runio.cmd_functionals(out, None, False, False) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_run_dir_with_a_removed_solver_key_exits_2(small_cfg, tmp_path, capsys):
@@ -801,6 +854,30 @@ def test_export_snapshots_flag(small_cfg, tmp_path):
     assert np.all(cols[6] ** 2 - cols[7] ** 2 - cols[8] ** 2 < 1e-10)
 
 
+def test_export_snapshots_is_the_whole_series_file(small_cfg, tmp_path):
+    """`functionals --export-snapshots` writes snapshots.csv one block of the
+    series at a time: its sha256 is that of the file written in one piece
+    from the node samples of the eagerly transformed whole series."""
+    from sswave.similarity import ROW_BLOCK, to_similarity
+
+    out = str(tmp_path / "run")
+    assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
+    assert run_cli("functionals", "--out", out, "--names", "F0",
+                   "--export-snapshots") == 0
+    vals, traj, _manifest = runio.load_run(out)
+    rules, snaps = runio.build_snapshots(vals, traj, None, None)
+    eager = to_similarity(traj.sample_state(snaps.t), traj.grid, traj.e, snaps.x0, snaps.T0)
+    ns, pts = eager.on(rules.plain), rules.plain.points
+    m, K = ns.w.shape
+    assert m > 2 * ROW_BLOCK
+    cols = {"s": np.repeat(eager.s, K)}
+    cols.update({f"y{d}": np.tile(pts[:, d], m) for d in range(pts.shape[1])})
+    cols.update(w=ns.w.ravel(), ws=ns.ws.ravel(), grad=np.sqrt(ns.g2).ravel(),
+                grad_r=np.sqrt(ns.gr2).ravel(), grad_theta=np.sqrt(ns.gth2).ravel())
+    whole = runio.write_csv(str(tmp_path / "whole.csv"), list(cols), zip(*cols.values()))
+    assert runio.sha256_file(whole) == runio.sha256_file(os.path.join(out, "snapshots.csv"))
+
+
 def test_functionals_on_non_blowup_run(small_cfg, tmp_path, capsys):
     cfg = tmp_path / "zero.ini"
     cfg.write_text(CFG_SMALL.replace("[similarity]",
@@ -1213,31 +1290,36 @@ def test_rate_reads_keep_one_block_resident(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("window", ["", "s_lo = 1.0\n"])
 def test_lemma_window_transform_is_bit_identical(tmp_path, window):
-    """`verify --suite lemmas` transforms only the window's first LEMMA_SPAN
-    of s (and the next snapshot): its snapshots are rows of the whole
-    series, bit for bit, and the lemma suite reports the same dicts.  From
-    s_lo = 1.0 the grid point nearest s0 + 1 lies an ulp past it, and the
-    suite's window still takes it."""
+    """The lemma suite's window of the series `verify` builds is transformed
+    when it is selected, alone, on its own cone rows: its node samples are
+    those of the eagerly transformed whole series' window, bit for bit, and
+    the lemma suite reports the same dicts on both.  From s_lo = 1.0 the
+    grid point nearest s0 + 1 lies an ulp past it, and the window still
+    takes it."""
     from sswave import verify
+    from sswave.similarity import TransformSnapshot, to_similarity
 
     cfg_path = tmp_path / "window.ini"
     cfg_path.write_text(CFG_SMALL + window)
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", str(cfg_path), "--out", out) == 0
     vals, traj, _manifest = runio.load_run(out)
-    runs = {}
-    for span in (verify.LEMMA_SPAN, None):
-        rules, snaps = runio.build_snapshots(vals, traj, None, None, span=span)
-        reports = verify.lemma_suite(
-            snaps, rules, traj.e, vals["functionals"]["eps"], vals["similarity"]["ds"],
-            traj.grid.dr)
-        runs[span] = snaps.on(rules.plain), reports
-    (cut, cut_reports), (full, full_reports) = runs[verify.LEMMA_SPAN], runs[None]
-    m = cut.w.shape[0]
-    assert m < full.w.shape[0]
-    for name in ("w", "ws", "g2"):
-        assert getattr(cut, name).tobytes() == getattr(full, name)[:m].tobytes()
-    assert cut_reports == full_reports
+    rules, snaps = runio.build_snapshots(vals, traj, None, None)
+    eager = to_similarity(traj.sample_state(snaps.t), traj.grid, traj.e, snaps.x0, snaps.T0)
+    assert eager.s.tobytes() == snaps.s.tobytes()
+    span = (snaps.s[0], min(snaps.s[0] + verify.LEMMA_SPAN, snaps.s[-1]))
+    cut, full = verify.in_window(snaps, span), verify.in_window(eager, span)
+    assert isinstance(cut, TransformSnapshot) and cut.s.tobytes() == full.s.tobytes()
+    assert cut.s.size < snaps.s.size and abs(cut.s[-1] - span[1]) < 1e-9
+    assert cut.spline.y.shape[1] == 2 * cut.s.size < eager.spline.y.shape[1]
+    for beta in (0.0, vals["functionals"]["eps"] - 0.5):
+        a, b = cut.on(rules.rule(beta)), full.on(rules.rule(beta))
+        for name in a.ROWS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (beta, name)
+    reports = [verify.lemma_suite(series, rules, traj.e, vals["functionals"]["eps"],
+                                  vals["similarity"]["ds"], traj.grid.dr)
+               for series in (snaps, eager)]
+    assert reports[0] == reports[1]
 
 
 def test_lemma_suite_samples_each_rule_once_per_window(small_cfg, tmp_path, monkeypatch):
@@ -1251,7 +1333,7 @@ def test_lemma_suite_samples_each_rule_once_per_window(small_cfg, tmp_path, monk
     out = str(tmp_path / "run")
     assert run_cli("simulate", "--config", small_cfg, "--out", out) == 0
     vals, traj, _manifest = runio.load_run(out)
-    rules, snaps = runio.build_snapshots(vals, traj, None, None, span=verify.LEMMA_SPAN)
+    rules, snaps = runio.build_snapshots(vals, traj, None, None)
     e, eps = traj.e, vals["functionals"]["eps"]
     sampled = []   # (snapshot, rule) of each sample made, not read from the cache
     on = SimilaritySnapshot.on

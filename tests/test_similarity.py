@@ -440,20 +440,25 @@ def test_cut_spline_is_bitwise_the_whole_grid_on_the_used_intervals():
 
 
 def test_transform_splines_only_the_cone_rows(exp43, monkeypatch):
-    """On a grid of 4096 rows whose balls reach about 300 of them, the
-    transform splines need + CONE_MARGIN rows, and its node samples are
-    those of splining the whole grid, bit for bit."""
+    """On a grid of 4096 rows whose balls reach about 300 (need) of them,
+    the transform splines need + CONE_MARGIN rows and keeps the
+    coefficients of need rows, and its node samples are those of splining
+    the whole grid, bit for bit."""
     grid = sw.RadialGrid(r_max=1.5, nr=4096)
     rules = RuleTable(3, n_radial=12, n_angular=3)
     t = np.array([0.89, 0.9, 0.91])
     bump = np.exp(-grid.nodes ** 2)[:, None]
     state = PhysicalState(t, bump * (1.0 + 0.3 * t), bump * np.array([0.3, 0.2, 0.1]))
+    built, spline = [], similarity.RadialSpline
+    monkeypatch.setattr(similarity, "RadialSpline",
+                        lambda x, y, keep=None: built.append(x.size) or spline(x, y, keep))
     cut = to_similarity(state, grid, exp43, 0.0, 1.0)
     need = int(np.searchsorted(grid.nodes, 1.0 - t[0], side="right")) + 2
-    assert cut.u_spline.x.size == need + similarity.CONE_MARGIN < grid.nr
+    assert built == [need + similarity.CONE_MARGIN] and built[0] < grid.nr
+    assert cut.spline.x.size == cut.spline.quadratic.shape[0] + 1 == need
     monkeypatch.setattr(similarity, "CONE_MARGIN", grid.nr)
     whole = to_similarity(state, grid, exp43, 0.0, 1.0)
-    assert whole.u_spline.x.size == grid.nr
+    assert built[1] == grid.nr and whole.spline.x.size == need
     for beta in (0.0, 0.6, -0.4):
         a, b = cut.on(rules.rule(beta)), whole.on(rules.rule(beta))
         for name in a.ROWS:
@@ -667,19 +672,22 @@ def test_window_rejects_before_reading_a_frame(exp43, plateau_1024, x0, T0, s, m
     frames, T0 and the grid from frames_t alone: a time outside the frames,
     one at T0 (T0 - e^(-745) rounds to T0), and a ball that leaves the
     grid are each a ValueError with no frame read, from window and from
-    trajectory_to_w."""
+    trajectory_to_w.  The series of a window that passes reads no frame
+    either, until its rows are selected."""
     traj = plateau_1024
     T0 = traj.frames_t[-1] if T0 == "last" else traj.T_est
     blind = dataclasses.replace(traj, frames_u=Unread(), frames_ut=Unread())
     for check in (similarity.window, trajectory_to_w):
         with pytest.raises(ValueError, match=match):
             check(blind, exp43, x0, T0, s)
-    # the window's first time passes; only the transform reads the frames
+    # the window's first time passes; only the transform of rows reads the frames
     x0v, tau, t = similarity.window(blind, exp43, 0.0, traj.T_est, s[:1])
     assert x0v.tolist() == [0.0] * exp43.N
     assert np.array_equal(tau, traj.T_est - t) and np.array_equal(t, [traj.T_est - math.exp(-2.0)])
+    series = trajectory_to_w(blind, exp43, 0.0, traj.T_est, s[:1])
+    assert series.t.tobytes() == t.tobytes()
     with pytest.raises(AssertionError, match="a frame was read"):
-        trajectory_to_w(blind, exp43, 0.0, traj.T_est, s[:1])
+        series[0]
 
 
 def profile_equation_residual(snaps, rule, e, h):

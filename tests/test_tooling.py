@@ -367,8 +367,9 @@ def test_one_window_check():
     by similarity.window alone, before a frame is read: runio.py compares no
     frame time (frames_t[...]), T0 or r_max of its own; in similarity.py
     only window reads frames_t, and it calls _ball for T0 and the grid;
-    runio.build_snapshots calls window, and trajectory_to_w calls it before
-    Trajectory.sample_state."""
+    runio.build_snapshots calls trajectory_to_w, which calls window and
+    reads no frame; on the series path only the block transform,
+    TransformSeries.__getitem__, calls Trajectory.sample_state."""
     def functions(name):
         tree = ast.parse((ROOT / "src" / "sswave" / name).read_text(encoding="utf-8"))
         return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
@@ -391,9 +392,14 @@ def test_one_window_check():
     assert not hits, f"snapshot-time checks in runio.py: {hits}"
     readers = [name for name, fn in similarity.items() if "frames_t" in ast.unparse(fn)]
     assert readers == ["window"] and "_ball" in calls(similarity["window"]), readers
-    assert "window" in calls(runio["build_snapshots"])
-    order = calls(similarity["trajectory_to_w"])
-    assert order.index("window") < order.index("sample_state"), order
+    assert "trajectory_to_w" in calls(runio["build_snapshots"])
+    assert "window" in calls(similarity["trajectory_to_w"])
+    tree = ast.parse((ROOT / "src" / "sswave" / "similarity.py").read_text(encoding="utf-8"))
+    samplers = sorted(f"{getattr(owner, 'name', 'similarity')}.{fn.name}"
+                      for owner in ast.walk(tree)
+                      if isinstance(owner, (ast.ClassDef, ast.Module)) for fn in owner.body
+                      if isinstance(fn, ast.FunctionDef) and "sample_state" in calls(fn))
+    assert samplers == ["TransformSeries.__getitem__"], samplers
 
 
 def test_frames_are_streamed_not_held():
