@@ -361,20 +361,29 @@ class TestField:
 
 
 class StaticSnapshot(SimilaritySnapshot):
-    """Snapshot backed by closed forms; also exposes Hessian-level data.
-    With an (m,) array s it is the series of the same field at m times;
-    fields rejects the points of a rule or sphere of another dimension."""
+    """Snapshot backed by closed forms; also exposes Hessian-level data.  Its
+    w part is evaluated once per points array if the Hessian is asked first
+    (_jet).  With an (m,) array s it is the series of the same field at m
+    times; fields rejects the points of a rule or sphere of another dimension."""
 
     def __init__(self, tf: TestField, s=0.0):
         self.field_spec = tf
         self.w_part, self.ws_part = tf.parts()
+        self._jets: dict = {}   # id(pts) -> (pts, w_part.jet(pts, (0, ..., top)))
         super().__init__(s)
+
+    def _jet(self, pts: np.ndarray, top: int) -> list:
+        """w_part.jet(pts, (0, ..., top)), made again only for a degree it lacks."""
+        got = self._jets.get(id(pts), (pts, []))
+        if len(got[1]) <= top:
+            got = self._jets[id(pts)] = (pts, self.w_part.jet(pts, tuple(range(top + 1))))
+        return got[1]
 
     def fields(self, pts: np.ndarray):
         if np.shape(pts)[-1] != self.field_spec.N:
             raise ValueError(f"rule dimension {np.shape(pts)[-1]} != "
                              f"field dimension {self.field_spec.N}")
-        w, grad = self.w_part.jet(pts, (0, 1))
+        w, grad = self._jet(pts, 1)[:2]
         return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape)
                      for f in (w, self.ws_part.value(pts), grad))
 
@@ -383,12 +392,12 @@ class StaticSnapshot(SimilaritySnapshot):
 
         Equals Lap w - y^T H y - (N+1+2 eps) y.grad w; the 1/(1-|y|^2)
         factor from grad rho_eps cancels exactly against the multiplier
-        structure, so no boundary-singular term ever appears.  grad w is
-        evaluated here, not read from a NodeSample, so the static checks
-        stay independent of the sampling path.
+        structure, so no boundary-singular term ever appears.  y.grad w is
+        formed here from the jet, not read from a NodeSample, so the static
+        checks stay independent of the sampling path.
         """
         pts = np.atleast_2d(pts)
-        grad, H = self.w_part.jet(pts, (1, 2))
+        grad, H = self._jet(pts, 2)[1:]
         lap = np.trace(H, axis1=1, axis2=2)
         yHy = np.einsum("ki,kij,kj->k", pts, H, pts)
         ydg = sum_last(pts * grad)
@@ -402,7 +411,7 @@ class StaticSnapshot(SimilaritySnapshot):
         independently of any PDE solve.
         """
         pts = np.atleast_2d(pts)
-        w = self.w_part.value(pts)
+        w = self._jet(pts, 2)[0]
         ws = self.ws_part.value(pts)
         ydgs = sum_last(pts * self.ws_part.grad(pts))
         p, N, al = e.p, e.N, e.alpha

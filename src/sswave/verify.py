@@ -19,7 +19,9 @@ equation), so each identity stands on its own rather than on transcription.
 from __future__ import annotations
 
 import functools
+import json
 import math
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -298,8 +300,8 @@ def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> Rep
     """int y.gw div(rho_eps gw - rho_eps (y.gw) y) dy against its four-term
     expansion; the left side uses the field's analytic divergence."""
     rule = rules.rule(eps)
-    ns = field.on(rule)
     dv = field.pohozaev_div_over_rho(rule.points, eps)
+    ns = field.on(rule)
     lhs = float(np.sum(rule.weights * ns.ydg * dv))
     raw = functools.partial(_raw, field, rules, None, eps)
     rhs = (-eps * raw("Q1") - eps * raw("S3")
@@ -313,8 +315,8 @@ def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable) -> Rep
     """-int div(rho_eps gw - rho_eps (y.gw) y) w / sqrt(1-|y|^2) dy against
     the angular/radial split with the singular weights."""
     mu = rules.rule(eps - 0.5)
-    ns = field.on(mu)
     dv = field.pohozaev_div_over_rho(mu.points, eps)
+    ns = field.on(mu)
     lhs = -float(np.sum(mu.weights * ns.w * dv))
     raw = functools.partial(_raw, field, rules, None, eps)
     rhs = raw("Thh") + raw("Hr") + raw("W1h")
@@ -350,31 +352,40 @@ def random_test_field(N: int, rng: np.random.Generator,
                      ws_a=ws_a, ws_poly=ws_poly)
 
 
-def run_identity_battery(N: int, eps: float, n_fields: int = 50,
-                         seed: int = 0) -> list[Report]:
-    """Both appendix identities on a seeded random suite of test fields."""
+def identity_rules(N: int) -> RuleTable:
+    """The battery's rules for dimension N, seeded from the RuleTable.stored()
+    data per N in identity_rules.json, so that the battery loads no scipy."""
     rules = RuleTable(N, n_radial=48, n_angular=64 if N == 2 else 20)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_fields):
-        snap = StaticSnapshot(random_test_field(N, rng))
-        out.append(check_pohozaev_A(snap, eps, rules))
-        out.append(check_pohozaev_E(snap, eps, rules))
-    return out
+    store = resources.files(__package__).joinpath("identity_rules.json").read_text()
+    for doc in filter(lambda doc: doc["N"] == N, json.loads(store)):
+        rules.seed(doc)
+    return rules
 
 
-def identity_group(args: tuple) -> list[Report]:
-    """run_identity_battery(*args), looked up when fan_out runs the task."""
-    return run_identity_battery(*args)
+def run_identity_battery(N: int, eps: float, n_fields: int = 50,
+                         seed: int = 0, first: int = 0) -> list[Report]:
+    """Both appendix identities on a seeded random suite of n_fields test
+    fields, from field first on: batteries split at first give the whole's."""
+    rules, rng = identity_rules(N), np.random.default_rng(seed)
+    fields = [random_test_field(N, rng) for _ in range(n_fields)][first:]
+    return [check(snap, eps, rules) for snap in map(StaticSnapshot, fields)
+            for check in (check_pohozaev_A, check_pohozaev_E)]
+
+
+def identity_group(task: tuple) -> list[Report]:
+    """run_identity_battery of a task (N, eps, n_fields, seed, first), when fan_out runs it."""
+    N, eps, n_fields, seed, first = task
+    return run_identity_battery(N, eps, n_fields, seed, first)
 
 
 def identity_suite(seed: int) -> list[dict]:
-    """Both Pohozaev identities on 10 seeded fields for each N in (2, 3)
-    and eps in (0.6, 1.0, 1.1), N outer.  The groups are independent: they
-    run on one worker process per usable CPU (one per group at most), the
-    N = 3 ones, each about ten times an N = 2 one, submitted first."""
-    groups = [(N, eps, 10, seed) for N in (2, 3) for eps in (0.6, 1.0, 1.1)]
-    return [r for group in fan_out(identity_group, groups, cost=lambda args: args[0])
+    """Both Pohozaev identities on 10 seeded fields for each N in (2, 3) and
+    eps in (0.6, 1.0, 1.1), N outer, on one worker process per usable CPU.
+    An N = 3 field costs about ten N = 2 ones, so an N = 3 group is two
+    tasks of 5 fields, submitted first, and two workers finish together."""
+    tasks = [(N, eps, n, seed, first) for N in (2, 3) for eps in (0.6, 1.0, 1.1)
+             for n, first in ([(10, 0)] if N == 2 else [(5, 0), (10, 5)])]
+    return [r for group in fan_out(identity_group, tasks, cost=lambda task: task[0])
             for r in group]
 
 
@@ -404,9 +415,9 @@ def _flow(name: str, field, rules: RuleTable, e: Exponents, eps: float) -> float
     shift, integrand = _FLOW_TABLE[name]
     rule = rules.rule(0.0 if shift is None else eps + shift)
     pts = rule.points
-    w, ws, grad = field.fields(pts)
+    v, (w, ws, grad) = field.eq_rhs(pts, e), field.fields(pts)   # the Hessian first
     gws = field.ws_part.grad(pts)
-    g = SimpleNamespace(w=w, ws=ws, v=field.eq_rhs(pts, e), ydg=sum_last(pts * grad),
+    g = SimpleNamespace(w=w, ws=ws, v=v, ydg=sum_last(pts * grad),
                         ydgs=sum_last(pts * gws), gdot=sum_last(grad * gws),
                         r2=sum_last(pts ** 2))
     return float(np.sum(rule.weights * integrand(g, e)))
@@ -437,10 +448,10 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
                 + c * e.alpha * _flow("dB", field, rules, e, EPS0))
 
     if name == "dF0":
-        # F0 = e^(2 alpha s) (E0 + J0): the flows of E0 and J0 and the explicit s part
+        # F0 = e^(2 alpha s) (E0 + J0); the flows first, as they read the Hessian
+        dE0, dJ0 = _flow("dE_eps", field, rules, e, 0.0), _flow("dJ0", field, rules, e, eps)
         return math.exp(2.0 * e.alpha * field.s) * (
-            2.0 * e.alpha * (fu.E0(field, rules, e) + fu.J0(field, rules, e))
-            + _flow("dE_eps", field, rules, e, 0.0) + _flow("dJ0", field, rules, e, eps))
+            2.0 * e.alpha * (fu.E0(field, rules, e) + fu.J0(field, rules, e)) + dE0 + dJ0)
 
     if name == "dF1":
         return field.s ** (1.0 / 18.0) * flow_derivative("dF0", field, rules, e, eps)

@@ -81,9 +81,11 @@ def test_criterion_2_dissipation_closed_form(p, N):
 
 def test_criterion_3_appendix_identities():
     """Six batteries of 50 fields, one per (N, eps), run as the identity
-    suite runs its groups: on one worker process per available CPU."""
-    groups = [(N, eps, 50, 100 * N + int(10 * eps)) for N in (2, 3)
-              for eps in (0.6, 1.0, 1.1)]
+    suite runs its groups: an N = 3 battery in two halves, on one worker
+    process per available CPU."""
+    split = {2: [(50, 0)], 3: [(25, 0), (50, 25)]}   # (n_fields, first) of each task
+    groups = [(N, eps, n, 100 * N + int(10 * eps), first) for N in (2, 3)
+              for eps in (0.6, 1.0, 1.1) for n, first in split[N]]
     worst = 0.0
     total = 0
     for (N, eps, *_), reports in zip(groups, fan_out(verify.identity_group, groups,
@@ -91,7 +93,7 @@ def test_criterion_3_appendix_identities():
         total += len(reports)
         worst = max(worst, max(r["rel_residual"] for r in reports))
         assert all(r["passed"] for r in reports), (N, eps)
-    assert worst < 1e-8
+    assert worst < 1e-8 and total == 600
     print(f"\nPASS criterion 3: {total} identity checks over "
           f"(N, eps) in {{2,3}}x{{3/5,1,11/10}}, worst residual {worst:.2e} < 1e-8")
 

@@ -714,9 +714,13 @@ def test_console_module_entry(small_cfg, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# on one CPU a stage that fans out runs its tasks in the probe's process,
+# where sys.modules shows what they load
 _SCIPY_PROBE = """
 import json, sys
+from sswave import core
 from sswave.cli import main
+core.usable_cpus = lambda: 1
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
@@ -731,7 +735,8 @@ def scipy_modules(*argv):
 
 
 def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
-    """Importing the CLI loads no scipy, nor do `simulate` and `rate`, and no
+    """Importing the CLI loads no scipy, nor do `simulate`, `rate` and
+    `verify --suite identities`, whose rules the package ships, and no
     stage loads scipy.integrate, scipy.sparse, scipy.optimize or
     scipy.interpolate.  A stage loads scipy.special only to build rules its
     run does not store: `verify --suite monotone` on a run without a store
@@ -744,6 +749,9 @@ def test_stages_import_only_the_scipy_they_call(small_cfg, tmp_path):
     never = {"scipy.integrate", "scipy.sparse", "scipy.optimize", "scipy.interpolate"}
     fresh, out = str(tmp_path / "fresh"), str(tmp_path / "run")
     assert scipy_modules() == (0, [])
+    os.makedirs(str(tmp_path / "ident"))
+    assert scipy_modules("verify", "--suite", "identities", "--out",
+                         str(tmp_path / "ident")) == (0, [])
     for run in (fresh, out):
         assert scipy_modules("simulate", "--config", small_cfg, "--out", run) == (0, [])
     code, mods = scipy_modules("verify", "--suite", "monotone", "--out", fresh)
@@ -1030,7 +1038,8 @@ def test_verify_creates_missing_out_dir(tmp_path, monkeypatch):
     out = tmp_path / "missing" / "v"
     assert cli_main(["verify", "--suite", "identities", "--out", str(out)]) == 0
     reports = json.load(open(out / "verify_identities.json"))
-    assert len(reports) == 6 and all(r["passed"] for r in reports)
+    # one stand-in report per task: three N = 2 groups and six N = 3 halves
+    assert len(reports) == 9 and all(r["passed"] for r in reports)
 
 
 def test_verify_missing_run_inputs(tmp_path):

@@ -278,7 +278,7 @@ def test_a_warning_in_a_suite_worker_fails_the_suite(monkeypatch):
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     parent = os.getpid()
 
-    def stray_power(N, eps, n_fields, seed):
+    def stray_power(N, eps, n_fields, seed, first):
         assert os.getpid() != parent, "the battery ran in the calling process"
         np.clip(1.0 - np.sum(np.eye(N) ** 2, axis=1), 0.0, None) ** (eps - 1.5)
         return []

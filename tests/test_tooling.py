@@ -436,3 +436,15 @@ def test_g1_stated_once():
              for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
     assert found.pop("core.py")
     assert not any(found.values()), f"g1 written out outside core.Exponents: {found}"
+
+
+def test_package_data_is_declared():
+    """Every file the package reads besides its modules is declared as
+    package data in pyproject.toml, so an installed wheel carries it:
+    identity_rules.json, which verify reads through importlib.resources."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["sswave"]
+    data = sorted(path.name for path in (ROOT / "src" / "sswave").iterdir()
+                  if path.is_file() and path.suffix != ".py")
+    assert data == ["identity_rules.json"] and sorted(declared) == data, (declared, data)

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -130,6 +132,86 @@ def test_identity_battery(N, eps):
     assert all(type(r) is verify.Report and r.passed is r["passed"] for r in reports)
 
 
+# the betas the battery reads, eps - 1, eps - 1/2, eps and eps + 1/2 for
+# eps in (0.6, 1.0, 1.1), and the store they make for N = 2 and 3
+IDENTITY_BETAS = (-0.4, 0.0, 0.1, 0.5, 0.6, 1.0, 1.1, 1.5, 1.6)
+REGENERATE = ("PYTHONPATH=src python -c \"import sys; sys.path[:0] = ['src', 'tests']; "
+              "import test_verify as t; open('src/sswave/identity_rules.json', 'w')"
+              ".write(t.fresh_identity_rules())\"")
+
+
+def fresh_identity_rules() -> str:
+    tables = [RuleTable(N, n_radial=48, n_angular=64 if N == 2 else 20) for N in (2, 3)]
+    for table in tables:
+        for beta in IDENTITY_BETAS:
+            table.rule(beta)
+    return json.dumps([table.stored() for table in tables], sort_keys=True)
+
+
+def test_shipped_identity_rules_are_the_built_ones():
+    """The rule store the package ships is, character for character, the
+    stored() data of the rules built afresh for the battery's betas, so
+    every float in it reads back bit for bit."""
+    shipped = resources.files("sswave").joinpath("identity_rules.json").read_text()
+    assert shipped == fresh_identity_rules(), f"regenerate it with: {REGENERATE}"
+    assert sorted({round(eps + shift, 12) for eps in (0.6, 1.0, 1.1)
+                   for shift in (-1.0, -0.5, 0.0, 0.5)}) == list(IDENTITY_BETAS)
+
+
+def test_identity_suite_builds_no_rule(monkeypatch):
+    """identity_suite reads every rule from the shipped store: each table
+    it seeds, one per task, ends with built False."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
+    tables = []
+    seeded = verify.identity_rules
+
+    def spy(N):
+        tables.append(seeded(N))
+        return tables[-1]
+
+    monkeypatch.setattr(verify, "identity_rules", spy)
+    assert len(verify.identity_suite(0)) == 120
+    assert len(tables) == 9 and not any(table.built for table in tables)
+
+
+def test_each_field_is_evaluated_once_per_rule(monkeypatch):
+    """The w part of a battery field is evaluated by one PolyField._partials
+    call per rule it is read on, in the order the checks read them: eps and
+    eps - 1 for pohozaev_A, eps - 1/2 and eps + 1/2 for pohozaev_E.  The
+    frozen-flow oracle, over every lemma, also evaluates it once per rule."""
+    calls = []   # (polynomial, points) of each _partials call
+    partials, init = PolyField._partials, StaticSnapshot.__init__
+    snaps = []
+
+    def spy(self, pts, orders):
+        calls.append((self, pts))
+        return partials(self, pts, orders)
+
+    def record(self, *args, **kw):
+        init(self, *args, **kw)
+        snaps.append(self)
+
+    monkeypatch.setattr(PolyField, "_partials", spy)
+    monkeypatch.setattr(StaticSnapshot, "__init__", record)
+    for N, eps in ((2, 1.1), (3, 0.6)):
+        snaps.clear()
+        calls.clear()
+        assert len(verify.run_identity_battery(N, eps, n_fields=4, seed=3)) == 8
+        rules = verify.identity_rules(N)
+        want = [rules.rule(b).points.tobytes() for b in (eps, eps - 1.0, eps - 0.5, eps + 0.5)]
+        for snap in snaps:
+            got = [pts.tobytes() for poly, pts in calls if poly is snap.w_part.poly]
+            assert got == want, (N, eps)
+    e = sw.make_exponents(4.0, 3)
+    rules = RuleTable(3, n_radial=24, n_angular=8)
+    snap = StaticSnapshot(positive_field(3, np.random.default_rng(5)), s=1.5)
+    calls.clear()
+    for name in verify.LEMMA_NAMES:
+        verify.flow_derivative(name, snap, rules, e, 0.6)
+    got = [id(pts) for poly, pts in calls if poly is snap.w_part.poly]
+    assert len(got) == len(set(got)) == len(rules._rules)
+
+
 @pytest.fixture()
 def pool_spy(monkeypatch):
     """The max_workers of every process pool started."""
@@ -148,9 +230,10 @@ def pool_spy(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_identity_suite_is_the_serial_battery(seed, pool_spy, monkeypatch):
-    """The suite's six (N, eps) groups, run on two worker processes whatever
-    the machine has, give exactly the reports of the battery run group by
-    group in this process, in the same order: N outer, eps inner."""
+    """The suite's six (N, eps) groups, split into nine tasks and run on two
+    worker processes whatever the machine has, give exactly the reports of
+    the battery run group by group in this process, in the same order: N
+    outer, eps inner."""
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     serial = [r for N in (2, 3) for eps in (0.6, 1.0, 1.1)
               for r in verify.run_identity_battery(N, eps, n_fields=10, seed=seed)]
@@ -159,7 +242,8 @@ def test_identity_suite_is_the_serial_battery(seed, pool_spy, monkeypatch):
 
 
 def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
-    """With one CPU available the six groups run in this process, in order."""
+    """With one CPU available the nine tasks (an N = 3 group in two halves)
+    run in this process, in order."""
     import concurrent.futures
 
     class NoPool:
@@ -169,10 +253,12 @@ def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(core, "usable_cpus", lambda: 1)
     monkeypatch.setattr(verify, "run_identity_battery",
-                        lambda N, eps, n_fields, seed: [verify.report(
-                            "pohozaev_A", 1.0, 1.0, 1e-8, context=f"{N} {eps} {seed}")])
+                        lambda N, eps, n_fields, seed, first: [verify.report(
+                            "pohozaev_A", 1.0, 1.0, 1e-8,
+                            context=f"{N} {eps} {n_fields} {seed} {first}")])
     assert [r["context"] for r in verify.identity_suite(5)] == \
-        [f"{N} {eps} 5" for N in (2, 3) for eps in (0.6, 1.0, 1.1)]
+        [f"{N} {eps} {n} 5 {first}" for N in (2, 3) for eps in (0.6, 1.0, 1.1)
+         for n, first in ([(10, 0)] if N == 2 else [(5, 0), (10, 5)])]
 
 
 def test_fan_out_submits_costliest_first(monkeypatch):
