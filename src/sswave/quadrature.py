@@ -267,23 +267,29 @@ class RuleTable:
     out one immutable rule per beta so node samples can be cached per rule.
     stored() gives the radial rule of each beta held and the sphere rule as
     JSON data, and seed() takes them back into a new table, which assembles
-    those rules without building them; `built` says whether the table built
-    a rule that it was not seeded with.
+    a seeded rule, without building it, the first time its beta is asked
+    for; `built` says whether the table built a rule that it was not seeded
+    with.
     """
 
     def __init__(self, N: int, n_radial: int = 48, n_angular: int = 1):
         self.N = N
         self.n_radial = n_radial
         self.n_angular = n_angular
-        self._rules: dict = {}   # beta key -> BallQuadrature
+        self._rules: dict = {}    # beta key -> BallQuadrature handed out
+        self._radial: dict = {}   # beta key -> (nodes, weights) of every rule held
         self._sphere = None
         self.built = False
 
     def rule(self, beta: float) -> BallQuadrature:
         key = round(float(beta), 12)
         if key not in self._rules:
-            self._rules[key] = build_rule(self.N, key, self.n_radial, self.n_angular)
-            self.built = True
+            if key in self._radial:   # seeded: assembled on first use
+                rule = _ball_rule(key, self.n_angular, *self._radial[key], self._sphere)
+            else:
+                rule = build_rule(self.N, key, self.n_radial, self.n_angular)
+                self._radial[key], self.built = (rule.radial_nodes, rule.radial_weights), True
+            self._rules[key] = rule
         return self._rules[key]
 
     @property
@@ -302,15 +308,15 @@ class RuleTable:
         floats read back bit for bit."""
         sph = self.sphere()
         return {"N": self.N, "n_radial": self.n_radial, "n_angular": self.n_angular,
-                "radial": {repr(key): {"nodes": rule.radial_nodes.tolist(),
-                                       "weights": rule.radial_weights.tolist()}
-                           for key, rule in sorted(self._rules.items())},
+                "radial": {repr(key): {"nodes": r.tolist(), "weights": W.tolist()}
+                           for key, (r, W) in sorted(self._radial.items())},
                 "sphere": {"points": sph.points.tolist(), "weights": sph.weights.tolist()}}
 
     def seed(self, doc: dict):
         """Take the rules of stored() data, before any rule is handed out; a
         ValueError, and no rule taken, unless its header is this table's and
-        every rule passes check_radial_rule and check_sphere_rule."""
+        every rule passes check_radial_rule and check_sphere_rule.  It keeps
+        each radial rule and the sphere rule, and assembles no ball rule."""
         header = {key: getattr(self, key) for key in ("N", "n_radial", "n_angular")}
         got = {key: doc.get(key) for key in header}
         if got != header:
@@ -321,12 +327,11 @@ class RuleTable:
             raise ValueError('no "radial" object of rule objects and "sphere" object')
         pts, wts = (np.array(sph.get(name), dtype=float) for name in ("points", "weights"))
         check_sphere_rule(self.N, self.n_angular, pts, wts)
-        sphere = SphereRule(N=self.N, points=pts, weights=wts)
         rules = {}
         for text, rule in radial.items():
             key = round(float(text), 12)
             r, W = (np.array(rule.get(name), dtype=float) for name in ("nodes", "weights"))
             check_radial_rule(self.N, key, self.n_radial, r, W)
-            rules[key] = _ball_rule(key, self.n_angular, r, W, sphere)
-        self._rules.update(rules)
-        self._sphere = sphere
+            rules[key] = r, W
+        self._radial.update(rules)
+        self._sphere = SphereRule(N=self.N, points=pts, weights=wts)

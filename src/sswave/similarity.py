@@ -363,8 +363,10 @@ class TestField:
 class StaticSnapshot(SimilaritySnapshot):
     """Snapshot backed by closed forms; also exposes Hessian-level data.  Its
     w part is evaluated once per points array if the Hessian is asked first
-    (_jet).  With an (m,) array s it is the series of the same field at m
-    times; fields rejects the points of a rule or sphere of another dimension."""
+    (_jet); the jets, like the node samples, live as long as the snapshot, so
+    the identity battery makes one per check.  With an (m,) array s it is the
+    series of the same field at m times; fields rejects the points of a rule
+    or sphere of another dimension."""
 
     def __init__(self, tf: TestField, s=0.0):
         self.field_spec = tf

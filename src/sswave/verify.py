@@ -365,10 +365,12 @@ def identity_rules(N: int) -> RuleTable:
 def run_identity_battery(N: int, eps: float, n_fields: int = 50,
                          seed: int = 0, first: int = 0) -> list[Report]:
     """Both appendix identities on a seeded random suite of n_fields test
-    fields, from field first on: batteries split at first give the whole's."""
+    fields, from field first on: batteries split at first give the whole's.
+    Each check has a StaticSnapshot of its own, as A reads the eps and eps - 1
+    rules and E the eps -+ 1/2 ones: A's jets and samples are dropped before E."""
     rules, rng = identity_rules(N), np.random.default_rng(seed)
     fields = [random_test_field(N, rng) for _ in range(n_fields)][first:]
-    return [check(snap, eps, rules) for snap in map(StaticSnapshot, fields)
+    return [check(StaticSnapshot(field), eps, rules) for field in fields
             for check in (check_pohozaev_A, check_pohozaev_E)]
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sswave as sw
+from sswave import runio
 from sswave.quadrature import RuleTable, check_radial_rule, check_rule
 from sswave.verify import hardy_ratio
 from sswave.similarity import PolyField, StaticSnapshot, TestField
@@ -91,6 +92,29 @@ def test_seeded_rule_table_is_bit_identical(N, n_angular):
     assert fresh.built and not seeded.built
 
 
+def test_seeded_rules_are_stored_unread(tmp_path):
+    """stored() of a seeded table gives every seeded node and weight bit for
+    bit, for betas asked for and for those never assembled: a stage that
+    builds one more rule rewrites the rule store with the seeded rules
+    unchanged."""
+    fresh = RuleTable(3, n_radial=24, n_angular=4)
+    for beta in (-0.4, 0.1, 0.6, 1.1):
+        fresh.rule(beta)
+    doc = json.loads(json.dumps(fresh.stored()))
+    seeded = RuleTable(3, n_radial=24, n_angular=4)
+    seeded.seed(doc)
+    assert seeded.rule(0.6).points.tobytes() == fresh.rule(0.6).points.tobytes()
+    assert json.dumps(seeded.stored(), sort_keys=True) == json.dumps(doc, sort_keys=True)
+    assert list(seeded._rules) == [0.6] and not seeded.built
+    seeded.rule(0.35)
+    assert runio.store_rules(str(tmp_path), seeded) == [str(tmp_path / runio.RULES)]
+    rewritten = json.loads((tmp_path / runio.RULES).read_text())
+    radial, built = rewritten.pop("radial"), fresh.rule(0.35)
+    assert radial.pop("0.35") == {"nodes": built.radial_nodes.tolist(),
+                                  "weights": built.radial_weights.tolist()}
+    assert radial == doc.pop("radial") and rewritten == doc
+
+
 def _damaged(doc, damage):
     doc = copy.deepcopy(doc)
     rule = doc["radial"]["0.6"]
@@ -133,6 +157,20 @@ def test_seed_rejects_a_damaged_store(damage):
         table.seed(_damaged(doc, damage))
     assert not table._rules and table._sphere is None
     table.seed(doc)     # the undamaged store seeds
+
+
+def test_a_rejected_seed_keeps_no_stored_rule():
+    """A store whose rule of beta 0.6 is damaged, checked after the sound
+    rule of beta 0.1, leaves neither in the table: 0.1 is built afresh and
+    only it is stored."""
+    fresh = RuleTable(2, n_radial=24, n_angular=16)
+    for beta in (0.1, 0.6):
+        fresh.rule(beta)
+    table = RuleTable(2, n_radial=24, n_angular=16)
+    with pytest.raises(ValueError):
+        table.seed(_damaged(json.loads(json.dumps(fresh.stored())), "weight"))
+    table.rule(0.1)
+    assert table.built and list(table.stored()["radial"]) == ["0.1"]
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])

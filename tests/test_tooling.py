@@ -402,6 +402,27 @@ def test_one_window_check():
     assert samplers == ["TransformSeries.__getitem__"], samplers
 
 
+def test_one_rule_assembly():
+    """A ball rule is assembled at one point: only quadrature._ball_rule
+    constructs a BallQuadrature, and only build_rule, for a rule built
+    afresh, and RuleTable.rule, for a seeded rule on first use, call
+    _ball_rule, so seeding a table assembles none."""
+    def callers(name):
+        found = []
+        for path in sorted((ROOT / "src" / "sswave").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{getattr(owner, 'name', path.stem)}.{fn.name}"
+                      for owner in ast.walk(tree) if isinstance(owner, (ast.ClassDef, ast.Module))
+                      for fn in owner.body if isinstance(fn, ast.FunctionDef)
+                      and any(isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1]
+                              == name for n in ast.walk(fn))]
+        return sorted(found)
+
+    assert callers("BallQuadrature") == ["quadrature._ball_rule"], callers("BallQuadrature")
+    assert callers("_ball_rule") == ["RuleTable.rule", "quadrature.build_rule"], \
+        callers("_ball_rule")
+
+
 def test_frames_are_streamed_not_held():
     """One archive path: the solver writes each frame into its file, so no
     archive is grown in memory (ndarray.resize) in src/sswave, and np.save

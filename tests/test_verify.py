@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -11,7 +12,7 @@ from sswave.core import FunctionalSeries, fan_out
 from sswave.quadrature import RuleTable
 from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
-from sswave import core, runio, verify
+from sswave import core, quadrature, runio, verify
 
 from conftest import (boosted_snapshot, lemma_window_snaps, make_gaussian_run,
                       observed_order)
@@ -175,10 +176,11 @@ def test_identity_suite_builds_no_rule(monkeypatch):
 
 
 def test_each_field_is_evaluated_once_per_rule(monkeypatch):
-    """The w part of a battery field is evaluated by one PolyField._partials
-    call per rule it is read on, in the order the checks read them: eps and
-    eps - 1 for pohozaev_A, eps - 1/2 and eps + 1/2 for pohozaev_E.  The
-    frozen-flow oracle, over every lemma, also evaluates it once per rule."""
+    """The w part of a battery field, over the snapshots of its two checks,
+    is evaluated by one PolyField._partials call per rule it is read on, in
+    the order the checks read them: eps and eps - 1 for pohozaev_A, eps - 1/2
+    and eps + 1/2 for pohozaev_E.  The frozen-flow oracle, over every lemma,
+    also evaluates it once per rule."""
     calls = []   # (polynomial, points) of each _partials call
     partials, init = PolyField._partials, StaticSnapshot.__init__
     snaps = []
@@ -199,8 +201,11 @@ def test_each_field_is_evaluated_once_per_rule(monkeypatch):
         assert len(verify.run_identity_battery(N, eps, n_fields=4, seed=3)) == 8
         rules = verify.identity_rules(N)
         want = [rules.rule(b).points.tobytes() for b in (eps, eps - 1.0, eps - 0.5, eps + 0.5)]
-        for snap in snaps:
-            got = [pts.tobytes() for poly, pts in calls if poly is snap.w_part.poly]
+        fields = {id(snap.field_spec): snap.field_spec for snap in snaps}.values()
+        assert len(fields) == 4
+        for field in fields:
+            polys = [snap.w_part.poly for snap in snaps if snap.field_spec is field]
+            got = [pts.tobytes() for poly, pts in calls if any(poly is q for q in polys)]
             assert got == want, (N, eps)
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=24, n_angular=8)
@@ -210,6 +215,49 @@ def test_each_field_is_evaluated_once_per_rule(monkeypatch):
         verify.flow_derivative(name, snap, rules, e, 0.6)
     got = [id(pts) for poly, pts in calls if poly is snap.w_part.poly]
     assert len(got) == len(set(got)) == len(rules._rules)
+
+
+def test_a_battery_task_assembles_only_the_rules_it_reads(monkeypatch):
+    """Seeding a battery table assembles no ball rule: one N = 3 task
+    assembles the four rules its checks read, on first use and in the order
+    they are read, of the nine it is seeded with."""
+    assembled = []
+    ball_rule = quadrature._ball_rule
+
+    def spy(beta, *args):
+        assembled.append(beta)
+        return ball_rule(beta, *args)
+
+    monkeypatch.setattr(quadrature, "_ball_rule", spy)
+    assert len(verify.identity_rules(3).stored()["radial"]) == 9 and not assembled
+    assert len(verify.identity_group((3, 0.6, 5, 0, 0))) == 10
+    assert assembled == [0.6, -0.4, 0.1, 1.1]
+
+
+def test_each_check_has_a_snapshot_of_its_own(monkeypatch):
+    """Each battery StaticSnapshot samples and differentiates its field on
+    the rules of one check: eps and eps - 1 for pohozaev_A, eps -+ 1/2 for
+    pohozaev_E; A's snapshot is gone before E samples."""
+    eps, seen, last_a = 1.0, [], []
+    checks = {"A": verify.check_pohozaev_A, "E": verify.check_pohozaev_E}
+
+    def spy(name):
+        def check(snap, eps, rules):
+            if name == "E":
+                assert last_a[-1]() is None, "pohozaev_A's snapshot is alive"
+            else:
+                last_a.append(weakref.ref(snap))
+            rep = checks[name](snap, eps, rules)
+            beta = {id(rule.points): rule.beta for rule in rules._rules.values()}
+            held = {id(ns.rule.points) for ns in snap._samples.values()} | set(snap._jets)
+            seen.append((name, sorted(round(beta[key] - eps, 12) for key in held)))
+            return rep
+        return check
+
+    for name in checks:
+        monkeypatch.setattr(verify, f"check_pohozaev_{name}", spy(name))
+    assert len(verify.run_identity_battery(2, eps, n_fields=3, seed=1)) == 6
+    assert seen == [("A", [-1.0, 0.0]), ("E", [-0.5, 0.5])] * 3
 
 
 @pytest.fixture()
