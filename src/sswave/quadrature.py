@@ -260,6 +260,11 @@ def check_sphere_rule(N: int, n_angular: int, points: np.ndarray, weights: np.nd
                          "or weights that do not sum to the sphere's area")
 
 
+def beta_key(beta: float) -> float:
+    """The key of a weight exponent in a RuleTable: beta to 12 decimals."""
+    return round(float(beta), 12)
+
+
 class RuleTable:
     """Lazy cache of ball rules sharing (N, n_radial, n_angular).
 
@@ -282,7 +287,7 @@ class RuleTable:
         self.built = False
 
     def rule(self, beta: float) -> BallQuadrature:
-        key = round(float(beta), 12)
+        key = beta_key(beta)
         if key not in self._rules:
             if key in self._radial:   # seeded: assembled on first use
                 rule = _ball_rule(key, self.n_angular, *self._radial[key], self._sphere)
@@ -291,6 +296,12 @@ class RuleTable:
                 self._radial[key], self.built = (rule.radial_nodes, rule.radial_weights), True
             self._rules[key] = rule
         return self._rules[key]
+
+    def release(self, beta: float):
+        """Drop the ball rule of beta handed out, if any: its nodes are freed
+        with the last reference to it, and its next use assembles it again
+        from the radial rule held."""
+        self._rules.pop(beta_key(beta), None)
 
     @property
     def plain(self) -> BallQuadrature:
@@ -329,7 +340,7 @@ class RuleTable:
         check_sphere_rule(self.N, self.n_angular, pts, wts)
         rules = {}
         for text, rule in radial.items():
-            key = round(float(text), 12)
+            key = beta_key(float(text))
             r, W = (np.array(rule.get(name), dtype=float) for name in ("nodes", "weights"))
             check_radial_rule(self.N, key, self.n_radial, r, W)
             rules[key] = r, W

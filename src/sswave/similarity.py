@@ -361,33 +361,37 @@ class TestField:
 
 
 class StaticSnapshot(SimilaritySnapshot):
-    """Snapshot backed by closed forms; also exposes Hessian-level data.  Its
-    w part is evaluated once per points array if the Hessian is asked first
-    (_jet); the jets, like the node samples, live as long as the snapshot, so
-    the identity battery makes one per check.  With an (m,) array s it is the
-    series of the same field at m times; fields rejects the points of a rule
-    or sphere of another dimension."""
+    """Snapshot backed by closed forms; also exposes Hessian-level data.  Each
+    part, w and ws, is evaluated once per points array if its highest degree
+    is asked first (jet); the jets, like the node samples, live as long as
+    the snapshot, so the identity battery makes one per field and rule.  With
+    an (m,) array s it is the series of the same field at m times; fields
+    rejects the points of a rule or sphere of another dimension."""
 
     def __init__(self, tf: TestField, s=0.0):
         self.field_spec = tf
         self.w_part, self.ws_part = tf.parts()
-        self._jets: dict = {}   # id(pts) -> (pts, w_part.jet(pts, (0, ..., top)))
+        self._jets: dict = {}   # (id(part), id(pts)) -> (pts, degrees 0..top of part)
         super().__init__(s)
 
-    def _jet(self, pts: np.ndarray, top: int) -> list:
-        """w_part.jet(pts, (0, ..., top)), made again only for a degree it lacks."""
-        got = self._jets.get(id(pts), (pts, []))
+    def jet(self, part: WeightedPoly, pts: np.ndarray, top: int) -> list:
+        """part.jet(pts, (0, ..., top)) of the w or ws part, its value alone
+        for top = 0, kept per points array and made again only for a degree
+        it lacks."""
+        key = (id(part), id(pts))
+        got = self._jets.get(key, (pts, []))
         if len(got[1]) <= top:
-            got = self._jets[id(pts)] = (pts, self.w_part.jet(pts, tuple(range(top + 1))))
+            jet = [part.value(pts)] if top == 0 else part.jet(pts, tuple(range(top + 1)))
+            got = self._jets[key] = (pts, jet)
         return got[1]
 
     def fields(self, pts: np.ndarray):
         if np.shape(pts)[-1] != self.field_spec.N:
             raise ValueError(f"rule dimension {np.shape(pts)[-1]} != "
                              f"field dimension {self.field_spec.N}")
-        w, grad = self._jet(pts, 1)[:2]
-        return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape)
-                     for f in (w, self.ws_part.value(pts), grad))
+        w, grad = self.jet(self.w_part, pts, 1)[:2]
+        ws = self.jet(self.ws_part, pts, 0)[0]
+        return tuple(np.broadcast_to(f, np.shape(self.s) + f.shape) for f in (w, ws, grad))
 
     def pohozaev_div_over_rho(self, pts: np.ndarray, eps: float) -> np.ndarray:
         """div(rho_eps grad w - rho_eps (y.grad w) y) / rho_eps, analytically.
@@ -399,7 +403,7 @@ class StaticSnapshot(SimilaritySnapshot):
         checks stay independent of the sampling path.
         """
         pts = np.atleast_2d(pts)
-        grad, H = self._jet(pts, 2)[1:]
+        grad, H = self.jet(self.w_part, pts, 2)[1:]
         lap = np.trace(H, axis1=1, axis2=2)
         yHy = np.einsum("ki,kij,kj->k", pts, H, pts)
         ydg = sum_last(pts * grad)
@@ -413,9 +417,9 @@ class StaticSnapshot(SimilaritySnapshot):
         independently of any PDE solve.
         """
         pts = np.atleast_2d(pts)
-        w = self._jet(pts, 2)[0]
-        ws = self.ws_part.value(pts)
-        ydgs = sum_last(pts * self.ws_part.grad(pts))
+        w = self.jet(self.w_part, pts, 2)[0]
+        ws, gws = self.jet(self.ws_part, pts, 1)
+        ydgs = sum_last(pts * gws)
         p, N, al = e.p, e.N, e.alpha
         return (self.pohozaev_div_over_rho(pts, al)
                 - 2.0 * e.g1 * w + np.abs(w) ** (p - 1.0) * w

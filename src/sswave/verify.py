@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Exponents, FunctionalSeries, fan_out, pointwise, sum_last
 from .ode import power_fit
-from .quadrature import RuleTable
+from .quadrature import RuleTable, beta_key
 from .similarity import PolyField, StaticSnapshot, TestField
 from . import functionals as fu
 
@@ -296,33 +296,61 @@ def lemma_suite(snaps, rules, e: Exponents, eps: float, ds: float,
 # ---------------------------------------------------------------------------
 # static Pohozaev identities (appendix lemmas)
 
-def check_pohozaev_A(field: StaticSnapshot, eps: float, rules: RuleTable) -> Report:
+# Pohozaev left side -> (sign, node-sample row, beta as in _RAW_TABLE) of its
+# integral sign * int row div(rho_eps gw - rho_eps (y.gw) y) / rho_eps, with
+# the field's analytic divergence, which reads the Hessian
+_POHOZAEV_LHS = {"A": (1.0, "ydg", 0.0), "E": (-1.0, "w", -0.5)}
+
+# every integral the two checks read at one eps, the left sides first, so
+# that a rule's jets are made with the Hessian once
+_POHOZAEV_READS = ("A", "E", "Q1", "S1", "S2", "S3", "Thh", "Hr", "W1h")
+
+
+class PohozaevSums(dict):
+    """The integrals of _POHOZAEV_READS for one test field, by (name, eps), as
+    pohozaev_sums fills them in rule by rule."""
+
+    def __init__(self, tf: TestField):
+        super().__init__()
+        self.field_spec = tf
+
+
+def _pohozaev(field, rules: RuleTable, eps: float, name: str):
+    """Integral name of _POHOZAEV_READS at eps: read from PohozaevSums, or
+    summed on a StaticSnapshot's rule (a left side or a _RAW_TABLE entry)."""
+    if isinstance(field, PohozaevSums):
+        return field[name, eps]
+    if name not in _POHOZAEV_LHS:
+        return _raw(field, rules, None, eps, name)
+    sign, row, shift = _POHOZAEV_LHS[name]
+    rule = rules.rule(eps + shift)
+    dv = field.pohozaev_div_over_rho(rule.points, eps)   # the Hessian first
+    return sign * float(np.sum(rule.weights * getattr(field.on(rule), row) * dv))
+
+
+def _context(field, eps: float) -> str:
+    tf = field.field_spec
+    return f"N={tf.N} eps={eps} a={tf.a} m={tf.m}"
+
+
+def check_pohozaev_A(field, eps: float, rules: RuleTable) -> Report:
     """int y.gw div(rho_eps gw - rho_eps (y.gw) y) dy against its four-term
-    expansion; the left side uses the field's analytic divergence."""
-    rule = rules.rule(eps)
-    dv = field.pohozaev_div_over_rho(rule.points, eps)
-    ns = field.on(rule)
-    lhs = float(np.sum(rule.weights * ns.ydg * dv))
-    raw = functools.partial(_raw, field, rules, None, eps)
-    rhs = (-eps * raw("Q1") - eps * raw("S3")
-           + 0.5 * field.field_spec.N * raw("S1") - raw("S2"))
-    return report("pohozaev_A", lhs, rhs, POHOZAEV_TOL,
-                  context=f"N={field.field_spec.N} eps={eps} a={field.field_spec.a} "
-                          f"m={field.field_spec.m}")
+    expansion, on a StaticSnapshot or the PohozaevSums of its field."""
+    val = functools.partial(_pohozaev, field, rules, eps)
+    lhs = val("A")
+    rhs = (-eps * val("Q1") - eps * val("S3")
+           + 0.5 * field.field_spec.N * val("S1") - val("S2"))
+    return report("pohozaev_A", lhs, rhs, POHOZAEV_TOL, context=_context(field, eps))
 
 
-def check_pohozaev_E(field: StaticSnapshot, eps: float, rules: RuleTable) -> Report:
+def check_pohozaev_E(field, eps: float, rules: RuleTable) -> Report:
     """-int div(rho_eps gw - rho_eps (y.gw) y) w / sqrt(1-|y|^2) dy against
-    the angular/radial split with the singular weights."""
-    mu = rules.rule(eps - 0.5)
-    dv = field.pohozaev_div_over_rho(mu.points, eps)
-    ns = field.on(mu)
-    lhs = -float(np.sum(mu.weights * ns.w * dv))
-    raw = functools.partial(_raw, field, rules, None, eps)
-    rhs = raw("Thh") + raw("Hr") + raw("W1h")
-    return report("pohozaev_E", lhs, rhs, POHOZAEV_TOL,
-                  context=f"N={field.field_spec.N} eps={eps} a={field.field_spec.a} "
-                          f"m={field.field_spec.m}")
+    the angular/radial split with the singular weights, on a StaticSnapshot
+    or the PohozaevSums of its field."""
+    val = functools.partial(_pohozaev, field, rules, eps)
+    lhs = val("E")
+    rhs = val("Thh") + val("Hr") + val("W1h")
+    return report("pohozaev_E", lhs, rhs, POHOZAEV_TOL, context=_context(field, eps))
 
 
 def random_test_field(N: int, rng: np.random.Generator,
@@ -362,33 +390,66 @@ def identity_rules(N: int) -> RuleTable:
     return rules
 
 
-def run_identity_battery(N: int, eps: float, n_fields: int = 50,
-                         seed: int = 0, first: int = 0) -> list[Report]:
-    """Both appendix identities on a seeded random suite of n_fields test
-    fields, from field first on: batteries split at first give the whole's.
-    Each check has a StaticSnapshot of its own, as A reads the eps and eps - 1
-    rules and E the eps -+ 1/2 ones: A's jets and samples are dropped before E."""
+IDENTITY_EPS = (0.6, 1.0, 1.1)   # the weight exponents of identity_suite
+
+
+def pohozaev_sums(fields: list, epss, rules: RuleTable) -> list[PohozaevSums]:
+    """The PohozaevSums of each test field at every eps of epss, summed rule
+    by rule: each rule is assembled once, carries every (name, eps) that
+    reads it and is released before the next; each field gets one
+    StaticSnapshot per rule, which is dropped with its jets and node samples
+    before the next field's is made."""
+    reads: dict = {}   # beta key -> the (name, eps) summed on its rule
+    for name in _POHOZAEV_READS:
+        shift = {**_RAW_TABLE, **_POHOZAEV_LHS}[name][-1]
+        for eps in epss:
+            reads.setdefault(beta_key(eps + shift), []).append((name, eps))
+    sums = [PohozaevSums(tf) for tf in fields]
+    for beta, named in reads.items():
+        for out in sums:
+            snap = StaticSnapshot(out.field_spec)
+            out.update({(name, eps): _pohozaev(snap, rules, eps, name) for name, eps in named})
+        rules.release(beta)
+    return sums
+
+
+def identity_group(task: tuple) -> list[list[Report]]:
+    """Both appendix identities at each eps of a task (N, epss, n_fields,
+    seed, first), on a seeded random suite of n_fields test fields from
+    field first on (groups split at first give the whole's): one list of
+    reports per eps, field-major and A before E.  Every integral is summed
+    first, rule by rule (pohozaev_sums), so a field is evaluated once on a
+    rule that several eps read, and then each report is made by its check."""
+    N, epss, n_fields, seed, first = task
     rules, rng = identity_rules(N), np.random.default_rng(seed)
     fields = [random_test_field(N, rng) for _ in range(n_fields)][first:]
-    return [check(StaticSnapshot(field), eps, rules) for field in fields
-            for check in (check_pohozaev_A, check_pohozaev_E)]
+    sums = pohozaev_sums(fields, epss, rules)
+    return [[check(field, eps, rules) for field in sums
+             for check in (check_pohozaev_A, check_pohozaev_E)] for eps in epss]
 
 
-def identity_group(task: tuple) -> list[Report]:
-    """run_identity_battery of a task (N, eps, n_fields, seed, first), when fan_out runs it."""
-    N, eps, n_fields, seed, first = task
-    return run_identity_battery(N, eps, n_fields, seed, first)
+def run_identity_battery(N: int, eps: float, n_fields: int = 50,
+                         seed: int = 0, first: int = 0) -> list[Report]:
+    """Both appendix identities at one eps on n_fields seeded test fields,
+    from field first on: identity_group's reports at eps alone."""
+    return identity_group((N, (eps,), n_fields, seed, first))[0]
 
 
 def identity_suite(seed: int) -> list[dict]:
     """Both Pohozaev identities on 10 seeded fields for each N in (2, 3) and
-    eps in (0.6, 1.0, 1.1), N outer, on one worker process per usable CPU.
-    An N = 3 field costs about ten N = 2 ones, so an N = 3 group is two
-    tasks of 5 fields, submitted first, and two workers finish together."""
-    tasks = [(N, eps, n, seed, first) for N in (2, 3) for eps in (0.6, 1.0, 1.1)
-             for n, first in ([(10, 0)] if N == 2 else [(5, 0), (10, 5)])]
-    return [r for group in fan_out(identity_group, tasks, cost=lambda task: task[0])
-            for r in group]
+    eps in IDENTITY_EPS, N outer, then eps, then field, on one worker
+    process per usable CPU.  Each task spans the three eps of a slice of
+    fields, so the 9 rules they read are each evaluated once per field: an
+    N = 3 field costs about ten N = 2 ones, so N = 3 is two tasks of 5
+    fields, submitted first, and N = 2 one task of 10."""
+    tasks = [(2, IDENTITY_EPS, 10, seed, 0), (3, IDENTITY_EPS, 5, seed, 0),
+             (3, IDENTITY_EPS, 10, seed, 5)]
+    done = fan_out(identity_group, tasks, cost=lambda task: task[0])
+    reports = []
+    for N in (2, 3):
+        parts = [part for task, part in zip(tasks, done) if task[0] == N]
+        reports += [r for i in range(len(IDENTITY_EPS)) for part in parts for r in part[i]]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +479,7 @@ def _flow(name: str, field, rules: RuleTable, e: Exponents, eps: float) -> float
     rule = rules.rule(0.0 if shift is None else eps + shift)
     pts = rule.points
     v, (w, ws, grad) = field.eq_rhs(pts, e), field.fields(pts)   # the Hessian first
-    gws = field.ws_part.grad(pts)
+    gws = field.jet(field.ws_part, pts, 1)[1]
     g = SimpleNamespace(w=w, ws=ws, v=v, ydg=sum_last(pts * grad),
                         ydgs=sum_last(pts * gws), gdot=sum_last(grad * gws),
                         r2=sum_last(pts ** 2))

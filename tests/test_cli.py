@@ -598,7 +598,7 @@ def test_a_dead_worker_exits_4_with_one_line(small_cfg, tmp_path, capsys, monkey
 
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     monkeypatch.setattr(runio, "_sweep_one", _die)
-    monkeypatch.setattr(verify, "run_identity_battery", _die)
+    monkeypatch.setattr(verify, "identity_group", _die)
     sweep, ident = tmp_path / "sweep", tmp_path / "ident"
     ident.mkdir()
     for argv in (("sweep", "--config", small_cfg, "--p-list", "3.6,4.2",
@@ -1031,14 +1031,19 @@ def test_a_stage_reads_its_manifest_config_and_rule_store_once(small_cfg, tmp_pa
         assert len(typings) == 1, argv
 
 
+def _one_report_per_eps(task):
+    """A stand-in identity_group: one passing report for each eps of the task."""
+    from sswave import verify
+    return [[verify.report("pohozaev_A", 1.0, 1.0, 1e-8)] for _ in task[1]]
+
+
 def test_verify_creates_missing_out_dir(tmp_path, monkeypatch):
     from sswave import verify
-    rep = verify.report("pohozaev_A", 1.0, 1.0, 1e-8)
-    monkeypatch.setattr(verify, "run_identity_battery", lambda *a, **kw: [rep])
+    monkeypatch.setattr(verify, "identity_group", _one_report_per_eps)
     out = tmp_path / "missing" / "v"
     assert cli_main(["verify", "--suite", "identities", "--out", str(out)]) == 0
     reports = json.load(open(out / "verify_identities.json"))
-    # one stand-in report per task: three N = 2 groups and six N = 3 halves
+    # one stand-in report per task and eps: the N = 2 task and the two N = 3 slices
     assert len(reports) == 9 and all(r["passed"] for r in reports)
 
 

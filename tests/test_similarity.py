@@ -278,12 +278,12 @@ def test_a_warning_in_a_suite_worker_fails_the_suite(monkeypatch):
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     parent = os.getpid()
 
-    def stray_power(N, eps, n_fields, seed, first):
+    def stray_power(fields, epss, rules):
         assert os.getpid() != parent, "the battery ran in the calling process"
-        np.clip(1.0 - np.sum(np.eye(N) ** 2, axis=1), 0.0, None) ** (eps - 1.5)
+        np.clip(1.0 - np.sum(np.eye(rules.N) ** 2, axis=1), 0.0, None) ** (epss[0] - 1.5)
         return []
 
-    monkeypatch.setattr(verify, "run_identity_battery", stray_power)
+    monkeypatch.setattr(verify, "pohozaev_sums", stray_power)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="divide by zero"):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from sswave.core import FunctionalSeries, fan_out
 from sswave.quadrature import RuleTable
 from sswave.similarity import PolyField, StaticSnapshot, TestField, constant_field
 from sswave import functionals as fu
-from sswave import core, quadrature, runio, verify
+from sswave import core, quadrature, runio, similarity, verify
 
 from conftest import (boosted_snapshot, lemma_window_snaps, make_gaussian_run,
                       observed_order)
@@ -172,55 +173,60 @@ def test_identity_suite_builds_no_rule(monkeypatch):
 
     monkeypatch.setattr(verify, "identity_rules", spy)
     assert len(verify.identity_suite(0)) == 120
-    assert len(tables) == 9 and not any(table.built for table in tables)
+    assert len(tables) == 3 and not any(table.built for table in tables)
 
 
 def test_each_field_is_evaluated_once_per_rule(monkeypatch):
-    """The w part of a battery field, over the snapshots of its two checks,
-    is evaluated by one PolyField._partials call per rule it is read on, in
-    the order the checks read them: eps and eps - 1 for pohozaev_A, eps - 1/2
-    and eps + 1/2 for pohozaev_E.  The frozen-flow oracle, over every lemma,
-    also evaluates it once per rule."""
-    calls = []   # (polynomial, points) of each _partials call
+    """The w part of a battery field is evaluated by one PolyField._partials
+    call per rule the task reads: on each of the 9 rules of a task that
+    spans the three eps, and on each of the 4 rules of one eps, eps and
+    eps - 1 for pohozaev_A and eps -+ 1/2 for pohozaev_E.  The frozen-flow
+    oracle, over every lemma, evaluates the w part and the ws part once
+    per rule each."""
+    calls = []   # (polynomial, fingerprint of the points) of each _partials call
     partials, init = PolyField._partials, StaticSnapshot.__init__
-    snaps = []
+    w_polys = []   # (field, w-part polynomial) of each StaticSnapshot made
 
     def spy(self, pts, orders):
-        calls.append((self, pts))
+        calls.append((self, hash(pts.tobytes())))
         return partials(self, pts, orders)
 
     def record(self, *args, **kw):
         init(self, *args, **kw)
-        snaps.append(self)
+        w_polys.append((self.field_spec, self.w_part.poly))
 
     monkeypatch.setattr(PolyField, "_partials", spy)
     monkeypatch.setattr(StaticSnapshot, "__init__", record)
-    for N, eps in ((2, 1.1), (3, 0.6)):
-        snaps.clear()
+    for N, epss in ((2, (1.1,)), (3, (0.6,)), (2, verify.IDENTITY_EPS), (3, verify.IDENTITY_EPS)):
+        w_polys.clear()
         calls.clear()
-        assert len(verify.run_identity_battery(N, eps, n_fields=4, seed=3)) == 8
+        groups = verify.identity_group((N, epss, 4, 3, 0))
+        assert [len(group) for group in groups] == [8] * len(epss)
+        betas = sorted({round(eps + shift, 12) for eps in epss
+                        for shift in (-1.0, -0.5, 0.0, 0.5)})
         rules = verify.identity_rules(N)
-        want = [rules.rule(b).points.tobytes() for b in (eps, eps - 1.0, eps - 0.5, eps + 0.5)]
-        fields = {id(snap.field_spec): snap.field_spec for snap in snaps}.values()
-        assert len(fields) == 4
+        want = sorted(hash(rules.rule(beta).points.tobytes()) for beta in betas)
+        fields = {id(tf): tf for tf, _ in w_polys}.values()
+        assert len(fields) == 4 and len(w_polys) == 4 * len(betas)
         for field in fields:
-            polys = [snap.w_part.poly for snap in snaps if snap.field_spec is field]
-            got = [pts.tobytes() for poly, pts in calls if any(poly is q for q in polys)]
-            assert got == want, (N, eps)
+            polys = [poly for tf, poly in w_polys if tf is field]
+            got = [pts for poly, pts in calls if any(poly is q for q in polys)]
+            assert sorted(got) == want, (N, epss)
     e = sw.make_exponents(4.0, 3)
     rules = RuleTable(3, n_radial=24, n_angular=8)
     snap = StaticSnapshot(positive_field(3, np.random.default_rng(5)), s=1.5)
     calls.clear()
     for name in verify.LEMMA_NAMES:
         verify.flow_derivative(name, snap, rules, e, 0.6)
-    got = [id(pts) for poly, pts in calls if poly is snap.w_part.poly]
-    assert len(got) == len(set(got)) == len(rules._rules)
+    for part in (snap.w_part, snap.ws_part):
+        got = [pts for poly, pts in calls if poly is part.poly]
+        assert len(got) == len(set(got)) == len(rules._rules)
 
 
 def test_a_battery_task_assembles_only_the_rules_it_reads(monkeypatch):
-    """Seeding a battery table assembles no ball rule: one N = 3 task
-    assembles the four rules its checks read, on first use and in the order
-    they are read, of the nine it is seeded with."""
+    """Seeding a battery table assembles no ball rule: a task assembles
+    each rule its checks read once, on first use, of the nine it is seeded
+    with: all nine for the three eps, four for one."""
     assembled = []
     ball_rule = quadrature._ball_rule
 
@@ -230,34 +236,61 @@ def test_a_battery_task_assembles_only_the_rules_it_reads(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_ball_rule", spy)
     assert len(verify.identity_rules(3).stored()["radial"]) == 9 and not assembled
-    assert len(verify.identity_group((3, 0.6, 5, 0, 0))) == 10
-    assert assembled == [0.6, -0.4, 0.1, 1.1]
+    for epss, betas in ((verify.IDENTITY_EPS, IDENTITY_BETAS), ((0.6,), (-0.4, 0.1, 0.6, 1.1))):
+        assembled.clear()
+        groups = verify.identity_group((3, epss, 2, 0, 0))
+        assert [len(group) for group in groups] == [4] * len(epss)
+        assert sorted(assembled) == list(betas), epss
 
 
-def test_each_check_has_a_snapshot_of_its_own(monkeypatch):
-    """Each battery StaticSnapshot samples and differentiates its field on
-    the rules of one check: eps and eps - 1 for pohozaev_A, eps -+ 1/2 for
-    pohozaev_E; A's snapshot is gone before E samples."""
-    eps, seen, last_a = 1.0, [], []
-    checks = {"A": verify.check_pohozaev_A, "E": verify.check_pohozaev_E}
+def test_a_battery_task_holds_one_rule_at_a_time(monkeypatch):
+    """Inside a battery task no two assembled rules, and no two rules'
+    coordinate power tables, are alive at once: a rule is released, with
+    every snapshot that sampled it, before the next is assembled, and
+    every polynomial evaluation finds at most one power table that the
+    task made."""
+    gc.collect()
+    before = set(similarity._POWER_TABLES)
+    rules, most = [], []   # a weak reference to each rule assembled; tables alive
+    ball_rule, powers = quadrature._ball_rule, similarity._powers
 
-    def spy(name):
-        def check(snap, eps, rules):
-            if name == "E":
-                assert last_a[-1]() is None, "pohozaev_A's snapshot is alive"
-            else:
-                last_a.append(weakref.ref(snap))
-            rep = checks[name](snap, eps, rules)
-            beta = {id(rule.points): rule.beta for rule in rules._rules.values()}
-            held = {id(ns.rule.points) for ns in snap._samples.values()} | set(snap._jets)
-            seen.append((name, sorted(round(beta[key] - eps, 12) for key in held)))
-            return rep
-        return check
+    def assemble(*args):
+        assert all(ref() is None for ref in rules), "a rule is alive at the next assembly"
+        assert set(similarity._POWER_TABLES) <= before
+        rule = ball_rule(*args)
+        rules.append(weakref.ref(rule))
+        return rule
 
-    for name in checks:
-        monkeypatch.setattr(verify, f"check_pohozaev_{name}", spy(name))
-    assert len(verify.run_identity_battery(2, eps, n_fields=3, seed=1)) == 6
-    assert seen == [("A", [-1.0, 0.0]), ("E", [-0.5, 0.5])] * 3
+    def tabulate(pts, top):
+        table = powers(pts, top)
+        most.append(len(set(similarity._POWER_TABLES) - before))
+        return table
+
+    monkeypatch.setattr(quadrature, "_ball_rule", assemble)
+    monkeypatch.setattr(similarity, "_powers", tabulate)
+    for N in (2, 3):
+        rules.clear()
+        groups = verify.identity_group((N, verify.IDENTITY_EPS, 2, 7, 0))
+        assert [len(group) for group in groups] == [4, 4, 4]
+        assert len(rules) == 9 and max(most) == 1, N
+
+
+def test_the_heaviest_battery_task_stays_small():
+    """The heaviest task of identity_suite, 5 N = 3 fields at the three
+    eps, holds one rule, its power table and one field's jets and node
+    samples at a time: its traced peak stays under 20 MB.  Measured: 16.2
+    MB, where the check-major task of 5 N = 3 fields at one eps, which held
+    its 4 rules and their power tables for its whole run, read 24.6 MB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        groups = verify.identity_group((3, verify.IDENTITY_EPS, 10, 0, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(group) for group in groups] == [10, 10, 10]
+    assert peak < 20e6, peak
 
 
 @pytest.fixture()
@@ -278,20 +311,48 @@ def pool_spy(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_identity_suite_is_the_serial_battery(seed, pool_spy, monkeypatch):
-    """The suite's six (N, eps) groups, split into nine tasks and run on two
-    worker processes whatever the machine has, give exactly the reports of
-    the battery run group by group in this process, in the same order: N
-    outer, eps inner."""
+    """The suite's six (N, eps) groups, run as three tasks that each span
+    the three eps on two worker processes whatever the machine has, give
+    exactly the reports of the battery run group by group in this process,
+    in the same order: N outer, eps inner, and each N = 3 group split at
+    field 5 as the suite splits it, since batteries split at first give
+    the whole's."""
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-    serial = [r for N in (2, 3) for eps in (0.6, 1.0, 1.1)
-              for r in verify.run_identity_battery(N, eps, n_fields=10, seed=seed)]
+    split = {2: [(10, 0)], 3: [(5, 0), (10, 5)]}   # (n_fields, first) of each slice
+    serial = [r for N in (2, 3) for eps in (0.6, 1.0, 1.1) for n, first in split[N]
+              for r in verify.run_identity_battery(N, eps, n, seed, first)]
     assert verify.identity_suite(seed) == serial
     assert pool_spy == [2]
 
 
+def _check_by_check(task) -> list:
+    """The reports of both Pohozaev checks at eps on the suite's 10 fields of
+    (N, seed), each check on a StaticSnapshot of its own."""
+    N, eps, seed = task
+    rules, rng = verify.identity_rules(N), np.random.default_rng(seed)
+    fields = [verify.random_test_field(N, rng) for _ in range(10)]
+    return [check(StaticSnapshot(tf), eps, rules) for tf in fields
+            for check in (verify.check_pohozaev_A, verify.check_pohozaev_E)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_identity_suite_is_the_check_by_check_battery(seed, monkeypatch):
+    """identity_suite's 120 reports, made from integrals summed rule by rule
+    across the three eps, are value for value, as the JSON text cmd_verify
+    writes, the reports of check_pohozaev_A and _E run check by check on
+    the same fields and rules (the reference groups run on two workers)."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    tasks = [(N, eps, seed) for N in (2, 3) for eps in verify.IDENTITY_EPS]
+    want = [r for group in fan_out(_check_by_check, tasks, cost=lambda task: task[0])
+            for r in group]
+    got = verify.identity_suite(seed)
+    assert len(got) == 120 and json.dumps(got) == json.dumps(want)
+
+
 def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
-    """With one CPU available the nine tasks (an N = 3 group in two halves)
-    run in this process, in order."""
+    """With one CPU available the three tasks (N = 3 in two slices of 5
+    fields) run in this process, in order, and the suite puts their
+    reports in its order: N outer, eps, then slice."""
     import concurrent.futures
 
     class NoPool:
@@ -300,10 +361,11 @@ def test_identity_suite_on_one_cpu_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(core, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(verify, "run_identity_battery",
-                        lambda N, eps, n_fields, seed, first: [verify.report(
+    monkeypatch.setattr(verify, "identity_group",
+                        lambda task: [[verify.report(
                             "pohozaev_A", 1.0, 1.0, 1e-8,
-                            context=f"{N} {eps} {n_fields} {seed} {first}")])
+                            context=f"{task[0]} {eps} {task[2]} {task[3]} {task[4]}")]
+                            for eps in task[1]])
     assert [r["context"] for r in verify.identity_suite(5)] == \
         [f"{N} {eps} {n} 5 {first}" for N in (2, 3) for eps in (0.6, 1.0, 1.1)
          for n, first in ([(10, 0)] if N == 2 else [(5, 0), (10, 5)])]
