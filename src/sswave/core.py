@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+EPS0 = 0.6   # the weight exponent 3/5 that M, its d/ds law, Sigma and the U ladder pin
+
 
 @dataclass(frozen=True)
 class Exponents:
-    """Validated nonlinearity/dimension pair with derived exponents."""
+    """Validated nonlinearity/dimension pair; each derived exponent is stated once."""
 
     p: float
     N: int
@@ -48,6 +50,28 @@ class Exponents:
     def g1(self) -> float:
         """(p+1)/(p-1)^2, the profile equation's coefficient of w."""
         return (self.p + 1.0) / (self.p - 1.0) ** 2
+
+    @property
+    def lp32(self) -> float:
+        """(p+3)/2, the power of |w| in the decay suite's lp32_weighted."""
+        return (self.p + 3.0) / 2.0
+
+    @property
+    def l2_rate(self) -> float:
+        """8 alpha/(p+3), the rate of l2_weighted's weight; -l2_rate is rate's power."""
+        return 8.0 * self.alpha / (self.p + 3.0)
+
+    def l2_gain(self, k: int) -> float:
+        """2(k+1)/(9(p+3)), the power of s l2_weighted gains at index k."""
+        return 2.0 * (k + 1.0) / (9.0 * (self.p + 3.0))
+
+    def ladder(self, k: int) -> float:
+        """k/18, the power of s that F0 carries in the ladder F_k."""
+        return k / 18.0
+
+    def kernel(self, k: int) -> float:
+        """(k-18)/18, the power of tau in the tail kernels of F_k, U_k, scriptF_k."""
+        return (k - 18.0) / 18.0
 
 
 def make_exponents(p: float, N: int) -> Exponents:

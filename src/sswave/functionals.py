@@ -34,13 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Exponents, FunctionalSeries, pointwise
+from .core import EPS0, Exponents, FunctionalSeries, pointwise
 from .ode import power_fit
 from .quadrature import RuleTable, surface_area
 from .similarity import ROW_BLOCK, SimilaritySnapshot
 from .solver import TIME_BLOCK
-
-EPS0 = 0.6   # the weight exponent 3/5 that M and the U ladder pin
 
 
 def _int(snap: SimilaritySnapshot, rules: RuleTable, beta: float, weighted):
@@ -225,26 +223,30 @@ def f_ladder(f0: FunctionalSeries, k: int, e: Exponents) -> FunctionalSeries:
     if k < 1:
         raise ValueError("ladder index k must be >= 1")
     s, vals = f0.s, f0.values
-    gamma = (k - 18.0) / 18.0
+    gamma, power = e.kernel(k), e.ladder(k)
     inner = tail_trapezoid(s, s ** gamma * vals)
     fac = exp_tail_factor(gamma, e.alpha, s[-1])
-    F = s ** (k / 18.0) * vals + (k / 18.0) * (inner + vals[-1] * fac)
+    F = s ** power * vals + power * (inner + vals[-1] * fac)
     return FunctionalSeries(
         name=f"F{k}", s=s, values=F,
-        tail_bound=np.full_like(s, (k / 18.0) * (abs(vals[-1]) * fac)),
+        tail_bound=np.full_like(s, power * (abs(vals[-1]) * fac)),
         meta={"k": k, "s_max": float(s[-1])})
+
+
+def kernel_weighted(ser: FunctionalSeries, k: int, e: Exponents) -> np.ndarray:
+    """s^((k-18)/18) e^(2 alpha s) times the series: U_k's integrand, scriptF_k's M term."""
+    return ser.s ** e.kernel(k) * np.exp(2.0 * e.alpha * ser.s) * ser.values
 
 
 def u_series(uint: FunctionalSeries, k: int, e: Exponents) -> FunctionalSeries:
     """U_k = int_s^inf tau^((k-18)/18) e^(2 alpha tau) (U integrand) dtau.
 
     Beyond the sampled horizon the slowly varying integrand is frozen at its
-    last value and the full kernel tau^gamma e^(2 alpha tau) is integrated out.
+    last value and the full kernel tau^((k-18)/18) e^(2 alpha tau) is integrated out.
     """
-    gamma = (k - 18.0) / 18.0
     s = uint.s
-    inner = tail_trapezoid(s, s ** gamma * np.exp(2.0 * e.alpha * s) * uint.values)
-    kern = _integral_to_inf(lambda x: (s[-1] + x) ** gamma
+    inner = tail_trapezoid(s, kernel_weighted(uint, k, e))
+    kern = _integral_to_inf(lambda x: (s[-1] + x) ** e.kernel(k)
                             * math.exp(2.0 * e.alpha * (s[-1] + x)))
     return FunctionalSeries(
         name=f"U{k}", s=s, values=inner + uint.values[-1] * kern,
@@ -256,9 +258,7 @@ def script_f_series(mser: FunctionalSeries, user: FunctionalSeries, k: int,
                     sigma: float, e: Exponents) -> FunctionalSeries:
     if not np.array_equal(mser.s, user.s):
         raise ValueError("M and U series must share the s grid")
-    gamma = (k - 18.0) / 18.0
-    P = mser.s ** gamma * np.exp(2.0 * e.alpha * mser.s) * mser.values
-    vals = P + sigma * user.values
+    vals = kernel_weighted(mser, k, e) + sigma * user.values
     return FunctionalSeries(name=f"scriptF{k}", s=mser.s, values=vals,
                             tail_bound=None if user.tail_bound is None
                             else sigma * user.tail_bound,
@@ -489,7 +489,6 @@ def theorem_quantities(traj, e: Exponents, T0: float, q: float) -> TheoremReport
     # slope of the pure power part of (iii): remove the known log weight
     pure = np.array(sl2) / np.where(logw > 0, logw, 1.0)
     slope = power_fit(log_tau, np.log(pure)).slope if np.all(pure > 0) else 0.0
-    expected = 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0))
-    meta = {"q": q, "power_fit_slope": slope, "expected_power": expected,
+    meta = {"q": q, "power_fit_slope": slope, "expected_power": -e.l2_rate,
             "lower_bound_floor": float(np.min(lower))}
     return TheoremReport(series=series, sup=sup, meta=meta, tau=tau_s, pure_l2=pure)

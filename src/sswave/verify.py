@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Exponents, FunctionalSeries, fan_out, pointwise, sum_last
+from .core import EPS0, Exponents, FunctionalSeries, fan_out, pointwise, sum_last
 from .ode import power_fit
 from .quadrature import RuleTable, beta_key
 from .similarity import PolyField, StaticSnapshot, TestField
@@ -61,9 +61,6 @@ def report(name, lhs, rhs, tol, context="", scale=None) -> Report:
 # ---------------------------------------------------------------------------
 # raw node integrals (the verifier's own quadrature path)
 
-EPS0 = 0.6   # the weight exponent 3/5 that M's d/ds law and Sigma pin
-
-
 # the raw path's integrands, as functions of the node samples n and exponents e
 _INTEGRANDS = {
     "ws2": lambda n, e: n.ws ** 2,
@@ -82,7 +79,7 @@ _INTEGRANDS = {
     "w_ws_r2": lambda n, e: n.w * n.ws * n.r2,
     "w_ydg": lambda n, e: n.w * n.ydg,
     "lp1": lambda n, e: np.abs(n.w) ** (e.p + 1.0),
-    "lp32": lambda n, e: np.abs(n.w) ** ((e.p + 3.0) / 2.0),
+    "lp32": lambda n, e: np.abs(n.w) ** e.lp32,
 }
 
 # raw integral name -> (integrand, weight exponent beta as an offset from
@@ -119,12 +116,6 @@ def _raw(snap, rules: RuleTable, e: Exponents | None, eps: float, name: str):
     summed from the node samples the snapshot caches."""
     integrand, shift = _RAW_TABLE[name]
     return _raw_int(snap, rules, e, integrand, 0.0 if shift is None else eps + shift)
-
-
-def _Ifun(snap, rules: RuleTable, e: Exponents, eps: float):
-    """I_eps rebuilt on the raw path."""
-    raw = functools.partial(_raw, snap, rules, e, eps)
-    return -raw("W2h") - 2.0 * raw("W1h") - 0.5 * e.N * raw("Bh")
 
 
 def _Gfun(snap, rules: RuleTable, e: Exponents, eps: float):
@@ -169,7 +160,8 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
                 - N * raw("P3") + eps * raw("S3"))
 
     if name == "dI_eps":
-        return (-2.0 * al * _Ifun(snap, rules, e, eps) - raw("Ph") + raw("Thh")
+        I_raw = -raw("W2h") - 2.0 * raw("W1h") - 0.5 * N * raw("Bh")   # I_eps, raw path
+        return (-2.0 * al * I_raw - raw("Ph") + raw("Thh")
                 + raw("Hr") - raw("Rh")
                 + (1.0 - 2.0 * eps - 2.0 * al) * raw("W1h")
                 + (2.0 * e.g1 - al * N) * raw("Bh")
@@ -195,7 +187,7 @@ def lemma_rhs(name: str, snap, rules, e: Exponents, eps: float) -> float:
         return fac * (-surf + al * (p - 1.0) / (p + 1.0) * raw("R2p"))
 
     if name == "dF1":
-        return (pointwise(lambda s: s ** (1.0 / 18.0), snap.s)
+        return (pointwise(lambda s: s ** e.ladder(1), snap.s)
                 * lemma_rhs("dF0", snap, rules, e, eps))
 
     if name == "dJ0":
@@ -517,7 +509,7 @@ def flow_derivative(name: str, field: StaticSnapshot, rules: RuleTable,
             2.0 * e.alpha * (fu.E0(field, rules, e) + fu.J0(field, rules, e)) + dE0 + dJ0)
 
     if name == "dF1":
-        return field.s ** (1.0 / 18.0) * flow_derivative("dF0", field, rules, e, eps)
+        return field.s ** e.ladder(1) * flow_derivative("dF0", field, rules, e, eps)
 
     return _flow(name, field, rules, e, eps)
 
@@ -592,10 +584,9 @@ def calibrate_hardy(profiles, eps: float, rules: RuleTable) -> float:
 # monotonicity, decay and rate-trend verdicts
 
 def ladder_start(e: Exponents, k: int) -> float:
-    """End of the transient window for s^(k/18) F0: the weight factor
-    s^(k/18) e^(2 alpha s) only decreases once s > k/(36 |alpha|), and the
-    window ends a quarter past that."""
-    return 1.25 * k / (36.0 * abs(e.alpha))
+    """End of the transient window for s^(k/18) F0: its weight s^(k/18) e^(2 alpha s)
+    decreases from s = (k/18)/(2 |alpha|) on; the window ends a quarter past that."""
+    return 1.25 * e.ladder(k) / (2.0 * abs(e.alpha))
 
 
 def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
@@ -619,14 +610,6 @@ def monitor_monotone(series: FunctionalSeries, slack: float = 1e-6,
     return out
 
 
-def check_f0_monotone(f0: FunctionalSeries) -> dict:
-    """F0 nonincreasing and nonnegative over the snapshot window, which
-    fails with fewer than MIN_SAMPLES samples (monitor_monotone)."""
-    mon = monitor_monotone(f0, slack=1e-6, require_nonneg=True)
-    return {"name": "F0_monotone", "passed": mon["monotone"] and mon["nonnegative"],
-            **{k: v for k, v in mon.items() if k != "name"}}
-
-
 def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
     """Monotonicity of s^(k/18) F0 past ladder_start, for k = 1..k_max; a
     window of fewer than MIN_SAMPLES samples fails (monitor_monotone)."""
@@ -634,27 +617,28 @@ def check_ladder(f0: FunctionalSeries, e: Exponents, k_max: int) -> list[dict]:
     for k in range(1, k_max + 1):
         sel = f0.s >= max(f0.s[0], ladder_start(e, k))
         mk = monitor_monotone(FunctionalSeries(
-            f"ladder_k{k}", f0.s[sel], f0.s[sel] ** (k / 18.0) * f0.values[sel]))
+            f"ladder_k{k}", f0.s[sel], f0.s[sel] ** e.ladder(k) * f0.values[sel]))
         out.append({"name": f"ladder_k{k}_monotone", "passed": mk["monotone"],
                     "violations": mk["violations"]})
     return out
 
 
 def monotone_suite(snaps, rules, e: Exponents, k_max: int) -> list[dict]:
-    """F0's own monotonicity report, then one per ladder index 1..k_max."""
+    """F0 nonincreasing and nonnegative, then check_ladder's reports; each
+    fails with fewer than MIN_SAMPLES samples (monitor_monotone)."""
     f0, = fu.evaluate_series(["F0"], snaps, rules, e, EPS0, 1, 1.0)
-    return [check_f0_monotone(f0)] + check_ladder(f0, e, k_max)
+    mon = monitor_monotone(f0, slack=1e-6, require_nonneg=True)
+    return [{"name": "F0_monotone", "passed": mon["monotone"] and mon["nonnegative"],
+             **{k: v for k, v in mon.items() if k != "name"}}] + check_ladder(f0, e, k_max)
 
 
 def smallest_sigma(mser: FunctionalSeries, user: FunctionalSeries, k: int,
                    e: Exponents) -> float:
     """Smallest sigma making s^((k-18)/18) e^(2 alpha s) M + sigma U_k
     nonincreasing on the sampled grid (inf if U's decrease cannot pay)."""
-    gamma = (k - 18.0) / 18.0
-    P = mser.s ** gamma * np.exp(2.0 * e.alpha * mser.s) * mser.values
-    up = np.diff(P) > 0.0
-    dP, dU = np.diff(P)[up], np.diff(user.values)[up]
-    return math.inf if np.any(dU >= 0.0) else float(np.max(dP / -dU, initial=0.0))
+    dP, dU = np.diff(fu.kernel_weighted(mser, k, e)), np.diff(user.values)
+    up = dP > 0.0
+    return math.inf if np.any(dU[up] >= 0.0) else float(np.max(dP[up] / -dU[up], initial=0.0))
 
 
 def decay_report(series: FunctionalSeries) -> dict:
@@ -667,20 +651,19 @@ def decay_report(series: FunctionalSeries) -> dict:
     sel = s >= 0.5 * (s[0] + s[-1])
     s, v = s[sel], np.maximum(v[sel], 1e-300)
     slope = power_fit(s, np.log(v)).slope
-    ratio = float(v[-1] / v[0]) if v[0] > 0 else 0.0
+    ratio = float(v[-1] / v[0])
     return {"name": series.name, "initial": float(v[0]), "final": float(v[-1]),
             "ratio": ratio, "log_slope": slope,
             "passed": bool(ratio <= 0.1 and slope < 0.0)}
 
 
 def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
-    """Every quantity the decay suite monitors, from one snapshot series,
-    with the s^(k/18)-type gains for k = 1, 2.
+    """Every series the decay suite monitors, one row each in report order: its
+    grid, base integral, the rate c of its weight e^(c s) and power g of its gain s^g.
 
     Per-snapshot integrals are taken block by block (snaps.blockwise); the
     window series sit on the sub-grid that leaves room for their [s, s+1].
     """
-    p, al = e.p, e.alpha
     s = snaps.s
     w2, wp1, wp32, grad2, ws2, f0 = map(np.concatenate, zip(*snaps.blockwise(lambda b: [
         _raw_int(b, rules, e, f, 0.0) for f in ("w2", "lp1", "lp32", "g2", "ws2")]
@@ -700,32 +683,26 @@ def build_decay_bundle(snaps, rules, e: Exponents) -> dict:
             out[n == k] = np.trapezoid(vals[idx], s[idx], axis=-1)
         return out
 
-    e2 = np.exp(2.0 * al * s)
-    e2h = np.exp(2.0 * al * sh)
-    e8 = np.exp(8.0 * al * s / (p + 3.0))
+    l2, two_al = e.l2_rate, 2.0 * e.alpha
     energy = win_int(ws2 + grad2)
-    f0_gain = {k: s ** (k / 18.0) * f0 for k in (1, 2)}
-
-    series = {   # name -> (s, values)
-        # e^(8 alpha s/(p+3)) int w^2, plain and with the s-power gain
-        "l2_weighted": (s, e8 * w2),
-        "l2_weighted_gain": (s, s ** (2.0 / (9.0 * (p + 3.0))) * e8 * w2),
-        # s^(1/18) e^(2 alpha s) int |w|^((p+3)/2)
-        "lp32_weighted": (s, s ** (1.0 / 18.0) * e2 * wp32),
-        "f0_gain": (s, f0_gain[1]),
-        # e^(2 alpha s) int_s^(s+1) int (ds w)^2 + |grad w|^2
-        "window_energy": (sh, e2h * energy),
-        "window_gradient": (sh, sh ** (1.0 / 18.0) * e2h * win_int(grad2)),
-        # tail of the space-time L^(p+1) bound
-        "lp1_spacetime_tail": (s[:-1], fu.tail_trapezoid(s, e2 * wp1)[:-1]),
+    rows = {   # name -> (grid, base integral, c, g)
+        "l2_weighted": (s, w2, l2, 0.0),
+        "l2_weighted_gain": (s, w2, l2, e.l2_gain(0)),
+        "lp32_weighted": (s, wp32, two_al, e.ladder(1)),
+        "f0_gain": (s, f0, 0.0, e.ladder(1)),
+        "window_energy": (sh, energy, two_al, 0.0),
+        "window_gradient": (sh, win_int(grad2), two_al, e.ladder(1)),
+        # the tail of the space-time L^(p+1) bound: the one row whose base is no integral at s
+        "lp1_spacetime_tail": (s[:-1], fu.tail_trapezoid(s, np.exp(two_al * s) * wp1)[:-1],
+                               0.0, 0.0),
     }
     for k in (1, 2):
-        series[f"window_energy_k{k}"] = (sh, sh ** (k / 18.0) * e2h * energy)
-        series[f"lp32_weighted_k{k}"] = (s, s ** ((k + 1.0) / 18.0) * e2 * wp32)
-        series[f"l2_weighted_gain_k{k}"] = (
-            s, s ** ((2.0 * k + 2.0) / (9.0 * (p + 3.0))) * e8 * w2)
-        series[f"f0_gain_k{k}"] = (s, f0_gain[k])
-    return {name: FunctionalSeries(name, *sv) for name, sv in series.items()}
+        rows[f"window_energy_k{k}"] = (sh, energy, two_al, e.ladder(k))
+        rows[f"lp32_weighted_k{k}"] = (s, wp32, two_al, e.ladder(k + 1))
+        rows[f"l2_weighted_gain_k{k}"] = (s, w2, l2, e.l2_gain(k))
+        rows[f"f0_gain_k{k}"] = (s, f0, 0.0, e.ladder(k))
+    return {name: FunctionalSeries(name, x, x ** g * np.exp(c * x) * base)
+            for name, (x, base, c, g) in rows.items()}
 
 
 def check_decay_suite(bundle: dict) -> list[dict]:

@@ -418,7 +418,7 @@ def _theorem_quantities_whole_archive(traj, e, T0, q):
     pure = np.array(sl2) / np.where(logw > 0, logw, 1.0)
     slope = power_fit(np.log(tau_sel), np.log(pure)).slope if np.all(pure > 0) else 0.0
     meta = {"q": q, "power_fit_slope": slope,
-            "expected_power": 4.0 * (N / (p + 3.0) - 1.0 / (p - 1.0)),
+            "expected_power": -e.l2_rate,
             "lower_bound_floor": float(np.min(lower))}
     return fu.TheoremReport(series=series, sup=sup, meta=meta, tau=tau_sel, pure_l2=pure)
 

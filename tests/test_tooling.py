@@ -17,6 +17,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,49 @@ def test_g1_stated_once():
              for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
     assert found.pop("core.py")
     assert not any(found.values()), f"g1 written out outside core.Exponents: {found}"
+
+
+def _code_lines(path: Path) -> list[str]:
+    """The lines of a module with every string literal and comment blanked
+    out, so that a pattern matches code only, not a docstring citing it."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [list(line) for line in lines]
+    for tok in tokenize.generate_tokens(iter(lines).__next__):
+        if tok.type in (tokenize.STRING, tokenize.COMMENT):
+            (r0, c0), (r1, c1) = tok.start, tok.end
+            for r in range(r0, r1 + 1):
+                lo, hi = (c0 if r == r0 else 0), (c1 if r == r1 else len(rows[r - 1]))
+                rows[r - 1][lo:hi] = " " * (hi - lo)
+    return ["".join(row) for row in rows]
+
+
+def test_exponents_stated_once():
+    """Every exponent a verdict compares a fitted slope with is written once,
+    in core.py: the ladder power k/18 and the tail kernel's (k-18)/18
+    (Exponents.ladder, .kernel), the L^2 decay rate 8 alpha/(p+3)
+    (.l2_rate), its gain 2(k+1)/(9(p+3)) (.l2_gain), the (p+3)/2 power
+    (.lp32) and EPS0.  rate's expected power is -l2_rate, so its form
+    4(N/(p+3) - 1/(p-1)) appears nowhere.  Each form, with p spelled any
+    way, is counted in the code of src/sswave (docstrings and comments
+    excluded): core.py holds exactly the table's statements, and no other
+    module any."""
+    p = r"(?:\w+\.)*p"
+    num = r"(?:\.0*)?(?![\d.])"
+    forms = {   # pattern -> how often core.py states it
+        rf"/\s*18{num}": 2,
+        rf"(?<![\w.])8{num}\s*\*.*/\s*\(\s*{p}\s*\+\s*3{num}\s*\)": 1,
+        rf"(?<![\w.])9{num}\s*\*\s*\(\s*{p}\s*\+\s*3{num}\s*\)": 1,
+        rf"\(\s*{p}\s*\+\s*3{num}\s*\)\s*/\s*2{num}": 1,
+        rf"(?<![\w.])4{num}\s*\*\s*\(\s*(?:\w+\.)*N\s*/\s*\(\s*{p}\s*\+\s*3": 0,
+        r"^\s*EPS0\s*=": 1,
+    }
+    code = {path.name: _code_lines(path)
+            for path in sorted((ROOT / "src" / "sswave").rglob("*.py"))}
+    for form, in_core in forms.items():
+        found = {name: [i for i, line in enumerate(lines, 1) if re.search(form, line)]
+                 for name, lines in code.items()}
+        assert len(found.pop("core.py")) == in_core, form
+        assert not any(found.values()), f"{form} written out outside core: {found}"
 
 
 def test_package_data_is_declared():

@@ -16,7 +16,7 @@ from sswave import functionals as fu
 from sswave import core, quadrature, runio, similarity, verify
 
 from conftest import (boosted_snapshot, lemma_window_snaps, make_gaussian_run,
-                      observed_order)
+                      make_plateau_run, observed_order)
 
 
 def radial_quadratic(N, c0, c2):
@@ -748,6 +748,39 @@ def test_rate_verdicts_fail_one_at_a_time():
     assert not verify.rate_verdict(two, q=1.0)["slope_within_10pct"]
     near = verify.rate_verdict(_rate_report(slope=-0.54), q=2.5)   # 8% off
     assert near["slope_within_10pct"] and near["q"] == 2.5
+
+
+# each run's fitted slope less its stated exponent, on the README default
+# window (runio.build_snapshots) at nr = 1024, and the tolerance set from it
+# (1.5 times, rounded up to one digit): l2_weighted's log-slope less
+# Exponents.l2_rate, then rate's power_fit_slope less its expected_power
+STATED_EXPONENT_RUNS = {
+    "ode_plateau": ((-1.06e-4, 2e-4), (-9.07e-4, 2e-3)),
+    "gaussian_T0.2": ((-1.53e-4, 3e-4), (+3.27e-2, 5e-2)),
+    "p2.5_N4": ((-5.3e-10, 1e-9), (-1.74e-3, 3e-3)),
+}
+
+
+@pytest.mark.parametrize("run", STATED_EXPONENT_RUNS)
+def test_stated_exponents_match_fitted_slopes(run, plateau_1024):
+    """The exponents Exponents states are the ones the data carry: the
+    decay suite's l2_weighted, int w^2 e^(l2_rate s), fits the log-slope
+    l2_rate (its int w^2 levels off), and rate's pure scaled_l2, fitted on
+    the physical frames, the power -l2_rate in tau (a wrong l2_rate fails
+    here), on the default ode_plateau run, a gaussian run with T = 0.2 and
+    an ode_plateau run at (p, N) = (2.5, 4)."""
+    traj = {"ode_plateau": lambda: plateau_1024,
+            "gaussian_T0.2": lambda: make_gaussian_run(1024, u_cap=1e8, r_max=0.3),
+            "p2.5_N4": lambda: make_plateau_run(1024, p=2.5, N=4)}[run]()
+    e = traj.e
+    rules, snaps = runio.build_snapshots(runio.parse_config(None)[1], traj, None, None)
+    l2 = verify.decay_report(verify.build_decay_bundle(snaps, rules, e)["l2_weighted"])
+    rep = fu.theorem_quantities(traj, e, traj.T_est, q=1.0)
+    assert rep.meta["expected_power"] == -e.l2_rate
+    deviations = (l2["log_slope"] - e.l2_rate,
+                  rep.meta["power_fit_slope"] - rep.meta["expected_power"])
+    for got, (measured, tol) in zip(deviations, STATED_EXPONENT_RUNS[run]):
+        assert abs(got) <= tol, (run, got, measured)
 
 
 def test_decay_windows_are_per_window_trapezoids(exp43, plateau_1024):
